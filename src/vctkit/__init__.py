@@ -5,15 +5,7 @@ densitometry, biased cohort construction, and the statistical audit that
 separates in-distribution performance from out-of-distribution degradation.
 """
 
-from .composition import (
-    CompositionReport,
-    DensityConfig,
-    LinearCalibration,
-    adjust_air_hu,
-    fit_linear_calibration,
-    hu_to_density,
-    measure_composition,
-)
+from .composition import CompositionReport, measure_composition
 from .forest import Forest, ForestParams, fit_forest, predict, predict_proba
 from .io import load_labelmap, load_volume, save_labelmap, save_volume
 from .metrics import cohort_consistency, dice, per_class_dice, qq_pearson

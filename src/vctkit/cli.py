@@ -26,13 +26,12 @@ from .metrics import (
     collect_structure_measurements,
     paired_dice_stats,
 )
-from .phantom import generate_cohort, load_manifest
+from .phantom import AttributeDistribution, generate_cohort, load_manifest, map_ordered
 from .skeleton import measure_height
 from .trial import (
     MeasuredSubject,
     TrialConfig,
-    _distribution_from_dict,
-    _map_ordered,
+    config_from_dict,
     run_full_vct,
     write_trial_outputs,
 )
@@ -64,9 +63,12 @@ def _setup_log(out_dir: Path) -> logging.Logger:
 
 def _load_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return cfg
 
 
 # --- phantom gen ------------------------------------------------------------
@@ -81,14 +83,19 @@ def cmd_phantom_gen(args) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if n is None or seed is None:
         raise ConfigError("phantom gen needs --n and --seed (flag or config)")
+    for name, value in (("n", n), ("seed", seed)):
+        if type(value) is not int:
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if n < 1:
         raise ConfigError(f"cohort size must be positive, got {n}")
     spacing = args.spacing or cfg.get("spacing_mm") or (2.0, 2.0, 2.0)
-    if len(spacing) != 3 or min(spacing) <= 0:
+    if (not isinstance(spacing, (list, tuple)) or len(spacing) != 3
+            or any(type(s) not in (int, float) for s in spacing) or min(spacing) <= 0):
         raise ConfigError(f"spacing must be three positive numbers, got {spacing}")
     try:
-        dist = _distribution_from_dict(cfg.get("distribution", {}))
-    except (ValueError, TypeError) as exc:
+        dist = config_from_dict(AttributeDistribution, cfg.get("distribution", {}),
+                                "distribution")
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     out = Path(args.out)
@@ -131,7 +138,7 @@ def cmd_measure(args) -> int:
         except Exception as exc:  # per-subject isolation: one bad file != a dead run
             return record.subject_id, None, exc
 
-    results = _map_ordered(build, manifest.subjects, args.threads)
+    results = map_ordered(build, manifest.subjects, args.threads)
     failed = []
     with open(out / "measurements.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -217,7 +224,7 @@ def _collect_cohort(manifest_path: Path, threads: int):
         tissue, structures = _load_maps(base, record)
         return record.subject_id, collect_structure_measurements(structures, tissue)
 
-    rows = _map_ordered(build, manifest.subjects, threads)
+    rows = map_ordered(build, manifest.subjects, threads)
     cohort = CohortMeasurements()
     for _sid, per_class in rows:
         cohort.add_subject(per_class)
@@ -248,7 +255,7 @@ def cmd_consistency(args) -> int:
                 raise ConfigError(f"subject {sid!r}: grids differ between cohorts")
             return sa, sb
 
-        pairs = _map_ordered(load_pair, ids_a, args.threads)
+        pairs = map_ordered(load_pair, ids_a, args.threads)
         dice_stats = paired_dice_stats(pairs)
         log.info("paired dice over %d subjects", len(pairs))
 

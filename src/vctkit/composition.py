@@ -1,35 +1,24 @@
 """Body-composition measurement from a CT volume plus tissue label map.
 
-Voxel HU maps to mass density via ``rho = (HU + 1000) / (hu_rho + 1000)``
-g/cm^3, where ``hu_rho`` is the HU of the reference material whose density
-is defined as 1 (default 0, water).  Before the mapping, voxels at or below
-the air threshold (-900 HU inclusive) are set to -1000 HU so near-air noise
-carries zero mass.  Bone density is reported as the mean *raw* HU over
+Voxel HU maps to mass density via ``rho = (HU + 1000) / (REFERENCE_HU + 1000)``
+g/cm^3, where ``REFERENCE_HU`` is the HU of the reference material whose
+density is defined as 1 (water, 0 HU).  Before the mapping, voxels at or
+below the air threshold (-900 HU inclusive) are set to -1000 HU so near-air
+noise carries zero mass.  Bone density is reported as the mean *raw* HU over
 bone-tissue voxels, without the air adjustment.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import Grid, LabelMap, Volume, voxel_volume_mm3
+from .volume import LabelMap, Volume, voxel_volume_mm3
 
-
-@dataclass(frozen=True)
-class DensityConfig:
-    """Density-mapping constants."""
-
-    hu_rho: float = 0.0
-    air_threshold_hu: float = -900.0
-    air_fill_hu: float = -1000.0
-
-    def __post_init__(self):
-        if self.hu_rho <= -1000.0:
-            raise ValueError(f"hu_rho must exceed -1000, got {self.hu_rho}")
+REFERENCE_HU = 0.0
+AIR_THRESHOLD_HU = -900.0
+AIR_FILL_HU = -1000.0
 
 
 @dataclass(frozen=True)
@@ -81,42 +70,7 @@ class CompositionReport:
         )
 
 
-@dataclass(frozen=True)
-class LinearCalibration:
-    slope: float
-    intercept: float
-    r2: float
-
-
-def adjust_air_hu(vol: Volume, cfg: DensityConfig = DensityConfig()) -> Volume:
-    """Replace HU at or below the air threshold with the air fill value."""
-    if vol.unit != "HU":
-        raise ValueError(f"air adjustment applies to HU volumes, got unit {vol.unit!r}")
-    data = vol.data.copy()
-    data[vol.data <= cfg.air_threshold_hu] = cfg.air_fill_hu
-    return Volume(vol.grid, data, "HU")
-
-
-def hu_to_density(vol: Volume, cfg: DensityConfig = DensityConfig()) -> Volume:
-    """Map HU to g/cm^3: rho = (HU + 1000) / (hu_rho + 1000)."""
-    if vol.unit != "HU":
-        raise ValueError(f"density mapping applies to HU volumes, got unit {vol.unit!r}")
-    rho = (vol.data.astype(np.float64) + 1000.0) / (cfg.hu_rho + 1000.0)
-    return Volume(vol.grid, rho.astype(np.float32), "g_per_cm3")
-
-
-def region_mass_g(density: Volume, mask: np.ndarray) -> float:
-    """Mass in grams of the masked region of a density volume."""
-    if density.unit != "g_per_cm3":
-        raise ValueError("region_mass_g expects a density volume (g_per_cm3)")
-    if mask.shape != density.data.shape:
-        raise ValueError(f"mask shape {mask.shape} does not match volume {density.data.shape}")
-    vox_cm3 = voxel_volume_mm3(density.grid) / 1000.0
-    return float(density.data[mask].sum(dtype=np.float64) * vox_cm3)
-
-
-def measure_composition(vol: Volume, tissue: LabelMap,
-                        cfg: DensityConfig = DensityConfig()) -> CompositionReport:
+def measure_composition(vol: Volume, tissue: LabelMap) -> CompositionReport:
     """Measure mass, fat/muscle percentages, bone HU, and body volume.
 
     The body is every nonzero tissue voxel.  Percentages are mass fractions
@@ -125,6 +79,8 @@ def measure_composition(vol: Volume, tissue: LabelMap,
     """
     if vol.grid != tissue.grid:
         raise ValueError("volume and tissue map must share a grid")
+    if vol.unit != "HU":
+        raise ValueError(f"composition is measured from HU volumes, got unit {vol.unit!r}")
     if tissue.kind != "tissue":
         raise ValueError(f"expected a tissue map, got kind {tissue.kind!r}")
 
@@ -135,8 +91,8 @@ def measure_composition(vol: Volume, tissue: LabelMap,
         raise ValueError("degenerate input: body mask is empty")
     labels = tissue.data[body]
     hu = vol.data[body].astype(np.float64)
-    adjusted = np.where(hu <= cfg.air_threshold_hu, cfg.air_fill_hu, hu)
-    rho = (adjusted + 1000.0) / (cfg.hu_rho + 1000.0)
+    adjusted = np.where(hu <= AIR_THRESHOLD_HU, AIR_FILL_HU, hu)
+    rho = (adjusted + 1000.0) / (REFERENCE_HU + 1000.0)
     vox_cm3 = voxel_volume_mm3(vol.grid) / 1000.0
 
     m_body = float(rho.sum()) * vox_cm3
@@ -156,40 +112,3 @@ def measure_composition(vol: Volume, tissue: LabelMap,
         body_volume_l=n_body * voxel_volume_mm3(vol.grid) / 1.0e6,
         per_tissue_mass_g={"fat": m_fat, "muscle": m_muscle, "bone": m_bone},
     )
-
-
-def fit_linear_calibration(measured, reference) -> LinearCalibration:
-    """Least-squares line mapping measured values onto reference values.
-
-    r2 is the squared Pearson correlation.  A zero-variance measured list is
-    degenerate: slope 0, intercept = mean(reference), r2 = 0, with a warning.
-    """
-    x = np.asarray(measured, dtype=np.float64)
-    y = np.asarray(reference, dtype=np.float64)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ValueError("measured and reference must be 1-D and equal length")
-    if len(x) < 2:
-        raise ValueError("calibration needs at least two points")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("calibration inputs must be finite")
-    sx = x - x.mean()
-    sy = y - y.mean()
-    denom = float(sx @ sx)
-    if denom == 0.0:
-        warnings.warn("zero-variance measured values; calibration is degenerate")
-        return LinearCalibration(0.0, float(y.mean()), 0.0)
-    slope = float(sx @ sy) / denom
-    intercept = float(y.mean() - slope * x.mean())
-    yy = float(sy @ sy)
-    r2 = 0.0 if yy == 0.0 else float(sx @ sy) ** 2 / (denom * yy)
-    return LinearCalibration(slope, intercept, r2)
-
-
-def apply_calibration(value, cal: LinearCalibration):
-    """Apply a fitted calibration to a scalar or array."""
-    if isinstance(value, Volume):
-        data = (cal.slope * value.data.astype(np.float64) + cal.intercept).astype(np.float32)
-        return Volume(value.grid, data, value.unit)
-    if isinstance(value, np.ndarray):
-        return cal.slope * value + cal.intercept
-    return cal.slope * float(value) + cal.intercept

@@ -1,131 +1,15 @@
-"""Patch planning, blended aggregation, and the multi-window L1 loss.
+"""The multi-window L1 loss of the paper's patch-trained image model.
 
-Patches tile a volume with per-axis stride ``max(1, round(size * (1 -
-overlap)))`` (round = floor(x + 0.5)); the final patch per axis is clamped
-to the boundary so coverage is complete.  Aggregation normalizes per-voxel
-by total blend weight in double precision, making the output a convex
-combination of contributions and bitwise independent of how patches are
-scheduled; where every contribution agrees the voxel reproduces that value
-exactly, so cutting a volume and reassembling it is the identity.
+Nothing in the pipeline, the CLI or ``scripts/`` calls it; ROADMAP item 4
+deletes it with its tests.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-BLEND_MODES = ("uniform", "center_weighted")
-CENTER_WEIGHT_FLOOR = 1e-3
-
-
-@dataclass(frozen=True)
-class PatchGrid:
-    dims: tuple[int, int, int]
-    patch_size: tuple[int, int, int]
-    stride: tuple[int, int, int]
-    origins: tuple[tuple[int, int, int], ...]
-
-
-def _axis_origins(dim: int, patch: int, stride: int) -> list[int]:
-    last = dim - patch
-    origins = list(range(0, last + 1, stride))
-    if origins[-1] != last:
-        origins.append(last)
-    return origins
-
-
-def plan_patches(dims, patch_size, overlap: float = 0.0) -> PatchGrid:
-    """Plan a fully covering patch tiling of a volume."""
-    dims = tuple(int(d) for d in dims)
-    patch = tuple(int(p) for p in patch_size)
-    if len(dims) != 3 or any(d < 1 for d in dims):
-        raise ValueError(f"dims must be three positive integers, got {dims}")
-    if len(patch) != 3 or any(p < 1 for p in patch):
-        raise ValueError(f"patch_size must be three positive integers, got {patch}")
-    if any(p > d for p, d in zip(patch, dims)):
-        raise ValueError(f"patch_size {patch} exceeds dims {dims}")
-    if not 0.0 <= overlap < 1.0:
-        raise ValueError(f"overlap must lie in [0, 1), got {overlap}")
-    stride = tuple(max(1, int(math.floor(p * (1.0 - overlap) + 0.5))) for p in patch)
-    per_axis = [_axis_origins(dims[a], patch[a], stride[a]) for a in range(3)]
-    origins = tuple(itertools.product(*per_axis))
-    return PatchGrid(dims, patch, stride, origins)
-
-
-def extract_patches(data: np.ndarray, plan: PatchGrid) -> list[np.ndarray]:
-    """Cut the planned patches out of an array (views, in plan order)."""
-    if tuple(data.shape) != plan.dims:
-        raise ValueError(f"data shape {data.shape} does not match plan dims {plan.dims}")
-    px, py, pz = plan.patch_size
-    return [data[x:x + px, y:y + py, z:z + pz] for x, y, z in plan.origins]
-
-
-def blend_weights(patch_size, blend: str) -> np.ndarray:
-    """Per-voxel blend weight of one patch (float64)."""
-    if blend not in BLEND_MODES:
-        raise ValueError(f"blend must be one of {BLEND_MODES}, got {blend!r}")
-    patch = tuple(int(p) for p in patch_size)
-    if blend == "uniform":
-        return np.ones(patch, dtype=np.float64)
-    axes = []
-    for m in patch:
-        c = (m - 1) / 2.0
-        w = 1.0 - np.abs(np.arange(m, dtype=np.float64) - c) / ((m + 1) / 2.0)
-        axes.append(np.maximum(w, CENTER_WEIGHT_FLOOR))
-    return axes[0][:, None, None] * axes[1][None, :, None] * axes[2][None, None, :]
-
-
-def blend_weight_map(plan: PatchGrid, blend: str = "uniform") -> np.ndarray:
-    """Total (unnormalized) blend weight each voxel receives."""
-    w_patch = blend_weights(plan.patch_size, blend)
-    px, py, pz = plan.patch_size
-    total = np.zeros(plan.dims, dtype=np.float64)
-    for x, y, z in plan.origins:
-        total[x:x + px, y:y + py, z:z + pz] += w_patch
-    return total
-
-
-def aggregate(patches, plan: PatchGrid, blend: str = "uniform") -> np.ndarray:
-    """Blend per-patch outputs back into a full volume.
-
-    Accumulates weight * value and weight in float64 in the fixed plan
-    order, then normalizes; every voxel must be covered.  Voxels whose
-    contributions all agree reproduce that value bitwise (the mean of
-    identical values is that value, so no rounding is allowed to creep in).
-    The dtype of the result matches the input patches (integer results are
-    rounded).
-    """
-    patches = list(patches)
-    if len(patches) != len(plan.origins):
-        raise ValueError(
-            f"got {len(patches)} patches for a plan with {len(plan.origins)} origins")
-    w_patch = blend_weights(plan.patch_size, blend)
-    px, py, pz = plan.patch_size
-    acc = np.zeros(plan.dims, dtype=np.float64)
-    wsum = np.zeros(plan.dims, dtype=np.float64)
-    lo = np.full(plan.dims, np.inf, dtype=np.float64)
-    hi = np.full(plan.dims, -np.inf, dtype=np.float64)
-    dtype = None
-    for (x, y, z), p in zip(plan.origins, patches):
-        p = np.asarray(p)
-        if tuple(p.shape) != plan.patch_size:
-            raise ValueError(f"patch shape {p.shape} does not match {plan.patch_size}")
-        dtype = p.dtype if dtype is None else np.result_type(dtype, p.dtype)
-        pf = p.astype(np.float64)
-        region = (slice(x, x + px), slice(y, y + py), slice(z, z + pz))
-        acc[region] += w_patch * pf
-        wsum[region] += w_patch
-        np.minimum(lo[region], pf, out=lo[region])
-        np.maximum(hi[region], pf, out=hi[region])
-    if (wsum == 0.0).any():
-        raise ValueError("aggregation leaves uncovered voxels")
-    out = np.where(lo == hi, lo, acc / wsum)
-    if np.issubdtype(dtype, np.integer):
-        return np.rint(out).astype(dtype)
-    return out.astype(dtype)
 
 
 @dataclass(frozen=True)

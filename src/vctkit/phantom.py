@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .volume import (
     voxel_volume_mm3,
 )
 
-# fixed HU per material (hu_rho = 0 implies density = (HU + 1000) / 1000)
+# fixed HU per material (water reference: density = (HU + 1000) / 1000)
 HU_AIR = -1000
 HU_LUNG = -700
 HU_FAT = -100
@@ -589,11 +590,11 @@ class AttributeDistribution:
     age_mean: float = 55.0
     age_sd: float = 18.0
     age_range: tuple[float, float] = (18.0, 90.0)
-    height_mean: dict = field(default_factory=lambda: {"M": 176.0, "F": 163.0})
-    height_sd: dict = field(default_factory=lambda: {"M": 7.5, "F": 7.0})
+    height_mean: dict[str, float] = field(default_factory=lambda: {"M": 176.0, "F": 163.0})
+    height_sd: dict[str, float] = field(default_factory=lambda: {"M": 7.5, "F": 7.0})
     height_range: tuple[float, float] = (145.0, 203.0)
-    weight_mean: dict = field(default_factory=lambda: {"M": 84.0, "F": 72.0})
-    weight_sd: dict = field(default_factory=lambda: {"M": 14.0, "F": 13.0})
+    weight_mean: dict[str, float] = field(default_factory=lambda: {"M": 84.0, "F": 72.0})
+    weight_sd: dict[str, float] = field(default_factory=lambda: {"M": 14.0, "F": 13.0})
     weight_range: tuple[float, float] = (45.0, 135.0)
     height_weight_corr: float = 0.5
     missing_rate: float = 0.0
@@ -764,6 +765,17 @@ def generate_matched_spec(binned: BinnedAttributes, dist: AttributeDistribution,
                        spacing_mm=tuple(spacing), seed=seed)
 
 
+# --- cohorts ------------------------------------------------------------
+
+
+def map_ordered(fn, items, threads: int):
+    """Map preserving order; thread count never changes the result."""
+    if threads and threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            return list(ex.map(fn, items))
+    return [fn(item) for item in items]
+
+
 # --- manifests ----------------------------------------------------------
 
 
@@ -840,8 +852,6 @@ def generate_cohort(n: int, dist: AttributeDistribution, spacing, seed: int,
     subject order, so outputs are identical for any thread count and memory
     stays bounded by the batch size.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     from .io import save_labelmap, save_volume  # deferred: avoids cycle at import
 
     out = Path(out_dir)
@@ -855,12 +865,7 @@ def generate_cohort(n: int, dist: AttributeDistribution, spacing, seed: int,
         return (subject_id, attrs, *generate_phantom(spec))
 
     for start in range(0, len(specs), batch):
-        chunk = specs[start:start + batch]
-        if batch > 1:
-            with ThreadPoolExecutor(max_workers=batch) as ex:
-                built = list(ex.map(build, chunk))
-        else:
-            built = [build(item) for item in chunk]
+        built = map_ordered(build, specs[start:start + batch], batch)
         for subject_id, attrs, vol, tissue, structure, truth in built:
             save_volume(vol, out / f"{subject_id}_image")
             save_labelmap(tissue, out / f"{subject_id}_tissue")

@@ -111,6 +111,3 @@ class Stream:
 
     def normal1(self, mean: float = 0.0, sd: float = 1.0) -> float:
         return float(self.normal(1, mean, sd)[0])
-
-    def randint(self, upper: int) -> int:
-        return int(self.integers(1, upper)[0])

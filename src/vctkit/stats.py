@@ -12,26 +12,10 @@ Confidence intervals are percentile bootstrap with a seeded stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import Stream
-
-
-@dataclass(frozen=True)
-class SampleStats:
-    n: int
-    mean: float
-    sd: float | None
-
-
-def sample_stats(samples) -> SampleStats:
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 1 or len(x) == 0:
-        raise ValueError("samples must be a nonempty 1-D sequence")
-    sd = float(x.std(ddof=1)) if len(x) >= 2 else None
-    return SampleStats(len(x), float(x.mean()), sd)
 
 
 def _check_finite_1d(x, name: str) -> np.ndarray:

@@ -25,8 +25,9 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .phantom import (
     bin_midpoint,
     generate_matched_spec,
     generate_phantom,
+    map_ordered,
     sample_cohort_specs,
 )
 from .rng import Stream, fnv1a64, subject_seed
@@ -739,87 +741,72 @@ class TrialConfig:
             raise ValueError("level must lie in (0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "n_subjects": self.n_subjects,
-            "spacing_mm": list(self.spacing_mm),
-            "cohort_seed": self.cohort_seed,
-            "split_seed": self.split_seed,
-            "synth_seed": self.synth_seed,
-            "trial_seed": self.trial_seed,
-            "n_train": self.n_train,
-            "n_id": self.n_id,
-            "n_ood": self.n_ood,
-            "oversample_factor": self.oversample_factor,
-            "boundary": {
-                "x_feature": self.boundary.x_feature,
-                "y_feature": self.boundary.y_feature,
-                "slope": self.boundary.slope,
-                "intercept": self.boundary.intercept,
-                "id_side": self.boundary.id_side,
-            },
-            "predictor": dict(self.predictor),
-            "n_boot": self.n_boot,
-            "z_boot": self.z_boot,
-            "level": self.level,
-        }
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrialConfig":
-        d = dict(d)
-        kwargs = {}
-        if "boundary" in d:
-            b = dict(d.pop("boundary"))
-            bad = set(b) - {"x_feature", "y_feature", "slope", "intercept", "id_side"}
-            if bad:
-                raise ValueError(f"unknown boundary keys: {sorted(bad)}")
-            kwargs["boundary"] = BiasBoundary(**b)
-        if "distribution" in d:
-            kwargs["distribution"] = _distribution_from_dict(d.pop("distribution"))
-        if "spacing_mm" in d:
-            s = d.pop("spacing_mm")
-            if len(s) != 3:
-                raise ValueError("spacing_mm must have three components")
-            kwargs["spacing_mm"] = tuple(float(v) for v in s)
-        allowed = {"task", "n_subjects", "cohort_seed", "split_seed", "synth_seed",
-                   "trial_seed", "n_train", "n_id", "n_ood", "oversample_factor",
-                   "predictor", "n_boot", "z_boot", "level"}
-        bad = set(d) - allowed
-        if bad:
-            raise ValueError(f"unknown trial config keys: {sorted(bad)}")
-        kwargs.update(d)
-        return cls(**kwargs)
+        return config_from_dict(cls, d)
 
     @classmethod
     def from_json(cls, path) -> "TrialConfig":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def _distribution_from_dict(d: dict) -> AttributeDistribution:
-    d = dict(d)
-    kwargs = {}
-    for key in ("age_range", "height_range", "weight_range"):
-        if key in d:
-            kwargs[key] = tuple(float(v) for v in d.pop(key))
-    for key in ("height_mean", "height_sd", "weight_mean", "weight_sd"):
-        if key in d:
-            kwargs[key] = {str(k): float(v) for k, v in d.pop(key).items()}
-    allowed = {"p_female", "age_mean", "age_sd", "height_weight_corr", "missing_rate"}
-    bad = set(d) - allowed
+# --- config codec -----------------------------------------------------------
+
+
+def config_to_dict(obj) -> dict:
+    """JSON-ready dict of a config dataclass, field by field, nested included."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = config_to_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, dict):
+            value = dict(value)
+        out[f.name] = value
+    return out
+
+
+def config_from_dict(cls, d, key: str = ""):
+    """Config dataclass ``cls`` from a JSON dict; inverse of :func:`config_to_dict`.
+
+    Each value is converted by its field's type.  Unknown keys and values
+    that do not fit the type raise ValueError naming the dotted key; ``key``
+    is the dotted key of ``d`` itself (empty for a whole trial config).
+    """
+    what = key or "trial config"
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
+    bad = set(d) - {f.name for f in fields(cls)}
     if bad:
-        raise ValueError(f"unknown distribution keys: {sorted(bad)}")
-    kwargs.update(d)
-    return AttributeDistribution(**kwargs)
+        raise ValueError(f"unknown {what} keys: {sorted(bad)}")
+    types = get_type_hints(cls)
+    return cls(**{name: _decode(types[name], value, f"{key}.{name}" if key else name)
+                  for name, value in d.items()})
 
 
-def _map_ordered(fn, items, threads: int):
-    """Map preserving order; thread count never changes the result."""
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(item) for item in items]
+def _decode(tp, value, key: str):
+    if is_dataclass(tp):
+        return config_from_dict(tp, value, key)
+    origin, args = get_origin(tp) or tp, get_args(tp)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != len(args):
+            raise ValueError(f"{key} must be a list of {len(args)} numbers, got {value!r}")
+        return tuple(_decode(t, v, key) for t, v in zip(args, value))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ValueError(f"{key} must be a JSON object, got {value!r}")
+        if not args:
+            return dict(value)
+        return {_decode(args[0], k, key): _decode(args[1], v, f"{key}.{k}")
+                for k, v in value.items()}
+    accepted = (int, float) if tp is float else tp
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{key} must be {tp.__name__}, got {value!r}")
+    return tp(value)
 
 
 def generate_measured_cohort(n: int, dist: AttributeDistribution, spacing,
@@ -831,7 +818,7 @@ def generate_measured_cohort(n: int, dist: AttributeDistribution, spacing,
         vol, tissue, _structure, _truth = generate_phantom(spec)
         return MeasuredSubject(subject_id, attrs, measure_composition(vol, tissue))
 
-    return _map_ordered(build, sample_cohort_specs(n, dist, spacing, seed), threads)
+    return map_ordered(build, sample_cohort_specs(n, dist, spacing, seed), threads)
 
 
 def synthesize_matched_cohort(subjects: list[MeasuredSubject], factor: int,
@@ -854,7 +841,7 @@ def synthesize_matched_cohort(subjects: list[MeasuredSubject], factor: int,
         return MeasuredSubject(f"{id_prefix}_{k:04d}", attrs,
                                measure_composition(vol, tissue))
 
-    return _map_ordered(build, list(enumerate(plan)), threads)
+    return map_ordered(build, list(enumerate(plan)), threads)
 
 
 def run_full_vct(config: TrialConfig = TrialConfig(), threads: int = 1,
@@ -865,6 +852,7 @@ def run_full_vct(config: TrialConfig = TrialConfig(), threads: int = 1,
     in hand (e.g. loaded from a manifest); otherwise one is generated from
     the config's distribution and seeds.
     """
+    predictor = make_predictor(config.predictor, seed=config.trial_seed)
     if cohort is None:
         cohort = generate_measured_cohort(config.n_subjects, config.distribution,
                                           config.spacing_mm, config.cohort_seed,
@@ -873,7 +861,6 @@ def run_full_vct(config: TrialConfig = TrialConfig(), threads: int = 1,
     split = build_biased_split(cohort, config.boundary, config.n_train,
                                config.n_id, config.n_ood, config.split_seed,
                                target=config.task)
-    predictor = make_predictor(config.predictor, seed=config.trial_seed)
     predictor.fit([real[sid] for sid in split.train], config.task)
 
     synth = {
@@ -922,12 +909,9 @@ def report_to_dict(report: TrialReport, config: TrialConfig | None = None) -> di
             "p_value": r.p_value,
             "verdict": r.verdict,
         })
-    b = report.boundary
     out = {
         "task": report.task,
-        "boundary": {"x_feature": b.x_feature, "y_feature": b.y_feature,
-                     "slope": b.slope, "intercept": b.intercept,
-                     "id_side": b.id_side},
+        "boundary": config_to_dict(report.boundary),
         "achieved_pearson": report.achieved_pearson,
         "counts": dict(report.counts),
         "classifier_accuracy": report.classifier_accuracy,

@@ -127,18 +127,6 @@ def voxel_volume_mm3(grid: Grid) -> float:
     return sx * sy * sz
 
 
-def linear_index(dims: tuple[int, int, int], x, y, z):
-    """x-fastest linear index of voxel (x, y, z)."""
-    return x + dims[0] * (y + dims[1] * z)
-
-
-def unravel_index(dims: tuple[int, int, int], linear):
-    """Inverse of :func:`linear_index`."""
-    x = linear % dims[0]
-    rest = linear // dims[0]
-    return x, rest % dims[1], rest // dims[1]
-
-
 def clamp_hu(data: np.ndarray) -> np.ndarray:
     """Clamp HU values into [-1024, 3071] (applied at load time)."""
     return np.clip(data, HU_MIN, HU_MAX)
@@ -199,78 +187,3 @@ class LabelMap:
     @property
     def dtype_name(self) -> str:
         return str(self.data.dtype)
-
-
-def _resample_axis_linear(data: np.ndarray, axis: int, src: np.ndarray) -> np.ndarray:
-    """Linear interpolation along one axis at fractional source indices.
-
-    Uses the lerp form v0 + f * (v1 - v0) so constant inputs are reproduced
-    exactly.  Edge coordinates clamp to the boundary sample.
-    """
-    n = data.shape[axis]
-    if n == 1:
-        return np.take(data, np.zeros(len(src), dtype=np.intp), axis=axis)
-    lo = np.clip(np.floor(src).astype(np.intp), 0, n - 2)
-    frac = np.clip(src - lo, 0.0, 1.0)
-    shape = [1, 1, 1]
-    shape[axis] = len(src)
-    frac = frac.reshape(shape)
-    v0 = np.take(data, lo, axis=axis)
-    v1 = np.take(data, lo + 1, axis=axis)
-    return v0 + frac * (v1 - v0)
-
-
-def _target_dims(grid: Grid, target: tuple[float, float, float]) -> tuple[int, int, int]:
-    return tuple(
-        max(1, int(math.ceil(grid.dims[a] * grid.spacing_mm[a] / target[a]))) for a in range(3)
-    )
-
-
-def resample(obj, target_spacing_mm, mode: str | None = None):
-    """Resample a Volume (trilinear) or LabelMap (nearest) to a new spacing.
-
-    The output grid keeps the input origin; output voxel ``j`` samples the
-    source at fractional index ``j * target / source`` per axis, so world
-    positions are preserved and the world extent changes by less than one
-    voxel.  Identical spacing returns the data unchanged.
-    """
-    target = tuple(float(s) for s in target_spacing_mm)
-    if len(target) != 3 or any(not math.isfinite(s) or s <= 0 for s in target):
-        raise ValueError(f"target spacing must be three positive numbers, got {target}")
-    is_labels = isinstance(obj, LabelMap)
-    if mode is None:
-        mode = "nearest" if is_labels else "trilinear"
-    if mode not in ("trilinear", "nearest"):
-        raise ValueError(f"mode must be 'trilinear' or 'nearest', got {mode!r}")
-    if is_labels and mode == "trilinear":
-        raise ValueError("label maps must be resampled with nearest mode")
-
-    grid = obj.grid
-    if target == grid.spacing_mm:
-        return obj
-
-    dims_out = _target_dims(grid, target)
-    new_grid = Grid(dims_out, target, grid.origin_mm, grid.orientation)
-    src_coords = [
-        np.arange(dims_out[a], dtype=np.float64) * (target[a] / grid.spacing_mm[a])
-        for a in range(3)
-    ]
-
-    if mode == "nearest":
-        data = obj.data
-        for a in range(3):
-            idx = np.clip(np.rint(src_coords[a]).astype(np.intp), 0, grid.dims[a] - 1)
-            data = np.take(data, idx, axis=a)
-        if is_labels:
-            return LabelMap(new_grid, data, obj.kind, dict(obj.class_table))
-        return Volume(new_grid, data, obj.unit)
-
-    work = obj.data.astype(np.float64)
-    for a in range(3):
-        work = _resample_axis_linear(work, a, src_coords[a])
-    if obj.data.dtype == np.int16:
-        out = np.clip(np.rint(work), HU_MIN if obj.unit == "HU" else np.iinfo(np.int16).min,
-                      HU_MAX if obj.unit == "HU" else np.iinfo(np.int16).max).astype(np.int16)
-    else:
-        out = work.astype(np.float32)
-    return Volume(new_grid, out, obj.unit)

@@ -3,7 +3,7 @@
 Each test pins one headline property: measurement closure on seeded phantoms,
 oracle agreement for the z statistic, bootstrap coverage, forest sanity,
 importance-weighting identities, the full shortcut-audit trial, bias
-attribution on constructed errors, patch-engine exactness, consistency-table
+attribution on constructed errors, the multi-window loss, consistency-table
 oracles, and byte-level CLI determinism.
 """
 
@@ -25,13 +25,7 @@ from vctkit.metrics import (
     paired_dice_stats,
     qq_pearson,
 )
-from vctkit.patches import (
-    WindowLossConfig,
-    aggregate,
-    extract_patches,
-    multi_window_l1,
-    plan_patches,
-)
+from vctkit.patches import WindowLossConfig, multi_window_l1
 from vctkit.phantom import (
     AttributeDistribution,
     Attributes,
@@ -268,31 +262,7 @@ def test_attribution_ranks_constructed_driver():
     assert block.importance_correlations["real_vs_synthetic"] >= 0.8
 
 
-# --- 8. patch engine exactness -------------------------------------------------
-
-
-def test_patch_reassembly_bitwise_100_random_plans():
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        dims = tuple(int(v) for v in rng.integers(4, 25, 3))
-        patch = tuple(int(rng.integers(1, d + 1)) for d in dims)
-        overlap = float(rng.uniform(0.0, 0.8))
-        vol = rng.normal(size=dims)
-        plan = plan_patches(dims, patch, overlap)
-        out = aggregate(extract_patches(vol, plan), plan, "uniform")
-        assert np.array_equal(out, vol), (dims, patch, overlap)
-
-
-def test_patch_blend_weights_sum_to_one():
-    for seed in range(20):
-        rng = np.random.default_rng(1000 + seed)
-        dims = tuple(int(v) for v in rng.integers(4, 25, 3))
-        patch = tuple(int(rng.integers(1, d + 1)) for d in dims)
-        plan = plan_patches(dims, patch, float(rng.uniform(0.0, 0.8)))
-        ones = [np.ones(plan.patch_size) for _ in plan.origins]
-        for blend in ("uniform", "center_weighted"):
-            out = aggregate(ones, plan, blend)
-            assert np.abs(out - 1.0).max() <= 1e-6, (dims, patch, blend)
+# --- 8. multi-window loss -----------------------------------------------------
 
 
 def test_window_loss_hand_cases_exact():

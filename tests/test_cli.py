@@ -57,6 +57,10 @@ def test_gen_bad_inputs(tmp_path):
     cfg.write_text(json.dumps({"n": 2, "seed": 1, "spacingmm": [2, 2, 2]}))
     assert main(["phantom", "gen", "--config", str(cfg),
                  "--out", str(tmp_path / "z")]) == 2
+    for bad in ({"n": "2", "seed": 1}, {"n": 2, "seed": 1, "spacing_mm": "abc"}, []):
+        cfg.write_text(json.dumps(bad))
+        assert main(["phantom", "gen", "--config", str(cfg),
+                     "--out", str(tmp_path / "z")]) == 2, bad
 
 
 def test_measure_matches_manifest_truth(cohort_dir):
@@ -170,6 +174,10 @@ def test_trial_bad_configs(tmp_path):
     unknown.write_text(json.dumps({"n_subjectz": 10}))
     assert main(["trial", "run", "--config", str(unknown),
                  "--out", str(tmp_path / "o2")]) == 2
+    for bad in ({"distribution": {"height_mean": 5}}, {"predictor": "shortcut_linear"}):
+        unknown.write_text(json.dumps(bad))
+        assert main(["trial", "run", "--config", str(unknown),
+                     "--out", str(tmp_path / "o3")]) == 2, bad
 
 
 def test_trial_missing_cohort_measurements(tmp_path):

@@ -5,15 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from vctkit.composition import (
-    CompositionReport,
-    DensityConfig,
-    adjust_air_hu,
-    fit_linear_calibration,
-    hu_to_density,
-    measure_composition,
-    region_mass_g,
-)
+from vctkit.composition import REFERENCE_HU, CompositionReport, measure_composition
 from vctkit.volume import Grid, LabelMap, Volume
 
 
@@ -22,50 +14,55 @@ def _hu_volume(values, spacing=(1.0, 1.0, 1.0)):
     return Volume(Grid(data.shape, spacing), data)
 
 
+def _body(values, spacing=(10.0, 10.0, 10.0)):
+    """A column of body voxels (tissue label 1) at the given HU values."""
+    vol = _hu_volume(np.asarray(values).reshape(-1, 1, 1), spacing)
+    tissue = LabelMap(vol.grid, np.ones(vol.grid.dims, dtype=np.uint8), "tissue",
+                      {1: "body"})
+    return vol, tissue
+
+
 def test_air_rule_boundary_inclusive():
-    vol = _hu_volume(np.array([-950, -900, -899, 40]).reshape(4, 1, 1))
-    out = adjust_air_hu(vol)
-    assert out.data.ravel().tolist() == [-1000, -1000, -899, 40]
+    # 1 cm^3 voxels, so a voxel's mass in grams equals its density; at or
+    # below -900 HU a body voxel counts as air (-1000 HU, zero mass)
+    water_40 = (40 + 1000.0) / 1000.0
+    for hu, extra in ((-950, 0.0), (-900, 0.0), (-899, 0.101)):
+        rep = measure_composition(*_body([hu, 40]))
+        assert rep.body_mass_g == pytest.approx(water_40 + extra, abs=1e-12), hu
+    with pytest.raises(ValueError, match="zero total mass"):
+        measure_composition(*_body([-950, -900]))
 
 
 def test_air_rule_requires_hu():
-    rho = Volume(Grid((1, 1, 1), (1, 1, 1)),
-                 np.ones((1, 1, 1), dtype=np.float32), "g_per_cm3")
-    with pytest.raises(ValueError):
-        adjust_air_hu(rho)
+    vol, tissue = _body([0])
+    rho = Volume(vol.grid, np.ones(vol.grid.dims, dtype=np.float32), "g_per_cm3")
+    with pytest.raises(ValueError, match="HU"):
+        measure_composition(rho, tissue)
 
 
 def test_density_mapping_fixed_points():
-    vol = _hu_volume(np.array([-1000, 0, 500]).reshape(3, 1, 1))
-    rho = hu_to_density(vol)
-    np.testing.assert_allclose(rho.data.ravel(), [0.0, 1.0, 1.5], atol=1e-7)
-    assert rho.unit == "g_per_cm3"
+    for hu, rho in ((0, 1.0), (500, 1.5), (-100, 0.9)):
+        rep = measure_composition(*_body([hu]))
+        assert rep.body_mass_g == pytest.approx(rho, abs=1e-12), hu
 
 
 def test_density_mapping_reference_material():
-    vol = _hu_volume(np.array([50]).reshape(1, 1, 1))
-    rho = hu_to_density(vol, DensityConfig(hu_rho=50.0))
-    np.testing.assert_allclose(rho.data.ravel(), [1.0])
-
-
-def test_density_config_validates_hu_rho():
-    with pytest.raises(ValueError):
-        DensityConfig(hu_rho=-1000.0)
+    # the reference material (water) has density exactly 1 g/cm^3
+    rep = measure_composition(*_body([REFERENCE_HU]))
+    assert REFERENCE_HU == 0.0
+    assert rep.body_mass_g == 1.0
 
 
 def test_region_mass_liter_of_water():
     # 10^6 voxels of 0 HU at 1 mm^3 -> density 1 g/cm^3 over one liter
-    vol = _hu_volume(np.zeros((100, 100, 100)))
-    mass = region_mass_g(hu_to_density(adjust_air_hu(vol)),
-                         np.ones(vol.grid.dims, dtype=bool))
-    assert mass == pytest.approx(1000.0, rel=1e-12)
+    rep = measure_composition(*_body(np.zeros(10**6), spacing=(1.0, 1.0, 1.0)))
+    assert rep.body_mass_g == pytest.approx(1000.0, rel=1e-12)
+    assert rep.body_volume_l == pytest.approx(1.0, rel=1e-12)
 
 
 def test_region_mass_empty_and_air():
-    vol = _hu_volume(np.full((10, 10, 10), -1000))
-    rho = hu_to_density(vol)
-    assert region_mass_g(rho, np.zeros(vol.grid.dims, dtype=bool)) == 0.0
-    assert region_mass_g(rho, np.ones(vol.grid.dims, dtype=bool)) == 0.0
+    with pytest.raises(ValueError, match="zero total mass"):
+        measure_composition(*_body(np.full(1000, -1000)))
 
 
 def _tiny_subject():
@@ -136,18 +133,3 @@ def test_report_json_round_trip(phantom_default):
     assert set(rep.to_dict()) == {"body_mass_kg", "fat_pct", "muscle_pct",
                                   "bone_density_hu", "body_volume_l",
                                   "per_tissue_mass_g", "height"}
-
-
-def test_linear_calibration_exact_line():
-    cal = fit_linear_calibration([1.0, 2.0, 3.0], [3.0, 5.0, 7.0])
-    assert cal.slope == pytest.approx(2.0)
-    assert cal.intercept == pytest.approx(1.0)
-    assert cal.r2 == pytest.approx(1.0)
-
-
-def test_linear_calibration_constant_measured_warns():
-    with pytest.warns(UserWarning):
-        cal = fit_linear_calibration([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
-    assert cal.slope == 0.0
-    assert cal.intercept == pytest.approx(2.0)
-    assert cal.r2 == 0.0

@@ -1,122 +1,9 @@
-"""Patch planning, blending exactness, and the multi-window L1 loss."""
+"""The multi-window L1 loss: hand cases, window boundaries, validation."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from vctkit.patches import (
-    PatchGrid,
-    WindowLossConfig,
-    aggregate,
-    blend_weight_map,
-    blend_weights,
-    extract_patches,
-    multi_window_l1,
-    plan_patches,
-)
-
-
-def test_single_patch_plan():
-    plan = plan_patches((128, 128, 128), (128, 128, 128), 0.0)
-    assert plan.origins == ((0, 0, 0),)
-
-
-def test_half_overlap_axis_origins():
-    # 1-D reasoning per axis: dim 10, patch 4, overlap 0.5 -> {0,2,4,6}
-    plan = plan_patches((10, 4, 4), (4, 4, 4), 0.5)
-    assert sorted({o[0] for o in plan.origins}) == [0, 2, 4, 6]
-    assert plan.stride[0] == 2
-
-
-def test_last_patch_clamped():
-    plan = plan_patches((10, 10, 10), (4, 4, 4), 0.0)
-    xs = sorted({o[0] for o in plan.origins})
-    assert xs == [0, 4, 6]  # 8 would overrun; clamp to dim - patch
-
-
-def test_plan_validation():
-    with pytest.raises(ValueError):
-        plan_patches((4, 4, 4), (5, 4, 4))
-    with pytest.raises(ValueError):
-        plan_patches((4, 4, 4), (4, 4, 4), overlap=1.0)
-    with pytest.raises(ValueError):
-        plan_patches((4, 4, 0), (1, 1, 1))
-
-
-@given(st.integers(0, 2**32 - 1))
-def test_coverage_invariant(seed):
-    rng = np.random.default_rng(seed)
-    dims = tuple(int(v) for v in rng.integers(3, 20, 3))
-    patch = tuple(int(rng.integers(1, d + 1)) for d in dims)
-    overlap = float(rng.uniform(0, 0.9))
-    plan = plan_patches(dims, patch, overlap)
-    hit = np.zeros(dims, dtype=np.int32)
-    for ox, oy, oz in plan.origins:
-        hit[ox:ox + patch[0], oy:oy + patch[1], oz:oz + patch[2]] += 1
-    assert (hit >= 1).all()
-
-
-def test_cut_and_reassemble_identity_uniform():
-    rng = np.random.default_rng(7)
-    vol = rng.normal(size=(13, 9, 11)).astype(np.float32)
-    plan = plan_patches(vol.shape, (5, 4, 6), 0.3)
-    out = aggregate(extract_patches(vol, plan), plan, "uniform")
-    np.testing.assert_array_equal(out, vol)
-
-
-def test_blend_weight_map_positive_everywhere():
-    plan = plan_patches((12, 7, 9), (5, 3, 4), 0.4)
-    for blend in ("uniform", "center_weighted"):
-        w = blend_weight_map(plan, blend)
-        assert (w > 0).all()
-
-
-def test_two_half_overlapping_patches_average():
-    plan = PatchGrid(dims=(12, 1, 1), patch_size=(8, 1, 1), stride=(4, 1, 1),
-                     origins=((0, 0, 0), (4, 0, 0)))
-    patches = [np.zeros((8, 1, 1)), np.ones((8, 1, 1))]
-    out = aggregate(patches, plan, "uniform")
-    np.testing.assert_allclose(out[:4, 0, 0], 0.0)
-    np.testing.assert_allclose(out[4:8, 0, 0], 0.5)
-    np.testing.assert_allclose(out[8:, 0, 0], 1.0)
-
-
-def test_aggregate_constant_exact_both_blends():
-    plan = plan_patches((9, 9, 9), (4, 4, 4), 0.5)
-    patches = [np.full(plan.patch_size, 7.0) for _ in plan.origins]
-    for blend in ("uniform", "center_weighted"):
-        out = aggregate(patches, plan, blend)
-        np.testing.assert_allclose(out, 7.0, rtol=1e-12)
-
-
-def test_aggregate_convex_combination():
-    rng = np.random.default_rng(3)
-    vol = rng.uniform(-4, 9, size=(10, 8, 6))
-    plan = plan_patches(vol.shape, (4, 5, 3), 0.25)
-    patches = extract_patches(vol, plan)
-    out = aggregate(patches, plan, "center_weighted")
-    assert out.min() >= vol.min() - 1e-9
-    assert out.max() <= vol.max() + 1e-9
-
-
-def test_aggregate_errors():
-    plan = plan_patches((6, 6, 6), (3, 3, 3), 0.0)
-    patches = [np.zeros((3, 3, 3)) for _ in plan.origins]
-    with pytest.raises(ValueError):
-        aggregate(patches[:-1], plan, "uniform")
-    with pytest.raises(ValueError):
-        aggregate(patches, plan, "gaussian")
-
-
-def test_center_weights_triangular_floor():
-    w = blend_weights((5, 1, 1), "center_weighted")
-    profile = w[:, 0, 0]
-    assert profile[2] == profile.max()
-    assert profile[0] == profile[4]
-    assert profile.min() >= 1e-3
-
-
-# --- multi-window loss --------------------------------------------------------
+from vctkit.patches import WindowLossConfig, multi_window_l1
 
 
 def test_window_loss_identity_zero():

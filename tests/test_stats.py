@@ -12,7 +12,6 @@ from vctkit.stats import (
     mae,
     normal_cdf,
     pearson,
-    sample_stats,
     weighted_mae,
     z_score,
     z_test_p,
@@ -21,13 +20,6 @@ from vctkit.stats import (
 finite_lists = st.lists(
     st.floats(-100, 100, allow_nan=False, allow_infinity=False),
     min_size=2, max_size=40)
-
-
-def test_sample_stats_basics():
-    s = sample_stats([1.0, 2.0, 3.0])
-    assert s.n == 3
-    assert s.mean == pytest.approx(2.0)
-    assert s.sd == pytest.approx(1.0)
 
 
 def test_z_score_hand_case():

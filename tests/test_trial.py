@@ -1,13 +1,15 @@
 """Trial machinery on fabricated cohorts: splits, predictors, audit rows."""
 
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from vctkit import trial
 from vctkit.composition import CompositionReport
-from vctkit.phantom import Attributes
+from vctkit.phantom import AttributeDistribution, Attributes
 from vctkit.stats import pearson
 from vctkit.trial import (
     FEATURE_NAMES,
@@ -24,6 +26,7 @@ from vctkit.trial import (
     oversample_attributes,
     rebias,
     report_to_dict,
+    run_full_vct,
     run_trial,
     verdict_for,
     write_trial_outputs,
@@ -216,6 +219,15 @@ def test_unknown_predictor_kind():
         make_predictor({"kind": "mlp"})
 
 
+def test_run_full_vct_checks_predictor_before_generation(monkeypatch):
+    def no_phantoms(spec):
+        raise AssertionError("a phantom was built before the predictor was checked")
+
+    monkeypatch.setattr(trial, "generate_phantom", no_phantoms)
+    with pytest.raises(ValueError, match="unknown predictor"):
+        run_full_vct(TrialConfig(predictor={"kind": "mlp"}))
+
+
 # --- OOD classifier -----------------------------------------------------------
 
 
@@ -393,6 +405,10 @@ def test_config_round_trip():
                       boundary=BiasBoundary(slope=-0.1, intercept=50.0))
     again = TrialConfig.from_dict(cfg.to_dict())
     assert again == cfg
+    shifted = TrialConfig(distribution=AttributeDistribution(
+        p_female=0.3, height_mean={"M": 181.0, "F": 166.0},
+        weight_range=(50.0, 140.0), missing_rate=0.1))
+    assert TrialConfig.from_dict(json.loads(json.dumps(shifted.to_dict()))) == shifted
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -407,6 +423,23 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg = TrialConfig.from_json(path)
     assert cfg.task == "muscle_pct"
     assert cfg.n_subjects == 99
+
+
+@pytest.mark.parametrize("d, key", [
+    ({"distribution": {"height_mean": 5}}, "distribution.height_mean"),
+    ({"distribution": {"weight_sd": {"M": "wide"}}}, "distribution.weight_sd.M"),
+    ({"distribution": {"age_range": [18.0]}}, "distribution.age_range"),
+    ({"predictor": "shortcut_linear"}, "predictor"),
+    ({"boundary": {"slope": "steep"}}, "boundary.slope"),
+    ({"boundary": []}, "boundary"),
+    ({"spacing_mm": [4.0, 4.0]}, "spacing_mm"),
+    ({"n_subjects": "120"}, "n_subjects"),
+    ({"n_boot": 2.5}, "n_boot"),
+    ({"level": True}, "level"),
+])
+def test_config_bad_values_name_the_key(d, key):
+    with pytest.raises(ValueError, match=f"^{re.escape(key)} must be"):
+        TrialConfig.from_dict(d)
 
 
 def test_config_validation():

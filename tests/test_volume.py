@@ -1,9 +1,14 @@
-"""Grid geometry, HU clamping, indexing, and resampling behavior."""
+"""Grid geometry, HU clamping, x-fastest voxel indexing, and volume and
+label-map validation."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from vctkit.io import load_labelmap, save_labelmap
 from vctkit.volume import (
     Grid,
     HU_MAX,
@@ -11,9 +16,6 @@ from vctkit.volume import (
     LabelMap,
     Volume,
     clamp_hu,
-    linear_index,
-    resample,
-    unravel_index,
     voxel_volume_mm3,
 )
 
@@ -41,21 +43,39 @@ def test_voxel_volume():
     assert voxel_volume_mm3(_grid()) == 6.0
 
 
+def _save_and_reload(labels: LabelMap, directory: Path):
+    """The CTV raw payload of ``labels`` as bytes, and the label map read back."""
+    save_labelmap(labels, directory / "m")
+    payload = np.frombuffer((directory / "m.raw").read_bytes(), dtype=np.uint8)
+    return payload, load_labelmap(directory / "m")
+
+
 @given(st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
        st.data())
 def test_linear_index_round_trip(dims, data):
+    # voxel (x, y, z) is stored at x + nx * (y + ny * z) and read back in place
     x = data.draw(st.integers(0, dims[0] - 1))
     y = data.draw(st.integers(0, dims[1] - 1))
     z = data.draw(st.integers(0, dims[2] - 1))
-    li = linear_index(dims, x, y, z)
+    labels = np.zeros(dims, dtype=np.uint8)
+    labels[x, y, z] = 1
+    lm = LabelMap(Grid(dims, (1.0, 1.0, 1.0)), labels, "tissue", {1: "body"})
+    with tempfile.TemporaryDirectory() as d:
+        payload, back = _save_and_reload(lm, Path(d))
+    li = x + dims[0] * (y + dims[1] * z)
     assert 0 <= li < dims[0] * dims[1] * dims[2]
-    assert unravel_index(dims, li) == (x, y, z)
+    assert np.flatnonzero(payload).tolist() == [li]
+    assert np.argwhere(back.data).tolist() == [[x, y, z]]
 
 
-def test_linear_index_is_x_fastest():
-    assert linear_index((4, 5, 6), 1, 0, 0) == 1
-    assert linear_index((4, 5, 6), 0, 1, 0) == 4
-    assert linear_index((4, 5, 6), 0, 0, 1) == 20
+def test_linear_index_is_x_fastest(tmp_path):
+    labels = np.zeros((4, 5, 6), dtype=np.uint8)
+    labels[1, 0, 0], labels[0, 1, 0], labels[0, 0, 1] = 1, 2, 3
+    lm = LabelMap(Grid((4, 5, 6), (1.0, 1.0, 1.0)), labels, "tissue",
+                  {1: "x", 2: "y", 3: "z"})
+    payload, _ = _save_and_reload(lm, tmp_path)
+    assert np.flatnonzero(payload).tolist() == [1, 4, 20]
+    assert payload[[1, 4, 20]].tolist() == [1, 2, 3]
 
 
 def test_clamp_hu_bounds():
@@ -85,55 +105,3 @@ def test_labelmap_requires_class_table_cover():
     lm = LabelMap(g, data, "tissue", {3: "muscle"})
     assert lm.mask(3).sum() == 1
     assert lm.body_mask().sum() == 1
-
-
-def test_resample_constant_field_exact():
-    g = Grid((8, 8, 8), (2.0, 2.0, 2.0))
-    vol = Volume(g, np.full(g.dims, 123.25, dtype=np.float32), "g_per_cm3")
-    out = resample(vol, (1.5, 3.0, 2.5))
-    assert (out.data == np.float32(123.25)).all()
-    assert out.grid.spacing_mm == (1.5, 3.0, 2.5)
-
-
-def test_resample_identity_spacing_returns_same_object():
-    g = Grid((4, 4, 4), (1.0, 1.0, 1.0))
-    vol = Volume(g, np.zeros(g.dims, dtype=np.int16))
-    assert resample(vol, (1.0, 1.0, 1.0)) is vol
-
-
-def test_resample_linear_gradient_midpoints():
-    # 1-D ramp along x; downsampling by 2 must land exactly between samples
-    g = Grid((9, 1, 1), (1.0, 1.0, 1.0))
-    ramp = np.arange(9, dtype=np.float32).reshape(9, 1, 1)
-    out = resample(Volume(g, ramp, "g_per_cm3"), (2.0, 1.0, 1.0))
-    np.testing.assert_allclose(out.data.ravel(), [0.0, 2.0, 4.0, 6.0, 8.0])
-
-
-def test_resample_labels_nearest_only():
-    g = Grid((4, 4, 4), (1.0, 1.0, 1.0))
-    data = np.zeros(g.dims, dtype=np.uint8)
-    data[:2] = 1
-    lm = LabelMap(g, data, "tissue", {1: "body"})
-    out = resample(lm, (2.0, 2.0, 2.0))
-    assert set(np.unique(out.data)) <= {0, 1}
-    with pytest.raises(ValueError):
-        resample(lm, (2.0, 2.0, 2.0), mode="trilinear")
-
-
-def test_resample_int16_h_u_clamps():
-    g = Grid((3, 1, 1), (1.0, 1.0, 1.0))
-    vol = Volume(g, np.array([HU_MAX, HU_MAX, HU_MAX], dtype=np.int16).reshape(3, 1, 1))
-    out = resample(vol, (0.4, 1.0, 1.0))
-    assert out.data.max() <= HU_MAX
-    assert out.data.dtype == np.int16
-
-
-def test_resample_world_extent_preserved():
-    g = Grid((10, 10, 10), (3.0, 3.0, 3.0), (5.0, 5.0, 5.0))
-    vol = Volume(g, np.zeros(g.dims, dtype=np.float32), "g_per_cm3")
-    out = resample(vol, (1.0, 1.0, 1.0))
-    assert out.grid.origin_mm == g.origin_mm
-    for a in range(3):
-        src_extent = g.dims[a] * g.spacing_mm[a]
-        dst_extent = out.grid.dims[a] * out.grid.spacing_mm[a]
-        assert abs(src_extent - dst_extent) < max(g.spacing_mm[a], 1.0)
