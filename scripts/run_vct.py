@@ -77,7 +77,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     if args.config:
-        config = TrialConfig.from_json(args.config)
+        try:
+            config = TrialConfig.from_json(args.config)
+        except (ValueError, TypeError, KeyError) as exc:
+            print(f"error: bad trial config: {exc}", file=sys.stderr)
+            return 2
     elif args.quick:
         config = dataclasses.replace(TrialConfig(), **QUICK)
     else:

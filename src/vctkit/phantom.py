@@ -313,13 +313,14 @@ def _solve_geometry(spec: PhantomSpec) -> _Geometry:
 
 
 class _Canvas:
-    """Paint target: HU, tissue, and structure arrays plus world coords."""
+    """Paint target: HU, tissue, and (optionally) structure arrays plus world
+    coords. Without a structure array, structure ids are ignored."""
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, structures: bool):
         self.grid = grid
         self.hu = np.full(grid.dims, HU_AIR, dtype=np.int16)
         self.tissue = np.zeros(grid.dims, dtype=np.uint8)
-        self.structure = np.zeros(grid.dims, dtype=np.uint8)
+        self.structure = np.zeros(grid.dims, dtype=np.uint8) if structures else None
         self.x = grid.axis_coords(0)
         self.y = grid.axis_coords(1)
         self.z = grid.axis_coords(2)
@@ -352,7 +353,7 @@ class _Canvas:
     def assign(self, sl, mask, hu: int, tissue: int, structure: int | None = None):
         self.hu[sl][mask] = hu
         self.tissue[sl][mask] = tissue
-        if structure is not None:
+        if structure is not None and self.structure is not None:
             self.structure[sl][mask] = structure
 
     def paint(self, mask_fn, lo, hi, hu: int, tissue: int, structure: int | None):
@@ -405,16 +406,22 @@ def _grid_for(geom: _Geometry, spacing) -> tuple[Grid, np.ndarray]:
     return grid, center
 
 
-def generate_phantom(spec: PhantomSpec):
+def generate_phantom(spec: PhantomSpec, *, structures: bool = True):
     """Rasterize one phantom.
 
     Returns ``(volume, tissue_map, structure_map, truth)``.  The seed
     perturbs organ positions and sizes slightly so cohorts carry anatomical
     variation beyond pure scaling.
+
+    With ``structures=False`` only the volume and tissue map are built: no
+    structure array is painted or validated and no truth is counted, so
+    ``(volume, tissue_map, None, None)`` is returned.  Painting order and
+    jitter draws are the same, so the volume and tissue map are
+    byte-identical to those of the full call.
     """
     geom = _solve_geometry(spec)
     grid, offset = _grid_for(geom, spec.spacing_mm)
-    canvas = _Canvas(grid)
+    canvas = _Canvas(grid, structures)
     xc, yc, z0 = float(offset[0]), float(offset[1]), float(offset[2])
     jit = Stream(spec.seed)
 
@@ -521,6 +528,8 @@ def generate_phantom(spec: PhantomSpec):
 
     vol = Volume(grid, canvas.hu, "HU")
     tissue_map = LabelMap(grid, canvas.tissue, "tissue", dict(TISSUE_CLASSES))
+    if not structures:
+        return vol, tissue_map, None, None
     structure_map = LabelMap(grid, canvas.structure, "structure", dict(STRUCTURE_TABLE))
     truth = _count_truth(canvas, grid, geom, landmarks)
     return vol, tissue_map, structure_map, truth

@@ -815,7 +815,7 @@ def generate_measured_cohort(n: int, dist: AttributeDistribution, spacing,
 
     def build(item):
         subject_id, attrs, spec = item
-        vol, tissue, _structure, _truth = generate_phantom(spec)
+        vol, tissue, _, _ = generate_phantom(spec, structures=False)
         return MeasuredSubject(subject_id, attrs, measure_composition(vol, tissue))
 
     return map_ordered(build, sample_cohort_specs(n, dist, spacing, seed), threads)
@@ -836,7 +836,7 @@ def synthesize_matched_cohort(subjects: list[MeasuredSubject], factor: int,
     def build(item):
         k, o = item
         spec = generate_matched_spec(o.binned, dist, spacing, o.seed)
-        vol, tissue, _structure, _truth = generate_phantom(spec)
+        vol, tissue, _, _ = generate_phantom(spec, structures=False)
         attrs = Attributes(spec.sex, spec.age_years, spec.height_cm, spec.weight_kg)
         return MeasuredSubject(f"{id_prefix}_{k:04d}", attrs,
                                measure_composition(vol, tissue))

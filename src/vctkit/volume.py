@@ -172,11 +172,20 @@ class LabelMap:
             raise ValueError(f"label dtype must be uint8 or uint16, got {self.data.dtype}")
         if self.kind not in ("tissue", "structure"):
             raise ValueError(f"kind must be 'tissue' or 'structure', got {self.kind!r}")
-        counts = np.bincount(self.data.ravel())
-        present = np.nonzero(counts)[0]
+        # the table covers every value up to the maximum (always true of a
+        # tissue map); otherwise one gather through a lookup table of size
+        # max + 1. Only a failing map pays for listing its unknown values.
+        top = int(self.data.max())
+        if all(v in self.class_table for v in range(1, top + 1)):
+            return
+        allowed = np.zeros(top + 1, dtype=bool)
+        allowed[0] = True
+        allowed[[k for k in self.class_table if 0 < k <= top]] = True
+        if allowed[self.data].all():
+            return
+        present = np.nonzero(np.bincount(self.data.ravel()))[0]
         unknown = [int(v) for v in present if v != 0 and int(v) not in self.class_table]
-        if unknown:
-            raise ValueError(f"label values {unknown} missing from class_table")
+        raise ValueError(f"label values {unknown} missing from class_table")
 
     def mask(self, label: int) -> np.ndarray:
         return self.data == label

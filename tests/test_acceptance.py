@@ -3,8 +3,8 @@
 Each test pins one headline property: measurement closure on seeded phantoms,
 oracle agreement for the z statistic, bootstrap coverage, forest sanity,
 importance-weighting identities, the full shortcut-audit trial, bias
-attribution on constructed errors, the multi-window loss, consistency-table
-oracles, and byte-level CLI determinism.
+attribution on constructed errors, consistency-table oracles, and byte-level
+CLI determinism.
 """
 
 import json
@@ -25,7 +25,6 @@ from vctkit.metrics import (
     paired_dice_stats,
     qq_pearson,
 )
-from vctkit.patches import WindowLossConfig, multi_window_l1
 from vctkit.phantom import (
     AttributeDistribution,
     Attributes,
@@ -36,7 +35,6 @@ from vctkit.rng import Stream, subject_seed
 from vctkit.skeleton import measure_height
 from vctkit.stats import bootstrap_ci, importance_weights, mae, weighted_mae, z_score
 from vctkit.trial import (
-    MeasuredSubject,
     SubjectError,
     TrialConfig,
     attribute_errors,
@@ -262,19 +260,7 @@ def test_attribution_ranks_constructed_driver():
     assert block.importance_correlations["real_vs_synthetic"] >= 0.8
 
 
-# --- 8. multi-window loss -----------------------------------------------------
-
-
-def test_window_loss_hand_cases_exact():
-    cfg = WindowLossConfig()
-    assert abs(multi_window_l1([[[100.0]]], [[[90.0]]], cfg) - 10.0) <= 1e-12
-    assert abs(multi_window_l1([[[1000.0]]], [[[0.0]]], cfg) - 500.0) <= 1e-12
-    assert abs(multi_window_l1([[[-500.0]]], [[[-400.0]]], cfg) - 10.0) <= 1e-12
-    x = [[[-200.0, 0.0, 300.0, 2000.0]]]
-    assert multi_window_l1(x, x, cfg) == 0.0
-
-
-# --- 9. consistency oracles ----------------------------------------------------
+# --- 8. consistency oracles ----------------------------------------------------
 
 
 def test_dice_hand_case_exact():
@@ -318,7 +304,7 @@ def test_qq_scale_invariance():
             pytest.approx(base, abs=1e-9)
 
 
-# --- 10. CLI determinism --------------------------------------------------------
+# --- 9. CLI determinism ---------------------------------------------------------
 
 
 def _tree_bytes(root):

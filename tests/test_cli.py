@@ -1,9 +1,9 @@
 """End-to-end command-line runs on small cohorts, including failure paths."""
 
 import csv
+import importlib.util
 import json
 import re
-from pathlib import Path
 
 import pytest
 
@@ -178,6 +178,19 @@ def test_trial_bad_configs(tmp_path):
         unknown.write_text(json.dumps(bad))
         assert main(["trial", "run", "--config", str(unknown),
                      "--out", str(tmp_path / "o3")]) == 2, bad
+
+
+def test_run_vct_script_bad_config(tmp_path, capsys, request):
+    script = request.config.rootpath / "scripts" / "run_vct.py"
+    spec = importlib.util.spec_from_file_location("run_vct", script)
+    run_vct = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_vct)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n_subjectz": 1}))
+    assert run_vct.main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "bad trial config" in err and "n_subjectz" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_trial_missing_cohort_measurements(tmp_path):

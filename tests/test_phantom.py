@@ -81,6 +81,19 @@ def test_generation_deterministic():
     assert truth1.to_dict() == truth2.to_dict()
 
 
+@pytest.mark.parametrize("spacing", [2.0, 4.0, 8.0])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_image_and_tissue_only_match_full_call(spacing, seed):
+    [(_, _, spec)] = sample_cohort_specs(1, AttributeDistribution(), (spacing,) * 3, seed)
+    vol, tissue, structure, truth = generate_phantom(spec)
+    assert structure is not None and truth is not None
+    vol2, tissue2, structure2, truth2 = generate_phantom(spec, structures=False)
+    assert structure2 is None and truth2 is None
+    assert vol2.grid == vol.grid and tissue2.grid == tissue.grid
+    assert vol2.data.tobytes() == vol.data.tobytes()
+    assert tissue2.data.tobytes() == tissue.data.tobytes()
+
+
 def test_seed_changes_anatomy():
     a = generate_phantom(PhantomSpec(spacing_mm=(4.0, 4.0, 4.0), seed=5))
     b = generate_phantom(PhantomSpec(spacing_mm=(4.0, 4.0, 4.0), seed=6))

@@ -2,17 +2,15 @@
 
 import json
 import re
-import warnings
 
 import numpy as np
 import pytest
 
-from vctkit import trial
+from vctkit import phantom, trial
 from vctkit.composition import CompositionReport
 from vctkit.phantom import AttributeDistribution, Attributes
 from vctkit.stats import pearson
 from vctkit.trial import (
-    FEATURE_NAMES,
     BiasBoundary,
     MeasuredSubject,
     SubjectError,
@@ -226,6 +224,28 @@ def test_run_full_vct_checks_predictor_before_generation(monkeypatch):
     monkeypatch.setattr(trial, "generate_phantom", no_phantoms)
     with pytest.raises(ValueError, match="unknown predictor"):
         run_full_vct(TrialConfig(predictor={"kind": "mlp"}))
+
+
+def test_trial_path_builds_image_and_tissue_only(monkeypatch, tmp_path):
+    calls = []
+
+    def spy(owner):
+        real = owner.generate_phantom
+
+        def generate(spec, **kwargs):
+            calls.append((owner.__name__, kwargs))
+            return real(spec, **kwargs)
+        monkeypatch.setattr(owner, "generate_phantom", generate)
+
+    spy(trial)
+    spy(phantom)
+    dist, spacing = AttributeDistribution(), (8.0, 8.0, 8.0)
+    cohort = trial.generate_measured_cohort(2, dist, spacing, seed=4)
+    trial.synthesize_matched_cohort(cohort, 1, dist, spacing, seed=5)
+    assert calls == [("vctkit.trial", {"structures": False})] * 4
+    calls.clear()
+    phantom.generate_cohort(1, dist, spacing, 6, tmp_path)
+    assert calls == [("vctkit.phantom", {})]
 
 
 # --- OOD classifier -----------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vctkit.io import load_labelmap, save_labelmap
 from vctkit.volume import (
@@ -14,6 +14,8 @@ from vctkit.volume import (
     HU_MAX,
     HU_MIN,
     LabelMap,
+    STRUCTURE_TABLE,
+    TISSUE_CLASSES,
     Volume,
     clamp_hu,
     voxel_volume_mm3,
@@ -105,3 +107,46 @@ def test_labelmap_requires_class_table_cover():
     lm = LabelMap(g, data, "tissue", {3: "muscle"})
     assert lm.mask(3).sum() == 1
     assert lm.body_mask().sum() == 1
+
+
+def _bincount_rule(data: np.ndarray, class_table: dict) -> list[int]:
+    """Reference check: count every value, list the nonzero ones the table lacks."""
+    present = np.nonzero(np.bincount(data.ravel()))[0]
+    return [int(v) for v in present if v != 0 and int(v) not in class_table]
+
+
+@st.composite
+def _labels_and_table(draw):
+    dtype = draw(st.sampled_from([np.uint8, np.uint16]))
+    table = draw(st.one_of(
+        st.just(dict(STRUCTURE_TABLE)),  # gap at 17..19
+        st.just(dict(TISSUE_CLASSES)),   # holds key 0
+        st.dictionaries(st.integers(0, 40), st.just("c"), max_size=12)))
+    keys = sorted(table) or [0]
+    top = int(np.iinfo(dtype).max)
+    values = draw(st.lists(
+        st.one_of(st.just(0), st.sampled_from(keys), st.integers(0, 45),
+                  st.integers(0, top)),
+        min_size=1, max_size=24))
+    return np.array(values, dtype=dtype).reshape(-1, 1, 1), table
+
+
+@settings(max_examples=300)  # each example takes well under a millisecond
+@given(_labels_and_table())
+@example((np.zeros((3, 1, 1), np.uint8), dict(STRUCTURE_TABLE)))
+@example((np.array([1, 2], np.uint8).reshape(-1, 1, 1), {2: "c"}))
+@example((np.array([0, 16, 17, 20], np.uint8).reshape(-1, 1, 1), dict(STRUCTURE_TABLE)))
+@example((np.array([0, 32, 33], np.uint8).reshape(-1, 1, 1), dict(STRUCTURE_TABLE)))
+@example((np.array([0, 1, 4], np.uint16).reshape(-1, 1, 1), dict(TISSUE_CLASSES)))
+@example((np.array([4, 65535], np.uint16).reshape(-1, 1, 1), dict(TISSUE_CLASSES)))
+@example((np.array([0, 300], np.uint16).reshape(-1, 1, 1), {0: "bg", 300: "c"}))
+def test_labelmap_check_matches_bincount_rule(case):
+    data, table = case
+    grid = Grid(data.shape, (1.0, 1.0, 1.0))
+    unknown = _bincount_rule(data, table)
+    if unknown:
+        with pytest.raises(ValueError) as err:
+            LabelMap(grid, data, "structure", table)
+        assert str(err.value) == f"label values {unknown} missing from class_table"
+    else:
+        LabelMap(grid, data, "structure", table)
