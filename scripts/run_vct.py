@@ -88,7 +88,11 @@ def main(argv=None) -> int:
         config = TrialConfig()
 
     t0 = time.perf_counter()
-    report = run_full_vct(config, threads=args.threads)
+    try:
+        report = run_full_vct(config, threads=args.threads)
+    except ValueError as exc:  # a config that decodes but cannot run, as in `vct trial run`
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - t0
     written = write_trial_outputs(report, args.out, config)
 

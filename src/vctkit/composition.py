@@ -79,8 +79,6 @@ def measure_composition(vol: Volume, tissue: LabelMap) -> CompositionReport:
     """
     if vol.grid != tissue.grid:
         raise ValueError("volume and tissue map must share a grid")
-    if vol.unit != "HU":
-        raise ValueError(f"composition is measured from HU volumes, got unit {vol.unit!r}")
     if tissue.kind != "tissue":
         raise ValueError(f"expected a tissue map, got kind {tissue.kind!r}")
 

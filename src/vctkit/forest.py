@@ -14,6 +14,13 @@ Determinism contract:
 * growth stops when a node is pure, a split would violate
   ``min_samples_leaf``, or the best decrease is <= 1e-12.
 
+A node scores all its candidate features in one pass over a k x n block
+(one sort, one cumulative sum and one gain array for all k), with the
+per-feature arithmetic unchanged, so the trees equal a feature-by-feature
+scan's bit for bit; the regressor's parent variance stays one scalar per
+feature, because a scalar ``** 2`` (libm ``pow``) and an array ``** 2``
+(an exact square) can differ in the last bit and so move a split.
+
 ``predict_proba`` is the fraction of trees whose leaf majority is class 1
 (ties vote 1).  Feature importance is mean decrease in impurity, averaged
 over trees and normalized to sum 1 (uniform if all zero).
@@ -21,9 +28,8 @@ over trees and normalized to sum 1 (uniform if all zero).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,45 +92,52 @@ def _gini(c1: float, n: float) -> float:
     return 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1)
 
 
-def _best_split_for_feature(xf, ys, min_leaf, kind):
-    """Best (gain, threshold) for one feature at a node, or None."""
-    order = np.argsort(xf, kind="stable")
-    xs = xf[order]
-    n = len(xs)
-    distinct = xs[:-1] < xs[1:]
-    if not distinct.any():
-        return None
+def _best_split(block, ys, min_leaf, kind):
+    """Best (gain, column, threshold) over a node's candidate columns, or None.
+
+    ``block`` is k x n: one row per candidate feature, in ascending feature
+    order, one column per node sample.  Each step runs once for all k rows;
+    the arithmetic per row is the one-feature CART scan's, so gains and
+    tie-breaks are bit-identical to scanning the features one at a time.
+    """
+    n = len(ys)
+    order = np.argsort(block, axis=1, kind="stable")
+    xs = np.sort(block, axis=1, kind="stable")  # == block gathered by order
     yo = ys[order]
     nl = np.arange(1, n, dtype=np.float64)
     nr = n - nl
     if kind == "classifier":
-        cum1 = np.cumsum(yo)
-        c1l = cum1[:-1]
-        c1r = cum1[-1] - c1l
-        parent = _gini(float(cum1[-1]), n)
+        cum1 = np.cumsum(yo, axis=1)
+        c1l = cum1[:, :-1]
+        c1r = cum1[:, -1:] - c1l
+        parent = _gini(float(cum1[0, -1]), n)  # a count: the same in every row
         p1l = c1l / nl
         p1r = c1r / nr
         gini_l = 1.0 - p1l * p1l - (1.0 - p1l) * (1.0 - p1l)
         gini_r = 1.0 - p1r * p1r - (1.0 - p1r) * (1.0 - p1r)
         gains = parent - (nl * gini_l + nr * gini_r) / n
     else:
-        cy = np.cumsum(yo)
-        cy2 = np.cumsum(yo * yo)
-        var_l = np.maximum(cy2[:-1] / nl - (cy[:-1] / nl) ** 2, 0.0)
-        var_r = np.maximum((cy2[-1] - cy2[:-1]) / nr - ((cy[-1] - cy[:-1]) / nr) ** 2, 0.0)
-        parent = max(float(cy2[-1] / n - (cy[-1] / n) ** 2), 0.0)
+        cy = np.cumsum(yo, axis=1)
+        cy2 = np.cumsum(yo * yo, axis=1)
+        var_l = np.maximum(cy2[:, :-1] / nl - (cy[:, :-1] / nl) ** 2, 0.0)
+        var_r = np.maximum((cy2[:, -1:] - cy2[:, :-1]) / nr
+                           - ((cy[:, -1:] - cy[:, :-1]) / nr) ** 2, 0.0)
+        # the parent stays a scalar per row: a scalar ** 2 is libm pow, an
+        # array ** 2 an exact square, and the two can differ in the last bit
+        parent = np.array([[max(float(s2 / n - (s / n) ** 2), 0.0)]
+                           for s, s2 in zip(cy[:, -1], cy2[:, -1])])
         gains = parent - (nl * var_l + nr * var_r) / n
-    thr = (xs[:-1] + xs[1:]) / 2.0
-    # threshold must separate: x <= thr goes left; a midpoint that rounds up
-    # to the right-hand value would send it left, so reject that position
-    valid = distinct & (nl >= min_leaf) & (nr >= min_leaf) & (thr < xs[1:])
-    if not valid.any():
-        return None
+    thr = (xs[:, :-1] + xs[:, 1:]) / 2.0
+    # x <= thr goes left, so thr must lie below the right-hand value; that
+    # also rejects equal neighbours, and a midpoint that rounds up to the
+    # right-hand value, which would send it left
+    valid = (thr < xs[:, 1:]) & (nl >= min_leaf) & (nr >= min_leaf)
     gains = np.where(valid, gains, -np.inf)
-    i = int(np.argmax(gains))  # first max: lowest threshold wins feature-internal ties
-    if not gains[i] > GAIN_TOL:
+    # first max in row-major order: lowest feature, then lowest threshold
+    j, i = divmod(int(np.argmax(gains)), n - 1)
+    if not gains[j, i] > GAIN_TOL:
         return None
-    return float(gains[i]), float(thr[i])
+    return float(gains[j, i]), j, float(thr[j, i])
 
 
 def _node_impurity(ys, kind) -> float:
@@ -134,7 +147,7 @@ def _node_impurity(ys, kind) -> float:
     return max(float(ys.var()), 0.0)
 
 
-def _grow(X, y, rows, depth, params, kind, stream, importances, n_total):
+def _grow(XT, y, rows, depth, params, kind, stream, importances, n_total):
     ys = y[rows]
     n = len(rows)
 
@@ -151,36 +164,30 @@ def _grow(X, y, rows, depth, params, kind, stream, importances, n_total):
     if _node_impurity(ys, kind) <= 0.0:
         return leaf()
 
-    n_features = X.shape[1]
+    n_features = XT.shape[0]
     if params.max_features == "all":
         candidates = np.arange(n_features)
     else:
         k = max(1, math.isqrt(n_features))
         candidates = stream.choice(n_features, k)
 
-    best = None  # (gain, feature, threshold)
-    for f in sorted(int(c) for c in candidates):
-        found = _best_split_for_feature(X[rows, f], ys, params.min_samples_leaf, kind)
-        if found is None:
-            continue
-        gain, thr = found
-        if best is None or gain > best[0]:
-            best = (gain, f, thr)
-        # equal gain on a later feature loses; equal gain within a feature
-        # already resolved to the lowest threshold by first-argmax
+    features = sorted(int(c) for c in candidates)
+    block = XT[features][:, rows]
+    best = _best_split(block, ys, params.min_samples_leaf, kind)
     if best is None:
         return leaf()
 
-    gain, f, thr = best
-    mask = X[rows, f] <= thr
+    gain, j, thr = best
+    f = features[j]
+    mask = block[j] <= thr
     left_rows = rows[mask]
     right_rows = rows[~mask]
     importances[f] += (n / n_total) * gain
     return {
         "feature": f,
         "threshold": thr,
-        "left": _grow(X, y, left_rows, depth + 1, params, kind, stream, importances, n_total),
-        "right": _grow(X, y, right_rows, depth + 1, params, kind, stream, importances, n_total),
+        "left": _grow(XT, y, left_rows, depth + 1, params, kind, stream, importances, n_total),
+        "right": _grow(XT, y, right_rows, depth + 1, params, kind, stream, importances, n_total),
     }
 
 
@@ -191,13 +198,14 @@ def fit_forest(X, y, kind: str = "classifier",
         raise ValueError("kind must be 'classifier' or 'regressor'")
     X, y = _validate_xy(X, y, kind)
     n, n_features = X.shape
+    XT = np.ascontiguousarray(X.T)  # feature-major: a node gathers its rows per feature
     trees = []
     imp = np.zeros(n_features, dtype=np.float64)
     for t in range(params.n_trees):
         stream = Stream(params.seed + t)
         boot = np.asarray(stream.integers(n, n))
         tree_imp = np.zeros(n_features, dtype=np.float64)
-        root = _grow(X, y, boot, 0, params, kind, stream, tree_imp, n)
+        root = _grow(XT, y, boot, 0, params, kind, stream, tree_imp, n)
         trees.append(root)
         imp += tree_imp
     imp /= params.n_trees
@@ -253,25 +261,3 @@ def feature_importance(forest: Forest) -> np.ndarray:
     if forest.importances is None:
         raise ValueError("forest has not been trained")
     return forest.importances.copy()
-
-
-def forest_to_json(forest: Forest) -> str:
-    payload = {
-        "kind": forest.kind,
-        "params": asdict(forest.params),
-        "n_features": forest.n_features,
-        "importances": [float(v) for v in forest.importances],
-        "trees": forest.trees,
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def forest_from_json(text: str) -> Forest:
-    payload = json.loads(text)
-    return Forest(
-        kind=payload["kind"],
-        params=ForestParams(**payload["params"]),
-        n_features=int(payload["n_features"]),
-        trees=payload["trees"],
-        importances=np.asarray(payload["importances"], dtype=np.float64),
-    )

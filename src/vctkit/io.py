@@ -135,9 +135,7 @@ def load_volume(path) -> Volume:
         raise FormatError(f"unsupported unit {unit!r}")
     if str(data.dtype) not in VOLUME_DTYPES:
         raise FormatError(f"dtype {data.dtype} is not a volume dtype")
-    if unit == "HU":
-        data = clamp_hu(data)
-    return Volume(grid, data, unit)
+    return Volume(grid, clamp_hu(data), unit)
 
 
 def load_labelmap(path, kind: str | None = None) -> LabelMap:

@@ -20,7 +20,7 @@ import numpy as np
 HU_MIN = -1024
 HU_MAX = 3071
 
-VOLUME_UNITS = ("HU", "g_per_cm3")
+VOLUME_UNITS = ("HU",)
 VOLUME_DTYPES = {"int16": np.int16, "float32": np.float32}
 LABEL_DTYPES = {"uint8": np.uint8, "uint16": np.uint16}
 
@@ -139,7 +139,7 @@ def _check_shape(grid: Grid, data: np.ndarray, what: str):
 
 @dataclass(frozen=True)
 class Volume:
-    """A scalar image on a grid; HU or g/cm^3 values."""
+    """A scalar image on a grid, in HU."""
 
     grid: Grid
     data: np.ndarray

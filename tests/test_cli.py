@@ -191,6 +191,12 @@ def test_run_vct_script_bad_config(tmp_path, capsys, request):
     err = capsys.readouterr().err
     assert "bad trial config" in err and "n_subjectz" in err
     assert not (tmp_path / "o").exists()
+    # decodes, but fails once the trial starts: still exit 2, not a traceback
+    bad.write_text(json.dumps({"predictor": {"kind": "mlp"}}))
+    assert run_vct.main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown predictor kind 'mlp'" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_trial_missing_cohort_measurements(tmp_path):

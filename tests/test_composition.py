@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from vctkit.composition import REFERENCE_HU, CompositionReport, measure_composition
-from vctkit.volume import Grid, LabelMap, Volume
+from vctkit.io import load_volume, save_volume
+from vctkit.volume import FormatError, Grid, LabelMap, Volume
 
 
 def _hu_volume(values, spacing=(1.0, 1.0, 1.0)):
@@ -33,11 +34,17 @@ def test_air_rule_boundary_inclusive():
         measure_composition(*_body([-950, -900]))
 
 
-def test_air_rule_requires_hu():
-    vol, tissue = _body([0])
-    rho = Volume(vol.grid, np.ones(vol.grid.dims, dtype=np.float32), "g_per_cm3")
-    with pytest.raises(ValueError, match="HU"):
-        measure_composition(rho, tissue)
+def test_air_rule_requires_hu(tmp_path):
+    # the air rule reads HU, and no volume in another unit can be built or loaded
+    vol, _ = _body([0])
+    with pytest.raises(ValueError, match="unit"):
+        Volume(vol.grid, np.ones(vol.grid.dims, dtype=np.float32), "g_per_cm3")
+    header = save_volume(vol, tmp_path / "img")
+    payload = json.loads(header.read_text())
+    payload["unit"] = "g_per_cm3"
+    header.write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match="unsupported unit 'g_per_cm3'"):
+        load_volume(header)
 
 
 def test_density_mapping_fixed_points():

@@ -1,20 +1,38 @@
 """Random forest: splits, determinism, probabilities, importances."""
 
+import hashlib
+import json
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vctkit.forest import (
+    GAIN_TOL,
     Forest,
     ForestParams,
     REGRESSOR_PARAMS,
+    _best_split,
+    _gini,
     feature_importance,
     fit_forest,
-    forest_from_json,
-    forest_to_json,
     predict,
     predict_proba,
 )
 from vctkit.rng import Stream
+
+
+def forest_to_json(forest: Forest) -> str:
+    """Canonical dump of a fitted forest: equal strings mean equal forests."""
+    payload = {
+        "kind": forest.kind,
+        "params": asdict(forest.params),
+        "n_features": forest.n_features,
+        "importances": [float(v) for v in forest.importances],
+        "trees": forest.trees,
+    }
+    return json.dumps(payload, sort_keys=True)
 
 
 def _separable(n=200, seed=0):
@@ -38,13 +56,6 @@ def test_same_seed_same_forest():
     assert forest_to_json(a) == forest_to_json(b)
     c = fit_forest(X, y, "classifier", ForestParams(seed=10))
     assert forest_to_json(a) != forest_to_json(c)
-
-
-def test_json_round_trip_predicts_identically():
-    X, y = _separable(100, seed=5)
-    forest = fit_forest(X, y, "classifier", ForestParams(seed=1))
-    back = forest_from_json(forest_to_json(forest))
-    np.testing.assert_array_equal(predict_proba(back, X), predict_proba(forest, X))
 
 
 def test_single_class_probability_one():
@@ -108,7 +119,6 @@ def test_min_samples_leaf_enforced():
         else:
             yield int(sum(node["value"]))  # classifier leaves hold class counts
 
-    import json
     payload = json.loads(forest_to_json(forest))
     for tree in payload["trees"]:
         for count in leaf_counts(tree):
@@ -137,3 +147,136 @@ def test_params_validation():
         ForestParams(min_samples_leaf=0)
     with pytest.raises(ValueError):
         ForestParams(max_features="log2")
+
+
+# --- split search: node evaluator against the feature-by-feature scan -------
+
+
+def _best_split_for_feature(xf, ys, min_leaf, kind):
+    """Best (gain, threshold) for one feature at a node, or None.
+
+    The one-feature CART scan the node evaluator replaced, kept as its oracle.
+    """
+    order = np.argsort(xf, kind="stable")
+    xs = xf[order]
+    n = len(xs)
+    distinct = xs[:-1] < xs[1:]
+    if not distinct.any():
+        return None
+    yo = ys[order]
+    nl = np.arange(1, n, dtype=np.float64)
+    nr = n - nl
+    if kind == "classifier":
+        cum1 = np.cumsum(yo)
+        c1l = cum1[:-1]
+        c1r = cum1[-1] - c1l
+        parent = _gini(float(cum1[-1]), n)
+        p1l = c1l / nl
+        p1r = c1r / nr
+        gini_l = 1.0 - p1l * p1l - (1.0 - p1l) * (1.0 - p1l)
+        gini_r = 1.0 - p1r * p1r - (1.0 - p1r) * (1.0 - p1r)
+        gains = parent - (nl * gini_l + nr * gini_r) / n
+    else:
+        cy = np.cumsum(yo)
+        cy2 = np.cumsum(yo * yo)
+        var_l = np.maximum(cy2[:-1] / nl - (cy[:-1] / nl) ** 2, 0.0)
+        var_r = np.maximum((cy2[-1] - cy2[:-1]) / nr - ((cy[-1] - cy[:-1]) / nr) ** 2, 0.0)
+        parent = max(float(cy2[-1] / n - (cy[-1] / n) ** 2), 0.0)
+        gains = parent - (nl * var_l + nr * var_r) / n
+    thr = (xs[:-1] + xs[1:]) / 2.0
+    valid = distinct & (nl >= min_leaf) & (nr >= min_leaf) & (thr < xs[1:])
+    if not valid.any():
+        return None
+    gains = np.where(valid, gains, -np.inf)
+    i = int(np.argmax(gains))
+    if not gains[i] > GAIN_TOL:
+        return None
+    return float(gains[i]), float(thr[i])
+
+
+def _oracle_split(block, ys, min_leaf, kind):
+    """(gain, row, threshold) of the best split, one feature (row) at a time."""
+    best = None
+    for j, xf in enumerate(block):
+        found = _best_split_for_feature(xf, ys, min_leaf, kind)
+        if found is not None and (best is None or found[0] > best[0]):
+            best = (found[0], j, found[1])  # an equal gain on a later feature loses
+    return best
+
+
+@st.composite
+def _node(draw):
+    """A node's k x n candidate block and targets, with ties and constant rows."""
+    kind = draw(st.sampled_from(["classifier", "regressor"]))
+    k = draw(st.integers(1, 9))
+    min_leaf = draw(st.integers(1, 8))
+    n = draw(st.integers(2, 40))
+    rows = []
+    for _ in range(k):
+        levels = draw(st.integers(0, 12))  # 0 gives a constant row
+        rows.append(draw(st.lists(st.integers(0, levels), min_size=n, max_size=n)))
+    block = np.array(rows, dtype=np.float64) * draw(st.sampled_from([1.0, 0.1, 1 / 3]))
+    if kind == "classifier":
+        ys = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        return kind, block, np.array(ys, dtype=np.float64), min_leaf
+    ys = draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1.0, 7.0, 10.0]))
+    return kind, block, np.array(ys, dtype=np.float64) / scale, min_leaf
+
+
+_ONE_PLUS = np.nextafter(1.0, 2.0)
+
+
+@settings(max_examples=300)  # each example takes about a millisecond
+@given(_node())
+# summed in x-sorted order the node mean is m = -0.37499999999999994, and
+# float(m) ** 2 != m * m: a scalar ** 2 (libm pow) and an array ** 2 differ
+@example(("regressor", np.array([[0.0, 2.0, 1.0, 2.0]]),
+          np.array([-0.6, 0.8, -0.7, -1.0]), 1))
+# equal gains on two features at different thresholds: the lower feature wins
+@example(("classifier", np.array([[0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 0.0]]),
+          np.array([1.0, 1.0, 1.0, 0.0]), 1))
+# the midpoint of 1 + u and 1 + 2u rounds up to 1 + 2u, which cannot separate
+@example(("classifier", np.array([[1.0, _ONE_PLUS, np.nextafter(_ONE_PLUS, 2.0)]]),
+          np.array([0.0, 0.0, 1.0]), 1))
+def test_node_evaluator_matches_feature_scan(case):
+    kind, block, ys, min_leaf = case
+    assert _best_split(block, ys, min_leaf, kind) == _oracle_split(block, ys, min_leaf, kind)
+
+
+# --- golden forests ----------------------------------------------------------
+
+
+def _golden_xy(seed: int, n: int, kind: str):
+    """Audit-sized data from a fixed stream: 8 features with ties and a constant."""
+    stream = Stream(seed)
+    X = np.column_stack([stream.uniform(n) for _ in range(8)])
+    X[:, 1] = np.round(X[:, 1], 1)  # ties
+    X[:, 3] = np.floor(X[:, 3] * 4.0)  # four levels
+    X[:, 7] = 1.0  # a constant feature
+    noise = stream.normal(n, sd=0.3)
+    signal = 2.0 * X[:, 0] + X[:, 3] - X[:, 5] + noise
+    if kind == "classifier":
+        return X, (signal > np.median(signal)).astype(np.float64)
+    return X, signal
+
+
+# sha256 of forest_to_json, recorded with the feature-by-feature split search
+GOLDEN = [
+    ("classifier", 150, 11, ForestParams(n_trees=60, min_samples_leaf=2, seed=3),
+     "f45c84ae7380eacde19606175ff402af30e0a457fabbaebc339fb1281d6a2908"),
+    ("classifier", 240, 12, ForestParams(n_trees=60, seed=4),
+     "4a486a7830a3316056c74ea7b248785cb247399f9fadd4005957608731a41737"),
+    ("regressor", 120, 13, replace(REGRESSOR_PARAMS, n_trees=50, max_features="all", seed=5),
+     "19a57dd9e6c07cbd2ddcbb7fd84698356c212afdfe4264ec8d578a869d014c46"),
+    ("regressor", 300, 14, replace(REGRESSOR_PARAMS, n_trees=50, max_features="all", seed=6),
+     "19902824d32c305b5ae491c61bc51d385da259f0e615c06258a5b9d274223645"),
+]
+
+
+@pytest.mark.parametrize("kind,n,data_seed,params,digest", GOLDEN,
+                         ids=[f"{c[0]}-{c[3].max_features}-{c[1]}" for c in GOLDEN])
+def test_golden_forest_digest(kind, n, data_seed, params, digest):
+    X, y = _golden_xy(data_seed, n, kind)
+    forest = fit_forest(X, y, kind, params)
+    assert hashlib.sha256(forest_to_json(forest).encode("utf-8")).hexdigest() == digest

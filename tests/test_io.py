@@ -10,13 +10,13 @@ from vctkit.io import load_labelmap, load_volume, save_labelmap, save_volume
 from vctkit.volume import FormatError, Grid, LabelMap, Volume
 
 
-def _vol(dims=(3, 4, 5), dtype=np.int16, unit="HU"):
+def _vol(dims=(3, 4, 5), dtype=np.int16):
     rng = np.random.default_rng(0)
     if dtype == np.int16:
         data = rng.integers(-1000, 2000, size=dims).astype(np.int16)
     else:
         data = rng.normal(size=dims).astype(np.float32)
-    return Volume(Grid(dims, (1.0, 1.5, 2.0), (3.0, -1.0, 0.0)), data, unit)
+    return Volume(Grid(dims, (1.0, 1.5, 2.0), (3.0, -1.0, 0.0)), data)
 
 
 def test_volume_round_trip_bitwise(tmp_path):
@@ -30,9 +30,9 @@ def test_volume_round_trip_bitwise(tmp_path):
 
 
 def test_volume_round_trip_float32(tmp_path):
-    vol = _vol(dtype=np.float32, unit="g_per_cm3")
-    save_volume(vol, tmp_path / "rho")
-    back = load_volume(tmp_path / "rho")
+    vol = _vol(dtype=np.float32)
+    save_volume(vol, tmp_path / "img")
+    back = load_volume(tmp_path / "img")
     np.testing.assert_array_equal(back.data, vol.data)
 
 
