@@ -56,7 +56,7 @@ def print_report(payload: dict) -> None:
               f"{_fmt(r['p_value'], 7, 3)}  {r['verdict']}")
     attribution = payload.get("attribution")
     if not attribution:
-        print("\n(attribution skipped)")
+        print(f"\n(attribution skipped: {payload.get('attribution_skipped')})")
         return
     print("\nerror attribution (forest importances):")
     for sample_type, imps in attribution["importances"].items():
@@ -79,7 +79,7 @@ def main(argv=None) -> int:
     if args.config:
         try:
             config = TrialConfig.from_json(args.config)
-        except (ValueError, TypeError, KeyError) as exc:
+        except ValueError as exc:
             print(f"error: bad trial config: {exc}", file=sys.stderr)
             return 2
     elif args.quick:

@@ -24,7 +24,7 @@ from .phantom import (
 )
 from .rng import Stream, fnv1a64, subject_seed
 from .skeleton import HeightBreakdown, measure_height
-from .stats import bootstrap_ci, importance_weights, mae, pearson, weighted_mae, z_score, z_test_p
+from .stats import bootstrap_ci, importance_weights, pearson, weighted_mae, z_score, z_test_p
 from .trial import (
     BiasBoundary,
     BiasedSplit,

@@ -18,6 +18,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .codec import decode
 from .composition import CompositionReport, measure_composition
 from .io import load_labelmap, load_volume
 from .metrics import (
@@ -28,13 +29,7 @@ from .metrics import (
 )
 from .phantom import AttributeDistribution, generate_cohort, load_manifest, map_ordered
 from .skeleton import measure_height
-from .trial import (
-    MeasuredSubject,
-    TrialConfig,
-    config_from_dict,
-    run_full_vct,
-    write_trial_outputs,
-)
+from .trial import MeasuredSubject, TrialConfig, run_full_vct, write_trial_outputs
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -93,8 +88,7 @@ def cmd_phantom_gen(args) -> int:
             or any(type(s) not in (int, float) for s in spacing) or min(spacing) <= 0):
         raise ConfigError(f"spacing must be three positive numbers, got {spacing}")
     try:
-        dist = config_from_dict(AttributeDistribution, cfg.get("distribution", {}),
-                                "distribution")
+        dist = decode(AttributeDistribution, cfg.get("distribution", {}), "distribution")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -175,8 +169,10 @@ def _load_measured_cohort(cohort_dir: Path) -> list[MeasuredSubject]:
         if not path.exists():
             raise FileNotFoundError(
                 f"no measurement for subject {record.subject_id!r} under {measurements}")
-        rep = CompositionReport.from_dict(
-            json.loads(path.read_text(encoding="utf-8")))
+        try:
+            rep = CompositionReport.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        except ValueError as exc:
+            raise ValueError(f"subject {record.subject_id!r}: {exc}") from exc
         subjects.append(MeasuredSubject(record.subject_id, record.attributes, rep))
     return subjects
 
@@ -184,7 +180,7 @@ def _load_measured_cohort(cohort_dir: Path) -> list[MeasuredSubject]:
 def cmd_trial_run(args) -> int:
     try:
         config = TrialConfig.from_dict(_load_json(args.config))
-    except (ValueError, TypeError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad trial config: {exc}") from exc
     out = Path(args.out)
     log = _setup_log(out)

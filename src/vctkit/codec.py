@@ -1,0 +1,76 @@
+"""The JSON codec of every dataclass record vctkit writes or reads.
+
+``encode`` turns a dataclass into a JSON-ready dict, field by field;
+``decode`` is its inverse and converts each value by its field's type
+annotation.  Anything that does not fit -- an unknown key, a missing key,
+a value of the wrong type -- raises ValueError naming the dotted key.
+"""
+
+from __future__ import annotations
+
+import re
+import types
+from dataclasses import MISSING, fields, is_dataclass
+from typing import Union, get_args, get_origin, get_type_hints
+
+
+def encode(obj) -> dict:
+    """JSON-ready dict of a dataclass, field by field, nested included."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = encode(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, dict):
+            value = dict(value)
+        out[f.name] = value
+    return out
+
+
+def decode(cls, d, key: str = ""):
+    """Dataclass ``cls`` from a JSON dict; inverse of :func:`encode`.
+
+    ``key`` is the dotted key of ``d`` itself; a whole record (empty key)
+    is named after its class, e.g. "trial config" for ``TrialConfig``.
+    """
+    what = key or re.sub(r"(?<!^)(?=[A-Z])", " ", cls.__name__).lower()
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
+    bad = set(d) - {f.name for f in fields(cls)}
+    if bad:
+        raise ValueError(f"unknown {what} keys: {sorted(bad)}")
+    missing = [f.name for f in fields(cls) if f.name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{what} is missing keys: {sorted(missing)}")
+    hints = get_type_hints(cls)
+    return cls(**{name: _decode(hints[name], value, f"{key}.{name}" if key else name)
+                  for name, value in d.items()})
+
+
+def _decode(tp, value, key: str):
+    if is_dataclass(tp):
+        return decode(tp, value, key)
+    origin, args = get_origin(tp) or tp, get_args(tp)
+    if origin in (Union, types.UnionType):
+        if value is None:
+            return None
+        (tp,) = (t for t in args if t is not type(None))  # X | None only
+        return _decode(tp, value, key)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != len(args):
+            raise ValueError(f"{key} must be a list of {len(args)} numbers, got {value!r}")
+        return tuple(_decode(t, v, key) for t, v in zip(args, value))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ValueError(f"{key} must be a JSON object, got {value!r}")
+        if not args:
+            return dict(value)
+        return {_decode(args[0], k, key): _decode(args[1], v, f"{key}.{k}")
+                for k, v in value.items()}
+    accepted = (int, float) if tp is float else tp
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{key} must be {tp.__name__}, got {value!r}")
+    return tp(value)

@@ -10,10 +10,12 @@ bone-tissue voxels, without the air adjustment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .codec import decode, encode
+from .skeleton import HeightBreakdown
 from .volume import LabelMap, Volume, voxel_volume_mm3
 
 REFERENCE_HU = 0.0
@@ -30,44 +32,25 @@ class CompositionReport:
     muscle_pct: float
     bone_density_hu: float | None
     body_volume_l: float
-    per_tissue_mass_g: dict = None
-    height: object | None = None  # HeightBreakdown, attached by measure pipelines
-
-    def __post_init__(self):
-        if self.per_tissue_mass_g is None:
-            object.__setattr__(self, "per_tissue_mass_g", {})
+    per_tissue_mass_g: dict[str, float] = field(default_factory=dict)
+    height: HeightBreakdown | None = None  # attached by measure pipelines
 
     @property
     def body_mass_kg(self) -> float:
         return self.body_mass_g / 1000.0
 
     def to_dict(self) -> dict:
-        return {
-            "body_mass_kg": self.body_mass_kg,
-            "fat_pct": self.fat_pct,
-            "muscle_pct": self.muscle_pct,
-            "bone_density_hu": self.bone_density_hu,
-            "body_volume_l": self.body_volume_l,
-            "per_tissue_mass_g": dict(self.per_tissue_mass_g),
-            "height": self.height.to_dict() if self.height is not None else None,
-        }
+        """The record as written to JSON; body mass goes out in kg."""
+        d = encode(self)
+        d["body_mass_kg"] = d.pop("body_mass_g") / 1000.0
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "CompositionReport":
-        height = d.get("height")
-        if height is not None:
-            from .skeleton import HeightBreakdown  # deferred: avoids cycle
-
-            height = HeightBreakdown.from_dict(height)
-        return cls(
-            body_mass_g=1000.0 * d["body_mass_kg"],
-            fat_pct=d["fat_pct"],
-            muscle_pct=d["muscle_pct"],
-            bone_density_hu=d["bone_density_hu"],
-            body_volume_l=d["body_volume_l"],
-            per_tissue_mass_g=dict(d.get("per_tissue_mass_g") or {}),
-            height=height,
-        )
+        if isinstance(d, dict):
+            d = {("body_mass_g" if k == "body_mass_kg" else k): v for k, v in d.items()}
+        rep = decode(cls, d)
+        return replace(rep, body_mass_g=1000.0 * rep.body_mass_g)
 
 
 def measure_composition(vol: Volume, tissue: LabelMap) -> CompositionReport:

@@ -255,9 +255,3 @@ def predict(forest: Forest, X) -> np.ndarray:
         return (out >= 0.5).astype(np.int64)
     return out
 
-
-def feature_importance(forest: Forest) -> np.ndarray:
-    """Normalized mean-decrease-in-impurity vector (sums to 1)."""
-    if forest.importances is None:
-        raise ValueError("forest has not been trained")
-    return forest.importances.copy()

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import decode, encode
 from .rng import Stream, subject_seed
 from .volume import (
     Grid,
@@ -48,7 +49,6 @@ HU_MUSCLE = 50
 RHO_FAT = 0.9
 RHO_BODY = 1.03
 RHO_ORGAN = 1.04
-RHO_AORTA = 1.045
 RHO_LUNG = 0.3
 RHO_MUSCLE = 1.05
 
@@ -102,31 +102,8 @@ class PhantomTruth:
     muscle_pct: float
     bone_density_hu: float
     body_volume_mm3: float
-    height_breakdown: dict
-    landmarks: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "body_mass_g": self.body_mass_g,
-            "fat_pct": self.fat_pct,
-            "muscle_pct": self.muscle_pct,
-            "bone_density_hu": self.bone_density_hu,
-            "body_volume_mm3": self.body_volume_mm3,
-            "height_breakdown": dict(self.height_breakdown),
-            "landmarks": {k: list(v) for k, v in self.landmarks.items()},
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "PhantomTruth":
-        return PhantomTruth(
-            body_mass_g=d["body_mass_g"],
-            fat_pct=d["fat_pct"],
-            muscle_pct=d["muscle_pct"],
-            bone_density_hu=d["bone_density_hu"],
-            body_volume_mm3=d["body_volume_mm3"],
-            height_breakdown=dict(d["height_breakdown"]),
-            landmarks={k: tuple(v) for k, v in d["landmarks"].items()},
-        )
+    height_breakdown: dict[str, float]
+    landmarks: dict[str, tuple[float, float, float]]
 
 
 # organ blobs: (structure_id, hu, tissue, center (fx, fy, fu), semi (ax, ay, au),
@@ -817,13 +794,8 @@ def write_manifest(manifest: CohortManifest, path) -> Path:
                 "tissue": s.tissue,
                 "structure": s.structure,
                 "population": s.population,
-                "attributes": {
-                    "sex": s.attributes.sex,
-                    "age_years": s.attributes.age_years,
-                    "height_cm": s.attributes.height_cm,
-                    "weight_kg": s.attributes.weight_kg,
-                },
-                "truth": s.truth.to_dict() if s.truth is not None else None,
+                "attributes": encode(s.attributes),
+                "truth": encode(s.truth) if s.truth is not None else None,
             }
             for s in manifest.subjects
         ],
@@ -837,16 +809,19 @@ def load_manifest(path) -> CohortManifest:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     subjects = []
     for s in payload["subjects"]:
-        a = s["attributes"]
+        try:
+            attributes = decode(Attributes, s.get("attributes"), "attributes")
+            truth = decode(PhantomTruth, s["truth"], "truth") if s.get("truth") else None
+        except ValueError as exc:
+            raise ValueError(f"subject {s.get('id')!r}: {exc}") from exc
         subjects.append(SubjectRecord(
             subject_id=s["id"],
-            attributes=Attributes(sex=a["sex"], age_years=a["age_years"],
-                                  height_cm=a["height_cm"], weight_kg=a["weight_kg"]),
+            attributes=attributes,
             population=s.get("population", "unsplit"),
             image=s.get("image"),
             tissue=s.get("tissue"),
             structure=s.get("structure"),
-            truth=PhantomTruth.from_dict(s["truth"]) if s.get("truth") else None,
+            truth=truth,
         ))
     return CohortManifest(seed=payload["seed"],
                           spacing_mm=tuple(payload["spacing_mm"]),

@@ -46,14 +46,6 @@ class Basis:
 
 
 @dataclass(frozen=True)
-class Plane:
-    """Plane {p : normal . p = offset}."""
-
-    normal: np.ndarray
-    offset: float
-
-
-@dataclass(frozen=True)
 class LegLength:
     upper_mm: float
     lower_mm: float
@@ -70,23 +62,7 @@ class HeightBreakdown:
     neck_mm: float
     head_mm: float
     total_mm: float
-    per_leg: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "lower_body_mm": self.lower_body_mm,
-            "torso_mm": self.torso_mm,
-            "neck_mm": self.neck_mm,
-            "head_mm": self.head_mm,
-            "total_mm": self.total_mm,
-            "per_leg": dict(self.per_leg),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HeightBreakdown":
-        return cls(lower_body_mm=d["lower_body_mm"], torso_mm=d["torso_mm"],
-                   neck_mm=d["neck_mm"], head_mm=d["head_mm"],
-                   total_mm=d["total_mm"], per_leg=dict(d["per_leg"]))
+    per_leg: dict[str, float | None]
 
 
 def _coords_for(grid: Grid, sl=None):
@@ -175,18 +151,6 @@ class _LabelIndex:
         return coords + np.asarray(self.grid.origin_mm)
 
 
-def _label_name(labels: LabelMap, label: int) -> str:
-    return labels.class_table.get(label, f"label {label}")
-
-
-def mask_centroid(labels: LabelMap, label: int) -> np.ndarray:
-    """World-space centroid of one label; raises if the label is absent."""
-    c = _LabelIndex(labels).centroid(label)
-    if c is None:
-        raise ValueError(f"no voxels with label {label} ({_label_name(labels, label)})")
-    return c
-
-
 def _principal_axis_from_moments(n: int, cov: np.ndarray) -> np.ndarray:
     if n < 3:
         raise ValueError(f"principal axis needs at least 3 voxels, got {n}")
@@ -200,14 +164,6 @@ def _principal_axis_from_moments(n: int, cov: np.ndarray) -> np.ndarray:
                 axis = -axis
             break
     return axis / np.linalg.norm(axis)
-
-
-def principal_axis(labels: LabelMap, label: int) -> np.ndarray:
-    """Unit principal axis of one label's voxel cloud, sign toward +z."""
-    n, _, cov = _LabelIndex(labels).moments(label)
-    if n == 0:
-        raise ValueError(f"no voxels with label {label} ({_label_name(labels, label)})")
-    return _principal_axis_from_moments(n, cov)
 
 
 def _basis_from(index: _LabelIndex, body_moments) -> Basis:
@@ -235,15 +191,6 @@ def _basis_from(index: _LabelIndex, body_moments) -> Basis:
     return Basis(superior=superior, left_right=lr, anterior=anterior, origin=mean)
 
 
-def estimate_ras_basis(body: LabelMap, structures: LabelMap) -> Basis:
-    """Estimate the patient frame from the body mask and paired landmarks."""
-    if body.grid != structures.grid:
-        raise ValueError("body and structure maps must share a grid")
-    index = _LabelIndex(structures)
-    body_moments = _mask_moments(body.body_mask(), _coords_for(body.grid))
-    return _basis_from(index, body_moments)
-
-
 def _pelvis_offset(index: _LabelIndex, superior: np.ndarray) -> float:
     best = None
     for femur_id in (23, 24):
@@ -254,12 +201,6 @@ def _pelvis_offset(index: _LabelIndex, superior: np.ndarray) -> float:
     if best is None:
         raise ValueError("no femur voxels (labels 23/24)")
     return best
-
-
-def pelvis_plane(structures: LabelMap, basis: Basis) -> Plane:
-    """Plane normal to superior through the superior-most femur voxel."""
-    offset = _pelvis_offset(_LabelIndex(structures), basis.superior)
-    return Plane(normal=basis.superior, offset=offset)
 
 
 def _largest_component(mask: np.ndarray) -> np.ndarray:
@@ -351,18 +292,6 @@ def _leg_length(index: _LabelIndex, body_mask: np.ndarray, basis: Basis,
     exit_point = _ray_exit(body_mask, grid, start, tibia_axis)
     lower = float(np.linalg.norm(exit_point - start))
     return LegLength(upper_mm=float(upper), lower_mm=lower)
-
-
-def leg_length_mm(side: str, structures: LabelMap, body: LabelMap,
-                  basis: Basis) -> LegLength:
-    """Upper and lower leg length along the bone axes for one side."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    if body.grid != structures.grid:
-        raise ValueError("body and structure maps must share a grid")
-    index = _LabelIndex(structures)
-    pelvis = _pelvis_offset(index, basis.superior)
-    return _leg_length(index, body.body_mask(), basis, side, pelvis)
 
 
 def measure_height(body: LabelMap, structures: LabelMap) -> HeightBreakdown:

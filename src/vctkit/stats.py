@@ -69,11 +69,6 @@ def pearson(x, y) -> float:
     return float(sa @ sb) / math.sqrt(va * vb)
 
 
-def mae(errors) -> float:
-    e = _check_finite_1d(errors, "errors")
-    return float(np.abs(e).mean())
-
-
 def weighted_mae(errors, weights) -> float:
     """sum(w * |e|) / sum(w)."""
     e = _check_finite_1d(errors, "errors")
@@ -88,27 +83,14 @@ def weighted_mae(errors, weights) -> float:
     return float((w * np.abs(e)).sum() / total)
 
 
-_STATISTICS = {
-    "mean": lambda m: m.mean(axis=1),
-    "mean_abs": lambda m: np.abs(m).mean(axis=1),
-}
-
-
-def bootstrap_ci(samples, statistic="mean", n_boot: int = 10000,
-                 level: float = 0.95, seed: int = 0) -> tuple[float, float]:
-    """Seeded percentile-bootstrap confidence interval.
-
-    ``statistic`` is "mean", "mean_abs", or a callable mapping the
-    (n_boot, n) resample matrix to an (n_boot,) vector of statistics.
-    """
+def bootstrap_ci(samples, n_boot: int = 10000, level: float = 0.95,
+                 seed: int = 0) -> tuple[float, float]:
+    """Seeded percentile-bootstrap confidence interval of the mean."""
     x = _check_finite_1d(samples, "samples")
     if n_boot < 1:
         raise ValueError("n_boot must be positive")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    fn = _STATISTICS.get(statistic, statistic)
-    if not callable(fn):
-        raise ValueError(f"unknown statistic {statistic!r}")
     stream = Stream(seed)
     n = len(x)
     stats = np.empty(n_boot, dtype=np.float64)
@@ -117,7 +99,7 @@ def bootstrap_ci(samples, statistic="mean", n_boot: int = 10000,
     while done < n_boot:
         b = min(chunk, n_boot - done)
         idx = stream.integers(b * n, n).reshape(b, n)
-        stats[done:done + b] = fn(x[idx])
+        stats[done:done + b] = x[idx].mean(axis=1)
         done += b
     alpha = (1.0 - level) / 2.0
     lo, hi = np.quantile(stats, [alpha, 1.0 - alpha])

@@ -25,12 +25,12 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .codec import decode, encode
 from .composition import CompositionReport, measure_composition
 from .forest import Forest, ForestParams, REGRESSOR_PARAMS, fit_forest, predict, predict_proba
 from .phantom import (
@@ -48,7 +48,6 @@ from .rng import Stream, fnv1a64, subject_seed
 from .stats import (
     bootstrap_ci,
     importance_weights,
-    mae,
     normal_cdf,
     pearson,
     weighted_mae,
@@ -301,10 +300,6 @@ def make_predictor(spec: dict, seed: int = 0):
 
 # --- attribute encoding and the OOD classifier ----------------------------
 
-CLASSIFIER_FEATURES = ("sex_m", "sex_f", "age_mid", "age_none",
-                       "height_mid", "height_none", "weight_mid", "weight_none")
-
-
 def encode_binned(binned: BinnedAttributes) -> list[float]:
     """Sex one-hot, bin midpoints as ordinals, 'none' indicator columns."""
     row = [1.0 if binned.sex == "M" else 0.0, 1.0 if binned.sex == "F" else 0.0]
@@ -320,9 +315,7 @@ def encode_attributes(attrs_list) -> np.ndarray:
                     dtype=np.float64)
 
 
-def fit_ood_classifier(id_attrs, ood_attrs,
-                       params: ForestParams = ForestParams(),
-                       seed: int = 0) -> tuple[Forest, float]:
+def fit_ood_classifier(id_attrs, ood_attrs, seed: int = 0) -> tuple[Forest, float]:
     """Forest over {ID=0, OOD=1} from encoded attributes.
 
     Returns the classifier (refit on all rows) and its stratified 80/20
@@ -346,7 +339,7 @@ def fit_ood_classifier(id_attrs, ood_attrs,
     train_rows = np.array(sorted(train_rows))
     test_rows = np.array(sorted(test_rows))
 
-    params = replace(params, seed=seed)
+    params = ForestParams(seed=seed)
     held = fit_forest(X[train_rows], y[train_rows], "classifier", params)
     accuracy = float((predict(held, X[test_rows]) == y[test_rows]).mean())
     full = fit_forest(X, y, "classifier", params)
@@ -420,6 +413,7 @@ class TrialReport:
     rows: list[TrialRow]
     samples: dict               # sample_type -> list[SubjectError]
     attribution: AttributionBlock | None = None
+    attribution_skipped: str | None = None  # why attribution is None
 
     def row(self, population: str, sample_type: str) -> TrialRow | None:
         for r in self.rows:
@@ -458,7 +452,6 @@ class TrialOptions:
     z_boot: int = 2000
     level: float = 0.95
     seed: int = 0
-    classifier_params: ForestParams = ForestParams()
 
 
 def run_trial(real: dict, split: BiasedSplit, predictor, target: str,
@@ -499,8 +492,7 @@ def run_trial(real: dict, split: BiasedSplit, predictor, target: str,
     def add_row(population, attr_dist, sample_type, errs, with_z=True):
         errs = np.asarray(errs, dtype=np.float64)
         seed = _row_seed(options.seed, population, sample_type)
-        ci = bootstrap_ci(errs, "mean", n_boot=options.n_boot,
-                          level=options.level, seed=seed)
+        ci = bootstrap_ci(errs, n_boot=options.n_boot, level=options.level, seed=seed)
         point, verdict = float(errs.mean()), verdict_for(float(errs.mean()))
         if sample_type == "real":
             z, z_ci, p = 0.0, None, 1.0
@@ -546,8 +538,7 @@ def run_trial(real: dict, split: BiasedSplit, predictor, target: str,
     if len(id_subjects) and len(ood_subjects):
         clf, classifier_accuracy = fit_ood_classifier(
             [s.attributes for s in id_subjects],
-            [s.attributes for s in ood_subjects],
-            params=options.classifier_params, seed=options.seed)
+            [s.attributes for s in ood_subjects], seed=options.seed)
         n_id, n_ood = len(id_subjects), len(ood_subjects)
         priors = (n_id / (n_id + n_ood), n_ood / (n_id + n_ood))
         est = weighted_degradation_estimate(
@@ -741,72 +732,15 @@ class TrialConfig:
             raise ValueError("level must lie in (0, 1)")
 
     def to_dict(self) -> dict:
-        return config_to_dict(self)
+        return encode(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrialConfig":
-        return config_from_dict(cls, d)
+        return decode(cls, d)
 
     @classmethod
     def from_json(cls, path) -> "TrialConfig":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-# --- config codec -----------------------------------------------------------
-
-
-def config_to_dict(obj) -> dict:
-    """JSON-ready dict of a config dataclass, field by field, nested included."""
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            value = config_to_dict(value)
-        elif isinstance(value, tuple):
-            value = list(value)
-        elif isinstance(value, dict):
-            value = dict(value)
-        out[f.name] = value
-    return out
-
-
-def config_from_dict(cls, d, key: str = ""):
-    """Config dataclass ``cls`` from a JSON dict; inverse of :func:`config_to_dict`.
-
-    Each value is converted by its field's type.  Unknown keys and values
-    that do not fit the type raise ValueError naming the dotted key; ``key``
-    is the dotted key of ``d`` itself (empty for a whole trial config).
-    """
-    what = key or "trial config"
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} must be a JSON object, got {d!r}")
-    bad = set(d) - {f.name for f in fields(cls)}
-    if bad:
-        raise ValueError(f"unknown {what} keys: {sorted(bad)}")
-    types = get_type_hints(cls)
-    return cls(**{name: _decode(types[name], value, f"{key}.{name}" if key else name)
-                  for name, value in d.items()})
-
-
-def _decode(tp, value, key: str):
-    if is_dataclass(tp):
-        return config_from_dict(tp, value, key)
-    origin, args = get_origin(tp) or tp, get_args(tp)
-    if origin is tuple:
-        if not isinstance(value, (list, tuple)) or len(value) != len(args):
-            raise ValueError(f"{key} must be a list of {len(args)} numbers, got {value!r}")
-        return tuple(_decode(t, v, key) for t, v in zip(args, value))
-    if origin is dict:
-        if not isinstance(value, dict):
-            raise ValueError(f"{key} must be a JSON object, got {value!r}")
-        if not args:
-            return dict(value)
-        return {_decode(args[0], k, key): _decode(args[1], v, f"{key}.{k}")
-                for k, v in value.items()}
-    accepted = (int, float) if tp is float else tp
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ValueError(f"{key} must be {tp.__name__}, got {value!r}")
-    return tp(value)
 
 
 def generate_measured_cohort(n: int, dist: AttributeDistribution, spacing,
@@ -879,6 +813,7 @@ def run_full_vct(config: TrialConfig = TrialConfig(), threads: int = 1,
     try:
         report.attribution = attribute_errors(report, seed=config.trial_seed)
     except ValueError as exc:
+        report.attribution_skipped = str(exc)
         warnings.warn(f"attribution skipped: {exc}")
     return report
 
@@ -895,40 +830,19 @@ def _sorted_rows(rows: list[TrialRow]) -> list[TrialRow]:
 
 
 def report_to_dict(report: TrialReport, config: TrialConfig | None = None) -> dict:
-    rows = []
-    for r in _sorted_rows(report.rows):
-        rows.append({
-            "population": r.population,
-            "attr_dist": r.attr_dist,
-            "sample_type": r.sample_type,
-            "n": r.n,
-            "mae": r.mae,
-            "mae_ci": list(r.mae_ci),
-            "z_vs_real": r.z_vs_real,
-            "z_ci": list(r.z_ci) if r.z_ci is not None else None,
-            "p_value": r.p_value,
-            "verdict": r.verdict,
-        })
     out = {
         "task": report.task,
-        "boundary": config_to_dict(report.boundary),
+        "boundary": encode(report.boundary),
         "achieved_pearson": report.achieved_pearson,
         "counts": dict(report.counts),
         "classifier_accuracy": report.classifier_accuracy,
         "verdicts": {r.population: r.verdict
                      for r in report.rows if r.sample_type == "real"},
-        "rows": rows,
-        "attribution": None,
+        "rows": [encode(r) for r in _sorted_rows(report.rows)],
+        "attribution": None if report.attribution is None else encode(report.attribution),
     }
-    if report.attribution is not None:
-        a = report.attribution
-        out["attribution"] = {
-            "correlations": a.correlations,
-            "importances": a.importances,
-            "importance_correlations": a.importance_correlations,
-            "regression_mae": a.regression_mae,
-            "warnings": list(a.warnings),
-        }
+    if report.attribution_skipped is not None:
+        out["attribution_skipped"] = report.attribution_skipped
     if config is not None:
         out["config"] = config.to_dict()
     return out

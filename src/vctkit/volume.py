@@ -109,11 +109,6 @@ class Grid:
     def n_voxels(self) -> int:
         return self.dims[0] * self.dims[1] * self.dims[2]
 
-    def index_to_world(self, idx: np.ndarray) -> np.ndarray:
-        """Map an (N, 3) array of voxel indices to world mm coordinates."""
-        idx = np.asarray(idx, dtype=np.float64)
-        return idx * np.asarray(self.spacing_mm) + np.asarray(self.origin_mm)
-
     def axis_coords(self, axis: int) -> np.ndarray:
         """World coordinates of voxel centers along one axis."""
         return (
@@ -152,10 +147,6 @@ class Volume:
         if self.unit not in VOLUME_UNITS:
             raise ValueError(f"unit must be one of {VOLUME_UNITS}, got {self.unit!r}")
 
-    @property
-    def dtype_name(self) -> str:
-        return str(self.data.dtype)
-
 
 @dataclass(frozen=True)
 class LabelMap:
@@ -192,7 +183,3 @@ class LabelMap:
 
     def body_mask(self) -> np.ndarray:
         return self.data != 0
-
-    @property
-    def dtype_name(self) -> str:
-        return str(self.data.dtype)

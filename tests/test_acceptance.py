@@ -33,7 +33,7 @@ from vctkit.phantom import (
 )
 from vctkit.rng import Stream, subject_seed
 from vctkit.skeleton import measure_height
-from vctkit.stats import bootstrap_ci, importance_weights, mae, weighted_mae, z_score
+from vctkit.stats import bootstrap_ci, importance_weights, weighted_mae, z_score
 from vctkit.trial import (
     SubjectError,
     TrialConfig,
@@ -113,15 +113,15 @@ def test_bootstrap_coverage_of_normal_mean():
     covered = 0
     for rep in range(200):
         x = Stream(subject_seed(515, rep)).normal(50, 0.0, 1.0)
-        lo, hi = bootstrap_ci(x, "mean", n_boot=1000, level=0.95, seed=rep)
+        lo, hi = bootstrap_ci(x, n_boot=1000, level=0.95, seed=rep)
         covered += lo <= 0.0 <= hi
     elapsed = time.perf_counter() - start
     assert 180 <= covered <= 196, f"covered {covered}/200"
     assert elapsed < 30.0, f"coverage run took {elapsed:.1f}s"
     # deterministic per seed
     x = Stream(subject_seed(515, 0)).normal(50, 0.0, 1.0)
-    assert bootstrap_ci(x, "mean", n_boot=1000, seed=0) == \
-        bootstrap_ci(x, "mean", n_boot=1000, seed=0)
+    assert bootstrap_ci(x, n_boot=1000, seed=0) == \
+        bootstrap_ci(x, n_boot=1000, seed=0)
 
 
 # --- 4. forest sanity ---------------------------------------------------------
@@ -162,7 +162,7 @@ def test_weighting_constant_probability_identity():
     for prior_ood in (0.2, 0.5, 0.75):
         p = np.full(40, prior_ood)
         w = importance_weights(p, 1.0 - prior_ood, prior_ood)
-        assert weighted_mae(errors, w) == pytest.approx(mae(errors), abs=1e-12)
+        assert weighted_mae(errors, w) == pytest.approx(np.abs(errors).mean(), abs=1e-12)
 
 
 def test_weighting_hand_case_three():

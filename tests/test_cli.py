@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import re
+import shutil
 
 import pytest
 
@@ -180,11 +181,16 @@ def test_trial_bad_configs(tmp_path):
                      "--out", str(tmp_path / "o3")]) == 2, bad
 
 
-def test_run_vct_script_bad_config(tmp_path, capsys, request):
+def _run_vct_script(request):
     script = request.config.rootpath / "scripts" / "run_vct.py"
     spec = importlib.util.spec_from_file_location("run_vct", script)
     run_vct = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run_vct)
+    return run_vct
+
+
+def test_run_vct_script_bad_config(tmp_path, capsys, request):
+    run_vct = _run_vct_script(request)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n_subjectz": 1}))
     assert run_vct.main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
@@ -197,6 +203,80 @@ def test_run_vct_script_bad_config(tmp_path, capsys, request):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "unknown predictor kind 'mlp'" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_run_vct_quick_records_why_attribution_is_skipped(tmp_path, capsys, request):
+    run_vct = _run_vct_script(request)
+    out = tmp_path / "quick"
+    with pytest.warns(UserWarning, match="attribution skipped"):
+        assert run_vct.main(["--quick", "--threads", "1", "--out", str(out)]) == 0
+    reason = "sample type 'real' has 20 subjects; need at least 30"
+    report = json.loads((out / "report.json").read_text())
+    assert report["attribution"] is None
+    assert report["attribution_skipped"] == reason
+    assert not (out / "bias_corr.csv").exists()
+    assert f"(attribution skipped: {reason})" in capsys.readouterr().out
+
+
+def _corrupt_cohort(cohort_dir, dest, subject, field, value):
+    """Copy of a measured cohort with one key of one subject's record changed.
+
+    ``field`` is "<record>.<key>" with record "truth" or "attributes" (in the
+    manifest) or "measurement"; ``value`` None deletes the key.
+    """
+    shutil.copytree(cohort_dir / "measurements", dest / "measurements")
+    shutil.copy(cohort_dir / "manifest.json", dest / "manifest.json")
+    record, key = field.split(".")
+    if record == "measurement":
+        path = dest / "measurements" / f"{subject}.json"
+    else:
+        path = dest / "manifest.json"
+    payload = json.loads(path.read_text())
+    target = payload if record == "measurement" else next(
+        s for s in payload["subjects"] if s["id"] == subject)[record]
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
+    path.write_text(json.dumps(payload))
+    return dest
+
+
+@pytest.mark.parametrize("subject, field, value, message", [
+    ("subj_0000", "truth.fat_pct", None,
+     "subject 'subj_0000': truth is missing keys: ['fat_pct']"),
+    ("subj_0003", "attributes.age_years", "old",
+     "subject 'subj_0003': attributes.age_years must be float, got 'old'"),
+    ("subj_0005", "truth.landmarks", {"c7": [1.0, 2.0]},
+     "subject 'subj_0005': truth.landmarks.c7 must be a list of 3 numbers"),
+])
+def test_bad_manifest_exits_2_naming_subject_and_key(cohort_dir, tmp_path, capsys,
+                                                     subject, field, value, message):
+    cohort = _corrupt_cohort(cohort_dir, tmp_path / "cohort", subject, field, value)
+    assert main(["measure", "--manifest", str(cohort / "manifest.json"),
+                 "--out", str(tmp_path / "measured")]) == 2
+    assert message in capsys.readouterr().err
+    cfg = tmp_path / "trial.json"
+    cfg.write_text(json.dumps(_trial_config()))
+    assert main(["trial", "run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--cohort", str(cohort)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("measurement.fat_pct", None, "composition report is missing keys: ['fat_pct']"),
+    ("measurement.bone_density_hu", "dense", "bone_density_hu must be float"),
+    ("measurement.height", {"per_leg": {}}, "height is missing keys: ['head_mm', "),
+])
+def test_bad_measurement_exits_2_naming_subject_and_key(cohort_dir, tmp_path, capsys,
+                                                        field, value, message):
+    cohort = _corrupt_cohort(cohort_dir, tmp_path / "cohort", "subj_0002", field, value)
+    cfg = tmp_path / "trial.json"
+    cfg.write_text(json.dumps(_trial_config()))
+    assert main(["trial", "run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--cohort", str(cohort)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: subject 'subj_0002': ") and message in err
 
 
 def test_trial_missing_cohort_measurements(tmp_path):

@@ -1,12 +1,14 @@
 """Densitometry: air rule, HU->density mapping, masses, and truth closure."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from vctkit.composition import REFERENCE_HU, CompositionReport, measure_composition
 from vctkit.io import load_volume, save_volume
+from vctkit.skeleton import measure_height
 from vctkit.volume import FormatError, Grid, LabelMap, Volume
 
 
@@ -132,11 +134,22 @@ def test_truth_closure_single_phantom(phantom_default):
 
 
 def test_report_json_round_trip(phantom_default):
-    _, vol, tissue, _, _ = phantom_default
-    rep = measure_composition(vol, tissue)
-    back = CompositionReport.from_dict(json.loads(json.dumps(rep.to_dict())))
-    assert back.body_mass_g == pytest.approx(rep.body_mass_g, rel=1e-12)
-    assert back.per_tissue_mass_g == rep.per_tissue_mass_g
-    assert set(rep.to_dict()) == {"body_mass_kg", "fat_pct", "muscle_pct",
-                                  "bone_density_hu", "body_volume_l",
-                                  "per_tissue_mass_g", "height"}
+    _, vol, tissue, structure, _ = phantom_default
+    bare = measure_composition(vol, tissue)
+    for rep in (bare, replace(bare, height=measure_height(tissue, structure))):
+        d = rep.to_dict()
+        assert set(d) == {"body_mass_kg", "fat_pct", "muscle_pct", "bone_density_hu",
+                          "body_volume_l", "per_tissue_mass_g", "height"}
+        assert d["body_mass_kg"] == rep.body_mass_kg
+        back = CompositionReport.from_dict(json.loads(json.dumps(d)))
+        assert back.body_mass_g == pytest.approx(rep.body_mass_g, rel=1e-12)
+        assert replace(back, body_mass_g=rep.body_mass_g) == rep
+    assert back.height is not None and bare.height is None
+    # fields with defaults may be absent; the others may not
+    assert CompositionReport.from_dict({k: v for k, v in d.items()
+                                        if k not in ("height", "per_tissue_mass_g")}) \
+        == replace(back, height=None, per_tissue_mass_g={})
+    with pytest.raises(ValueError, match=r"composition report is missing keys: \['fat_pct'\]"):
+        CompositionReport.from_dict({k: v for k, v in d.items() if k != "fat_pct"})
+    with pytest.raises(ValueError, match=r"height\.total_mm must be float"):
+        CompositionReport.from_dict({**d, "height": {**d["height"], "total_mm": "tall"}})

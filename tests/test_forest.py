@@ -15,7 +15,6 @@ from vctkit.forest import (
     REGRESSOR_PARAMS,
     _best_split,
     _gini,
-    feature_importance,
     fit_forest,
     predict,
     predict_proba,
@@ -88,7 +87,7 @@ def test_single_informative_feature_importance():
     y = (X[:, 2] > 0.5).astype(np.float64)  # noiseless step on feature 2
     forest = fit_forest(X, y, "classifier",
                         ForestParams(max_features="all", seed=2))
-    imp = feature_importance(forest)
+    imp = forest.importances
     assert imp[2] >= 0.8
     assert imp.sum() == pytest.approx(1.0, abs=1e-9)
     assert (imp >= 0).all()
@@ -98,13 +97,7 @@ def test_importance_uniform_when_no_splits():
     X = np.ones((30, 3))
     y = np.ones(30)
     forest = fit_forest(X, y, "classifier", ForestParams(n_trees=5))
-    np.testing.assert_allclose(feature_importance(forest), [1 / 3] * 3)
-
-
-def test_untrained_forest_importance_raises():
-    with pytest.raises(ValueError):
-        feature_importance(Forest(kind="classifier", params=ForestParams(),
-                                  n_features=2))
+    np.testing.assert_allclose(forest.importances, [1 / 3] * 3)
 
 
 def test_min_samples_leaf_enforced():

@@ -1,8 +1,13 @@
 """Phantom generation: truth closure, determinism, cohorts, binning, manifests."""
 
+import json
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from vctkit.codec import decode, encode
 from vctkit.phantom import (
     AttributeDistribution,
     Attributes,
@@ -78,7 +83,7 @@ def test_generation_deterministic():
     np.testing.assert_array_equal(v1.data, v2.data)
     np.testing.assert_array_equal(t1.data, t2.data)
     np.testing.assert_array_equal(s1.data, s2.data)
-    assert truth1.to_dict() == truth2.to_dict()
+    assert encode(truth1) == encode(truth2)
 
 
 @pytest.mark.parametrize("spacing", [2.0, 4.0, 8.0])
@@ -120,7 +125,23 @@ def test_infeasible_spec():
 
 def test_truth_round_trip(phantom_small):
     _, _, _, _, truth = phantom_small
-    assert PhantomTruth.from_dict(truth.to_dict()) == truth
+    back = decode(PhantomTruth, json.loads(json.dumps(encode(truth))), "truth")
+    assert back == truth
+    assert back.landmarks["c7"] == truth.landmarks["c7"]
+    assert type(back.landmarks["c7"]) is tuple
+    # a phantom without bone voxels records NaN bone density, which survives JSON
+    boneless = replace(truth, bone_density_hu=float("nan"))
+    text = json.dumps(encode(boneless))
+    assert '"bone_density_hu": NaN' in text
+    back = decode(PhantomTruth, json.loads(text), "truth")
+    assert math.isnan(back.bone_density_hu)
+    assert replace(back, bone_density_hu=0.0) == replace(truth, bone_density_hu=0.0)
+    missing = encode(truth)
+    del missing["fat_pct"]
+    with pytest.raises(ValueError, match=r"truth is missing keys: \['fat_pct'\]"):
+        decode(PhantomTruth, missing, "truth")
+    with pytest.raises(ValueError, match=r"truth\.landmarks\.c7 must be a list of 3"):
+        decode(PhantomTruth, {**encode(truth), "landmarks": {"c7": [1.0, 2.0]}}, "truth")
 
 
 # --- attribute model ------------------------------------------------------

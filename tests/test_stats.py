@@ -1,4 +1,4 @@
-"""Z-score, p-values, bootstrap, Pearson, MAE, and weighting identities."""
+"""Z-score, p-values, bootstrap, Pearson, and weighting identities."""
 
 import math
 
@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from vctkit.stats import (
     bootstrap_ci,
     importance_weights,
-    mae,
     normal_cdf,
     pearson,
     weighted_mae,
@@ -69,13 +68,9 @@ def test_pearson_hand_cases():
         pearson(x, [2.0, 2.0, 2.0, 2.0])
 
 
-def test_mae_hand_case():
-    assert mae([1.0, -1.0, 2.0]) == pytest.approx(4 / 3)
-
-
 def test_weighted_mae_identities():
     e = [1.0, -1.0, 2.0]
-    assert weighted_mae(e, [5.0, 5.0, 5.0]) == pytest.approx(mae(e))
+    assert weighted_mae(e, [5.0, 5.0, 5.0]) == pytest.approx(np.abs(e).mean())
     assert weighted_mae(e, [0.0, 0.0, 3.0]) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         weighted_mae(e, [0.0, 0.0, 0.0])
@@ -84,38 +79,24 @@ def test_weighted_mae_identities():
 
 
 def test_bootstrap_constant_samples():
-    lo, hi = bootstrap_ci([4.2] * 10, "mean", n_boot=200, seed=3)
+    lo, hi = bootstrap_ci([4.2] * 10, n_boot=200, seed=3)
     assert lo == hi == pytest.approx(4.2)
 
 
 def test_bootstrap_deterministic_and_chunk_invariant():
     x = np.linspace(-2, 5, 37)
-    a = bootstrap_ci(x, "mean", n_boot=5000, seed=11)
-    b = bootstrap_ci(x, "mean", n_boot=5000, seed=11)
+    a = bootstrap_ci(x, n_boot=5000, seed=11)
+    b = bootstrap_ci(x, n_boot=5000, seed=11)
     assert a == b
-    c = bootstrap_ci(x, "mean", n_boot=5000, seed=12)
+    c = bootstrap_ci(x, n_boot=5000, seed=12)
     assert a != c
-
-
-def test_bootstrap_mean_abs_statistic():
-    x = [-1.0, 1.0, -1.0, 1.0]
-    lo, hi = bootstrap_ci(x, "mean_abs", n_boot=100, seed=0)
-    assert lo == hi == pytest.approx(1.0)
-
-
-def test_bootstrap_callable_statistic():
-    x = np.arange(20.0)
-    lo, hi = bootstrap_ci(x, lambda m: np.median(m, axis=1), n_boot=500, seed=5)
-    assert lo <= np.median(x) <= hi
 
 
 def test_bootstrap_rejects_bad_args():
     with pytest.raises(ValueError):
-        bootstrap_ci([], "mean")
+        bootstrap_ci([])
     with pytest.raises(ValueError):
-        bootstrap_ci([1.0, 2.0], "mode")
-    with pytest.raises(ValueError):
-        bootstrap_ci([1.0, 2.0], "mean", level=1.0)
+        bootstrap_ci([1.0, 2.0], level=1.0)
 
 
 def test_importance_weights_hand_case():
@@ -128,7 +109,7 @@ def test_importance_weights_constant_p_identity():
     e = [0.5, 1.5, 2.5, 0.1]
     prior_ood = 0.3
     w = importance_weights([prior_ood] * 4, 0.7, 0.3)
-    assert weighted_mae(e, w) == pytest.approx(mae(e), abs=1e-12)
+    assert weighted_mae(e, w) == pytest.approx(np.abs(e).mean(), abs=1e-12)
 
 
 def test_importance_weights_clip_at_one():
@@ -148,6 +129,6 @@ def test_importance_weights_validation():
 
 @given(finite_lists)
 def test_bootstrap_interval_ordered(xs):
-    lo, hi = bootstrap_ci(xs, "mean", n_boot=200, seed=1)
+    lo, hi = bootstrap_ci(xs, n_boot=200, seed=1)
     assert lo <= hi
     assert min(xs) - 1e-9 <= lo and hi <= max(xs) + 1e-9

@@ -342,6 +342,7 @@ def test_report_row_order_and_verdicts(tmp_path):
         {"real": 0, "real_weighted": 1, "synthetic": 2, "synthetic_rebias": 3}[k[1]]))
     assert set(d["verdicts"]) == {"ID", "OOD"}
     assert d["attribution"] is None
+    assert "attribution_skipped" not in d  # run_trial does not attempt attribution
 
 
 def test_write_trial_outputs(tmp_path):
