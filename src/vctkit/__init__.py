@@ -8,7 +8,7 @@ separates in-distribution performance from out-of-distribution degradation.
 from .composition import CompositionReport, measure_composition
 from .forest import Forest, ForestParams, fit_forest, predict, predict_proba
 from .io import load_labelmap, load_volume, save_labelmap, save_volume
-from .metrics import cohort_consistency, dice, per_class_dice, qq_pearson
+from .metrics import cohort_consistency, per_class_dice, qq_pearson
 from .phantom import (
     AttributeDistribution,
     Attributes,
@@ -29,6 +29,7 @@ from .trial import (
     BiasBoundary,
     BiasedSplit,
     MeasuredSubject,
+    PredictorSpec,
     TrialConfig,
     TrialReport,
     attribute_errors,

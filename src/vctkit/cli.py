@@ -115,11 +115,16 @@ def _measure_one(base: Path, record):
     return rep
 
 
-def cmd_measure(args) -> int:
-    manifest_path = Path(args.manifest)
+def _load_subjects(manifest_path: Path):
     manifest = load_manifest(manifest_path)
     if not manifest.subjects:
         raise ConfigError(f"manifest {manifest_path} lists no subjects")
+    return manifest
+
+
+def cmd_measure(args) -> int:
+    manifest_path = Path(args.manifest)
+    manifest = _load_subjects(manifest_path)
     base = manifest_path.parent
     out = Path(args.out)
     log = _setup_log(out)
@@ -204,53 +209,42 @@ def cmd_trial_run(args) -> int:
 # --- consistency ------------------------------------------------------------
 
 
-def _load_maps(base: Path, record):
-    tissue = load_labelmap(base / record.tissue, kind="tissue")
-    structures = load_labelmap(base / record.structure, kind="structure")
-    return tissue, structures
-
-
-def _collect_cohort(manifest_path: Path, threads: int):
-    manifest = load_manifest(manifest_path)
-    if not manifest.subjects:
-        raise ConfigError(f"manifest {manifest_path} lists no subjects")
-    base = manifest_path.parent
-
+def _collect_cohort(manifest, base: Path, threads: int) -> CohortMeasurements:
     def build(record):
-        tissue, structures = _load_maps(base, record)
-        return record.subject_id, collect_structure_measurements(structures, tissue)
+        tissue = load_labelmap(base / record.tissue, kind="tissue")
+        structures = load_labelmap(base / record.structure, kind="structure")
+        return collect_structure_measurements(structures, tissue)
 
-    rows = map_ordered(build, manifest.subjects, threads)
     cohort = CohortMeasurements()
-    for _sid, per_class in rows:
+    for per_class in map_ordered(build, manifest.subjects, threads):
         cohort.add_subject(per_class)
-    return manifest, cohort
+    return cohort
 
 
 def cmd_consistency(args) -> int:
     out = Path(args.out)
     log = _setup_log(out)
     path_a, path_b = Path(args.a), Path(args.b)
-    manifest_a, cohort_a = _collect_cohort(path_a, args.threads)
-    manifest_b, cohort_b = _collect_cohort(path_b, args.threads)
+    manifest_a, manifest_b = _load_subjects(path_a), _load_subjects(path_b)
+    by_id_a = {s.subject_id: s for s in manifest_a.subjects}
+    by_id_b = {s.subject_id: s for s in manifest_b.subjects}
+    if args.mode == "paired" and set(by_id_a) != set(by_id_b):
+        raise ConfigError("paired mode requires identical subject ids "
+                          f"(A has {len(by_id_a)}, B has {len(by_id_b)}, "
+                          f"overlap {len(set(by_id_a) & set(by_id_b))})")
+    cohort_a = _collect_cohort(manifest_a, path_a.parent, args.threads)
+    cohort_b = _collect_cohort(manifest_b, path_b.parent, args.threads)
 
     dice_stats = None
     if args.mode == "paired":
-        ids_a = [s.subject_id for s in manifest_a.subjects]
-        ids_b = {s.subject_id: s for s in manifest_b.subjects}
-        if set(ids_a) != set(ids_b):
-            raise ConfigError("paired mode requires identical subject ids "
-                              f"(A has {len(ids_a)}, B has {len(ids_b)}, "
-                              f"overlap {len(set(ids_a) & set(ids_b))})")
-        by_id_a = {s.subject_id: s for s in manifest_a.subjects}
-
         def load_pair(sid):
-            _, sa = _load_maps(path_a.parent, by_id_a[sid])
-            _, sb = _load_maps(path_b.parent, ids_b[sid])
+            sa = load_labelmap(path_a.parent / by_id_a[sid].structure, kind="structure")
+            sb = load_labelmap(path_b.parent / by_id_b[sid].structure, kind="structure")
             if sa.grid != sb.grid:
                 raise ConfigError(f"subject {sid!r}: grids differ between cohorts")
             return sa, sb
 
+        ids_a = [s.subject_id for s in manifest_a.subjects]
         pairs = map_ordered(load_pair, ids_a, args.threads)
         dice_stats = paired_dice_stats(pairs)
         log.info("paired dice over %d subjects", len(pairs))

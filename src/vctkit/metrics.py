@@ -1,4 +1,4 @@
-"""Anatomy agreement metrics: Dice, relative centroids, cohort consistency.
+"""Anatomy agreement metrics: Dice, volumes and relative centroids, cohort consistency.
 
 Cohort-level distribution agreement uses Q-Q correlation: per structure
 class, sort each cohort's values, take ``min(n1, n2)`` evenly spaced
@@ -16,68 +16,71 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .stats import pearson
-from .volume import LabelMap, STRUCTURE_CLASSES, voxel_volume_mm3
+from .volume import LabelIndex, LabelMap, STRUCTURE_CLASSES, voxel_volume_mm3
 
 CONSISTENCY_MIN_SAMPLES = 3
 
 
-def dice(a: LabelMap, b: LabelMap, label: int) -> float:
-    """Dice overlap of one class: 2|A n B| / (|A| + |B|); both empty -> 1."""
-    if a.grid != b.grid:
-        raise ValueError("dice requires label maps on the same grid")
-    ma = a.mask(label)
-    mb = b.mask(label)
-    na = int(ma.sum())
-    nb = int(mb.sum())
-    if na + nb == 0:
-        return 1.0
-    inter = int(np.logical_and(ma, mb).sum())
-    return 2.0 * inter / (na + nb)
-
-
 def per_class_dice(a: LabelMap, b: LabelMap) -> dict[int, float]:
-    """Dice per class over the union of classes present in either map."""
+    """Dice 2|A n B| / (|A| + |B|) per class present in either map.
+
+    Each count runs inside the class's index box; the overlap inside the
+    intersection of the two boxes.
+    """
     if a.grid != b.grid:
         raise ValueError("dice requires label maps on the same grid")
-    present = set(np.unique(a.data).tolist()) | set(np.unique(b.data).tolist())
-    present.discard(0)
-    return {int(c): dice(a, b, int(c)) for c in sorted(present)}
-
-
-def relative_centroids(structures: LabelMap, body: LabelMap) -> dict[int, tuple[float, float, float]]:
-    """Per-class centroid normalized to the body bounding box, in [0,1]^3.
-
-    Axis order follows the RAS world frame.  A degenerate (flat) body axis
-    maps to coordinate 0.5.
-    """
-    if structures.grid != body.grid:
-        raise ValueError("structure and body maps must share a grid")
-    body_mask = body.body_mask()
-    if not body_mask.any():
-        raise ValueError("degenerate input: body mask is empty")
-    idx = np.nonzero(body_mask)
-    spacing = np.asarray(structures.grid.spacing_mm)
-    origin = np.asarray(structures.grid.origin_mm)
-    lo = np.array([i.min() for i in idx], dtype=np.float64) * spacing + origin
-    hi = np.array([i.max() for i in idx], dtype=np.float64) * spacing + origin
-    span = hi - lo
-    out: dict[int, tuple[float, float, float]] = {}
-    for c in sorted(int(v) for v in np.unique(structures.data) if v != 0):
-        cidx = np.nonzero(structures.data == c)
-        centroid = np.array([i.mean() for i in cidx]) * spacing + origin
-        rel = np.where(span > 0, (centroid - lo) / np.where(span > 0, span, 1.0), 0.5)
-        out[c] = (float(rel[0]), float(rel[1]), float(rel[2]))
+    ia, ib = LabelIndex(a), LabelIndex(b)
+    out = {}
+    for c in sorted(set(ia.labels) | set(ib.labels)):
+        box_a, box_b = ia.box(c), ib.box(c)
+        na = 0 if box_a is None else int(np.count_nonzero(a.data[box_a] == c))
+        nb = 0 if box_b is None else int(np.count_nonzero(b.data[box_b] == c))
+        inter = 0
+        if box_a is not None and box_b is not None:
+            # disjoint boxes give an empty slice, hence no overlap
+            both = tuple(slice(max(p.start, q.start), min(p.stop, q.stop))
+                         for p, q in zip(box_a, box_b))
+            inter = int(np.count_nonzero((a.data[both] == c) & (b.data[both] == c)))
+        out[c] = 2.0 * inter / (na + nb)
     return out
 
 
 def collect_structure_measurements(structures: LabelMap, body: LabelMap) -> dict[int, dict]:
-    """Per-class volume (mm^3) and relative centroid for one subject."""
+    """Per-class volume (mm^3) and relative centroid for one subject.
+
+    The centroid is normalized to the body's bounding box, in [0,1]^3, in
+    RAS axis order; a degenerate (flat) body axis maps to 0.5.  Counts and
+    centroids come from each class's box mask.
+    """
+    if structures.grid != body.grid:
+        raise ValueError("structure and body maps must share a grid")
+    body_index = LabelIndex(body)
+    boxes = [body_index.box(c) for c in body_index.labels]
+    if not boxes:
+        raise ValueError("degenerate input: body mask is empty")
+    spacing = np.asarray(structures.grid.spacing_mm)
+    origin = np.asarray(structures.grid.origin_mm)
+    lo = np.array([min(b[a].start for b in boxes) for a in range(3)],
+                  dtype=np.float64) * spacing + origin
+    hi = np.array([max(b[a].stop for b in boxes) - 1 for a in range(3)],
+                  dtype=np.float64) * spacing + origin
+    span = hi - lo
     vox = voxel_volume_mm3(structures.grid)
-    centroids = relative_centroids(structures, body)
-    counts = np.bincount(structures.data.ravel())
+    index = LabelIndex(structures)
     out = {}
-    for c, cent in centroids.items():
-        out[c] = {"volume_mm3": float(counts[c] * vox), "centroid": cent}
+    for c in index.labels:
+        sub, sl = index.mask(c)
+        n = int(np.count_nonzero(sub))
+        # per axis, the exact integer index sum over the grid, divided once:
+        # a box-local float mean plus the box start rounds differently
+        mean_index = []
+        for a, other in enumerate(((1, 2), (0, 2), (0, 1))):
+            local = int(sub.sum(axis=other, dtype=np.int64) @ np.arange(sub.shape[a]))
+            mean_index.append((local + n * sl[a].start) / n)
+        centroid = np.array(mean_index) * spacing + origin
+        rel = np.where(span > 0, (centroid - lo) / np.where(span > 0, span, 1.0), 0.5)
+        out[c] = {"volume_mm3": n * vox,
+                  "centroid": (float(rel[0]), float(rel[1]), float(rel[2]))}
     return out
 
 
@@ -141,15 +144,10 @@ class ConsistencyTable:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for c in sorted(self.rows):
-                r = self.rows[c]
+            for r in [self.rows[c] for c in sorted(self.rows)] + [self.average_row()]:
                 writer.writerow([r.class_name] + [
                     "" if getattr(r, col) is None else repr(getattr(r, col))
                     for col in self._COLUMNS])
-            avg = self.average_row()
-            writer.writerow([avg.class_name] + [
-                "" if getattr(avg, col) is None else repr(getattr(avg, col))
-                for col in self._COLUMNS])
 
 
 def _class_name(c: int) -> str:

@@ -806,26 +806,33 @@ def write_manifest(manifest: CohortManifest, path) -> Path:
 
 
 def load_manifest(path) -> CohortManifest:
+    """Read a manifest.json; a bad entry raises ValueError naming the file,
+    the subject (by id, or by position when it has none) and the key."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    subjects = []
-    for s in payload["subjects"]:
-        try:
-            attributes = decode(Attributes, s.get("attributes"), "attributes")
-            truth = decode(PhantomTruth, s["truth"], "truth") if s.get("truth") else None
-        except ValueError as exc:
-            raise ValueError(f"subject {s.get('id')!r}: {exc}") from exc
-        subjects.append(SubjectRecord(
-            subject_id=s["id"],
-            attributes=attributes,
-            population=s.get("population", "unsplit"),
-            image=s.get("image"),
-            tissue=s.get("tissue"),
-            structure=s.get("structure"),
-            truth=truth,
-        ))
-    return CohortManifest(seed=payload["seed"],
-                          spacing_mm=tuple(payload["spacing_mm"]),
-                          subjects=subjects)
+    try:
+        if not isinstance(payload, dict) or not isinstance(payload.get("subjects"), list):
+            raise ValueError("the top level must be a JSON object with a 'subjects' list")
+        manifest = decode(CohortManifest, {k: v for k, v in payload.items() if k != "subjects"})
+        for i, s in enumerate(payload["subjects"]):
+            if not isinstance(s, dict) or "id" not in s:
+                raise ValueError(f"subjects[{i}] is missing keys: ['id']")
+            try:
+                attributes = decode(Attributes, s.get("attributes"), "attributes")
+                truth = decode(PhantomTruth, s["truth"], "truth") if s.get("truth") else None
+            except ValueError as exc:
+                raise ValueError(f"subject {s['id']!r}: {exc}") from exc
+            manifest.subjects.append(SubjectRecord(
+                subject_id=s["id"],
+                attributes=attributes,
+                population=s.get("population", "unsplit"),
+                image=s.get("image"),
+                tissue=s.get("tissue"),
+                structure=s.get("structure"),
+                truth=truth,
+            ))
+    except ValueError as exc:
+        raise ValueError(f"manifest {path}: {exc}") from exc
+    return manifest
 
 
 def generate_cohort(n: int, dist: AttributeDistribution, spacing, seed: int,

@@ -18,8 +18,9 @@ Height is the exact sum of four segments:
 * head: from the C1 centroid along the reversed C1->C2 direction to the
   last body voxel (the crown), marched at half the smallest spacing.
 
-Per-label work runs inside label bounding boxes (one labeling pass over the
-grid) so repeated landmark queries stay cheap on large volumes.
+Landmark work runs inside each label's index box from ``volume.LabelIndex``
+(one pass over the structure map); only the body moments and the ray
+marches see the whole grid.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .volume import Grid, LabelMap, LANDMARK_PAIRS
+from .volume import Grid, LabelIndex, LabelMap, LANDMARK_PAIRS
 
 ISOTROPY_TOL = 1e-9
 
@@ -102,53 +103,23 @@ def _mask_moments(mask: np.ndarray, coords):
     return n, mean, cov
 
 
-class _LabelIndex:
-    """Bounding-box index over a structure map; one pass, cached moments."""
+def _label_moments(index: LabelIndex, label: int):
+    """Moments of one label inside its box; (0, None, None) if it is absent."""
+    m = index.mask(label)
+    return (0, None, None) if m is None else _mask_moments(m[0], _coords_for(index.grid, m[1]))
 
-    def __init__(self, structures: LabelMap):
-        self.structures = structures
-        self.grid = structures.grid
-        self._boxes = ndimage.find_objects(structures.data)
-        self._moments: dict[int, tuple] = {}
 
-    def box(self, label: int):
-        if 1 <= label <= len(self._boxes):
-            return self._boxes[label - 1]
-        return None
+def _centroid(index: LabelIndex, label: int):
+    return _label_moments(index, label)[1]
 
-    def present(self, label: int) -> bool:
-        return self.box(label) is not None
 
-    def mask(self, label: int):
-        """(submask, slice) for a label, or None if absent."""
-        sl = self.box(label)
-        if sl is None:
-            return None
-        return self.structures.data[sl] == label, sl
-
-    def moments(self, label: int):
-        if label not in self._moments:
-            m = self.mask(label)
-            if m is None:
-                self._moments[label] = (0, None, None)
-            else:
-                sub, sl = m
-                self._moments[label] = _mask_moments(sub, _coords_for(self.grid, sl))
-        return self._moments[label]
-
-    def centroid(self, label: int):
-        n, mean, _ = self.moments(label)
-        return mean if n else None
-
-    def world_coords(self, label: int) -> np.ndarray:
-        m = self.mask(label)
-        if m is None:
-            return np.empty((0, 3))
-        sub, sl = m
-        idx = np.nonzero(sub)
-        lo = np.array([sl[a].start for a in range(3)], dtype=np.float64)
-        coords = (np.stack(idx, axis=1) + lo) * np.asarray(self.grid.spacing_mm)
-        return coords + np.asarray(self.grid.origin_mm)
+def _world_coords(index: LabelIndex, label: int) -> np.ndarray:
+    """World coordinates of a present label's voxels, one row each."""
+    sub, sl = index.mask(label)
+    idx = np.nonzero(sub)
+    lo = np.array([sl[a].start for a in range(3)], dtype=np.float64)
+    coords = (np.stack(idx, axis=1) + lo) * np.asarray(index.grid.spacing_mm)
+    return coords + np.asarray(index.grid.origin_mm)
 
 
 def _principal_axis_from_moments(n: int, cov: np.ndarray) -> np.ndarray:
@@ -166,7 +137,7 @@ def _principal_axis_from_moments(n: int, cov: np.ndarray) -> np.ndarray:
     return axis / np.linalg.norm(axis)
 
 
-def _basis_from(index: _LabelIndex, body_moments) -> Basis:
+def _basis_from(index: LabelIndex, body_moments) -> Basis:
     n, mean, cov = body_moments
     if n == 0:
         raise ValueError("degenerate input: body mask is empty")
@@ -174,8 +145,8 @@ def _basis_from(index: _LabelIndex, body_moments) -> Basis:
 
     offsets = []
     for left_id, right_id in LANDMARK_PAIRS.values():
-        ml = index.centroid(left_id)
-        mr = index.centroid(right_id)
+        ml = _centroid(index, left_id)
+        mr = _centroid(index, right_id)
         if ml is not None and mr is not None:
             offsets.append(ml - mr)
     if not offsets:
@@ -191,16 +162,12 @@ def _basis_from(index: _LabelIndex, body_moments) -> Basis:
     return Basis(superior=superior, left_right=lr, anterior=anterior, origin=mean)
 
 
-def _pelvis_offset(index: _LabelIndex, superior: np.ndarray) -> float:
-    best = None
-    for femur_id in (23, 24):
-        coords = index.world_coords(femur_id)
-        if len(coords):
-            top = float((coords @ superior).max())
-            best = top if best is None else max(best, top)
-    if best is None:
+def _pelvis_offset(index: LabelIndex, superior: np.ndarray) -> float:
+    tops = [float((_world_coords(index, femur_id) @ superior).max())
+            for femur_id in (23, 24) if femur_id in index.labels]
+    if not tops:
         raise ValueError("no femur voxels (labels 23/24)")
-    return best
+    return max(tops)
 
 
 def _largest_component(mask: np.ndarray) -> np.ndarray:
@@ -247,17 +214,13 @@ def _ray_exit(body_mask: np.ndarray, grid: Grid, start: np.ndarray,
     raise ValueError("ray march found no exit from the body mask")
 
 
-def _leg_length(index: _LabelIndex, body_mask: np.ndarray, basis: Basis,
+def _leg_length(index: LabelIndex, body_mask: np.ndarray, basis: Basis,
                 side: str, pelvis_offset: float) -> LegLength:
     femur_id, tibia_id = (23, 25) if side == "left" else (24, 26)
-    if not index.present(femur_id):
-        raise ValueError(f"no voxels with label {femur_id} (femur_{side})")
-    if not index.present(tibia_id):
-        raise ValueError(f"no voxels with label {tibia_id} (tibia_{side})")
     s = basis.superior
     grid = index.grid
 
-    femur_min = float((index.world_coords(femur_id) @ s).min())
+    femur_min = float((_world_coords(index, femur_id) @ s).min())
 
     # knee: drop tibia voxels superior to the femur's inferior point, then
     # keep the largest 26-connected component
@@ -272,7 +235,7 @@ def _leg_length(index: _LabelIndex, body_mask: np.ndarray, basis: Basis,
     n_t, mean_t, cov_t = _mask_moments(keep, (cx, cy, cz))
     knee_offset = float(heights[keep].max())
 
-    n_f, _, cov_f = index.moments(femur_id)
+    n_f, _, cov_f = _label_moments(index, femur_id)
     femur_axis = _principal_axis_from_moments(n_f, cov_f)
     if femur_axis @ s < 0:
         femur_axis = -femur_axis
@@ -298,9 +261,9 @@ def measure_height(body: LabelMap, structures: LabelMap) -> HeightBreakdown:
     """Segmentwise standing-height estimate; total is the exact sum."""
     if body.grid != structures.grid:
         raise ValueError("body and structure maps must share a grid")
-    index = _LabelIndex(structures)
+    index = LabelIndex(structures)
     for required, name in ((20, "c1"), (21, "c2"), (22, "c7")):
-        if not index.present(required):
+        if required not in index.labels:
             raise ValueError(f"missing landmark {required} ({name})")
     body_mask = body.body_mask()
     body_moments = _mask_moments(body_mask, _coords_for(body.grid))
@@ -312,7 +275,7 @@ def measure_height(body: LabelMap, structures: LabelMap) -> HeightBreakdown:
     totals = []
     for side in ("left", "right"):
         femur_id, tibia_id = (23, 25) if side == "left" else (24, 26)
-        if index.present(femur_id) and index.present(tibia_id):
+        if femur_id in index.labels and tibia_id in index.labels:
             leg = _leg_length(index, body_mask, basis, side, pelvis)
             per_leg[f"{side}_mm"] = leg.total_mm
             totals.append(leg.total_mm)
@@ -320,11 +283,11 @@ def measure_height(body: LabelMap, structures: LabelMap) -> HeightBreakdown:
         raise ValueError("no complete leg (femur + tibia) on either side")
     lower_body = max(totals)
 
-    c7 = index.centroid(22)
+    c7 = _centroid(index, 22)
     torso = float(c7 @ s) - pelvis
 
-    c1 = index.centroid(20)
-    c2 = index.centroid(21)
+    c1 = _centroid(index, 20)
+    c2 = _centroid(index, 21)
     neck = float(np.linalg.norm(c7 - c1))
 
     head_dir = c1 - c2

@@ -25,7 +25,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,7 @@ from .stats import (
 )
 
 TASKS = ("fat_pct", "muscle_pct")
-SAMPLE_TYPES = ("real", "synthetic", "synthetic_rebias", "real_weighted")
+SAMPLE_TYPES = ("real", "synthetic", "synthetic_rebias")
 FEATURE_NAMES = ("sex", "age", "height", "weight", "fat_pct", "bone_density",
                  "muscle_pct", "body_volume")
 
@@ -206,6 +206,31 @@ def oversample_attributes(subjects: list[MeasuredSubject], factor: int,
 
 # --- predictors -----------------------------------------------------------
 
+PREDICTOR_KINDS = ("shortcut_linear", "oracle_noise", "external")
+
+
+@dataclass(frozen=True)
+class PredictorSpec:
+    """Which predictor a trial audits.
+
+    ``sigma`` and ``seed`` (default: the trial seed) apply to
+    ``oracle_noise``; ``path`` (a subject_id,prediction CSV) to ``external``.
+    """
+
+    kind: str = "shortcut_linear"
+    sigma: float = 0.5
+    seed: int | None = None
+    path: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in PREDICTOR_KINDS:
+            raise ValueError(f"unknown predictor kind {self.kind!r}: "
+                             f"predictor.kind must be one of {PREDICTOR_KINDS}")
+        if self.sigma < 0:
+            raise ValueError(f"predictor.sigma must be nonnegative, got {self.sigma}")
+        if self.kind == "external" and self.path is None:
+            raise ValueError("predictor.path is required for kind 'external'")
+
 
 class ShortcutLinear:
     """Least-squares line from body volume to the target.
@@ -213,8 +238,6 @@ class ShortcutLinear:
     This is the deliberate shortcut: on a biased train split, body volume
     alone predicts the target well, and the fit inherits the bias.
     """
-
-    kind = "shortcut_linear"
 
     def __init__(self):
         self.slope: float | None = None
@@ -240,11 +263,7 @@ class ShortcutLinear:
 class OracleNoise:
     """Ground truth plus seeded Gaussian noise; per-subject deterministic."""
 
-    kind = "oracle_noise"
-
-    def __init__(self, sigma: float = 0.5, seed: int = 0):
-        if sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+    def __init__(self, sigma: float, seed: int):
         self.sigma = sigma
         self.seed = seed
 
@@ -259,8 +278,6 @@ class OracleNoise:
 
 class ExternalPredictions:
     """Predictions ingested from a CSV with header subject_id,prediction."""
-
-    kind = "external"
 
     def __init__(self, predictions: dict[str, float]):
         self.predictions = dict(predictions)
@@ -286,16 +303,13 @@ class ExternalPredictions:
         return self.predictions[subject.subject_id]
 
 
-def make_predictor(spec: dict, seed: int = 0):
-    kind = spec.get("kind", "shortcut_linear")
-    if kind == "shortcut_linear":
-        return ShortcutLinear()
-    if kind == "oracle_noise":
-        return OracleNoise(sigma=float(spec.get("sigma", 0.5)),
-                           seed=int(spec.get("seed", seed)))
-    if kind == "external":
-        return ExternalPredictions.from_csv(spec["path"])
-    raise ValueError(f"unknown predictor kind {kind!r}")
+def make_predictor(spec: PredictorSpec, seed: int = 0):
+    """The predictor ``spec`` names; ``seed`` stands in for an unset spec seed."""
+    if spec.kind == "oracle_noise":
+        return OracleNoise(sigma=spec.sigma, seed=seed if spec.seed is None else spec.seed)
+    if spec.kind == "external":
+        return ExternalPredictions.from_csv(spec.path)
+    return ShortcutLinear()
 
 
 # --- attribute encoding and the OOD classifier ----------------------------
@@ -550,7 +564,6 @@ def run_trial(real: dict, split: BiasedSplit, predictor, target: str,
                              mae=est["mae"], mae_ci=est["ci"], z_vs_real=None,
                              z_ci=None, p_value=None,
                              verdict=verdict_for(est["mae"])))
-        samples["real_weighted"] = subject_errors(id_subjects, real_errors["ID"], "id")
 
     counts = {"train": len(split.train), "id_test": len(split.id_test),
               "ood_test": len(split.ood_test),
@@ -624,8 +637,7 @@ def attribute_errors(report_or_samples, min_subjects: int = 30,
         samples = report_or_samples.samples
     else:
         samples = report_or_samples
-    present = {t: v for t, v in samples.items()
-               if v and t in ("real", "synthetic", "synthetic_rebias")}
+    present = {t: v for t, v in samples.items() if v and t in SAMPLE_TYPES}
     for t, v in present.items():
         if len(v) < min_subjects:
             raise ValueError(f"sample type {t!r} has {len(v)} subjects; "
@@ -713,7 +725,7 @@ class TrialConfig:
     n_ood: int = 75
     oversample_factor: int = 2
     boundary: BiasBoundary = BiasBoundary()
-    predictor: dict = field(default_factory=lambda: {"kind": "shortcut_linear"})
+    predictor: PredictorSpec = PredictorSpec()
     distribution: AttributeDistribution = AttributeDistribution()
     n_boot: int = 10000
     z_boot: int = 2000

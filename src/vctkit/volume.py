@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
 HU_MIN = -1024
 HU_MAX = 3071
@@ -178,8 +179,28 @@ class LabelMap:
         unknown = [int(v) for v in present if v != 0 and int(v) not in self.class_table]
         raise ValueError(f"label values {unknown} missing from class_table")
 
-    def mask(self, label: int) -> np.ndarray:
-        return self.data == label
-
     def body_mask(self) -> np.ndarray:
         return self.data != 0
+
+
+class LabelIndex:
+    """Index box of every label of a label map, from one pass over the grid.
+
+    Per-label work (voxel counts, centroids, overlaps, moments) then runs
+    inside the label's box instead of over the whole grid.
+    """
+
+    def __init__(self, labelmap: LabelMap):
+        self.grid = labelmap.grid
+        self.data = labelmap.data
+        self._boxes = ndimage.find_objects(labelmap.data)
+        self.labels = tuple(i + 1 for i, sl in enumerate(self._boxes) if sl is not None)
+
+    def box(self, label: int) -> tuple[slice, slice, slice] | None:
+        """Index box of a label, or None if the label is absent."""
+        return self._boxes[label - 1] if 1 <= label <= len(self._boxes) else None
+
+    def mask(self, label: int):
+        """(submask, box) of a label, or None if the label is absent."""
+        sl = self.box(label)
+        return None if sl is None else (self.data[sl] == label, sl)

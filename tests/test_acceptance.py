@@ -21,8 +21,8 @@ from vctkit.metrics import (
     CohortMeasurements,
     cohort_consistency,
     collect_structure_measurements,
-    dice,
     paired_dice_stats,
+    per_class_dice,
     qq_pearson,
 )
 from vctkit.phantom import (
@@ -271,7 +271,7 @@ def test_dice_hand_case_exact():
     b[0, 0, 1:3] = 1
     la = LabelMap(grid, a, "tissue", {1: "c1"})
     lb = LabelMap(grid, b, "tissue", {1: "c1"})
-    assert dice(la, lb, 1) == 0.5
+    assert per_class_dice(la, lb) == {1: 0.5}
 
 
 def test_self_comparison_table_all_ones():

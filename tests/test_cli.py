@@ -166,7 +166,7 @@ def test_trial_run_from_measured_cohort(cohort_dir, tmp_path, capsys):
     assert report["verdicts"] == {"ID": "acceptable", "OOD": "acceptable"}
 
 
-def test_trial_bad_configs(tmp_path):
+def test_trial_bad_configs(tmp_path, capsys):
     malformed = tmp_path / "broken.json"
     malformed.write_text("{not json")
     assert main(["trial", "run", "--config", str(malformed),
@@ -179,6 +179,17 @@ def test_trial_bad_configs(tmp_path):
         unknown.write_text(json.dumps(bad))
         assert main(["trial", "run", "--config", str(unknown),
                      "--out", str(tmp_path / "o3")]) == 2, bad
+    capsys.readouterr()
+    for bad, message in (
+            ({"predictor": {"kind": "external"}},
+             "bad trial config: predictor.path is required for kind 'external'"),
+            ({"predictor": {"kind": "oracle_noise", "sigmaa": 3.0}},
+             "bad trial config: unknown predictor keys: ['sigmaa']")):
+        unknown.write_text(json.dumps(bad))
+        assert main(["trial", "run", "--config", str(unknown),
+                     "--out", str(tmp_path / "o4")]) == 2, bad
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "o4" / "report.json").exists()
 
 
 def _run_vct_script(request):
@@ -197,11 +208,17 @@ def test_run_vct_script_bad_config(tmp_path, capsys, request):
     err = capsys.readouterr().err
     assert "bad trial config" in err and "n_subjectz" in err
     assert not (tmp_path / "o").exists()
-    # decodes, but fails once the trial starts: still exit 2, not a traceback
     bad.write_text(json.dumps({"predictor": {"kind": "mlp"}}))
     assert run_vct.main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "unknown predictor kind 'mlp'" in err
+    assert err.startswith("error: bad trial config: ") and "unknown predictor kind 'mlp'" in err
+    # decodes, but fails once the trial starts: still exit 2, not a traceback
+    preds = tmp_path / "preds.csv"
+    preds.write_text("id,pred\ns000,24.5\n")
+    bad.write_text(json.dumps({"predictor": {"kind": "external", "path": str(preds)}}))
+    assert run_vct.main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: external predictions CSV must have header")
     assert not (tmp_path / "o").exists()
 
 
@@ -221,8 +238,9 @@ def test_run_vct_quick_records_why_attribution_is_skipped(tmp_path, capsys, requ
 def _corrupt_cohort(cohort_dir, dest, subject, field, value):
     """Copy of a measured cohort with one key of one subject's record changed.
 
-    ``field`` is "<record>.<key>" with record "truth" or "attributes" (in the
-    manifest) or "measurement"; ``value`` None deletes the key.
+    ``field`` is "<record>.<key>" with record "truth", "attributes" or
+    "subject" (the subject's manifest entry), "manifest" (its top level; no
+    subject) or "measurement"; ``value`` None deletes the key.
     """
     shutil.copytree(cohort_dir / "measurements", dest / "measurements")
     shutil.copy(cohort_dir / "manifest.json", dest / "manifest.json")
@@ -232,8 +250,11 @@ def _corrupt_cohort(cohort_dir, dest, subject, field, value):
     else:
         path = dest / "manifest.json"
     payload = json.loads(path.read_text())
-    target = payload if record == "measurement" else next(
-        s for s in payload["subjects"] if s["id"] == subject)[record]
+    if record in ("measurement", "manifest"):
+        target = payload
+    else:
+        target = next(s for s in payload["subjects"] if s["id"] == subject)
+        target = target if record == "subject" else target[record]
     if value is None:
         del target[key]
     else:
@@ -249,10 +270,19 @@ def _corrupt_cohort(cohort_dir, dest, subject, field, value):
      "subject 'subj_0003': attributes.age_years must be float, got 'old'"),
     ("subj_0005", "truth.landmarks", {"c7": [1.0, 2.0]},
      "subject 'subj_0005': truth.landmarks.c7 must be a list of 3 numbers"),
+    ("subj_0003", "subject.id", None,
+     "error: manifest {manifest}: subjects[3] is missing keys: ['id']"),
+    (None, "manifest.seed", None,
+     "error: manifest {manifest}: cohort manifest is missing keys: ['seed']"),
+    (None, "manifest.spacing_mm", [4.0, 4.0],
+     "error: manifest {manifest}: spacing_mm must be a list of 3 numbers"),
+    (None, "manifest.subjects", None,
+     "error: manifest {manifest}: the top level must be a JSON object with a 'subjects' list"),
 ])
 def test_bad_manifest_exits_2_naming_subject_and_key(cohort_dir, tmp_path, capsys,
                                                      subject, field, value, message):
     cohort = _corrupt_cohort(cohort_dir, tmp_path / "cohort", subject, field, value)
+    message = message.format(manifest=cohort / "manifest.json")
     assert main(["measure", "--manifest", str(cohort / "manifest.json"),
                  "--out", str(tmp_path / "measured")]) == 2
     assert message in capsys.readouterr().err

@@ -2,18 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vctkit.metrics import (
     CohortMeasurements,
     cohort_consistency,
     collect_structure_measurements,
-    dice,
     paired_dice_stats,
     per_class_dice,
     qq_pearson,
-    relative_centroids,
 )
-from vctkit.volume import Grid, LabelMap
+from vctkit.volume import Grid, LabelMap, voxel_volume_mm3
 
 
 def _lm(arr, grid=None, kind="structure"):
@@ -29,26 +28,22 @@ def test_dice_hand_case():
     b = np.zeros((4, 4, 4), dtype=np.uint8)
     a[0, 0, :2] = 1          # |A| = 2
     b[0, 0, 1:3] = 1         # |B| = 2, overlap 1 -> 2*1/(2+2) = 0.5
-    assert dice(_lm(a), _lm(b), 1) == pytest.approx(0.5)
-
-
-def test_dice_both_empty_is_one():
-    z = np.zeros((4, 4, 4), dtype=np.uint8)
-    assert dice(_lm(z), _lm(z), 3) == 1.0
+    assert per_class_dice(_lm(a), _lm(b)) == {1: 0.5}
 
 
 def test_dice_one_empty_is_zero():
     a = np.zeros((4, 4, 4), dtype=np.uint8)
     a[1, 1, 1] = 2
     b = np.zeros((4, 4, 4), dtype=np.uint8)
-    assert dice(_lm(a), _lm(b), 2) == 0.0
+    assert per_class_dice(_lm(a), _lm(b)) == {2: 0.0}
+    assert per_class_dice(_lm(b), _lm(a)) == {2: 0.0}
 
 
 def test_dice_grid_mismatch_raises():
     other = Grid((4, 4, 4), (1.0, 1.0, 1.0), (1.0, 0.0, 0.0))
     a = np.zeros((4, 4, 4), dtype=np.uint8)
     with pytest.raises(ValueError):
-        dice(_lm(a), _lm(a.copy(), grid=other), 1)
+        per_class_dice(_lm(a), _lm(a.copy(), grid=other))
 
 
 def test_per_class_dice_keys_and_background_excluded():
@@ -72,13 +67,13 @@ def test_relative_centroids_translation_invariant():
     struct[2:4, 2:4, 2:4] = 1
     struct[5, 5, 5] = 2
     body = _body_box(shape, (1, 1, 1), (8, 8, 8))
-    c0 = relative_centroids(_lm(struct), _lm(body, kind="tissue"))
+    c0 = collect_structure_measurements(_lm(struct), _lm(body, kind="tissue"))
     # shift body and structures together by one voxel in x
-    c1 = relative_centroids(_lm(np.roll(struct, 1, axis=0)),
-                            _lm(np.roll(body, 1, axis=0), kind="tissue"))
+    c1 = collect_structure_measurements(_lm(np.roll(struct, 1, axis=0)),
+                                        _lm(np.roll(body, 1, axis=0), kind="tissue"))
     for lab in (1, 2):
-        np.testing.assert_allclose(c0[lab], c1[lab], atol=1e-12)
-        assert all(0.0 <= v <= 1.0 for v in c0[lab])
+        np.testing.assert_allclose(c0[lab]["centroid"], c1[lab]["centroid"], atol=1e-12)
+        assert all(0.0 <= v <= 1.0 for v in c0[lab]["centroid"])
 
 
 def test_relative_centroids_center_of_box():
@@ -86,14 +81,14 @@ def test_relative_centroids_center_of_box():
     struct = np.zeros(shape, dtype=np.uint8)
     struct[4, 4, 4] = 1
     body = _body_box(shape, (0, 0, 0), (9, 9, 9))
-    c = relative_centroids(_lm(struct), _lm(body, kind="tissue"))
-    np.testing.assert_allclose(c[1], (0.5, 0.5, 0.5))
+    c = collect_structure_measurements(_lm(struct), _lm(body, kind="tissue"))
+    assert c[1]["centroid"] == (0.5, 0.5, 0.5)
 
 
 def test_relative_centroids_empty_body_raises():
     z = np.zeros((4, 4, 4), dtype=np.uint8)
-    with pytest.raises(ValueError):
-        relative_centroids(_lm(z), _lm(z, kind="tissue"))
+    with pytest.raises(ValueError, match="body mask is empty"):
+        collect_structure_measurements(_lm(z), _lm(z, kind="tissue"))
 
 
 def test_collect_structure_measurements_volume():
@@ -106,6 +101,96 @@ def test_collect_structure_measurements_volume():
                                          _lm(body, grid=grid, kind="tissue"))
     assert per[1]["volume_mm3"] == pytest.approx(2 * 8.0)
     assert len(per[1]["centroid"]) == 3
+
+
+# --- box-local counts against the full-grid oracle ----------------------------
+
+
+def _full_grid_dice(a, b):
+    """Dice per class by whole-grid masks, as computed before the box index."""
+    present = set(np.unique(a.data).tolist()) | set(np.unique(b.data).tolist())
+    present.discard(0)
+    out = {}
+    for c in sorted(present):
+        ma, mb = a.data == c, b.data == c
+        na, nb = int(ma.sum()), int(mb.sum())
+        out[int(c)] = 2.0 * int(np.logical_and(ma, mb).sum()) / (na + nb)
+    return out
+
+
+def _full_grid_measurements(structures, body):
+    """Volumes and relative centroids by whole-grid scans, as computed before
+    the box index."""
+    body_mask = body.data != 0
+    if not body_mask.any():
+        raise ValueError("degenerate input: body mask is empty")
+    idx = np.nonzero(body_mask)
+    spacing = np.asarray(structures.grid.spacing_mm)
+    origin = np.asarray(structures.grid.origin_mm)
+    lo = np.array([i.min() for i in idx], dtype=np.float64) * spacing + origin
+    hi = np.array([i.max() for i in idx], dtype=np.float64) * spacing + origin
+    span = hi - lo
+    counts = np.bincount(structures.data.ravel())
+    out = {}
+    for c in sorted(int(v) for v in np.unique(structures.data) if v != 0):
+        cidx = np.nonzero(structures.data == c)
+        centroid = np.array([i.mean() for i in cidx]) * spacing + origin
+        rel = np.where(span > 0, (centroid - lo) / np.where(span > 0, span, 1.0), 0.5)
+        out[c] = {"volume_mm3": float(counts[c] * voxel_volume_mm3(structures.grid)),
+                  "centroid": (float(rel[0]), float(rel[1]), float(rel[2]))}
+    return out
+
+
+@st.composite
+def _label_maps(draw):
+    """Two structure maps and a tissue map on one grid, each painted with up
+    to five solid or gappy boxes (none gives an empty map), with gaps in the
+    structure labels, on an anisotropic grid with any origin."""
+    dims = tuple(draw(st.integers(1, 16)) for _ in range(3))
+    spacing = tuple(draw(st.floats(0.3, 7.0)) for _ in range(3))
+    origin = tuple(draw(st.floats(-400.0, 400.0)) for _ in range(3))
+    grid = Grid(dims, spacing, origin)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def paint(labels, kind):
+        data = np.zeros(dims, dtype=np.uint8)
+        for _ in range(draw(st.integers(0, 5))):
+            lo = [draw(st.integers(0, d - 1)) for d in dims]
+            hi = [draw(st.integers(lo_a + 1, d)) for lo_a, d in zip(lo, dims)]
+            box = data[tuple(slice(l, h) for l, h in zip(lo, hi))]
+            box[rng.random(box.shape) < draw(st.sampled_from([0.2, 0.7, 1.0]))] = \
+                draw(st.sampled_from(labels))
+        return _lm(data, grid, kind)
+
+    structure = [1, 2, 16, 20, 32]
+    return paint(structure, "structure"), paint(structure, "structure"), \
+        paint([1, 2, 3, 4], "tissue")
+
+
+def _case(grid, a, b, body):
+    return tuple(_lm(np.array(d, dtype=np.uint8), grid, kind)
+                 for d, kind in ((a, "structure"), (b, "structure"), (body, "tissue")))
+
+
+@settings(max_examples=400)  # each example takes a few milliseconds
+@given(_label_maps())
+@example(_case(Grid((3, 1, 1), (1.0, 1.0, 1.0)), [[[5]], [[0]], [[0]]],
+               [[[0]], [[0]], [[5]]], [[[1]], [[1]], [[1]]]))       # disjoint boxes
+@example(_case(Grid((2, 2, 1), (0.7, 3.1, 2.0), (-12.3, 40.01, 7.7)),
+               [[[0], [9]], [[0], [0]]], [[[0], [0]], [[0], [0]]],  # one voxel, other map empty
+               [[[0], [3]], [[2], [0]]]))
+@example(_case(Grid((2, 1, 1), (1.0, 1.0, 1.0)), [[[1]], [[1]]], [[[1]], [[2]]],
+               [[[0]], [[0]]]))                                     # empty body
+def test_box_counts_match_full_grid_oracle(maps):
+    a, b, body = maps
+    assert per_class_dice(a, b) == _full_grid_dice(a, b)
+    try:
+        expected = _full_grid_measurements(a, body)
+    except ValueError:
+        with pytest.raises(ValueError, match="body mask is empty"):
+            collect_structure_measurements(a, body)
+    else:
+        assert collect_structure_measurements(a, body) == expected
 
 
 def test_qq_pearson_identical_is_one():

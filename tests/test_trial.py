@@ -13,6 +13,7 @@ from vctkit.stats import pearson
 from vctkit.trial import (
     BiasBoundary,
     MeasuredSubject,
+    PredictorSpec,
     SubjectError,
     TrialConfig,
     TrialOptions,
@@ -166,7 +167,7 @@ def test_encode_binned_layout():
 def test_shortcut_linear_exact_on_line():
     subjects = [_subject(f"t{i}", vol, fat=2.0 * vol + 1.0)
                 for i, vol in enumerate([40.0, 55.0, 63.0, 78.0])]
-    p = make_predictor({"kind": "shortcut_linear"})
+    p = make_predictor(PredictorSpec())
     p.fit(subjects, "fat_pct")
     assert p.slope == pytest.approx(2.0)
     assert p.intercept == pytest.approx(1.0)
@@ -176,54 +177,58 @@ def test_shortcut_linear_exact_on_line():
 
 def test_shortcut_constant_volume_raises():
     subjects = [_subject(f"t{i}", 60.0) for i in range(4)]
-    p = make_predictor({"kind": "shortcut_linear"})
+    p = make_predictor(PredictorSpec())
     with pytest.raises(ValueError, match="constant body volume"):
         p.fit(subjects, "fat_pct")
 
 
 def test_shortcut_unfitted_raises():
-    p = make_predictor({"kind": "shortcut_linear"})
+    p = make_predictor(PredictorSpec())
     with pytest.raises(ValueError, match="not fitted"):
         p.predict(_subject("x", 50.0), "fat_pct")
 
 
 def test_oracle_noise_deterministic_per_subject():
-    p = make_predictor({"kind": "oracle_noise", "sigma": 0.5, "seed": 3})
+    p = make_predictor(PredictorSpec("oracle_noise", sigma=0.5, seed=3))
     s = _subject("s000", 50.0, fat=30.0)
     assert p.predict(s, "fat_pct") == p.predict(s, "fat_pct")
     other = _subject("s001", 50.0, fat=30.0)
     assert p.predict(s, "fat_pct") != p.predict(other, "fat_pct")
-    exact = make_predictor({"kind": "oracle_noise", "sigma": 0.0})
+    exact = make_predictor(PredictorSpec("oracle_noise", sigma=0.0))
     assert exact.predict(s, "fat_pct") == 30.0
-    with pytest.raises(ValueError):
-        make_predictor({"kind": "oracle_noise", "sigma": -1.0})
+    with pytest.raises(ValueError, match="predictor.sigma"):
+        PredictorSpec("oracle_noise", sigma=-1.0)
 
 
 def test_external_predictions_csv(tmp_path):
     path = tmp_path / "preds.csv"
     path.write_text("subject_id,prediction\ns000,24.5\ns001,31.0\n")
-    p = make_predictor({"kind": "external", "path": str(path)})
+    p = make_predictor(PredictorSpec("external", path=str(path)))
     assert p.predict(_subject("s000", 50.0), "fat_pct") == 24.5
     with pytest.raises(ValueError, match="no external prediction"):
         p.predict(_subject("s999", 50.0), "fat_pct")
     bad = tmp_path / "bad.csv"
     bad.write_text("id,pred\ns000,24.5\n")
     with pytest.raises(ValueError, match="header"):
-        make_predictor({"kind": "external", "path": str(bad)})
+        make_predictor(PredictorSpec("external", path=str(bad)))
 
 
 def test_unknown_predictor_kind():
     with pytest.raises(ValueError, match="unknown predictor"):
-        make_predictor({"kind": "mlp"})
+        PredictorSpec("mlp")
+    with pytest.raises(ValueError, match="predictor.path"):
+        PredictorSpec("external")
 
 
-def test_run_full_vct_checks_predictor_before_generation(monkeypatch):
+def test_run_full_vct_checks_predictor_before_generation(monkeypatch, tmp_path):
     def no_phantoms(spec):
         raise AssertionError("a phantom was built before the predictor was checked")
 
     monkeypatch.setattr(trial, "generate_phantom", no_phantoms)
-    with pytest.raises(ValueError, match="unknown predictor"):
-        run_full_vct(TrialConfig(predictor={"kind": "mlp"}))
+    bad = tmp_path / "bad.csv"
+    bad.write_text("id,pred\ns000,24.5\n")
+    with pytest.raises(ValueError, match="header"):
+        run_full_vct(TrialConfig(predictor=PredictorSpec("external", path=str(bad))))
 
 
 def test_trial_path_builds_image_and_tissue_only(monkeypatch, tmp_path):
@@ -275,7 +280,7 @@ def _small_trial():
     b = BiasBoundary()
     split = build_biased_split(subjects, b, n_train=6, n_id=8, n_ood=8, seed=3)
     real = {s.subject_id: s for s in subjects}
-    predictor = make_predictor({"kind": "shortcut_linear"})
+    predictor = make_predictor(PredictorSpec())
     predictor.fit([real[sid] for sid in split.train], "fat_pct")
     rng = np.random.default_rng(99)
     synth = {
@@ -328,7 +333,7 @@ def test_run_trial_missing_subject():
     split = build_biased_split(subjects, BiasBoundary(), 6, 8, 8, seed=3)
     real = {s.subject_id: s for s in subjects}
     real.pop(split.ood_test[0])
-    predictor = make_predictor({"kind": "shortcut_linear"})
+    predictor = make_predictor(PredictorSpec())
     with pytest.raises(ValueError, match="missing measured report"):
         run_trial(real, split, predictor, "fat_pct", {})
 
@@ -439,6 +444,10 @@ def test_config_rejects_unknown_keys(tmp_path):
         TrialConfig.from_dict({"boundary": {"slop": -0.2}})
     with pytest.raises(ValueError, match="unknown distribution keys"):
         TrialConfig.from_dict({"distribution": {"p_male": 0.5}})
+    with pytest.raises(ValueError, match=r"unknown predictor keys: \['sigmaa'\]"):
+        TrialConfig.from_dict({"predictor": {"kind": "oracle_noise", "sigmaa": 3.0}})
+    with pytest.raises(ValueError, match="predictor.path is required"):
+        TrialConfig.from_dict({"predictor": {"kind": "external"}})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"task": "muscle_pct", "n_subjects": 99}))
     cfg = TrialConfig.from_json(path)
@@ -457,6 +466,8 @@ def test_config_rejects_unknown_keys(tmp_path):
     ({"n_subjects": "120"}, "n_subjects"),
     ({"n_boot": 2.5}, "n_boot"),
     ({"level": True}, "level"),
+    ({"predictor": {"kind": "oracle_noise", "sigma": "wide"}}, "predictor.sigma"),
+    ({"predictor": {"kind": "external", "path": 3}}, "predictor.path"),
 ])
 def test_config_bad_values_name_the_key(d, key):
     with pytest.raises(ValueError, match=f"^{re.escape(key)} must be"):

@@ -13,6 +13,7 @@ from vctkit.volume import (
     Grid,
     HU_MAX,
     HU_MIN,
+    LabelIndex,
     LabelMap,
     STRUCTURE_TABLE,
     TISSUE_CLASSES,
@@ -104,7 +105,10 @@ def test_labelmap_requires_class_table_cover():
     with pytest.raises(ValueError):
         LabelMap(g, data, "tissue", {})
     lm = LabelMap(g, data, "tissue", {3: "muscle"})
-    assert lm.mask(3).sum() == 1
+    index = LabelIndex(lm)
+    assert index.labels == (3,)
+    sub, box = index.mask(3)
+    assert sub.sum() == 1 and box == (slice(0, 1),) * 3
     assert lm.body_mask().sum() == 1
 
 
