@@ -18,6 +18,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from . import metrics  # per_class_dice looked up at call time, where perfbench wraps it
 from .codec import decode
 from .composition import CompositionReport, measure_composition
 from .io import load_labelmap, load_volume
@@ -209,16 +210,24 @@ def cmd_trial_run(args) -> int:
 # --- consistency ------------------------------------------------------------
 
 
-def _collect_cohort(manifest, base: Path, threads: int) -> CohortMeasurements:
-    def build(record):
-        tissue = load_labelmap(base / record.tissue, kind="tissue")
-        structures = load_labelmap(base / record.structure, kind="structure")
-        return collect_structure_measurements(structures, tissue)
+def _load_maps(base: Path, record):
+    return (load_labelmap(base / record.tissue, kind="tissue"),
+            load_labelmap(base / record.structure, kind="structure"))
 
+
+def _cohort(per_subject) -> CohortMeasurements:
     cohort = CohortMeasurements()
-    for per_class in map_ordered(build, manifest.subjects, threads):
+    for per_class in per_subject:
         cohort.add_subject(per_class)
     return cohort
+
+
+def _collect_cohort(manifest, base: Path, threads: int) -> CohortMeasurements:
+    def build(record):
+        tissue, structures = _load_maps(base, record)
+        return collect_structure_measurements(structures, tissue)
+
+    return _cohort(map_ordered(build, manifest.subjects, threads))
 
 
 def cmd_consistency(args) -> int:
@@ -232,22 +241,30 @@ def cmd_consistency(args) -> int:
         raise ConfigError("paired mode requires identical subject ids "
                           f"(A has {len(by_id_a)}, B has {len(by_id_b)}, "
                           f"overlap {len(set(by_id_a) & set(by_id_b))})")
-    cohort_a = _collect_cohort(manifest_a, path_a.parent, args.threads)
-    cohort_b = _collect_cohort(manifest_b, path_b.parent, args.threads)
 
     dice_stats = None
     if args.mode == "paired":
-        def load_pair(sid):
-            sa = load_labelmap(path_a.parent / by_id_a[sid].structure, kind="structure")
-            sb = load_labelmap(path_b.parent / by_id_b[sid].structure, kind="structure")
-            if sa.grid != sb.grid:
+        # one task per subject loads its four maps once and keeps only the
+        # measurements and the Dice dict, so no pair of maps outlives its task
+        def measure_pair(record):
+            sid = record.subject_id
+            tissue_a, structures_a = _load_maps(path_a.parent, record)
+            tissue_b, structures_b = _load_maps(path_b.parent, by_id_b[sid])
+            if structures_a.grid != structures_b.grid:
                 raise ConfigError(f"subject {sid!r}: grids differ between cohorts")
-            return sa, sb
+            return (sid, collect_structure_measurements(structures_a, tissue_a),
+                    collect_structure_measurements(structures_b, tissue_b),
+                    metrics.per_class_dice(structures_a, structures_b))
 
-        ids_a = [s.subject_id for s in manifest_a.subjects]
-        pairs = map_ordered(load_pair, ids_a, args.threads)
-        dice_stats = paired_dice_stats(pairs)
-        log.info("paired dice over %d subjects", len(pairs))
+        results = map_ordered(measure_pair, manifest_a.subjects, args.threads)
+        per_b = {sid: b for sid, _, b, _ in results}
+        cohort_a = _cohort(a for _, a, _, _ in results)
+        cohort_b = _cohort(per_b[s.subject_id] for s in manifest_b.subjects)
+        dice_stats = paired_dice_stats(dice for _, _, _, dice in results)
+        log.info("paired dice over %d subjects", len(results))
+    else:
+        cohort_a = _collect_cohort(manifest_a, path_a.parent, args.threads)
+        cohort_b = _collect_cohort(manifest_b, path_b.parent, args.threads)
 
     table = cohort_consistency(cohort_a, cohort_b, dice_stats=dice_stats)
     table.write_csv(out / "consistency.csv")

@@ -4,8 +4,10 @@ Voxel HU maps to mass density via ``rho = (HU + 1000) / (REFERENCE_HU + 1000)``
 g/cm^3, where ``REFERENCE_HU`` is the HU of the reference material whose
 density is defined as 1 (water, 0 HU).  Before the mapping, voxels at or
 below the air threshold (-900 HU inclusive) are set to -1000 HU so near-air
-noise carries zero mass.  Bone density is reported as the mean *raw* HU over
-bone-tissue voxels, without the air adjustment.
+noise carries zero mass.  The map is applied once, in place, to a float64
+copy of the body HU: the body is compacted first, and that copy is the only
+body-sized float array a measurement builds.  Bone density is reported as the
+mean *raw* HU over bone-tissue voxels, without the air adjustment.
 """
 
 from __future__ import annotations
@@ -65,15 +67,18 @@ def measure_composition(vol: Volume, tissue: LabelMap) -> CompositionReport:
     if tissue.kind != "tissue":
         raise ValueError(f"expected a tissue map, got kind {tissue.kind!r}")
 
-    # restrict to body voxels once, then take per-class sums on the small arrays
+    # compact the body once; the HU->density map then runs in place on one
+    # float64 copy of the body HU, so no other body-sized float is built
     body = tissue.body_mask()
-    n_body = int(np.count_nonzero(body))
+    labels = tissue.data[body]
+    hu = vol.data[body]
+    n_body = labels.size
     if n_body == 0:
         raise ValueError("degenerate input: body mask is empty")
-    labels = tissue.data[body]
-    hu = vol.data[body].astype(np.float64)
-    adjusted = np.where(hu <= AIR_THRESHOLD_HU, AIR_FILL_HU, hu)
-    rho = (adjusted + 1000.0) / (REFERENCE_HU + 1000.0)
+    rho = hu.astype(np.float64)
+    rho[hu <= AIR_THRESHOLD_HU] = AIR_FILL_HU
+    rho += 1000.0
+    rho /= REFERENCE_HU + 1000.0
     vox_cm3 = voxel_volume_mm3(vol.grid) / 1000.0
 
     m_body = float(rho.sum()) * vox_cm3
@@ -84,7 +89,7 @@ def measure_composition(vol: Volume, tissue: LabelMap) -> CompositionReport:
 
     bone = labels == 4
     m_bone = float(rho[bone].sum()) * vox_cm3
-    bone_hu = float(hu[bone].mean()) if bone.any() else None
+    bone_hu = float(hu[bone].astype(np.float64).mean()) if bone.any() else None
     return CompositionReport(
         body_mass_g=m_body,
         fat_pct=100.0 * m_fat / m_body,

@@ -154,11 +154,11 @@ def _class_name(c: int) -> str:
     return STRUCTURE_CLASSES.get(c, f"class_{c}")
 
 
-def paired_dice_stats(pairs) -> dict[int, tuple[float, float]]:
-    """Mean and std of per-class Dice over paired (a, b) label maps."""
+def paired_dice_stats(per_pair) -> dict[int, tuple[float, float]]:
+    """Mean and std of per-class Dice over pairs, one ``per_class_dice`` dict each."""
     samples: dict[int, list[float]] = {}
-    for a, b in pairs:
-        for c, d in per_class_dice(a, b).items():
+    for dice in per_pair:
+        for c, d in dice.items():
             samples.setdefault(c, []).append(d)
     out = {}
     for c, vals in samples.items():

@@ -148,13 +148,14 @@ def build_biased_split(subjects: list[MeasuredSubject], boundary: BiasBoundary,
         raise ValueError(f"target must be one of {TASKS}")
     id_pool = [s.subject_id for s in subjects if boundary.side(s.report) == "id"]
     ood_pool = [s.subject_id for s in subjects if boundary.side(s.report) == "ood"]
-    if len(id_pool) < n_train + n_id:
-        raise ValueError(
-            f"insufficient subjects on the id side: need {n_train + n_id}, "
-            f"have {len(id_pool)}")
-    if len(ood_pool) < n_ood:
-        raise ValueError(
-            f"insufficient subjects on the ood side: need {n_ood}, have {len(ood_pool)}")
+    for side, pool, knob, need in (("id", id_pool, "n_train + n_id", n_train + n_id),
+                                   ("ood", ood_pool, "n_ood", n_ood)):
+        if len(pool) < need:
+            raise ValueError(
+                f"insufficient subjects on the {side} side: need {knob} = {need}, "
+                f"have {len(pool)} of n_subjects = {len(subjects)}; boundary "
+                f"y_feature={boundary.y_feature!r}, slope={boundary.slope!r}, "
+                f"intercept={boundary.intercept!r}, id_side={boundary.id_side!r}")
 
     stream = Stream(seed)
     id_order = [id_pool[i] for i in stream.permutation(len(id_pool))]

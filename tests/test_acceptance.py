@@ -282,7 +282,7 @@ def test_self_comparison_table_all_ones():
     for _sid, _attrs, spec in rows:
         _vol, tissue, structure, _truth = generate_phantom(spec)
         measurements.add_subject(collect_structure_measurements(structure, tissue))
-        pairs.append((structure, structure))
+        pairs.append(per_class_dice(structure, structure))
     table = cohort_consistency(measurements, measurements,
                                dice_stats=paired_dice_stats(pairs))
     assert table.rows

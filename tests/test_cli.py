@@ -8,6 +8,7 @@ import shutil
 
 import pytest
 
+from vctkit import cli
 from vctkit.cli import main
 from vctkit.phantom import load_manifest
 
@@ -220,6 +221,15 @@ def test_run_vct_script_bad_config(tmp_path, capsys, request):
     err = capsys.readouterr().err
     assert err.startswith("error: external predictions CSV must have header")
     assert not (tmp_path / "o").exists()
+    # a boundary side too small for the split names the knobs and the boundary
+    bad.write_text(json.dumps({"n_subjects": 8, "spacing_mm": [8.0, 8.0, 8.0],
+                               "n_train": 10, "n_id": 10}))
+    assert run_vct.main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: insufficient subjects on the id side: need n_train \+ n_id"
+                        r" = 20, have \d of n_subjects = 8; boundary y_feature='muscle_pct',"
+                        r" slope=-0\.2, intercept=58\.3, id_side='above'\n", err)
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_vct_quick_records_why_attribution_is_skipped(tmp_path, capsys, request):
@@ -340,6 +350,42 @@ def test_consistency_self_paired(cohort_dir, tmp_path):
                 assert float(row[col]) == pytest.approx(1.0), (row["class"], col)
         if row["dice_std"]:
             assert float(row["dice_std"]) == pytest.approx(0.0)
+
+
+def test_consistency_b_in_reversed_order_is_byte_identical(cohort_dir, tmp_path):
+    # B lists the same subjects backwards: pairs still match by id, and B's
+    # measurements go in B's order, so the table's bytes do not move
+    payload = json.loads((cohort_dir / "manifest.json").read_text())
+    payload["subjects"].reverse()
+    reversed_b = cohort_dir / "manifest_reversed.json"
+    reversed_b.write_text(json.dumps(payload))
+    try:
+        for mode in ("--paired", "--cohort"):
+            texts = []
+            for b in (cohort_dir / "manifest.json", reversed_b):
+                out = tmp_path / f"{mode[2:]}_{b.stem}"
+                assert main(["consistency", "--a", str(cohort_dir / "manifest.json"),
+                             "--b", str(b), "--out", str(out), mode]) == 0
+                texts.append((out / "consistency.csv").read_bytes())
+            assert texts[0] == texts[1], mode
+    finally:
+        reversed_b.unlink()
+
+
+def test_consistency_paired_loads_each_map_once(tmp_path, monkeypatch):
+    cohort = tmp_path / "c"
+    assert main(["phantom", "gen", "--n", "2", "--seed", "3", "--out", str(cohort),
+                 "--spacing", SPACING]) == 0
+    loaded = []
+    real_load = cli.load_labelmap
+    monkeypatch.setattr(cli, "load_labelmap",
+                        lambda path, kind=None: loaded.append(kind) or real_load(path, kind))
+    manifest = str(cohort / "manifest.json")
+    with pytest.warns(UserWarning, match="fewer than 3 samples"):
+        assert main(["consistency", "--a", manifest, "--b", manifest,
+                     "--out", str(tmp_path / "o"), "--paired"]) == 0
+    # tissue and structure map of each subject, once for A and once for B
+    assert sorted(loaded) == ["structure"] * 4 + ["tissue"] * 4
 
 
 def test_consistency_paired_id_mismatch(tmp_path):

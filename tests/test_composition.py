@@ -5,11 +5,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from vctkit.composition import REFERENCE_HU, CompositionReport, measure_composition
+from vctkit.codec import encode
+from vctkit.composition import (
+    AIR_FILL_HU,
+    AIR_THRESHOLD_HU,
+    REFERENCE_HU,
+    CompositionReport,
+    measure_composition,
+)
 from vctkit.io import load_volume, save_volume
 from vctkit.skeleton import measure_height
-from vctkit.volume import FormatError, Grid, LabelMap, Volume
+from vctkit.volume import TISSUE_CLASSES, FormatError, Grid, LabelMap, Volume, voxel_volume_mm3
 
 
 def _hu_volume(values, spacing=(1.0, 1.0, 1.0)):
@@ -153,3 +161,91 @@ def test_report_json_round_trip(phantom_default):
         CompositionReport.from_dict({k: v for k, v in d.items() if k != "fat_pct"})
     with pytest.raises(ValueError, match=r"height\.total_mm must be float"):
         CompositionReport.from_dict({**d, "height": {**d["height"], "total_mm": "tall"}})
+
+
+def _chain_oracle(vol, tissue):
+    """The measurement as computed before the in-place map: a float64 copy
+    of the body HU, then ``where``, add and divide, each into a new array."""
+    body = tissue.body_mask()
+    n_body = int(np.count_nonzero(body))
+    if n_body == 0:
+        raise ValueError("degenerate input: body mask is empty")
+    labels = tissue.data[body]
+    hu = vol.data[body].astype(np.float64)
+    adjusted = np.where(hu <= AIR_THRESHOLD_HU, AIR_FILL_HU, hu)
+    rho = (adjusted + 1000.0) / (REFERENCE_HU + 1000.0)
+    vox_cm3 = voxel_volume_mm3(vol.grid) / 1000.0
+    m_body = float(rho.sum()) * vox_cm3
+    if m_body <= 0.0:
+        raise ValueError("degenerate input: body mask has zero total mass")
+    m_fat = float(rho[labels == 2].sum()) * vox_cm3
+    m_muscle = float(rho[labels == 3].sum()) * vox_cm3
+    bone = labels == 4
+    m_bone = float(rho[bone].sum()) * vox_cm3
+    return CompositionReport(
+        body_mass_g=m_body,
+        fat_pct=100.0 * m_fat / m_body,
+        muscle_pct=100.0 * m_muscle / m_body,
+        bone_density_hu=float(hu[bone].mean()) if bone.any() else None,
+        body_volume_l=n_body * voxel_volume_mm3(vol.grid) / 1.0e6,
+        per_tissue_mass_g={"fat": m_fat, "muscle": m_muscle, "bone": m_bone},
+    )
+
+
+# the air threshold and its neighbours, the HU range's ends, and (float32
+# only) the half-HU values either side of the threshold
+_EDGE_HU = (-1024, -1000, -901, -900, -899, 0, 3071)
+_EDGE_HU_FLOAT = (-900.5, -899.5)
+
+
+def _subject(hu, labels, dtype=np.int16, spacing=(4.0, 4.0, 4.0)):
+    hu = np.asarray(hu, dtype=dtype)
+    grid = Grid(hu.shape, spacing)
+    return Volume(grid, hu), LabelMap(grid, np.asarray(labels, dtype=np.uint8),
+                                      "tissue", TISSUE_CLASSES)
+
+
+@st.composite
+def _subjects(draw):
+    """An int16 or float32 volume over a random tissue map of up to 6^3
+    voxels, mixing edge HU values with any in range; a tissue class may be
+    absent and the body may be empty."""
+    dtype = draw(st.sampled_from([np.int16, np.float32]))
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    n = dims[0] * dims[1] * dims[2]
+    values = [st.sampled_from(_EDGE_HU), st.integers(-1024, 3071)]
+    if dtype is np.float32:
+        values += [st.sampled_from(_EDGE_HU_FLOAT), st.floats(-1024.0, 3071.0, width=32)]
+    hu = draw(st.lists(st.one_of(values), min_size=n, max_size=n))
+    classes = sorted(draw(st.sets(st.integers(1, 4), min_size=1)))
+    labels = draw(st.lists(st.sampled_from([0] + classes), min_size=n, max_size=n))
+    spacing = draw(st.sampled_from([(1.0, 1.0, 1.0), (4.0, 4.0, 4.0), (0.7, 1.3, 2.9)]))
+    return _subject(np.reshape(hu, dims), np.reshape(labels, dims), dtype, spacing)
+
+
+@settings(max_examples=300)  # each example takes well under a millisecond
+@given(_subjects())
+@example(_subject([[[-1024, -901, -900, -899, 3071, 0, 40, 1200]]],
+                  [[[1, 2, 3, 4, 4, 2, 3, 1]]]))                        # int16 edges
+@example(_subject([[[-900.5, -899.5, -900, -899, -901, -1024, 3071, 55.25]]],
+                  [[[2, 3, 4, 4, 1, 2, 4, 3]]], np.float32))            # float32 edges
+@example(_subject([[[-899, 40, 60]]], [[[1, 2, 3]]]))                   # no bone
+@example(_subject([[[-899, 40, 1200]]], [[[1, 3, 4]]], np.float32))     # no fat
+@example(_subject([[[40]]], [[[3]]]))                                   # one-voxel grid
+@example(_subject([[[0, -899, 7]]], [[[0, 4, 0]]], np.float32))         # one body voxel
+@example(_subject([[[-1024, -900, 3071]]], [[[2, 4, 0]]]))              # all-air body
+def test_in_place_map_matches_chain_oracle(subject):
+    vol, tissue = subject
+    try:
+        expected = _chain_oracle(vol, tissue)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            measure_composition(vol, tissue)
+        assert str(raised.value) == str(exc)
+        return
+    rep = measure_composition(vol, tissue)
+    assert encode(rep) == encode(expected)
+    present = set(np.unique(tissue.data).tolist())
+    assert (rep.bone_density_hu is None) == (4 not in present)
+    if 2 not in present:
+        assert rep.fat_pct == 0.0 and rep.per_tissue_mass_g["fat"] == 0.0

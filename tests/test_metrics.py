@@ -266,8 +266,7 @@ def test_paired_dice_stats_identity():
     a = np.zeros((5, 5, 5), dtype=np.uint8)
     a[1:4, 1:4, 1:4] = 1
     a[2, 2, 2] = 2
-    pairs = [(_lm(a), _lm(a.copy()))] * 3
-    stats = paired_dice_stats(pairs)
+    stats = paired_dice_stats([per_class_dice(_lm(a), _lm(a.copy()))] * 3)
     for lab in (1, 2):
         mean, sd = stats[lab]
         assert mean == pytest.approx(1.0)

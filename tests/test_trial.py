@@ -115,11 +115,19 @@ def test_split_pearson_is_train_correlation():
 
 
 def test_split_insufficient_subjects():
+    # the message names the knobs that set the need, the cohort size and the boundary
     subjects = _mixed_cohort(n=10)
-    with pytest.raises(ValueError, match="insufficient subjects"):
+    boundary = "boundary y_feature='muscle_pct', slope=-0.2, intercept=58.3, id_side='above'"
+    with pytest.raises(ValueError) as exc:
         build_biased_split(subjects, BiasBoundary(), 10, 10, 2, seed=0)
-    with pytest.raises(ValueError, match="insufficient subjects"):
+    assert re.fullmatch(r"insufficient subjects on the id side: need n_train \+ n_id = 20, "
+                        r"have 5 of n_subjects = 10; " + re.escape(boundary),
+                        str(exc.value))
+    with pytest.raises(ValueError) as exc:
         build_biased_split(subjects, BiasBoundary(), 2, 2, 40, seed=0)
+    assert re.fullmatch(r"insufficient subjects on the ood side: need n_ood = 40, "
+                        r"have 5 of n_subjects = 10; " + re.escape(boundary),
+                        str(exc.value))
 
 
 def test_rebias_culls_and_is_idempotent():
