@@ -15,6 +15,8 @@ import csv
 import json
 import logging
 import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,6 +33,7 @@ from .metrics import (
 from .phantom import AttributeDistribution, generate_cohort, load_manifest, map_ordered
 from .skeleton import measure_height
 from .trial import MeasuredSubject, TrialConfig, run_full_vct, write_trial_outputs
+from .volume import LabelIndex
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -210,9 +213,25 @@ def cmd_trial_run(args) -> int:
 # --- consistency ------------------------------------------------------------
 
 
-def _load_maps(base: Path, record):
-    return (load_labelmap(base / record.tissue, kind="tissue"),
-            load_labelmap(base / record.structure, kind="structure"))
+class _Tally:
+    """Counts of the work one command did, added to from worker threads."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.counts: dict[str, int] = {}
+
+    def add(self, **counts: int):
+        with self._lock:
+            for name, n in counts.items():
+                self.counts[name] = self.counts.get(name, 0) + n
+
+
+def _load_indexed(base: Path, record, tally: _Tally):
+    """A subject's tissue map and the index of its structure map."""
+    tissue = load_labelmap(base / record.tissue, kind="tissue")
+    index = LabelIndex(load_labelmap(base / record.structure, kind="structure"))
+    tally.add(maps_loaded=2, indexes_built=1)
+    return tissue, index
 
 
 def _cohort(per_subject) -> CohortMeasurements:
@@ -222,15 +241,16 @@ def _cohort(per_subject) -> CohortMeasurements:
     return cohort
 
 
-def _collect_cohort(manifest, base: Path, threads: int) -> CohortMeasurements:
+def _collect_cohort(manifest, base: Path, threads: int, tally: _Tally) -> CohortMeasurements:
     def build(record):
-        tissue, structures = _load_maps(base, record)
-        return collect_structure_measurements(structures, tissue)
+        tissue, index = _load_indexed(base, record, tally)
+        return collect_structure_measurements(index, tissue)
 
     return _cohort(map_ordered(build, manifest.subjects, threads))
 
 
 def cmd_consistency(args) -> int:
+    start = time.perf_counter()
     out = Path(args.out)
     log = _setup_log(out)
     path_a, path_b = Path(args.a), Path(args.b)
@@ -242,19 +262,21 @@ def cmd_consistency(args) -> int:
                           f"(A has {len(by_id_a)}, B has {len(by_id_b)}, "
                           f"overlap {len(set(by_id_a) & set(by_id_b))})")
 
+    tally = _Tally()
     dice_stats = None
     if args.mode == "paired":
-        # one task per subject loads its four maps once and keeps only the
-        # measurements and the Dice dict, so no pair of maps outlives its task
+        # one task per subject loads its four maps once, indexes each
+        # structure map once, and keeps only the measurements and the Dice
+        # dict, so no pair of maps outlives its task
         def measure_pair(record):
             sid = record.subject_id
-            tissue_a, structures_a = _load_maps(path_a.parent, record)
-            tissue_b, structures_b = _load_maps(path_b.parent, by_id_b[sid])
-            if structures_a.grid != structures_b.grid:
+            tissue_a, index_a = _load_indexed(path_a.parent, record, tally)
+            tissue_b, index_b = _load_indexed(path_b.parent, by_id_b[sid], tally)
+            if index_a.grid != index_b.grid:
                 raise ConfigError(f"subject {sid!r}: grids differ between cohorts")
-            return (sid, collect_structure_measurements(structures_a, tissue_a),
-                    collect_structure_measurements(structures_b, tissue_b),
-                    metrics.per_class_dice(structures_a, structures_b))
+            return (sid, collect_structure_measurements(index_a, tissue_a),
+                    collect_structure_measurements(index_b, tissue_b),
+                    metrics.per_class_dice(index_a, index_b))
 
         results = map_ordered(measure_pair, manifest_a.subjects, args.threads)
         per_b = {sid: b for sid, _, b, _ in results}
@@ -263,12 +285,18 @@ def cmd_consistency(args) -> int:
         dice_stats = paired_dice_stats(dice for _, _, _, dice in results)
         log.info("paired dice over %d subjects", len(results))
     else:
-        cohort_a = _collect_cohort(manifest_a, path_a.parent, args.threads)
-        cohort_b = _collect_cohort(manifest_b, path_b.parent, args.threads)
+        cohort_a = _collect_cohort(manifest_a, path_a.parent, args.threads, tally)
+        cohort_b = _collect_cohort(manifest_b, path_b.parent, args.threads, tally)
 
     table = cohort_consistency(cohort_a, cohort_b, dice_stats=dice_stats)
     table.write_csv(out / "consistency.csv")
     log.info("wrote %s", out / "consistency.csv")
+    # the message of this line is one JSON object, for tools that read run.log
+    log.info("%s", json.dumps({
+        "stage": "consistency", "mode": args.mode,
+        "wall_s": round(time.perf_counter() - start, 6),
+        "subjects_a": len(manifest_a.subjects), "subjects_b": len(manifest_b.subjects),
+        **tally.counts}, sort_keys=True))
     print(f"consistency table ({args.mode}) -> {out / 'consistency.csv'}")
     return EXIT_OK
 

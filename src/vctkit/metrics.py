@@ -21,63 +21,49 @@ from .volume import LabelIndex, LabelMap, STRUCTURE_CLASSES, voxel_volume_mm3
 CONSISTENCY_MIN_SAMPLES = 3
 
 
-def per_class_dice(a: LabelMap, b: LabelMap) -> dict[int, float]:
+def per_class_dice(a: LabelIndex, b: LabelIndex) -> dict[int, float]:
     """Dice 2|A n B| / (|A| + |B|) per class present in either map.
 
-    Each count runs inside the class's index box; the overlap inside the
-    intersection of the two boxes.
+    |A| and |B| are the indexes' counts; |A n B| gathers B at A's compacted
+    positions of the class.
     """
     if a.grid != b.grid:
         raise ValueError("dice requires label maps on the same grid")
-    ia, ib = LabelIndex(a), LabelIndex(b)
-    out = {}
-    for c in sorted(set(ia.labels) | set(ib.labels)):
-        box_a, box_b = ia.box(c), ib.box(c)
-        na = 0 if box_a is None else int(np.count_nonzero(a.data[box_a] == c))
-        nb = 0 if box_b is None else int(np.count_nonzero(b.data[box_b] == c))
-        inter = 0
-        if box_a is not None and box_b is not None:
-            # disjoint boxes give an empty slice, hence no overlap
-            both = tuple(slice(max(p.start, q.start), min(p.stop, q.stop))
-                         for p, q in zip(box_a, box_b))
-            inter = int(np.count_nonzero((a.data[both] == c) & (b.data[both] == c)))
-        out[c] = 2.0 * inter / (na + nb)
-    return out
+    inter = a.overlaps(b)
+    return {c: 2.0 * inter.get(c, 0) / (a.count(c) + b.count(c))
+            for c in sorted(set(a.labels) | set(b.labels))}
 
 
-def collect_structure_measurements(structures: LabelMap, body: LabelMap) -> dict[int, dict]:
+def _nonzero_box(data) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index per axis of a label map's nonzero voxels."""
+    xy = data.any(axis=2)
+    present = (xy.any(axis=1), xy.any(axis=0), data.any(axis=(0, 1)))
+    if not present[0].any():
+        raise ValueError("degenerate input: body mask is empty")
+    lo = [int(np.argmax(p)) for p in present]
+    hi = [len(p) - 1 - int(np.argmax(p[::-1])) for p in present]
+    return np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
+
+
+def collect_structure_measurements(structures: LabelIndex, body: LabelMap) -> dict[int, dict]:
     """Per-class volume (mm^3) and relative centroid for one subject.
 
     The centroid is normalized to the body's bounding box, in [0,1]^3, in
     RAS axis order; a degenerate (flat) body axis maps to 0.5.  Counts and
-    centroids come from each class's box mask.
+    index sums come from the structure map's index.
     """
     if structures.grid != body.grid:
         raise ValueError("structure and body maps must share a grid")
-    body_index = LabelIndex(body)
-    boxes = [body_index.box(c) for c in body_index.labels]
-    if not boxes:
-        raise ValueError("degenerate input: body mask is empty")
     spacing = np.asarray(structures.grid.spacing_mm)
     origin = np.asarray(structures.grid.origin_mm)
-    lo = np.array([min(b[a].start for b in boxes) for a in range(3)],
-                  dtype=np.float64) * spacing + origin
-    hi = np.array([max(b[a].stop for b in boxes) - 1 for a in range(3)],
-                  dtype=np.float64) * spacing + origin
+    lo, hi = (v * spacing + origin for v in _nonzero_box(body.data))
     span = hi - lo
     vox = voxel_volume_mm3(structures.grid)
-    index = LabelIndex(structures)
     out = {}
-    for c in index.labels:
-        sub, sl = index.mask(c)
-        n = int(np.count_nonzero(sub))
-        # per axis, the exact integer index sum over the grid, divided once:
-        # a box-local float mean plus the box start rounds differently
-        mean_index = []
-        for a, other in enumerate(((1, 2), (0, 2), (0, 1))):
-            local = int(sub.sum(axis=other, dtype=np.int64) @ np.arange(sub.shape[a]))
-            mean_index.append((local + n * sl[a].start) / n)
-        centroid = np.array(mean_index) * spacing + origin
+    for c in structures.labels:
+        n = structures.count(c)
+        # per axis, the exact integer index sum over the grid, divided once
+        centroid = np.array([s / n for s in structures.index_sum(c)]) * spacing + origin
         rel = np.where(span > 0, (centroid - lo) / np.where(span > 0, span, 1.0), 0.5)
         out[c] = {"volume_mm3": n * vox,
                   "centroid": (float(rel[0]), float(rel[1]), float(rel[2]))}

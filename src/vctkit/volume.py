@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 HU_MIN = -1024
 HU_MAX = 3071
@@ -76,6 +75,21 @@ LANDMARK_PAIRS = {
     "clavicle": (29, 30),
     "scapula": (31, 32),
 }
+
+
+# above this many runs of values missing from a class table, one gather
+# through a lookup table beats a range test per run
+_MAX_RANGE_TESTS = 8
+
+
+def _missing_runs(class_table: dict, top: int) -> list[tuple[int, int]]:
+    """Inclusive (lo, hi) runs of the values 1..top that the table lacks."""
+    runs, expect = [], 1
+    for k in sorted(k for k in class_table if 1 <= k <= top) + [top + 1]:
+        if k > expect:
+            runs.append((expect, k - 1))
+        expect = k + 1
+    return runs
 
 
 class FormatError(ValueError):
@@ -164,17 +178,26 @@ class LabelMap:
             raise ValueError(f"label dtype must be uint8 or uint16, got {self.data.dtype}")
         if self.kind not in ("tissue", "structure"):
             raise ValueError(f"kind must be 'tissue' or 'structure', got {self.kind!r}")
-        # the table covers every value up to the maximum (always true of a
-        # tissue map); otherwise one gather through a lookup table of size
-        # max + 1. Only a failing map pays for listing its unknown values.
+        # values above the maximum cannot occur, so only the runs of 1..max the
+        # table lacks need a look: one unsigned range test per run (values
+        # below a run wrap round to large ones), or, past a few runs, one
+        # gather through a lookup table of size max + 1. Only a failing map
+        # pays for listing its unknown values.
         top = int(self.data.max())
-        if all(v in self.class_table for v in range(1, top + 1)):
+        runs = _missing_runs(self.class_table, top)
+        if not runs:
             return
-        allowed = np.zeros(top + 1, dtype=bool)
-        allowed[0] = True
-        allowed[[k for k in self.class_table if 0 < k <= top]] = True
-        if allowed[self.data].all():
-            return
+        if len(runs) <= _MAX_RANGE_TESTS:
+            kind = self.data.dtype.type
+            if not any((np.subtract(self.data, kind(lo), dtype=self.data.dtype)
+                        <= kind(hi - lo)).any() for lo, hi in runs):
+                return
+        else:
+            allowed = np.zeros(top + 1, dtype=bool)
+            allowed[0] = True
+            allowed[[k for k in self.class_table if 0 < k <= top]] = True
+            if allowed[self.data].all():
+                return
         present = np.nonzero(np.bincount(self.data.ravel()))[0]
         unknown = [int(v) for v in present if v != 0 and int(v) not in self.class_table]
         raise ValueError(f"label values {unknown} missing from class_table")
@@ -184,23 +207,68 @@ class LabelMap:
 
 
 class LabelIndex:
-    """Index box of every label of a label map, from one pass over the grid.
+    """Every label's voxels of a label map, compacted in one pass over the grid.
 
-    Per-label work (voxel counts, centroids, overlaps, moments) then runs
-    inside the label's box instead of over the whole grid.
+    The flat positions of the nonzero voxels, in the map's memory order, are
+    sorted stably by label, so each label owns one run of ascending
+    positions. One reduction per run gives the label's index box, voxel
+    count and exact int64 per-axis index sum. Per-label work then reads the
+    run (counts, centroids, Dice overlaps) or the box (landmark moments)
+    instead of the whole grid.
     """
 
     def __init__(self, labelmap: LabelMap):
+        data = labelmap.data
         self.grid = labelmap.grid
-        self.data = labelmap.data
-        self._boxes = ndimage.find_objects(labelmap.data)
-        self.labels = tuple(i + 1 for i, sl in enumerate(self._boxes) if sl is not None)
+        self.data = data
+        # the flat view is free for C- and F-ordered maps alike
+        self._order = "F" if data.flags.f_contiguous and not data.flags.c_contiguous else "C"
+        flat = data.ravel(order=self._order)
+        # nonzero() of a bool mask is several times faster than of the labels
+        positions = np.flatnonzero(flat != 0)
+        values = flat[positions]
+        by_label = np.argsort(values, kind="stable")
+        self._positions, self._values = positions[by_label], values[by_label]
+        counts = np.bincount(self._values)
+        labels = np.flatnonzero(counts)
+        counts = counts[labels]
+        self.labels = tuple(int(c) for c in labels)
+        self._counts = dict(zip(self.labels, (int(n) for n in counts)))
+        self._starts = np.cumsum(counts) - counts
+        self._boxes, self._sums = {}, {}
+        if not self.labels:
+            return
+        coords = np.unravel_index(self._positions, data.shape, order=self._order)
+        lo = [np.minimum.reduceat(c, self._starts) for c in coords]
+        hi = [np.maximum.reduceat(c, self._starts) for c in coords]
+        sums = [np.add.reduceat(c, self._starts, dtype=np.int64) for c in coords]
+        for i, c in enumerate(self.labels):
+            self._boxes[c] = tuple(slice(int(lo[a][i]), int(hi[a][i]) + 1) for a in range(3))
+            self._sums[c] = tuple(int(sums[a][i]) for a in range(3))
 
     def box(self, label: int) -> tuple[slice, slice, slice] | None:
         """Index box of a label, or None if the label is absent."""
-        return self._boxes[label - 1] if 1 <= label <= len(self._boxes) else None
+        return self._boxes.get(label)
 
     def mask(self, label: int):
         """(submask, box) of a label, or None if the label is absent."""
         sl = self.box(label)
         return None if sl is None else (self.data[sl] == label, sl)
+
+    def count(self, label: int) -> int:
+        """Voxel count of a label; 0 if it is absent."""
+        return self._counts.get(label, 0)
+
+    def index_sum(self, label: int) -> tuple[int, int, int]:
+        """Exact per-axis sum of a present label's voxel indices."""
+        return self._sums[label]
+
+    def overlaps(self, other: LabelIndex) -> dict[int, int]:
+        """Per label of this map, how many of its voxels hold the same label in ``other``."""
+        if not self.labels:
+            return {}
+        # a view, unless the two maps differ in memory order
+        theirs = other.data.ravel(order=self._order)
+        same = theirs[self._positions] == self._values
+        hits = np.add.reduceat(same, self._starts, dtype=np.int64)
+        return dict(zip(self.labels, (int(n) for n in hits)))

@@ -41,7 +41,7 @@ from vctkit.trial import (
     report_to_dict,
     run_full_vct,
 )
-from vctkit.volume import Grid, LabelMap
+from vctkit.volume import Grid, LabelIndex, LabelMap
 
 
 # --- 1. measurement closure over a seeded 50-phantom cohort ------------------
@@ -271,7 +271,7 @@ def test_dice_hand_case_exact():
     b[0, 0, 1:3] = 1
     la = LabelMap(grid, a, "tissue", {1: "c1"})
     lb = LabelMap(grid, b, "tissue", {1: "c1"})
-    assert per_class_dice(la, lb) == {1: 0.5}
+    assert per_class_dice(LabelIndex(la), LabelIndex(lb)) == {1: 0.5}
 
 
 def test_self_comparison_table_all_ones():
@@ -281,8 +281,9 @@ def test_self_comparison_table_all_ones():
     pairs = []
     for _sid, _attrs, spec in rows:
         _vol, tissue, structure, _truth = generate_phantom(spec)
-        measurements.add_subject(collect_structure_measurements(structure, tissue))
-        pairs.append(per_class_dice(structure, structure))
+        index = LabelIndex(structure)
+        measurements.add_subject(collect_structure_measurements(index, tissue))
+        pairs.append(per_class_dice(index, index))
     table = cohort_consistency(measurements, measurements,
                                dice_stats=paired_dice_stats(pairs))
     assert table.rows

@@ -1,18 +1,26 @@
 """End-to-end command-line runs on small cohorts, including failure paths."""
 
 import csv
+import hashlib
 import importlib.util
 import json
 import re
 import shutil
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from vctkit import cli
 from vctkit.cli import main
+from vctkit.io import load_labelmap, save_labelmap
 from vctkit.phantom import load_manifest
+from vctkit.volume import LabelIndex
 
 SPACING = "5,5,5"
+# consistency.csv of test_consistency_paired_shifted_cohort_pins_bytes, as
+# written when each label's counts came from ndimage.find_objects boxes
+SHIFTED_PAIRED_SHA256 = "688954308202f62b08b2597a4595fb6dce617685a35a0e2cc3d207f427412ad8"
 
 
 @pytest.fixture(scope="session")
@@ -372,20 +380,62 @@ def test_consistency_b_in_reversed_order_is_byte_identical(cohort_dir, tmp_path)
         reversed_b.unlink()
 
 
+def _consistency_record(out) -> dict:
+    """The JSON message of the consistency stage's line in run.log."""
+    lines = [line for line in (out / "run.log").read_text().splitlines()
+             if '"stage": "consistency"' in line]
+    assert len(lines) == 1
+    return json.loads(lines[0][lines[0].index("{"):])
+
+
 def test_consistency_paired_loads_each_map_once(tmp_path, monkeypatch):
     cohort = tmp_path / "c"
     assert main(["phantom", "gen", "--n", "2", "--seed", "3", "--out", str(cohort),
                  "--spacing", SPACING]) == 0
-    loaded = []
+    loaded, indexed = [], []
     real_load = cli.load_labelmap
     monkeypatch.setattr(cli, "load_labelmap",
                         lambda path, kind=None: loaded.append(kind) or real_load(path, kind))
+    real_index = LabelIndex.__init__
+    monkeypatch.setattr(LabelIndex, "__init__",
+                        lambda self, labelmap: indexed.append(labelmap.kind)
+                        or real_index(self, labelmap))
     manifest = str(cohort / "manifest.json")
+    out = tmp_path / "o"
     with pytest.warns(UserWarning, match="fewer than 3 samples"):
         assert main(["consistency", "--a", manifest, "--b", manifest,
-                     "--out", str(tmp_path / "o"), "--paired"]) == 0
+                     "--out", str(out), "--paired"]) == 0
     # tissue and structure map of each subject, once for A and once for B
     assert sorted(loaded) == ["structure"] * 4 + ["tissue"] * 4
+    # one index per structure map, shared by the measurements and Dice
+    assert indexed == ["structure"] * 4
+    record = _consistency_record(out)
+    assert record["wall_s"] > 0
+    assert {k: v for k, v in record.items() if k != "wall_s"} == {
+        "stage": "consistency", "mode": "paired", "subjects_a": 2, "subjects_b": 2,
+        "maps_loaded": len(loaded), "indexes_built": len(indexed)}
+
+
+def test_consistency_paired_shifted_cohort_pins_bytes(tmp_path):
+    # B holds A's structure maps moved one voxel superior, so every Dice is
+    # below 1 and every overlap count matters to the pinned bytes
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["phantom", "gen", "--n", "4", "--seed", "5", "--out", str(a),
+                 "--spacing", SPACING]) == 0
+    shutil.copytree(a, b)
+    for record in load_manifest(a / "manifest.json").subjects:
+        structures = load_labelmap(a / record.structure)
+        shifted = np.zeros_like(structures.data)
+        shifted[:, :, 1:] = structures.data[:, :, :-1]
+        save_labelmap(replace(structures, data=shifted), b / record.structure)
+    out = tmp_path / "o"
+    assert main(["consistency", "--a", str(a / "manifest.json"),
+                 "--b", str(b / "manifest.json"), "--out", str(out), "--paired"]) == 0
+    with open(out / "consistency.csv", newline="") as fh:
+        dice = [float(row["dice_mean"]) for row in csv.DictReader(fh) if row["dice_mean"]]
+    assert dice and max(dice) < 1.0
+    digest = hashlib.sha256((out / "consistency.csv").read_bytes()).hexdigest()
+    assert digest == SHIFTED_PAIRED_SHA256
 
 
 def test_consistency_paired_id_mismatch(tmp_path):

@@ -12,7 +12,7 @@ from vctkit.metrics import (
     per_class_dice,
     qq_pearson,
 )
-from vctkit.volume import Grid, LabelMap, voxel_volume_mm3
+from vctkit.volume import Grid, LabelIndex, LabelMap, voxel_volume_mm3
 
 
 def _lm(arr, grid=None, kind="structure"):
@@ -23,34 +23,38 @@ def _lm(arr, grid=None, kind="structure"):
     return LabelMap(grid, arr, kind, table)
 
 
+def _ix(arr, grid=None):
+    return LabelIndex(_lm(arr, grid))
+
+
 def test_dice_hand_case():
     a = np.zeros((4, 4, 4), dtype=np.uint8)
     b = np.zeros((4, 4, 4), dtype=np.uint8)
     a[0, 0, :2] = 1          # |A| = 2
     b[0, 0, 1:3] = 1         # |B| = 2, overlap 1 -> 2*1/(2+2) = 0.5
-    assert per_class_dice(_lm(a), _lm(b)) == {1: 0.5}
+    assert per_class_dice(_ix(a), _ix(b)) == {1: 0.5}
 
 
 def test_dice_one_empty_is_zero():
     a = np.zeros((4, 4, 4), dtype=np.uint8)
     a[1, 1, 1] = 2
     b = np.zeros((4, 4, 4), dtype=np.uint8)
-    assert per_class_dice(_lm(a), _lm(b)) == {2: 0.0}
-    assert per_class_dice(_lm(b), _lm(a)) == {2: 0.0}
+    assert per_class_dice(_ix(a), _ix(b)) == {2: 0.0}
+    assert per_class_dice(_ix(b), _ix(a)) == {2: 0.0}
 
 
 def test_dice_grid_mismatch_raises():
     other = Grid((4, 4, 4), (1.0, 1.0, 1.0), (1.0, 0.0, 0.0))
     a = np.zeros((4, 4, 4), dtype=np.uint8)
     with pytest.raises(ValueError):
-        per_class_dice(_lm(a), _lm(a.copy(), grid=other))
+        per_class_dice(_ix(a), _ix(a.copy(), grid=other))
 
 
 def test_per_class_dice_keys_and_background_excluded():
     a = np.zeros((4, 4, 4), dtype=np.uint8)
     a[0] = 1
     a[1] = 2
-    d = per_class_dice(_lm(a), _lm(a.copy()))
+    d = per_class_dice(_ix(a), _ix(a.copy()))
     assert set(d) == {1, 2}
     assert all(v == 1.0 for v in d.values())
 
@@ -67,9 +71,9 @@ def test_relative_centroids_translation_invariant():
     struct[2:4, 2:4, 2:4] = 1
     struct[5, 5, 5] = 2
     body = _body_box(shape, (1, 1, 1), (8, 8, 8))
-    c0 = collect_structure_measurements(_lm(struct), _lm(body, kind="tissue"))
+    c0 = collect_structure_measurements(_ix(struct), _lm(body, kind="tissue"))
     # shift body and structures together by one voxel in x
-    c1 = collect_structure_measurements(_lm(np.roll(struct, 1, axis=0)),
+    c1 = collect_structure_measurements(_ix(np.roll(struct, 1, axis=0)),
                                         _lm(np.roll(body, 1, axis=0), kind="tissue"))
     for lab in (1, 2):
         np.testing.assert_allclose(c0[lab]["centroid"], c1[lab]["centroid"], atol=1e-12)
@@ -81,14 +85,14 @@ def test_relative_centroids_center_of_box():
     struct = np.zeros(shape, dtype=np.uint8)
     struct[4, 4, 4] = 1
     body = _body_box(shape, (0, 0, 0), (9, 9, 9))
-    c = collect_structure_measurements(_lm(struct), _lm(body, kind="tissue"))
+    c = collect_structure_measurements(_ix(struct), _lm(body, kind="tissue"))
     assert c[1]["centroid"] == (0.5, 0.5, 0.5)
 
 
 def test_relative_centroids_empty_body_raises():
     z = np.zeros((4, 4, 4), dtype=np.uint8)
     with pytest.raises(ValueError, match="body mask is empty"):
-        collect_structure_measurements(_lm(z), _lm(z, kind="tissue"))
+        collect_structure_measurements(_ix(z), _lm(z, kind="tissue"))
 
 
 def test_collect_structure_measurements_volume():
@@ -97,7 +101,7 @@ def test_collect_structure_measurements_volume():
     struct[0:2, 0, 0] = 1  # 2 voxels
     body = _body_box(shape, (0, 0, 0), (6, 6, 6))
     grid = Grid(shape, (2.0, 2.0, 2.0))
-    per = collect_structure_measurements(_lm(struct, grid=grid),
+    per = collect_structure_measurements(_ix(struct, grid=grid),
                                          _lm(body, grid=grid, kind="tissue"))
     assert per[1]["volume_mm3"] == pytest.approx(2 * 8.0)
     assert len(per[1]["centroid"]) == 3
@@ -145,7 +149,8 @@ def _full_grid_measurements(structures, body):
 def _label_maps(draw):
     """Two structure maps and a tissue map on one grid, each painted with up
     to five solid or gappy boxes (none gives an empty map), with gaps in the
-    structure labels, on an anisotropic grid with any origin."""
+    structure labels, on an anisotropic grid with any origin; each map is
+    C- or F-ordered (a file loads F-ordered, a generated map is C-ordered)."""
     dims = tuple(draw(st.integers(1, 16)) for _ in range(3))
     spacing = tuple(draw(st.floats(0.3, 7.0)) for _ in range(3))
     origin = tuple(draw(st.floats(-400.0, 400.0)) for _ in range(3))
@@ -160,6 +165,8 @@ def _label_maps(draw):
             box = data[tuple(slice(l, h) for l, h in zip(lo, hi))]
             box[rng.random(box.shape) < draw(st.sampled_from([0.2, 0.7, 1.0]))] = \
                 draw(st.sampled_from(labels))
+        if draw(st.booleans()):
+            data = np.asfortranarray(data)
         return _lm(data, grid, kind)
 
     structure = [1, 2, 16, 20, 32]
@@ -183,14 +190,14 @@ def _case(grid, a, b, body):
                [[[0]], [[0]]]))                                     # empty body
 def test_box_counts_match_full_grid_oracle(maps):
     a, b, body = maps
-    assert per_class_dice(a, b) == _full_grid_dice(a, b)
+    assert per_class_dice(LabelIndex(a), LabelIndex(b)) == _full_grid_dice(a, b)
     try:
         expected = _full_grid_measurements(a, body)
     except ValueError:
         with pytest.raises(ValueError, match="body mask is empty"):
-            collect_structure_measurements(a, body)
+            collect_structure_measurements(LabelIndex(a), body)
     else:
-        assert collect_structure_measurements(a, body) == expected
+        assert collect_structure_measurements(LabelIndex(a), body) == expected
 
 
 def test_qq_pearson_identical_is_one():
@@ -266,7 +273,7 @@ def test_paired_dice_stats_identity():
     a = np.zeros((5, 5, 5), dtype=np.uint8)
     a[1:4, 1:4, 1:4] = 1
     a[2, 2, 2] = 2
-    stats = paired_dice_stats([per_class_dice(_lm(a), _lm(a.copy()))] * 3)
+    stats = paired_dice_stats([per_class_dice(_ix(a), _ix(a.copy()))] * 3)
     for lab in (1, 2):
         mean, sd = stats[lab]
         assert mean == pytest.approx(1.0)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import ndimage
 
 from vctkit.io import load_labelmap, save_labelmap
 from vctkit.volume import (
@@ -118,6 +119,10 @@ def _bincount_rule(data: np.ndarray, class_table: dict) -> list[int]:
     return [int(v) for v in present if v != 0 and int(v) not in class_table]
 
 
+_GAPPY_TABLE = {0: "bg", 1: "a", 2: "b", 5: "c", 9: "d", 10: "e", 300: "f"}
+_ODD_TABLE = {k: "c" for k in range(1, 22, 2)}
+
+
 @st.composite
 def _labels_and_table(draw):
     dtype = draw(st.sampled_from([np.uint8, np.uint16]))
@@ -143,6 +148,24 @@ def _labels_and_table(draw):
 @example((np.array([0, 1, 4], np.uint16).reshape(-1, 1, 1), dict(TISSUE_CLASSES)))
 @example((np.array([4, 65535], np.uint16).reshape(-1, 1, 1), dict(TISSUE_CLASSES)))
 @example((np.array([0, 300], np.uint16).reshape(-1, 1, 1), {0: "bg", 300: "c"}))
+# each end of the structure table's gap run 17..19, and 0 and lo - 1 = 16,
+# which the unsigned wrap of the range test must not flag
+@example((np.array([0, 16, 17], np.uint8).reshape(-1, 1, 1), dict(STRUCTURE_TABLE)))
+@example((np.array([0, 16, 19], np.uint8).reshape(-1, 1, 1), dict(STRUCTURE_TABLE)))
+@example((np.array([0, 16, 20], np.uint8).reshape(-1, 1, 1), dict(STRUCTURE_TABLE)))
+# a uint16 table with gap runs 3..4, 6..8, 11..299 and, above its last key,
+# 301..max: 0 and each lo - 1 pass, each end of a run fails, as does a
+# maximum the table lacks
+@example((np.array([0, 2, 5, 10, 300], np.uint16).reshape(-1, 1, 1), _GAPPY_TABLE))
+@example((np.array([0, 2, 3], np.uint16).reshape(-1, 1, 1), _GAPPY_TABLE))
+@example((np.array([4, 10], np.uint16).reshape(-1, 1, 1), _GAPPY_TABLE))
+@example((np.array([0, 5, 11], np.uint16).reshape(-1, 1, 1), _GAPPY_TABLE))
+@example((np.array([299, 300, 0], np.uint16).reshape(-1, 1, 1), _GAPPY_TABLE))
+@example((np.array([0, 300, 301], np.uint16).reshape(-1, 1, 1), _GAPPY_TABLE))
+@example((np.array([1, 65535], np.uint16).reshape(-1, 1, 1), _GAPPY_TABLE))
+# more gap runs than range tests: the lookup-table gather decides
+@example((np.array([0, 1, 21, 3], np.uint8).reshape(-1, 1, 1), _ODD_TABLE))
+@example((np.array([0, 21, 20], np.uint8).reshape(-1, 1, 1), _ODD_TABLE))
 def test_labelmap_check_matches_bincount_rule(case):
     data, table = case
     grid = Grid(data.shape, (1.0, 1.0, 1.0))
@@ -153,3 +176,71 @@ def test_labelmap_check_matches_bincount_rule(case):
         assert str(err.value) == f"label values {unknown} missing from class_table"
     else:
         LabelMap(grid, data, "structure", table)
+
+
+# --- LabelIndex against whole-grid oracles -------------------------------------
+
+
+@st.composite
+def _label_grid(draw, dims=None, dtype=None):
+    """A C- or F-ordered uint8/uint16 label grid, from empty to full, with a
+    few labels anywhere in the dtype's range."""
+    dtype = dtype or draw(st.sampled_from([np.uint8, np.uint16]))
+    dims = dims or tuple(draw(st.integers(1, 9)) for _ in range(3))
+    palette = draw(st.lists(st.integers(1, int(np.iinfo(dtype).max)), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    data = np.where(rng.random(dims) < density, rng.choice(palette, dims), 0).astype(dtype)
+    return np.asfortranarray(data) if draw(st.booleans()) else data
+
+
+@st.composite
+def _label_grid_pair(draw):
+    a = draw(_label_grid())
+    return a, draw(_label_grid(dims=a.shape, dtype=a.dtype.type))
+
+
+def _index(data):
+    table = {int(v): "c" for v in np.unique(data) if v != 0}
+    return LabelIndex(LabelMap(Grid(data.shape, (1.0, 1.0, 1.0)), data, "structure", table))
+
+
+def _corners(order):
+    data = np.zeros((3, 4, 5), dtype=np.uint16, order=order)
+    for i, (x, y, z) in enumerate(np.ndindex(2, 2, 2)):
+        data[-x, -y, -z] = 1 + 1000 * i
+    return data
+
+
+def _single_voxel(dtype, order):
+    data = np.zeros((4, 3, 2), dtype=dtype, order=order)
+    data[2, 1, 1] = np.iinfo(dtype).max
+    return data
+
+
+@settings(max_examples=200)  # each example takes a few milliseconds
+@given(_label_grid_pair())
+@example((np.zeros((3, 2, 4), np.uint8), np.zeros((3, 2, 4), np.uint8)))
+@example((np.zeros((3, 2, 4), np.uint16, order="F"), np.ones((3, 2, 4), np.uint16)))
+@example((_single_voxel(np.uint8, "C"), _single_voxel(np.uint8, "F")))
+@example((_single_voxel(np.uint16, "F"), np.zeros((4, 3, 2), np.uint16)))
+@example((_corners("C"), _corners("F")))
+@example((_corners("F"), _corners("C")[::-1, ::-1, ::-1]))
+def test_label_index_matches_full_grid_oracles(maps):
+    a, b = maps
+    index, other = _index(a), _index(b)
+    boxes = ndimage.find_objects(a)
+    labels = tuple(i + 1 for i, sl in enumerate(boxes) if sl is not None)
+    assert index.labels == labels
+    counts = np.bincount(a.ravel())
+    for c in labels:
+        assert index.box(c) == boxes[c - 1]
+        sub, box = index.mask(c)
+        assert box == boxes[c - 1] and np.array_equal(sub, a[box] == c)
+        assert index.count(c) == counts[c]
+        assert index.index_sum(c) == tuple(int(i.sum()) for i in np.nonzero(a == c))
+    absent = max(labels, default=0) + 1
+    assert index.box(absent) is None and index.mask(absent) is None
+    assert index.count(absent) == 0
+    assert index.overlaps(other) == {
+        c: int(np.count_nonzero((a == c) & (b == c))) for c in labels}
