@@ -15,7 +15,6 @@ import csv
 import json
 import logging
 import sys
-import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -213,24 +212,10 @@ def cmd_trial_run(args) -> int:
 # --- consistency ------------------------------------------------------------
 
 
-class _Tally:
-    """Counts of the work one command did, added to from worker threads."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.counts: dict[str, int] = {}
-
-    def add(self, **counts: int):
-        with self._lock:
-            for name, n in counts.items():
-                self.counts[name] = self.counts.get(name, 0) + n
-
-
-def _load_indexed(base: Path, record, tally: _Tally):
+def _load_indexed(base: Path, record):
     """A subject's tissue map and the index of its structure map."""
     tissue = load_labelmap(base / record.tissue, kind="tissue")
     index = LabelIndex(load_labelmap(base / record.structure, kind="structure"))
-    tally.add(maps_loaded=2, indexes_built=1)
     return tissue, index
 
 
@@ -241,9 +226,9 @@ def _cohort(per_subject) -> CohortMeasurements:
     return cohort
 
 
-def _collect_cohort(manifest, base: Path, threads: int, tally: _Tally) -> CohortMeasurements:
+def _collect_cohort(manifest, base: Path, threads: int) -> CohortMeasurements:
     def build(record):
-        tissue, index = _load_indexed(base, record, tally)
+        tissue, index = _load_indexed(base, record)
         return collect_structure_measurements(index, tissue)
 
     return _cohort(map_ordered(build, manifest.subjects, threads))
@@ -262,7 +247,6 @@ def cmd_consistency(args) -> int:
                           f"(A has {len(by_id_a)}, B has {len(by_id_b)}, "
                           f"overlap {len(set(by_id_a) & set(by_id_b))})")
 
-    tally = _Tally()
     dice_stats = None
     if args.mode == "paired":
         # one task per subject loads its four maps once, indexes each
@@ -270,8 +254,8 @@ def cmd_consistency(args) -> int:
         # dict, so no pair of maps outlives its task
         def measure_pair(record):
             sid = record.subject_id
-            tissue_a, index_a = _load_indexed(path_a.parent, record, tally)
-            tissue_b, index_b = _load_indexed(path_b.parent, by_id_b[sid], tally)
+            tissue_a, index_a = _load_indexed(path_a.parent, record)
+            tissue_b, index_b = _load_indexed(path_b.parent, by_id_b[sid])
             if index_a.grid != index_b.grid:
                 raise ConfigError(f"subject {sid!r}: grids differ between cohorts")
             return (sid, collect_structure_measurements(index_a, tissue_a),
@@ -285,18 +269,23 @@ def cmd_consistency(args) -> int:
         dice_stats = paired_dice_stats(dice for _, _, _, dice in results)
         log.info("paired dice over %d subjects", len(results))
     else:
-        cohort_a = _collect_cohort(manifest_a, path_a.parent, args.threads, tally)
-        cohort_b = _collect_cohort(manifest_b, path_b.parent, args.threads, tally)
+        cohort_a = _collect_cohort(manifest_a, path_a.parent, args.threads)
+        cohort_b = _collect_cohort(manifest_b, path_b.parent, args.threads)
 
     table = cohort_consistency(cohort_a, cohort_b, dice_stats=dice_stats)
     table.write_csv(out / "consistency.csv")
     log.info("wrote %s", out / "consistency.csv")
+    # each indexed subject loads a tissue and a structure map and indexes the
+    # latter; paired mode indexes A's subjects in both cohorts
+    n_a, n_b = len(manifest_a.subjects), len(manifest_b.subjects)
+    indexes_built = 2 * n_a if args.mode == "paired" else n_a + n_b
     # the message of this line is one JSON object, for tools that read run.log
     log.info("%s", json.dumps({
         "stage": "consistency", "mode": args.mode,
         "wall_s": round(time.perf_counter() - start, 6),
-        "subjects_a": len(manifest_a.subjects), "subjects_b": len(manifest_b.subjects),
-        **tally.counts}, sort_keys=True))
+        "subjects_a": n_a, "subjects_b": n_b,
+        "maps_loaded": 2 * indexes_built, "indexes_built": indexes_built},
+        sort_keys=True))
     print(f"consistency table ({args.mode}) -> {out / 'consistency.csv'}")
     return EXIT_OK
 

@@ -77,11 +77,6 @@ LANDMARK_PAIRS = {
 }
 
 
-# above this many runs of values missing from a class table, one gather
-# through a lookup table beats a range test per run
-_MAX_RANGE_TESTS = 8
-
-
 def _missing_runs(class_table: dict, top: int) -> list[tuple[int, int]]:
     """Inclusive (lo, hi) runs of the values 1..top that the table lacks."""
     runs, expect = [], 1
@@ -180,24 +175,13 @@ class LabelMap:
             raise ValueError(f"kind must be 'tissue' or 'structure', got {self.kind!r}")
         # values above the maximum cannot occur, so only the runs of 1..max the
         # table lacks need a look: one unsigned range test per run (values
-        # below a run wrap round to large ones), or, past a few runs, one
-        # gather through a lookup table of size max + 1. Only a failing map
-        # pays for listing its unknown values.
-        top = int(self.data.max())
-        runs = _missing_runs(self.class_table, top)
-        if not runs:
+        # below a run wrap round to large ones). Only a failing map pays for
+        # listing its unknown values.
+        kind = self.data.dtype.type
+        runs = _missing_runs(self.class_table, int(self.data.max()))
+        if not any((np.subtract(self.data, kind(lo), dtype=self.data.dtype)
+                    <= kind(hi - lo)).any() for lo, hi in runs):
             return
-        if len(runs) <= _MAX_RANGE_TESTS:
-            kind = self.data.dtype.type
-            if not any((np.subtract(self.data, kind(lo), dtype=self.data.dtype)
-                        <= kind(hi - lo)).any() for lo, hi in runs):
-                return
-        else:
-            allowed = np.zeros(top + 1, dtype=bool)
-            allowed[0] = True
-            allowed[[k for k in self.class_table if 0 < k <= top]] = True
-            if allowed[self.data].all():
-                return
         present = np.nonzero(np.bincount(self.data.ravel()))[0]
         unknown = [int(v) for v in present if v != 0 and int(v) not in self.class_table]
         raise ValueError(f"label values {unknown} missing from class_table")

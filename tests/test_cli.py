@@ -414,6 +414,17 @@ def test_consistency_paired_loads_each_map_once(tmp_path, monkeypatch):
     assert {k: v for k, v in record.items() if k != "wall_s"} == {
         "stage": "consistency", "mode": "paired", "subjects_a": 2, "subjects_b": 2,
         "maps_loaded": len(loaded), "indexes_built": len(indexed)}
+    # cohort mode indexes each cohort's subjects once too, and logs as much
+    loaded.clear()
+    indexed.clear()
+    out = tmp_path / "o_cohort"
+    with pytest.warns(UserWarning, match="fewer than 3 samples"):
+        assert main(["consistency", "--a", manifest, "--b", manifest,
+                     "--out", str(out), "--cohort"]) == 0
+    assert indexed == ["structure"] * 4
+    record = _consistency_record(out)
+    assert (record["mode"], record["maps_loaded"], record["indexes_built"]) == (
+        "cohort", len(loaded), len(indexed))
 
 
 def test_consistency_paired_shifted_cohort_pins_bytes(tmp_path):

@@ -163,7 +163,7 @@ def _labels_and_table(draw):
 @example((np.array([299, 300, 0], np.uint16).reshape(-1, 1, 1), _GAPPY_TABLE))
 @example((np.array([0, 300, 301], np.uint16).reshape(-1, 1, 1), _GAPPY_TABLE))
 @example((np.array([1, 65535], np.uint16).reshape(-1, 1, 1), _GAPPY_TABLE))
-# more gap runs than range tests: the lookup-table gather decides
+# a table with ten gap runs, one range test each
 @example((np.array([0, 1, 21, 3], np.uint8).reshape(-1, 1, 1), _ODD_TABLE))
 @example((np.array([0, 21, 20], np.uint8).reshape(-1, 1, 1), _ODD_TABLE))
 def test_labelmap_check_matches_bincount_rule(case):
