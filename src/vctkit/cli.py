@@ -59,6 +59,14 @@ def _setup_log(out_dir: Path) -> logging.Logger:
     return logger
 
 
+def _log_stage(log: logging.Logger, stage: str, start: float, **counters) -> None:
+    """One run.log line for a finished stage; its message is one JSON object,
+    for tools that read run.log."""
+    log.info("%s", json.dumps({"stage": stage,
+                               "wall_s": round(time.perf_counter() - start, 6),
+                               **counters}, sort_keys=True))
+
+
 def _load_json(path) -> dict:
     try:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -73,6 +81,7 @@ def _load_json(path) -> dict:
 
 
 def cmd_phantom_gen(args) -> int:
+    start = time.perf_counter()
     cfg = _load_json(args.config) if args.config else {}
     bad = set(cfg) - {"n", "seed", "spacing_mm", "distribution"}
     if bad:
@@ -101,6 +110,8 @@ def cmd_phantom_gen(args) -> int:
              n, seed, tuple(spacing), args.threads)
     manifest = generate_cohort(n, dist, spacing, seed, out, threads=args.threads)
     log.info("wrote %d subjects to %s", len(manifest.subjects), out)
+    _log_stage(log, "phantom gen", start, subjects=len(manifest.subjects),
+               failed=n - len(manifest.subjects))
     print(f"generated {len(manifest.subjects)} phantoms -> {out / 'manifest.json'}")
     return EXIT_OK
 
@@ -126,6 +137,7 @@ def _load_subjects(manifest_path: Path):
 
 
 def cmd_measure(args) -> int:
+    start = time.perf_counter()
     manifest_path = Path(args.manifest)
     manifest = _load_subjects(manifest_path)
     base = manifest_path.parent
@@ -161,6 +173,7 @@ def cmd_measure(args) -> int:
                              repr(rep.body_volume_l), height_mm])
     ok = len(results) - len(failed)
     log.info("measured %d/%d subjects", ok, len(results))
+    _log_stage(log, "measure", start, subjects=len(results), failed=len(failed))
     print(f"measured {ok}/{len(results)} subjects -> {out / 'measurements.csv'}")
     return EXIT_PARTIAL if failed else EXIT_OK
 
@@ -279,13 +292,8 @@ def cmd_consistency(args) -> int:
     # latter; paired mode indexes A's subjects in both cohorts
     n_a, n_b = len(manifest_a.subjects), len(manifest_b.subjects)
     indexes_built = 2 * n_a if args.mode == "paired" else n_a + n_b
-    # the message of this line is one JSON object, for tools that read run.log
-    log.info("%s", json.dumps({
-        "stage": "consistency", "mode": args.mode,
-        "wall_s": round(time.perf_counter() - start, 6),
-        "subjects_a": n_a, "subjects_b": n_b,
-        "maps_loaded": 2 * indexes_built, "indexes_built": indexes_built},
-        sort_keys=True))
+    _log_stage(log, "consistency", start, mode=args.mode, subjects_a=n_a, subjects_b=n_b,
+               maps_loaded=2 * indexes_built, indexes_built=indexes_built)
     print(f"consistency table ({args.mode}) -> {out / 'consistency.csv'}")
     return EXIT_OK
 

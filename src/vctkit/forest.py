@@ -6,20 +6,28 @@ Determinism contract:
 * each tree trains on a bootstrap resample of size n drawn from its stream;
 * at a node, ``max_features`` candidates are drawn without replacement
   ("sqrt" means ``max(1, isqrt(n_features))``, "all" means every feature);
+  each tree draws for its nodes in preorder (left subtree before right);
 * split thresholds are midpoints of consecutive distinct sorted values and
   rows go left when ``x <= threshold``;
 * the best split maximizes impurity decrease (Gini for classification,
   variance for regression); ties break toward the lowest feature index,
   then the lowest threshold;
 * growth stops when a node is pure, a split would violate
-  ``min_samples_leaf``, or the best decrease is <= 1e-12.
+  ``min_samples_leaf``, or the best decrease is <= 1e-12.  A classifier
+  node is pure when its class-1 count is 0 or n.  A regressor node is pure
+  when ``y.var() <= 0``; a spread ``max - min > 1e-150`` already proves
+  ``var() > 0`` (the widest deviation squares to a normal number), so only
+  narrower nodes call ``var()``, which is not 0 on every all-equal array.
 
-A node scores all its candidate features in one pass over a k x n block
-(one sort, one cumulative sum and one gain array for all k), with the
-per-feature arithmetic unchanged, so the trees equal a feature-by-feature
-scan's bit for bit; the regressor's parent variance stays one scalar per
-feature, because a scalar ``** 2`` (libm ``pow``) and an array ``** 2``
-(an exact square) can differ in the last bit and so move a split.
+All trees grow in lockstep.  Each step takes every ready node of every tree
+and scores them in one batched split search: with "all" every pending node
+is ready, with "sqrt" only the next node of each tree in preorder, because
+a draw moves its tree's stream.  The batch pads nodes of similar size into
+one m x k x w block (one sort, one cumulative sum and one gain array), with
+the per-feature arithmetic of a one-feature scan, so the trees equal a
+feature-by-feature, node-by-node scan's bit for bit.  A node's importance
+contribution is kept with its preorder path and summed per tree in
+preorder, so the sums do not depend on the order the batches ran in.
 
 ``predict_proba`` is the fraction of trees whose leaf majority is class 1
 (ties vote 1).  Feature importance is mean decrease in impurity, averaged
@@ -30,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,103 +101,116 @@ def _gini(c1: float, n: float) -> float:
     return 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1)
 
 
-def _best_split(block, ys, min_leaf, kind):
-    """Best (gain, column, threshold) over a node's candidate columns, or None.
+def _best_split(x, y, n, min_leaf, kind):
+    """Best (gain, column, threshold) of each node of a batch, or None.
 
-    ``block`` is k x n: one row per candidate feature, in ascending feature
-    order, one column per node sample.  Each step runs once for all k rows;
-    the arithmetic per row is the one-feature CART scan's, so gains and
-    tie-breaks are bit-identical to scanning the features one at a time.
+    ``x`` is m x k x w: node i's k candidate features, in ascending feature
+    order, over its ``n[i]`` samples, padded with +inf to the width w; ``y``
+    is m x w, padded with 0.  The padding sorts last, adds nothing to a
+    prefix sum and fails ``nr >= min_leaf``, so each node's gains and
+    tie-breaks are bit-identical to its one-feature CART scans.
     """
-    n = len(ys)
-    order = np.argsort(block, axis=1, kind="stable")
-    xs = np.sort(block, axis=1, kind="stable")  # == block gathered by order
-    yo = ys[order]
-    nl = np.arange(1, n, dtype=np.float64)
-    nr = n - nl
-    if kind == "classifier":
-        cum1 = np.cumsum(yo, axis=1)
-        c1l = cum1[:, :-1]
-        c1r = cum1[:, -1:] - c1l
-        parent = _gini(float(cum1[0, -1]), n)  # a count: the same in every row
-        p1l = c1l / nl
-        p1r = c1r / nr
-        gini_l = 1.0 - p1l * p1l - (1.0 - p1l) * (1.0 - p1l)
-        gini_r = 1.0 - p1r * p1r - (1.0 - p1r) * (1.0 - p1r)
-        gains = parent - (nl * gini_l + nr * gini_r) / n
-    else:
-        cy = np.cumsum(yo, axis=1)
-        cy2 = np.cumsum(yo * yo, axis=1)
-        var_l = np.maximum(cy2[:, :-1] / nl - (cy[:, :-1] / nl) ** 2, 0.0)
-        var_r = np.maximum((cy2[:, -1:] - cy2[:, :-1]) / nr
-                           - ((cy[:, -1:] - cy[:, :-1]) / nr) ** 2, 0.0)
-        # the parent stays a scalar per row: a scalar ** 2 is libm pow, an
-        # array ** 2 an exact square, and the two can differ in the last bit
-        parent = np.array([[max(float(s2 / n - (s / n) ** 2), 0.0)]
-                           for s, s2 in zip(cy[:, -1], cy2[:, -1])])
-        gains = parent - (nl * var_l + nr * var_r) / n
-    thr = (xs[:, :-1] + xs[:, 1:]) / 2.0
+    m, k, w = x.shape
+    rows = np.arange(m)
+    order = np.argsort(x, axis=-1, kind="stable")
+    xs = np.take_along_axis(x, order, axis=-1)
+    yo = y[rows[:, None, None], order]
+    last = n - 1
+    nn = n.astype(np.float64)[:, None, None]
+    nl = np.arange(1, w, dtype=np.float64)
+    nr = nn - nl  # <= 0 past a node's last split point
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "classifier":
+            cum1 = np.cumsum(yo, axis=-1)
+            c1 = cum1[rows, :, last]  # a count: the same in every row
+            parent = np.array([_gini(c, s) for c, s in zip(c1[:, 0].tolist(), n.tolist())])
+            c1l = cum1[..., :-1]
+            c1r = c1[..., None] - c1l
+            p1l = c1l / nl
+            p1r = c1r / nr
+            gini_l = 1.0 - p1l * p1l - (1.0 - p1l) * (1.0 - p1l)
+            gini_r = 1.0 - p1r * p1r - (1.0 - p1r) * (1.0 - p1r)
+            gains = parent[:, None, None] - (nl * gini_l + nr * gini_r) / nn
+        else:
+            cy = np.cumsum(yo, axis=-1)
+            cy2 = np.cumsum(yo * yo, axis=-1)
+            # totals per row: each row sums in its own order, and the sums
+            # can differ in the last bit between rows
+            s, s2 = cy[rows, :, last], cy2[rows, :, last]
+            var_l = np.maximum(cy2[..., :-1] / nl - (cy[..., :-1] / nl) ** 2, 0.0)
+            var_r = np.maximum((s2[..., None] - cy2[..., :-1]) / nr
+                               - ((s[..., None] - cy[..., :-1]) / nr) ** 2, 0.0)
+            # the parent is a Python float per row: a scalar ** 2 is libm
+            # pow, an array ** 2 an exact square, and the two can differ in
+            # the last bit
+            parent = np.array([max(b / c - (a / c) ** 2, 0.0) for a, b, c in
+                               zip(s.ravel().tolist(), s2.ravel().tolist(),
+                                   np.repeat(n, k).tolist())])
+            gains = parent.reshape(m, k, 1) - (nl * var_l + nr * var_r) / nn
+    thr = (xs[..., :-1] + xs[..., 1:]) / 2.0
     # x <= thr goes left, so thr must lie below the right-hand value; that
     # also rejects equal neighbours, and a midpoint that rounds up to the
     # right-hand value, which would send it left
-    valid = (thr < xs[:, 1:]) & (nl >= min_leaf) & (nr >= min_leaf)
-    gains = np.where(valid, gains, -np.inf)
+    valid = (thr < xs[..., 1:]) & (nl >= min_leaf) & (nr >= min_leaf)
+    gains = np.where(valid, gains, -np.inf).reshape(m, -1)
     # first max in row-major order: lowest feature, then lowest threshold
-    j, i = divmod(int(np.argmax(gains)), n - 1)
-    if not gains[j, i] > GAIN_TOL:
-        return None
-    return float(gains[j, i]), j, float(thr[j, i])
+    best = np.argmax(gains, axis=1)
+    found = []
+    for g, b, t in zip(gains[rows, best].tolist(), best.tolist(),
+                       thr.reshape(m, -1)[rows, best].tolist()):
+        found.append((g, b // (w - 1), t) if g > GAIN_TOL else None)
+    return found
 
 
-def _node_impurity(ys, kind) -> float:
-    n = len(ys)
+def _leaf(ys, kind) -> dict:
     if kind == "classifier":
-        return _gini(float(ys.sum()), n)
-    return max(float(ys.var()), 0.0)
+        n1 = int(ys.sum())
+        return {"value": [len(ys) - n1, n1]}
+    return {"value": float(ys.mean())}
 
 
-def _grow(XT, y, rows, depth, params, kind, stream, importances, n_total):
-    ys = y[rows]
-    n = len(rows)
-
-    def leaf():
-        if kind == "classifier":
-            n1 = int(ys.sum())
-            return {"value": [n - n1, n1]}
-        return {"value": float(ys.mean())}
-
+def _stops(ys, depth, params, kind) -> bool:
+    """True when a node is a leaf before any split search (or draw)."""
+    n = len(ys)
     if n < 2 * params.min_samples_leaf:
-        return leaf()
+        return True
     if params.max_depth is not None and depth >= params.max_depth:
-        return leaf()
-    if _node_impurity(ys, kind) <= 0.0:
-        return leaf()
+        return True
+    if kind == "classifier":
+        n1 = int(ys.sum())
+        return n1 == 0 or n1 == n
+    if ys.max() - ys.min() > 1e-150:
+        return False
+    return max(float(ys.var()), 0.0) <= 0.0
 
-    n_features = XT.shape[0]
-    if params.max_features == "all":
-        candidates = np.arange(n_features)
-    else:
-        k = max(1, math.isqrt(n_features))
-        candidates = stream.choice(n_features, k)
 
-    features = sorted(int(c) for c in candidates)
-    block = XT[features][:, rows]
-    best = _best_split(block, ys, params.min_samples_leaf, kind)
-    if best is None:
-        return leaf()
+class _Node(NamedTuple):
+    """A node still to grow; once grown it is stored at ``slot[key]``."""
 
-    gain, j, thr = best
-    f = features[j]
-    mask = block[j] <= thr
-    left_rows = rows[mask]
-    right_rows = rows[~mask]
-    importances[f] += (n / n_total) * gain
-    return {
-        "feature": f,
-        "threshold": thr,
-        "left": _grow(XT, y, left_rows, depth + 1, params, kind, stream, importances, n_total),
-        "right": _grow(XT, y, right_rows, depth + 1, params, kind, stream, importances, n_total),
-    }
+    slot: list | dict
+    key: int | str
+    path: tuple  # 0 = left, 1 = right from the root: sorted paths are preorder
+    rows: np.ndarray
+    depth: int
+
+
+# a batch's widest node is at most twice its narrowest, so at most half its
+# cells are padding; the cell budget keeps a batch's arrays in cache
+_BATCH_CELLS = 1 << 14
+
+
+def _batches(ready, k):
+    """Split ``ready`` (sorted by node size) into consecutive batches."""
+    start = 0
+    for i in range(1, len(ready) + 1):
+        if i == len(ready):
+            yield ready[start:]
+        else:
+            width = len(ready[i][1].rows)
+            if (width > 2 * len(ready[start][1].rows)
+                    or (i - start + 1) * k * width > _BATCH_CELLS):
+                yield ready[start:i]
+                start = i
 
 
 def fit_forest(X, y, kind: str = "classifier",
@@ -198,15 +220,62 @@ def fit_forest(X, y, kind: str = "classifier",
         raise ValueError("kind must be 'classifier' or 'regressor'")
     X, y = _validate_xy(X, y, kind)
     n, n_features = X.shape
-    XT = np.ascontiguousarray(X.T)  # feature-major: a node gathers its rows per feature
-    trees = []
+    # feature-major, plus a padding sample n: +inf in every feature, 0 in y
+    XT = np.hstack([X.T, np.full((n_features, 1), np.inf)])
+    y_pad = np.append(y, 0.0)
+    if params.max_features == "all":
+        k, every = n_features, np.arange(n_features)
+    else:
+        k, every = max(1, math.isqrt(n_features)), None
+    streams = [Stream(params.seed + t) for t in range(params.n_trees)]
+    trees: list = [None] * params.n_trees
+    gains = [[] for _ in streams]  # per tree: (path, feature, weighted gain)
+    # per tree, the nodes still to grow; popping takes left before right
+    stacks = [[_Node(trees, t, (), np.asarray(s.integers(n, n)), 0)]
+              for t, s in enumerate(streams)]
+    while True:
+        ready = []  # (tree, node, candidate features, node targets)
+        for t, stack in enumerate(stacks):
+            while stack:
+                node = stack.pop()
+                ys = y[node.rows]
+                if _stops(ys, node.depth, params, kind):
+                    node.slot[node.key] = _leaf(ys, kind)
+                elif every is not None:
+                    ready.append((t, node, every, ys))
+                else:
+                    ready.append((t, node, np.sort(streams[t].choice(n_features, k)), ys))
+                    break  # the tree's next draw waits for this node's children
+        if not ready:
+            break
+        ready.sort(key=lambda r: len(r[1].rows))
+        for batch in _batches(ready, k):
+            sizes = np.array([len(node.rows) for _, node, _, _ in batch])
+            index = np.full((len(batch), sizes[-1]), n)
+            index[np.arange(sizes[-1]) < sizes[:, None]] = np.concatenate(
+                [node.rows for _, node, _, _ in batch])
+            features = np.array([f for _, _, f, _ in batch])
+            xb = XT[features[:, :, None], index[:, None, :]]
+            found = _best_split(xb, y_pad[index], sizes, params.min_samples_leaf, kind)
+            for i, ((t, node, _, ys), best) in enumerate(zip(batch, found)):
+                if best is None:
+                    node.slot[node.key] = _leaf(ys, kind)
+                    continue
+                gain, j, thr = best
+                f = int(features[i, j])
+                left = xb[i, j, :len(ys)] <= thr
+                split = {"feature": f, "threshold": thr, "left": None, "right": None}
+                node.slot[node.key] = split
+                gains[t].append((node.path, f, (len(ys) / n) * gain))
+                stacks[t].append(_Node(split, "right", node.path + (1,),
+                                       node.rows[~left], node.depth + 1))
+                stacks[t].append(_Node(split, "left", node.path + (0,),
+                                       node.rows[left], node.depth + 1))
     imp = np.zeros(n_features, dtype=np.float64)
-    for t in range(params.n_trees):
-        stream = Stream(params.seed + t)
-        boot = np.asarray(stream.integers(n, n))
+    for tree_gains in gains:
         tree_imp = np.zeros(n_features, dtype=np.float64)
-        root = _grow(XT, y, boot, 0, params, kind, stream, tree_imp, n)
-        trees.append(root)
+        for _, f, g in sorted(tree_gains, key=lambda c: c[0]):  # preorder
+            tree_imp[f] += g
         imp += tree_imp
     imp /= params.n_trees
     total = imp.sum()

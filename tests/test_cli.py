@@ -380,12 +380,31 @@ def test_consistency_b_in_reversed_order_is_byte_identical(cohort_dir, tmp_path)
         reversed_b.unlink()
 
 
-def _consistency_record(out) -> dict:
-    """The JSON message of the consistency stage's line in run.log."""
+def _stage_record(out, stage: str) -> dict:
+    """The JSON message of a stage's one line in run.log."""
     lines = [line for line in (out / "run.log").read_text().splitlines()
-             if '"stage": "consistency"' in line]
+             if f'"stage": "{stage}"' in line]
     assert len(lines) == 1
     return json.loads(lines[0][lines[0].index("{"):])
+
+
+def test_gen_and_measure_log_stage_lines(tmp_path):
+    cohort = tmp_path / "c"
+    assert main(["phantom", "gen", "--n", "2", "--seed", "3", "--out", str(cohort),
+                 "--spacing", SPACING]) == 0
+    record = _stage_record(cohort, "phantom gen")
+    assert record["wall_s"] > 0
+    assert record == {"stage": "phantom gen", "wall_s": record["wall_s"],
+                      "subjects": 2, "failed": 0}
+    # a missing image fails its subject only; the line counts it
+    (cohort / load_manifest(cohort / "manifest.json").subjects[1].image).unlink()
+    out = tmp_path / "m"
+    assert main(["measure", "--manifest", str(cohort / "manifest.json"),
+                 "--out", str(out)]) == 1
+    record = _stage_record(out, "measure")
+    assert record["wall_s"] > 0
+    assert record == {"stage": "measure", "wall_s": record["wall_s"],
+                      "subjects": 2, "failed": 1}
 
 
 def test_consistency_paired_loads_each_map_once(tmp_path, monkeypatch):
@@ -409,7 +428,7 @@ def test_consistency_paired_loads_each_map_once(tmp_path, monkeypatch):
     assert sorted(loaded) == ["structure"] * 4 + ["tissue"] * 4
     # one index per structure map, shared by the measurements and Dice
     assert indexed == ["structure"] * 4
-    record = _consistency_record(out)
+    record = _stage_record(out, "consistency")
     assert record["wall_s"] > 0
     assert {k: v for k, v in record.items() if k != "wall_s"} == {
         "stage": "consistency", "mode": "paired", "subjects_a": 2, "subjects_b": 2,
@@ -422,7 +441,7 @@ def test_consistency_paired_loads_each_map_once(tmp_path, monkeypatch):
         assert main(["consistency", "--a", manifest, "--b", manifest,
                      "--out", str(out), "--cohort"]) == 0
     assert indexed == ["structure"] * 4
-    record = _consistency_record(out)
+    record = _stage_record(out, "consistency")
     assert (record["mode"], record["maps_loaded"], record["indexes_built"]) == (
         "cohort", len(loaded), len(indexed))
 

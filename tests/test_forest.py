@@ -197,51 +197,82 @@ def _oracle_split(block, ys, min_leaf, kind):
     return best
 
 
+def _pad(nodes):
+    """A batch of (k x n block, targets) nodes, padded as ``fit_forest`` pads it."""
+    sizes = np.array([len(ys) for _, ys in nodes])
+    x = np.full((len(nodes), nodes[0][0].shape[0], sizes.max()), np.inf)
+    y = np.zeros((len(nodes), sizes.max()))
+    for i, (block, ys) in enumerate(nodes):
+        x[i, :, :len(ys)] = block
+        y[i, :len(ys)] = ys
+    return x, y, sizes
+
+
 @st.composite
-def _node(draw):
-    """A node's k x n candidate block and targets, with ties and constant rows."""
+def _batch(draw):
+    """1-6 nodes of different n sharing k: candidate blocks with ties and constant rows."""
     kind = draw(st.sampled_from(["classifier", "regressor"]))
     k = draw(st.integers(1, 9))
     min_leaf = draw(st.integers(1, 8))
-    n = draw(st.integers(2, 40))
-    rows = []
-    for _ in range(k):
-        levels = draw(st.integers(0, 12))  # 0 gives a constant row
-        rows.append(draw(st.lists(st.integers(0, levels), min_size=n, max_size=n)))
-    block = np.array(rows, dtype=np.float64) * draw(st.sampled_from([1.0, 0.1, 1 / 3]))
-    if kind == "classifier":
-        ys = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-        return kind, block, np.array(ys, dtype=np.float64), min_leaf
-    ys = draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n))
-    scale = draw(st.sampled_from([1.0, 7.0, 10.0]))
-    return kind, block, np.array(ys, dtype=np.float64) / scale, min_leaf
+    nodes = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(2, 40))
+        rows = []
+        for _ in range(k):
+            levels = draw(st.integers(0, 12))  # 0 gives a constant row
+            rows.append(draw(st.lists(st.integers(0, levels), min_size=n, max_size=n)))
+        block = np.array(rows, dtype=np.float64) * draw(st.sampled_from([1.0, 0.1, 1 / 3]))
+        if kind == "classifier":
+            ys = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                          dtype=np.float64)
+        else:
+            ys = np.array(draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n)),
+                          dtype=np.float64) / draw(st.sampled_from([1.0, 7.0, 10.0]))
+        nodes.append((block, ys))
+    return kind, nodes, min_leaf
 
 
 _ONE_PLUS = np.nextafter(1.0, 2.0)
 
 
-@settings(max_examples=300)  # each example takes about a millisecond
-@given(_node())
+@settings(max_examples=300)  # each example takes a few milliseconds
+@given(_batch())
 # summed in x-sorted order the node mean is m = -0.37499999999999994, and
 # float(m) ** 2 != m * m: a scalar ** 2 (libm pow) and an array ** 2 differ
-@example(("regressor", np.array([[0.0, 2.0, 1.0, 2.0]]),
-          np.array([-0.6, 0.8, -0.7, -1.0]), 1))
+@example(("regressor", [(np.array([[0.0, 2.0, 1.0, 2.0]]),
+                         np.array([-0.6, 0.8, -0.7, -1.0]))], 1))
 # equal gains on two features at different thresholds: the lower feature wins
-@example(("classifier", np.array([[0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 0.0]]),
-          np.array([1.0, 1.0, 1.0, 0.0]), 1))
+@example(("classifier", [(np.array([[0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 0.0]]),
+                          np.array([1.0, 1.0, 1.0, 0.0]))], 1))
 # the midpoint of 1 + u and 1 + 2u rounds up to 1 + 2u, which cannot separate
-@example(("classifier", np.array([[1.0, _ONE_PLUS, np.nextafter(_ONE_PLUS, 2.0)]]),
-          np.array([0.0, 0.0, 1.0]), 1))
+@example(("classifier", [(np.array([[1.0, _ONE_PLUS, np.nextafter(_ONE_PLUS, 2.0)]]),
+                          np.array([0.0, 0.0, 1.0]))], 1))
+# widths 2, 6 and 3 in one batch: the narrow nodes' padding must not split,
+# and a constant row and an all-equal target yield no split
+@example(("regressor", [
+    (np.array([[1.0, 2.0], [5.0, 5.0]]), np.array([0.3, -0.3])),
+    (np.array([[3.0, 1.0, 2.0, 1.0, 3.0, 0.0], [0.1, 0.2, 0.2, 0.1, 0.3, 0.3]]),
+     np.array([0.5, -0.2, 0.1, -0.2, 0.5, 0.9])),
+    (np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]]), np.array([0.1, 0.1, 0.1])),
+], 1))
 def test_node_evaluator_matches_feature_scan(case):
-    kind, block, ys, min_leaf = case
-    assert _best_split(block, ys, min_leaf, kind) == _oracle_split(block, ys, min_leaf, kind)
+    kind, nodes, min_leaf = case
+    x, y, sizes = _pad(nodes)
+    assert _best_split(x, y, sizes, min_leaf, kind) == [
+        _oracle_split(block, ys, min_leaf, kind) for block, ys in nodes]
 
 
 # --- golden forests ----------------------------------------------------------
 
 
-def _golden_xy(seed: int, n: int, kind: str):
-    """Audit-sized data from a fixed stream: 8 features with ties and a constant."""
+def _golden_xy(seed: int, n: int, kind: str, runs: bool = False):
+    """Audit-sized data from a fixed stream: 8 features with ties and a constant.
+
+    With ``runs`` the regressor's y is 0.1 wherever feature 3 is at one of its
+    two lowest levels, so many nodes hold one repeated value; n copies of 0.1
+    often have ``var() > 0`` (n = 3, 6, 7, 12, ...), and such a node still
+    draws its candidates.
+    """
     stream = Stream(seed)
     X = np.column_stack([stream.uniform(n) for _ in range(8)])
     X[:, 1] = np.round(X[:, 1], 1)  # ties
@@ -251,25 +282,32 @@ def _golden_xy(seed: int, n: int, kind: str):
     signal = 2.0 * X[:, 0] + X[:, 3] - X[:, 5] + noise
     if kind == "classifier":
         return X, (signal > np.median(signal)).astype(np.float64)
-    return X, signal
+    return X, np.where(X[:, 3] <= 1.0, 0.1, signal) if runs else signal
 
 
 # sha256 of forest_to_json, recorded with the feature-by-feature split search
+# (the last two with the node-by-node recursive growth)
 GOLDEN = [
-    ("classifier", 150, 11, ForestParams(n_trees=60, min_samples_leaf=2, seed=3),
+    ("classifier", 150, 11, ForestParams(n_trees=60, min_samples_leaf=2, seed=3), False,
      "f45c84ae7380eacde19606175ff402af30e0a457fabbaebc339fb1281d6a2908"),
-    ("classifier", 240, 12, ForestParams(n_trees=60, seed=4),
+    ("classifier", 240, 12, ForestParams(n_trees=60, seed=4), False,
      "4a486a7830a3316056c74ea7b248785cb247399f9fadd4005957608731a41737"),
     ("regressor", 120, 13, replace(REGRESSOR_PARAMS, n_trees=50, max_features="all", seed=5),
-     "19a57dd9e6c07cbd2ddcbb7fd84698356c212afdfe4264ec8d578a869d014c46"),
+     False, "19a57dd9e6c07cbd2ddcbb7fd84698356c212afdfe4264ec8d578a869d014c46"),
     ("regressor", 300, 14, replace(REGRESSOR_PARAMS, n_trees=50, max_features="all", seed=6),
-     "19902824d32c305b5ae491c61bc51d385da259f0e615c06258a5b9d274223645"),
+     False, "19902824d32c305b5ae491c61bc51d385da259f0e615c06258a5b9d274223645"),
+    # runs of 0.1: all-equal nodes with var() > 0 draw, and move later draws
+    ("regressor", 200, 15, replace(REGRESSOR_PARAMS, n_trees=50, max_features="sqrt", seed=7),
+     True, "a7010267388ef0596b609798598e6fade8d431cddd4602b18dd267fa350e0c89"),
+    # depth-capped: every tree stops at depth 3
+    ("classifier", 180, 16, ForestParams(n_trees=40, max_depth=3, seed=8), False,
+     "466bd33487113031c7a38913caad4dd97356bbe5322272a45b25a92f19715a3e"),
 ]
 
 
-@pytest.mark.parametrize("kind,n,data_seed,params,digest", GOLDEN,
+@pytest.mark.parametrize("kind,n,data_seed,params,runs,digest", GOLDEN,
                          ids=[f"{c[0]}-{c[3].max_features}-{c[1]}" for c in GOLDEN])
-def test_golden_forest_digest(kind, n, data_seed, params, digest):
-    X, y = _golden_xy(data_seed, n, kind)
+def test_golden_forest_digest(kind, n, data_seed, params, runs, digest):
+    X, y = _golden_xy(data_seed, n, kind, runs)
     forest = fit_forest(X, y, kind, params)
     assert hashlib.sha256(forest_to_json(forest).encode("utf-8")).hexdigest() == digest
