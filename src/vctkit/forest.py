@@ -202,15 +202,12 @@ _BATCH_CELLS = 1 << 14
 def _batches(ready, k):
     """Split ``ready`` (sorted by node size) into consecutive batches."""
     start = 0
-    for i in range(1, len(ready) + 1):
-        if i == len(ready):
-            yield ready[start:]
-        else:
-            width = len(ready[i][1].rows)
-            if (width > 2 * len(ready[start][1].rows)
-                    or (i - start + 1) * k * width > _BATCH_CELLS):
-                yield ready[start:i]
-                start = i
+    for i in range(1, len(ready)):
+        width = len(ready[i][1].rows)
+        if width > 2 * len(ready[start][1].rows) or (i - start + 1) * k * width > _BATCH_CELLS:
+            yield ready[start:i]
+            start = i
+    yield ready[start:]
 
 
 def fit_forest(X, y, kind: str = "classifier",
