@@ -199,6 +199,7 @@ def _load_measured_cohort(cohort_dir: Path) -> list[MeasuredSubject]:
 
 
 def cmd_trial_run(args) -> int:
+    start = time.perf_counter()
     try:
         config = TrialConfig.from_dict(_load_json(args.config))
     except ValueError as exc:
@@ -209,11 +210,12 @@ def cmd_trial_run(args) -> int:
     if args.cohort:
         cohort = _load_measured_cohort(Path(args.cohort))
         log.info("loaded %d measured subjects from %s", len(cohort), args.cohort)
-    log.info("trial task=%s n=%d threads=%d", config.task,
-             config.n_subjects if cohort is None else len(cohort), args.threads)
+    n_subjects = config.n_subjects if cohort is None else len(cohort)
+    log.info("trial task=%s n=%d threads=%d", config.task, n_subjects, args.threads)
     report = run_full_vct(config, threads=args.threads, cohort=cohort)
     written = write_trial_outputs(report, out, config)
     log.info("wrote %s", ", ".join(str(p) for p in written))
+    _log_stage(log, "trial run", start, subjects=n_subjects, rows=len(report.rows))
     print(f"train |r({report.boundary.x_feature}, {report.task})| = "
           f"{abs(report.achieved_pearson):.3f}")
     for row in report.rows:

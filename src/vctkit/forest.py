@@ -166,7 +166,8 @@ def _leaf(ys, kind) -> dict:
     if kind == "classifier":
         n1 = int(ys.sum())
         return {"value": [len(ys) - n1, n1]}
-    return {"value": float(ys.mean())}
+    # ys.mean()'s own sum and division, without numpy's Python-level wrapper
+    return {"value": float(np.add.reduce(ys) / len(ys))}
 
 
 def _stops(ys, depth, params, kind) -> bool:

@@ -6,6 +6,11 @@ the payload is the raw array little-endian in x-fastest order (linear index
 single-file images with dtype int16/uint8/uint16/float32 whose affine is an
 axis permutation/flip; oblique orientations are rejected.  HU volumes are
 clamped to [-1024, 3071] on load.
+
+A CTV save copies the grid at most once (the x-fastest ravel of a C-ordered
+array) and writes that buffer straight to disk.  A load checks the payload
+size on disk, then reads the payload into the array it returns (F-ordered,
+so no reordering copy) and clamps HU in place.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ import numpy as np
 from .volume import (
     FormatError,
     Grid,
+    HU_MAX,
+    HU_MIN,
     LabelMap,
     Volume,
     LABEL_DTYPES,
@@ -60,8 +67,9 @@ def _write_ctv(grid: Grid, data: np.ndarray, kind: str, unit: str,
         header["class_table"] = {str(k): v for k, v in sorted(class_table.items())}
     header["data_file"] = raw_path.name
     header_path.write_text(json.dumps(header, indent=2) + "\n", encoding="utf-8")
-    raw_path.write_bytes(np.ascontiguousarray(data.ravel(order="F")).astype(
-        data.dtype.newbyteorder("<")).tobytes())
+    # ravel copies a C-ordered grid once (a view of an F-ordered one); the
+    # asarray converts only big-endian data, and tofile writes the buffer
+    np.asarray(data.ravel(order="F"), dtype=data.dtype.newbyteorder("<")).tofile(raw_path)
     return header_path
 
 
@@ -109,14 +117,15 @@ def _read_ctv(path):
         raise FormatError(str(e)) from e
     dtype = np.dtype({**VOLUME_DTYPES, **LABEL_DTYPES}[dtype_name]).newbyteorder("<")
     raw_path = header_path.with_name(data_file)
-    payload = raw_path.read_bytes()
+    size = raw_path.stat().st_size
     expected = grid.n_voxels * dtype.itemsize
-    if len(payload) != expected:
+    if size != expected:
         raise FormatError(
-            f"payload size {len(payload)} does not match dims {grid.dims} "
+            f"payload size {size} does not match dims {grid.dims} "
             f"and dtype {dtype_name} (expected {expected})")
-    data = np.frombuffer(payload, dtype=dtype).reshape(grid.dims, order="F")
-    return grid, data.astype(dtype.newbyteorder("=")), kind, unit, header
+    # one writable buffer: the astype copies only on a big-endian host
+    data = np.fromfile(raw_path, dtype=dtype).astype(dtype.newbyteorder("="), copy=False)
+    return grid, data.reshape(grid.dims, order="F"), kind, unit, header
 
 
 def load_volume(path) -> Volume:
@@ -135,7 +144,9 @@ def load_volume(path) -> Volume:
         raise FormatError(f"unsupported unit {unit!r}")
     if str(data.dtype) not in VOLUME_DTYPES:
         raise FormatError(f"dtype {data.dtype} is not a volume dtype")
-    return Volume(grid, clamp_hu(data), unit)
+    # the payload buffer is the loader's own, so it is clamped in place
+    np.clip(data, HU_MIN, HU_MAX, out=data)
+    return Volume(grid, data, unit)
 
 
 def load_labelmap(path, kind: str | None = None) -> LabelMap:

@@ -512,17 +512,36 @@ def generate_phantom(spec: PhantomSpec, *, structures: bool = True):
     return vol, tissue_map, structure_map, truth
 
 
+_TRUTH_CHUNK = 1 << 18
+
+
+def _hu_histogram(hu: np.ndarray) -> np.ndarray:
+    """Voxel count per int16 HU value, indexed by its two's-complement uint16.
+
+    ``np.bincount`` casts its input to intp, so a whole-grid call would build
+    an int64 copy of the grid (8 B per voxel, four times the image); chunks
+    of ``_TRUTH_CHUNK`` voxels bound that copy at 2 MB.
+    """
+    flat = hu.ravel().view(np.uint16)
+    counts = np.zeros(65536, dtype=np.int64)
+    for start in range(0, flat.size, _TRUTH_CHUNK):
+        counts += np.bincount(flat[start:start + _TRUTH_CHUNK], minlength=65536)
+    return counts
+
+
 def _count_truth(canvas: _Canvas, grid: Grid, geom: _Geometry,
                  landmarks: dict) -> PhantomTruth:
     """Ground truth by exact voxel counting with the default density map.
 
     Every material has a distinct fixed HU and air only appears outside the
     body, so one histogram over HU values yields all masses exactly (air
-    adjustment included: every in-body HU is above -900).
+    adjustment included: every in-body HU is above -900).  The histogram is
+    built chunk by chunk (``_hu_histogram``), so counting allocates no
+    whole-grid temporary; its counts are exact integers, so every mass and
+    percentage is independent of the chunking.
     """
     vox = voxel_volume_mm3(grid)
-    # histogram int16 HU without conversion via the two's-complement view
-    counts = np.bincount(canvas.hu.ravel().view(np.uint16), minlength=65536)
+    counts = _hu_histogram(canvas.hu)
 
     def count_of(h: int) -> int:
         return int(counts[h & 0xFFFF])
@@ -840,8 +859,9 @@ def generate_cohort(n: int, dist: AttributeDistribution, spacing, seed: int,
     """Generate n phantoms, write CTV files plus a manifest, return it.
 
     Generation runs in batches of ``threads`` workers; files are written in
-    subject order, so outputs are identical for any thread count and memory
-    stays bounded by the batch size.
+    subject order, so outputs are identical for any thread count.  Each
+    subject's arrays are released once its files are written, before the
+    next batch is generated, so memory stays bounded by one batch.
     """
     from .io import save_labelmap, save_volume  # deferred: avoids cycle at import
 
@@ -855,19 +875,23 @@ def generate_cohort(n: int, dist: AttributeDistribution, spacing, seed: int,
         subject_id, attrs, spec = item
         return (subject_id, attrs, *generate_phantom(spec))
 
+    def write(subject_id, attrs, vol, tissue, structure, truth):
+        save_volume(vol, out / f"{subject_id}_image")
+        save_labelmap(tissue, out / f"{subject_id}_tissue")
+        save_labelmap(structure, out / f"{subject_id}_structure")
+        manifest.subjects.append(SubjectRecord(
+            subject_id=subject_id,
+            attributes=attrs,
+            image=f"{subject_id}_image.ctv.json",
+            tissue=f"{subject_id}_tissue.ctv.json",
+            structure=f"{subject_id}_structure.ctv.json",
+            truth=truth,
+        ))
+
     for start in range(0, len(specs), batch):
         built = map_ordered(build, specs[start:start + batch], batch)
-        for subject_id, attrs, vol, tissue, structure, truth in built:
-            save_volume(vol, out / f"{subject_id}_image")
-            save_labelmap(tissue, out / f"{subject_id}_tissue")
-            save_labelmap(structure, out / f"{subject_id}_structure")
-            manifest.subjects.append(SubjectRecord(
-                subject_id=subject_id,
-                attributes=attrs,
-                image=f"{subject_id}_image.ctv.json",
-                tissue=f"{subject_id}_tissue.ctv.json",
-                structure=f"{subject_id}_structure.ctv.json",
-                truth=truth,
-            ))
+        # popping leaves no reference to a written subject's arrays
+        while built:
+            write(*built.pop(0))
     write_manifest(manifest, out / "manifest.json")
     return manifest

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -34,3 +36,20 @@ def phantom_small():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """``fn``'s result and the peak bytes it had allocated at once, traced."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture()
+def traced_peak():
+    return _traced_peak

@@ -155,7 +155,10 @@ def test_trial_run_shortcut(tmp_path, capsys):
                                 "synthetic": 40}
     assert abs(report["achieved_pearson"]) > 0.5  # the shortcut is real
     assert (out / "zscores.csv").exists()
-    assert (out / "run.log").exists()
+    record = _stage_record(out, "trial run")
+    assert record["wall_s"] > 0
+    assert record == {"stage": "trial run", "wall_s": record["wall_s"],
+                      "subjects": 60, "rows": len(report["rows"])}
 
 
 def test_trial_run_from_measured_cohort(cohort_dir, tmp_path, capsys):
@@ -173,6 +176,10 @@ def test_trial_run_from_measured_cohort(cohort_dir, tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["counts"]["train"] == 2
     assert report["verdicts"] == {"ID": "acceptable", "OOD": "acceptable"}
+    # subjects counts the measured cohort, not the config's n_subjects
+    record = _stage_record(out, "trial run")
+    assert record == {"stage": "trial run", "wall_s": record["wall_s"],
+                      "subjects": 20, "rows": len(report["rows"])}
 
 
 def test_trial_bad_configs(tmp_path, capsys):

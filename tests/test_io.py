@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from vctkit.io import load_labelmap, load_volume, save_labelmap, save_volume
+from vctkit.phantom import AttributeDistribution, generate_phantom, sample_cohort_specs
 from vctkit.volume import FormatError, Grid, LabelMap, Volume
 
 
@@ -84,9 +85,37 @@ def test_payload_size_mismatch_raises(tmp_path):
     vol = _vol()
     save_volume(vol, tmp_path / "img")
     raw = (tmp_path / "img.raw").read_bytes()
-    (tmp_path / "img.raw").write_bytes(raw[:-2])
-    with pytest.raises(FormatError, match="payload size"):
-        load_volume(tmp_path / "img")
+    for payload in (raw[:-2], raw[:-1], raw + b"\0"):
+        (tmp_path / "img.raw").write_bytes(payload)
+        with pytest.raises(FormatError, match=f"payload size {len(payload)} does not "
+                                              f"match dims .* \\(expected {len(raw)}\\)"):
+            load_volume(tmp_path / "img")
+
+
+def test_resaving_loaded_maps_keeps_payload_bytes(tmp_path):
+    # loaded arrays are F-ordered, so the second save writes through a view
+    [(_, _, spec)] = sample_cohort_specs(1, AttributeDistribution(), (8.0,) * 3, 3)
+    vol, tissue, structure, _ = generate_phantom(spec)
+    for name, save, load, obj in (("img", save_volume, load_volume, vol),
+                                  ("tis", save_labelmap, load_labelmap, tissue),
+                                  ("str", save_labelmap, load_labelmap, structure)):
+        save(obj, tmp_path / name)
+        back = load(tmp_path / name)
+        assert back.data.flags.f_contiguous and back.data.flags.writeable
+        save(back, tmp_path / f"{name}2")
+        assert (tmp_path / f"{name}2.raw").read_bytes() == (tmp_path / f"{name}.raw").read_bytes()
+        assert ((tmp_path / f"{name}2.ctv.json").read_text()
+                == (tmp_path / f"{name}.ctv.json").read_text().replace(f"{name}.raw", f"{name}2.raw"))
+
+
+def test_load_volume_holds_one_buffer(tmp_path, traced_peak):
+    vol = _vol(dims=(64, 48, 40))
+    save_volume(vol, tmp_path / "img")
+    back, peak = traced_peak(load_volume, tmp_path / "img")
+    np.testing.assert_array_equal(back.data, vol.data)
+    # the int16 payload itself is 2 B per voxel; a read_bytes + astype + clip
+    # chain would hold 4
+    assert peak <= 3 * vol.grid.n_voxels
 
 
 def test_kind_mismatch_raises(tmp_path):

@@ -1,14 +1,17 @@
 """Phantom generation: truth closure, determinism, cohorts, binning, manifests."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from vctkit.codec import decode, encode
 from vctkit.phantom import (
+    _TRUTH_CHUNK,
     AttributeDistribution,
     Attributes,
     CohortManifest,
@@ -19,8 +22,10 @@ from vctkit.phantom import (
     bin_attributes,
     bin_midpoint,
     bone_hu_for_age,
+    generate_cohort,
     generate_matched_spec,
     generate_phantom,
+    _hu_histogram,
     load_manifest,
     sample_cohort_specs,
     sample_fractions,
@@ -97,6 +102,66 @@ def test_image_and_tissue_only_match_full_call(spacing, seed):
     assert vol2.grid == vol.grid and tissue2.grid == tissue.grid
     assert vol2.data.tobytes() == vol.data.tobytes()
     assert tissue2.data.tobytes() == tissue.data.tobytes()
+
+
+# sha256 of json.dumps(encode(truth), sort_keys=True) for the seed-3 subject,
+# recorded with one whole-grid np.bincount
+TRUTH_DIGESTS = {
+    2.0: "3d5050c607f39b6a460f4e2b603b09e46ad2b8c067a4b4f7b76cbd9268fc3597",
+    4.0: "edcbaa28752d195cdd4a8017b7035627993f64a312017cabff1b2d4545279e32",
+    8.0: "faa47e0845addd2eddd1b5a27213e998528fae5b5959de7e4024ad957a54a75b",
+}
+
+
+@pytest.mark.parametrize("spacing", sorted(TRUTH_DIGESTS))
+def test_truth_encoding_pinned(spacing):
+    [(_, _, spec)] = sample_cohort_specs(1, AttributeDistribution(), (spacing,) * 3, 3)
+    vol, _, _, truth = generate_phantom(spec)
+    assert vol.grid.n_voxels > _TRUTH_CHUNK  # the count spans more than one chunk
+    text = json.dumps(encode(truth), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TRUTH_DIGESTS[spacing]
+
+
+_PLANTED = (-32768, -32767, -1024, -1000, -1, 0, 1, 3071, 32767)
+
+
+@given(chunks=st.integers(0, 3), offset=st.integers(-2, 2), seed=st.integers(0, 2 ** 32 - 1),
+       n_values=st.integers(1, 300), planted=st.lists(st.sampled_from(_PLANTED), max_size=4))
+@example(chunks=0, offset=0, seed=0, n_values=1, planted=[])  # an empty grid
+@example(chunks=0, offset=1, seed=0, n_values=1, planted=[-32768])
+@example(chunks=1, offset=0, seed=1, n_values=2, planted=[-32768, 32767])
+@example(chunks=2, offset=-1, seed=2, n_values=300, planted=[-1, -1024])
+def test_hu_histogram_matches_one_bincount(chunks, offset, seed, n_values, planted):
+    size = max(0, chunks * _TRUTH_CHUNK + offset)
+    rng = np.random.default_rng(seed)
+    # few distinct values, as in a phantom, so counts grow across chunks
+    values = rng.integers(-32768, 32768, size=n_values, dtype=np.int16)
+    hu = values[rng.integers(0, n_values, size=size)]
+    for i, h in enumerate(planted):
+        if size:  # each chunk's last voxel and the next chunk's first
+            hu[min(size - 1, max(0, (i // 2 + 1) * _TRUTH_CHUNK - 1 + i % 2))] = h
+    oracle = np.bincount(hu.view(np.uint16), minlength=65536)
+    counts = _hu_histogram(hu.reshape(1, 1, size))
+    assert counts.dtype == oracle.dtype
+    assert np.array_equal(counts, oracle)
+
+
+def test_generate_phantom_traced_peak(traced_peak):
+    (vol, *_), peak = traced_peak(generate_phantom,
+                                  PhantomSpec(spacing_mm=(4.0, 4.0, 4.0), seed=5))
+    # image, tissue and structure arrays take 4 B per voxel; a whole-grid
+    # bincount would add an 8 B per voxel int64 copy of the image
+    assert peak <= 7 * vol.grid.n_voxels
+
+
+def test_generate_cohort_traced_peak(tmp_path, traced_peak):
+    manifest, peak = traced_peak(generate_cohort, 3, AttributeDistribution(),
+                                 (4.0, 4.0, 4.0), 5, tmp_path, threads=1)
+    largest = max(math.prod(json.loads((tmp_path / rec.image).read_text())["dims"])
+                  for rec in manifest.subjects)
+    # one subject's arrays and one save buffer; the previous subject's
+    # arrays are released before the next is generated
+    assert peak <= 7 * largest
 
 
 def test_seed_changes_anatomy():
