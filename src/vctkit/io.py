@@ -10,7 +10,10 @@ clamped to [-1024, 3071] on load.
 A CTV save copies the grid at most once (the x-fastest ravel of a C-ordered
 array) and writes that buffer straight to disk.  A load checks the payload
 size on disk, then reads the payload into the array it returns (F-ordered,
-so no reordering copy) and clamps HU in place.
+so no reordering copy) and clamps HU in place.  A NIfTI load reads the
+header alone, checks the payload size on disk, and reads the payload one
+slab at a time into the C-ordered array it returns.  A label map loaded
+with an expected ``kind`` must carry that kind in its CTV header.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ import numpy as np
 from .volume import (
     FormatError,
     Grid,
-    HU_MAX,
-    HU_MIN,
     LabelMap,
     Volume,
     LABEL_DTYPES,
@@ -37,9 +38,6 @@ from .volume import (
 
 CTV_SUFFIX = ".ctv.json"
 RAW_SUFFIX = ".raw"
-
-_HEADER_FIELDS = ("dims", "spacing_mm", "origin_mm", "orientation", "dtype",
-                  "byte_order", "kind", "unit", "data_file")
 
 
 def _ctv_paths(path) -> tuple[Path, Path, str]:
@@ -144,9 +142,7 @@ def load_volume(path) -> Volume:
         raise FormatError(f"unsupported unit {unit!r}")
     if str(data.dtype) not in VOLUME_DTYPES:
         raise FormatError(f"dtype {data.dtype} is not a volume dtype")
-    # the payload buffer is the loader's own, so it is clamped in place
-    np.clip(data, HU_MIN, HU_MAX, out=data)
-    return Volume(grid, data, unit)
+    return Volume(grid, clamp_hu(data), unit)
 
 
 def load_labelmap(path, kind: str | None = None) -> LabelMap:
@@ -167,6 +163,8 @@ def load_labelmap(path, kind: str | None = None) -> LabelMap:
     grid, data, file_kind, unit, header = _read_ctv(p)
     if file_kind not in ("tissue", "structure"):
         raise FormatError(f"expected kind 'tissue' or 'structure', got {file_kind!r}")
+    if kind is not None and kind != file_kind:
+        raise FormatError(f"expected kind {kind!r}, got {file_kind!r}")
     if str(data.dtype) not in LABEL_DTYPES:
         raise FormatError(f"dtype {data.dtype} is not a label dtype")
     raw_table = header.get("class_table", {})
@@ -186,7 +184,8 @@ _NIFTI_DTYPES = {2: np.uint8, 4: np.int16, 16: np.float32, 512: np.uint16}
 
 
 def _read_nifti(path: Path) -> tuple[Grid, np.ndarray]:
-    blob = path.read_bytes()
+    with open(path, "rb") as fh:
+        blob = fh.read(352)
     if len(blob) < 352:
         raise FormatError("NIfTI file shorter than its 352-byte minimum")
     endian = "<"
@@ -249,10 +248,8 @@ def _read_nifti(path: Path) -> tuple[Grid, np.ndarray]:
     if start < 348:
         raise FormatError(f"bad vox_offset {vox_offset}")
     count = dims[0] * dims[1] * dims[2]
-    if len(blob) - start < count * dtype.itemsize:
+    if path.stat().st_size - start < count * dtype.itemsize:
         raise FormatError("NIfTI payload truncated")
-    data = np.frombuffer(blob, dtype=dtype, count=count, offset=start)
-    data = data.reshape(dims, order="F").astype(dtype.newbyteorder("="))
 
     # map data axes to world RAS axes; only permutation/flip affines allowed
     spacing = [0.0, 0.0, 0.0]
@@ -275,9 +272,18 @@ def _read_nifti(path: Path) -> tuple[Grid, np.ndarray]:
         if flip[j]:
             w = perm[j]
             origin[w] = offset[w] + direction[w, j] * (dims[j] - 1)
-            data = np.flip(data, axis=j)
-    # move data axis j to world axis perm[j]
-    data = np.transpose(data, np.argsort(perm))
-    out_dims = tuple(int(n) for n in data.shape)
-    grid = Grid(out_dims, tuple(spacing), tuple(float(o) for o in origin))
-    return grid, np.ascontiguousarray(data)
+    # data axis j is world axis perm[j]: the payload is read one z-slab at a
+    # time into a C-ordered world array, through a view of it in data axis
+    # order, so no second whole-grid buffer is held
+    data = np.empty(tuple(dims[perm.index(w)] for w in range(3)), dtype.newbyteorder("="))
+    view = np.transpose(data, perm)
+    for j in range(3):
+        if flip[j]:
+            view = np.flip(view, axis=j)
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        for k in range(dims[2]):
+            slab = np.fromfile(fh, dtype=dtype, count=dims[0] * dims[1])
+            view[:, :, k] = slab.reshape(dims[:2], order="F")
+    grid = Grid(data.shape, tuple(spacing), tuple(float(o) for o in origin))
+    return grid, data

@@ -30,6 +30,7 @@ from .codec import decode, encode
 from .rng import Stream, subject_seed
 from .volume import (
     Grid,
+    LANDMARK_IDS,
     LabelMap,
     STRUCTURE_TABLE,
     TISSUE_CLASSES,
@@ -471,12 +472,12 @@ def generate_phantom(spec: PhantomSpec, *, structures: bool = True):
                            bone_hu, TISSUE_BONE, 1)
 
     # leg long bones and ankle stubs
-    for side, femur_id, tibia_id in ((-1.0, 23, 25), (1.0, 24, 26)):
-        cx = xc + side * geom.hip_x
-        canvas.paint_zcylinder(cx, yc, geom.r_femur, z0 + geom.z_knee,
-                               z0 + geom.z_pelvis, bone_hu, TISSUE_BONE, femur_id)
-        canvas.paint_zcylinder(cx, yc, geom.r_tibia, z0 + geom.z_ankle,
-                               z0 + geom.z_knee - 3.0, bone_hu, TISSUE_BONE, tibia_id)
+    for sign, side in ((-1.0, "left"), (1.0, "right")):
+        cx = xc + sign * geom.hip_x
+        canvas.paint_zcylinder(cx, yc, geom.r_femur, z0 + geom.z_knee, z0 + geom.z_pelvis,
+                               bone_hu, TISSUE_BONE, LANDMARK_IDS[f"femur_{side}"])
+        canvas.paint_zcylinder(cx, yc, geom.r_tibia, z0 + geom.z_ankle, z0 + geom.z_knee - 3.0,
+                               bone_hu, TISSUE_BONE, LANDMARK_IDS[f"tibia_{side}"])
         canvas.paint_zcylinder(cx, yc, geom.r_stub, z0 + 10.0,
                                z0 + geom.z_ankle, bone_hu, TISSUE_BONE, 16)
 
@@ -492,12 +493,9 @@ def generate_phantom(spec: PhantomSpec, *, structures: bool = True):
         "scapula_left": (xc - 0.42 * R, yc - 0.30 * ry, z0 + geom.z_c7 - 0.10 * L_T),
         "scapula_right": (xc + 0.42 * R, yc - 0.30 * ry, z0 + geom.z_c7 - 0.10 * L_T),
     }
-    marker_ids = {"c1": 20, "c2": 21, "c7": 22, "hip_left": 27, "hip_right": 28,
-                  "clavicle_left": 29, "clavicle_right": 30,
-                  "scapula_left": 31, "scapula_right": 32}
     # patient left is -x in RAS (+x points toward patient right)
     for name, pos in landmarks.items():
-        canvas.paint_sphere(pos, geom.r_marker, bone_hu, TISSUE_BONE, marker_ids[name])
+        canvas.paint_sphere(pos, geom.r_marker, bone_hu, TISSUE_BONE, LANDMARK_IDS[name])
     landmarks["femur_left"] = (xc - geom.hip_x, yc, z0 + (geom.z_knee + geom.z_pelvis) / 2)
     landmarks["femur_right"] = (xc + geom.hip_x, yc, z0 + (geom.z_knee + geom.z_pelvis) / 2)
     landmarks["tibia_left"] = (xc - geom.hip_x, yc, z0 + (geom.z_ankle + geom.z_knee) / 2)

@@ -1,10 +1,9 @@
-"""Patient-frame estimation and segmentwise height measurement.
+"""Segmentwise height measurement along the patient's superior axis.
 
 The superior direction is the principal axis of the body voxel cloud (sign
-fixed toward world +z, ties toward +y then +x).  Left-right comes from
-paired landmarks (hips, clavicles, scapulae): the mean of left-minus-right
-centroid offsets, orthogonalized against superior.  Anterior completes a
-right-handed orthonormal triple.
+fixed toward world +z, ties toward +y then +x).  It is the only patient
+axis height uses: the pelvis, knee and C7 planes are projections onto it,
+and the femur and tibia axes take their sign from it.
 
 Height is the exact sum of four segments:
 
@@ -20,7 +19,8 @@ Height is the exact sum of four segments:
 
 Landmark work runs inside each label's index box from ``volume.LabelIndex``
 (one pass over the structure map); only the body moments and the ray
-marches see the whole grid.
+marches see the whole grid.  Landmarks are looked up by name through
+``volume.LANDMARK_IDS``.
 """
 
 from __future__ import annotations
@@ -31,29 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .volume import Grid, LabelIndex, LabelMap, LANDMARK_PAIRS
+from .volume import Grid, LabelIndex, LabelMap, LANDMARK_IDS
 
 ISOTROPY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Basis:
-    """Orthonormal right-handed patient frame in world coordinates."""
-
-    superior: np.ndarray
-    left_right: np.ndarray
-    anterior: np.ndarray
-    origin: np.ndarray
-
-
-@dataclass(frozen=True)
-class LegLength:
-    upper_mm: float
-    lower_mm: float
-
-    @property
-    def total_mm(self) -> float:
-        return self.upper_mm + self.lower_mm
 
 
 @dataclass(frozen=True)
@@ -137,39 +117,6 @@ def _principal_axis_from_moments(n: int, cov: np.ndarray) -> np.ndarray:
     return axis / np.linalg.norm(axis)
 
 
-def _basis_from(index: LabelIndex, body_moments) -> Basis:
-    n, mean, cov = body_moments
-    if n == 0:
-        raise ValueError("degenerate input: body mask is empty")
-    superior = _principal_axis_from_moments(n, cov)
-
-    offsets = []
-    for left_id, right_id in LANDMARK_PAIRS.values():
-        ml = _centroid(index, left_id)
-        mr = _centroid(index, right_id)
-        if ml is not None and mr is not None:
-            offsets.append(ml - mr)
-    if not offsets:
-        raise ValueError(
-            "no complete left/right landmark pair (hips, clavicles, or scapulae)")
-    lr = np.mean(offsets, axis=0)
-    lr = lr - (lr @ superior) * superior
-    norm = np.linalg.norm(lr)
-    if norm < 1e-9:
-        raise ValueError("left-right landmark offset is parallel to the superior axis")
-    lr = lr / norm
-    anterior = np.cross(superior, lr)
-    return Basis(superior=superior, left_right=lr, anterior=anterior, origin=mean)
-
-
-def _pelvis_offset(index: LabelIndex, superior: np.ndarray) -> float:
-    tops = [float((_world_coords(index, femur_id) @ superior).max())
-            for femur_id in (23, 24) if femur_id in index.labels]
-    if not tops:
-        raise ValueError("no femur voxels (labels 23/24)")
-    return max(tops)
-
-
 def _largest_component(mask: np.ndarray) -> np.ndarray:
     """Largest 26-connected component of a boolean mask."""
     labels, count = ndimage.label(mask, structure=np.ones((3, 3, 3), dtype=bool))
@@ -214,17 +161,14 @@ def _ray_exit(body_mask: np.ndarray, grid: Grid, start: np.ndarray,
     raise ValueError("ray march found no exit from the body mask")
 
 
-def _leg_length(index: LabelIndex, body_mask: np.ndarray, basis: Basis,
-                side: str, pelvis_offset: float) -> LegLength:
-    femur_id, tibia_id = (23, 25) if side == "left" else (24, 26)
-    s = basis.superior
+def _leg_length(index: LabelIndex, body_mask: np.ndarray, s: np.ndarray,
+                side: str, pelvis_offset: float, femur_min: float) -> float:
+    """Femur-axis length below the pelvis plane plus tibia-axis length to the foot."""
     grid = index.grid
-
-    femur_min = float((_world_coords(index, femur_id) @ s).min())
 
     # knee: drop tibia voxels superior to the femur's inferior point, then
     # keep the largest 26-connected component
-    sub, sl = index.mask(tibia_id)
+    sub, sl = index.mask(LANDMARK_IDS[f"tibia_{side}"])
     cx, cy, cz = _coords_for(grid, sl)
     heights = (cx[:, None, None] * s[0] + cy[None, :, None] * s[1]
                + cz[None, None, :] * s[2])
@@ -235,7 +179,7 @@ def _leg_length(index: LabelIndex, body_mask: np.ndarray, basis: Basis,
     n_t, mean_t, cov_t = _mask_moments(keep, (cx, cy, cz))
     knee_offset = float(heights[keep].max())
 
-    n_f, _, cov_f = _label_moments(index, femur_id)
+    n_f, _, cov_f = _label_moments(index, LANDMARK_IDS[f"femur_{side}"])
     femur_axis = _principal_axis_from_moments(n_f, cov_f)
     if femur_axis @ s < 0:
         femur_axis = -femur_axis
@@ -253,8 +197,7 @@ def _leg_length(index: LabelIndex, body_mask: np.ndarray, basis: Basis,
     t_start = (knee_offset - float(mean_t @ s)) / cos_t
     start = mean_t + t_start * tibia_axis
     exit_point = _ray_exit(body_mask, grid, start, tibia_axis)
-    lower = float(np.linalg.norm(exit_point - start))
-    return LegLength(upper_mm=float(upper), lower_mm=lower)
+    return float(upper) + float(np.linalg.norm(exit_point - start))
 
 
 def measure_height(body: LabelMap, structures: LabelMap) -> HeightBreakdown:
@@ -262,32 +205,40 @@ def measure_height(body: LabelMap, structures: LabelMap) -> HeightBreakdown:
     if body.grid != structures.grid:
         raise ValueError("body and structure maps must share a grid")
     index = LabelIndex(structures)
-    for required, name in ((20, "c1"), (21, "c2"), (22, "c7")):
-        if required not in index.labels:
-            raise ValueError(f"missing landmark {required} ({name})")
+    for name in ("c1", "c2", "c7"):
+        if LANDMARK_IDS[name] not in index.labels:
+            raise ValueError(f"missing landmark {LANDMARK_IDS[name]} ({name})")
     body_mask = body.body_mask()
-    body_moments = _mask_moments(body_mask, _coords_for(body.grid))
-    basis = _basis_from(index, body_moments)
-    s = basis.superior
-    pelvis = _pelvis_offset(index, s)
+    n, _, cov = _mask_moments(body_mask, _coords_for(body.grid))
+    if n == 0:
+        raise ValueError("degenerate input: body mask is empty")
+    s = _principal_axis_from_moments(n, cov)
+
+    # each femur's voxel heights along superior, projected once: the pelvis
+    # plane is their max over both femurs, a leg's knee cut its femur's min
+    femur_heights = {
+        side: _world_coords(index, LANDMARK_IDS[f"femur_{side}"]) @ s
+        for side in ("left", "right") if LANDMARK_IDS[f"femur_{side}"] in index.labels}
+    if not femur_heights:
+        raise ValueError(f"no femur voxels (labels {LANDMARK_IDS['femur_left']}/"
+                         f"{LANDMARK_IDS['femur_right']})")
+    pelvis = max(float(h.max()) for h in femur_heights.values())
 
     per_leg: dict[str, float | None] = {"left_mm": None, "right_mm": None}
-    totals = []
-    for side in ("left", "right"):
-        femur_id, tibia_id = (23, 25) if side == "left" else (24, 26)
-        if femur_id in index.labels and tibia_id in index.labels:
-            leg = _leg_length(index, body_mask, basis, side, pelvis)
-            per_leg[f"{side}_mm"] = leg.total_mm
-            totals.append(leg.total_mm)
+    for side, heights in femur_heights.items():
+        if LANDMARK_IDS[f"tibia_{side}"] in index.labels:
+            per_leg[f"{side}_mm"] = _leg_length(index, body_mask, s, side, pelvis,
+                                                float(heights.min()))
+    totals = [v for v in per_leg.values() if v is not None]
     if not totals:
         raise ValueError("no complete leg (femur + tibia) on either side")
     lower_body = max(totals)
 
-    c7 = _centroid(index, 22)
+    c7 = _centroid(index, LANDMARK_IDS["c7"])
     torso = float(c7 @ s) - pelvis
 
-    c1 = _centroid(index, 20)
-    c2 = _centroid(index, 21)
+    c1 = _centroid(index, LANDMARK_IDS["c1"])
+    c2 = _centroid(index, LANDMARK_IDS["c2"])
     neck = float(np.linalg.norm(c7 - c1))
 
     head_dir = c1 - c2

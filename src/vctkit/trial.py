@@ -379,8 +379,7 @@ def weighted_degradation_estimate(id_errors, id_attrs, classifier: Forest,
     stats = (e * ww).sum(axis=1) / ww.sum(axis=1)
     alpha = (1.0 - level) / 2.0
     lo, hi = np.quantile(stats, [alpha, 1.0 - alpha])
-    return {"mae": point, "ci": (float(lo), float(hi)), "weights": w,
-            "p_ood": p_ood}
+    return {"mae": point, "ci": (float(lo), float(hi))}
 
 
 # --- trial rows -----------------------------------------------------------
@@ -504,20 +503,18 @@ def run_trial(real: dict, split: BiasedSplit, predictor, target: str,
     samples["real"] = (subject_errors(id_subjects, real_errors["ID"], "id")
                        + subject_errors(ood_subjects, real_errors["OOD"], "ood"))
 
-    def add_row(population, attr_dist, sample_type, errs, with_z=True):
+    def add_row(population, attr_dist, sample_type, errs):
         errs = np.asarray(errs, dtype=np.float64)
         seed = _row_seed(options.seed, population, sample_type)
         ci = bootstrap_ci(errs, n_boot=options.n_boot, level=options.level, seed=seed)
         point, verdict = float(errs.mean()), verdict_for(float(errs.mean()))
         if sample_type == "real":
             z, z_ci, p = 0.0, None, 1.0
-        elif with_z:
+        else:
             ref = real_errors[population]
             z = z_score(errs, ref)
             p = z_test_p(z)
             z_ci = _z_ci(errs, ref, options.z_boot, options.level, seed ^ 0x5A)
-        else:
-            z, z_ci, p = None, None, None
         rows.append(TrialRow(population=population, attr_dist=attr_dist,
                              sample_type=sample_type, n=len(errs), mae=point,
                              mae_ci=ci, z_vs_real=z, z_ci=z_ci, p_value=p,
@@ -526,9 +523,8 @@ def run_trial(real: dict, split: BiasedSplit, predictor, target: str,
     add_row("ID", "ID", "real", real_errors["ID"])
     add_row("OOD", "OOD", "real", real_errors["OOD"])
 
-    reports_by_sid = {}
-    for population, key in (("ID", "ID"), ("OOD", "OOD")):
-        cohort = synth.get(key, [])
+    for population in ("ID", "OOD"):
+        cohort = synth.get(population, [])
         if not cohort:
             continue
         errs = errors_for(cohort)
@@ -536,7 +532,6 @@ def run_trial(real: dict, split: BiasedSplit, predictor, target: str,
         add_row(population, population, "synthetic", errs)
 
         by_sid = {s.subject_id: s for s in cohort}
-        reports_by_sid.update({sid: s.report for sid, s in by_sid.items()})
         kept = rebias(list(by_sid), {sid: s.report for sid, s in by_sid.items()},
                       split.boundary, population.lower())
         if kept:

@@ -70,11 +70,8 @@ LANDMARK_CLASSES = {
 # full class table of a structure map: merged organ classes plus landmarks
 STRUCTURE_TABLE = {**STRUCTURE_CLASSES, **LANDMARK_CLASSES}
 
-LANDMARK_PAIRS = {
-    "hip": (27, 28),
-    "clavicle": (29, 30),
-    "scapula": (31, 32),
-}
+# the one name -> id map of the landmarks, read by painting and measurement
+LANDMARK_IDS = {name: label for label, name in LANDMARK_CLASSES.items()}
 
 
 def _missing_runs(class_table: dict, top: int) -> list[tuple[int, int]]:
@@ -133,8 +130,8 @@ def voxel_volume_mm3(grid: Grid) -> float:
 
 
 def clamp_hu(data: np.ndarray) -> np.ndarray:
-    """Clamp HU values into [-1024, 3071] (applied at load time)."""
-    return np.clip(data, HU_MIN, HU_MAX)
+    """Clamp HU values into [-1024, 3071] in place (applied at load time)."""
+    return np.clip(data, HU_MIN, HU_MAX, out=data)
 
 
 def _check_shape(grid: Grid, data: np.ndarray, what: str):

@@ -486,6 +486,28 @@ def test_consistency_paired_id_mismatch(tmp_path):
                  "--out", str(tmp_path / "o"), "--paired"]) == 2
 
 
+def test_swapped_tissue_and_structure_maps_are_rejected(tmp_path, capsys):
+    cohort = tmp_path / "cohort"
+    assert main(["phantom", "gen", "--n", "3", "--seed", "4",
+                 "--out", str(cohort), "--spacing", "8,8,8"]) == 0
+    payload = json.loads((cohort / "manifest.json").read_text())
+    for s in payload["subjects"]:
+        s["tissue"], s["structure"] = s["structure"], s["tissue"]
+    swapped = cohort / "swapped.json"
+    swapped.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["consistency", "--a", str(swapped), "--b", str(cohort / "manifest.json"),
+                 "--out", str(tmp_path / "cons"), "--cohort"]) == 2
+    assert "expected kind 'tissue', got 'structure'" in capsys.readouterr().err
+    assert not (tmp_path / "cons" / "consistency.csv").exists()
+    assert main(["measure", "--manifest", str(swapped),
+                 "--out", str(tmp_path / "measured")]) == 1
+    err = capsys.readouterr().err
+    for s in payload["subjects"]:
+        assert (f"measure failed for subject {s['id']}: "
+                "expected kind 'tissue', got 'structure'") in err
+
+
 def test_consistency_cohort_mode(cohort_dir, tmp_path):
     out = tmp_path / "cons2"
     assert main(["consistency", "--a", str(cohort_dir / "manifest.json"),

@@ -128,6 +128,13 @@ def test_kind_mismatch_raises(tmp_path):
     save_volume(vol, tmp_path / "v")
     with pytest.raises(FormatError, match="tissue"):
         load_labelmap(tmp_path / "v")
+    # an expected kind must match the header's; no expectation accepts either
+    assert load_labelmap(tmp_path / "t", kind="tissue").kind == "tissue"
+    with pytest.raises(FormatError, match="expected kind 'structure', got 'tissue'"):
+        load_labelmap(tmp_path / "t", kind="structure")
+    save_labelmap(LabelMap(g, lm.data, "structure"), tmp_path / "s")
+    with pytest.raises(FormatError, match="expected kind 'tissue', got 'structure'"):
+        load_labelmap(tmp_path / "s", kind="tissue")
 
 
 def test_malformed_json_raises(tmp_path):
@@ -181,6 +188,21 @@ def test_nifti_axis_flip(tmp_path):
     _write_nifti(p, data, srow=srow)
     vol = load_volume(p)
     np.testing.assert_array_equal(vol.data, data[::-1])
+
+
+@pytest.mark.parametrize("srow", [
+    None, [(-1.0, 0.0, 0.0, 95.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)]],
+    ids=["identity", "x_flip"])
+def test_nifti_load_holds_one_buffer(tmp_path, traced_peak, srow):
+    data = np.random.default_rng(2).integers(-1500, 4000, size=(96, 80, 64)).astype(np.int16)
+    p = tmp_path / "img.nii"
+    _write_nifti(p, data, srow=srow)
+    vol, peak = traced_peak(load_volume, p)
+    expected = np.clip(data if srow is None else data[::-1], -1024, 3071)
+    np.testing.assert_array_equal(vol.data, expected)
+    # the int16 grid is 2 B per voxel; reading the whole file, converting its
+    # byte order and clamping to a copy would hold 6
+    assert peak <= 4 * data.size
 
 
 def test_nifti_oblique_rejected(tmp_path):

@@ -1,10 +1,13 @@
-"""Every public function and class of vctkit has a caller outside the tests.
+"""Every name vctkit defines at module level has a reader outside the tests.
 
 A module-level function or class whose name has no leading underscore
 counts as called when a module of the package (``__init__.py`` aside) or a
 script under ``scripts/`` loads it by name, or reads it as an attribute of
 a vctkit module (``trial.run_full_vct``).  Neither a re-export from
 ``__init__.py`` nor a use inside the definition itself counts.
+
+A module-level variable, public or private, counts as read when a module of
+the package or a script loads it the same way, its own module included.
 """
 
 import ast
@@ -68,3 +71,30 @@ def test_every_public_name_has_a_caller():
                 and stmt.name not in callers]
     assert not uncalled, (f"public names that nothing in src/vctkit or scripts/ "
                           f"calls: {uncalled}")
+
+
+def _assigned(stmt: ast.stmt) -> list[str]:
+    """Names a module-level assignment binds (tuple targets unpacked)."""
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+        targets = [stmt.target]
+    else:
+        return []
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
+def test_every_module_variable_is_read():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    read = set()
+    for path in paths:
+        tree = _parse(path)
+        read |= _loaded(tree, _module_aliases(tree))
+    unread = [f"{path.stem}.{name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for stmt in _parse(path).body
+              for name in _assigned(stmt)
+              if not (name.startswith("__") and name.endswith("__")) and name not in read]
+    assert not unread, (f"module-level names that nothing in src/vctkit or scripts/ "
+                        f"reads: {unread}")

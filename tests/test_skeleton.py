@@ -1,4 +1,4 @@
-"""Patient-frame estimation and segmentwise height on rasterized phantoms."""
+"""Superior-axis estimation and segmentwise height on rasterized phantoms."""
 
 import json
 
@@ -50,6 +50,17 @@ def test_missing_required_landmark_raises(phantom_default):
     broken = LabelMap(structure.grid, data, "structure", dict(structure.class_table))
     with pytest.raises(ValueError, match="22"):
         measure_height(tissue, broken)
+
+
+@pytest.mark.parametrize("fixture", ["phantom_default", "phantom_small"])
+def test_height_ignores_paired_landmarks(fixture, request):
+    # hips, clavicles and scapulae play no part in height: a map without
+    # any of them measures exactly as the full one
+    _, _, tissue, structure, _ = request.getfixturevalue(fixture)
+    data = structure.data.copy()
+    data[(data >= 27) & (data <= 32)] = 0
+    unpaired = LabelMap(structure.grid, data, "structure", dict(structure.class_table))
+    assert measure_height(tissue, unpaired) == measure_height(tissue, structure)
 
 
 def test_grid_mismatch_raises(phantom_default, phantom_small):
