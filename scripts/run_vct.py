@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from vctkit.codec import decode
 from vctkit.trial import (TrialConfig, report_to_dict, run_full_vct,
                           write_trial_outputs)
 
@@ -78,7 +80,8 @@ def main(argv=None) -> int:
 
     if args.config:
         try:
-            config = TrialConfig.from_json(args.config)
+            text = Path(args.config).read_text(encoding="utf-8")
+            config = decode(TrialConfig, json.loads(text))
         except ValueError as exc:
             print(f"error: bad trial config: {exc}", file=sys.stderr)
             return 2

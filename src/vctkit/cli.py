@@ -201,7 +201,7 @@ def _load_measured_cohort(cohort_dir: Path) -> list[MeasuredSubject]:
 def cmd_trial_run(args) -> int:
     start = time.perf_counter()
     try:
-        config = TrialConfig.from_dict(_load_json(args.config))
+        config = decode(TrialConfig, _load_json(args.config))
     except ValueError as exc:
         raise ConfigError(f"bad trial config: {exc}") from exc
     out = Path(args.out)

@@ -1,13 +1,15 @@
 """Body-composition measurement from a CT volume plus tissue label map.
 
-Voxel HU maps to mass density via ``rho = (HU + 1000) / (REFERENCE_HU + 1000)``
-g/cm^3, where ``REFERENCE_HU`` is the HU of the reference material whose
-density is defined as 1 (water, 0 HU).  Before the mapping, voxels at or
-below the air threshold (-900 HU inclusive) are set to -1000 HU so near-air
-noise carries zero mass.  The map is applied once, in place, to a float64
-copy of the body HU: the body is compacted first, and that copy is the only
-body-sized float array a measurement builds.  Bone density is reported as the
-mean *raw* HU over bone-tissue voxels, without the air adjustment.
+Voxel HU maps to mass density via ``density(HU) = (HU + 1000) /
+(REFERENCE_HU + 1000)`` g/cm^3, where ``REFERENCE_HU`` is the HU of the
+reference material whose density is defined as 1 (water, 0 HU); the
+phantom's materials and its ground truth use the same map.  Before the
+mapping, voxels at or below the air threshold (-900 HU inclusive) are set to
+-1000 HU so near-air noise carries zero mass.  The map is applied once, in
+place, to a float64 copy of the body HU: the body is compacted first, and
+that copy is the only body-sized float array a measurement builds.  Bone
+density is reported as the mean *raw* HU over bone-tissue voxels, without
+the air adjustment.
 """
 
 from __future__ import annotations
@@ -18,11 +20,16 @@ import numpy as np
 
 from .codec import decode, encode
 from .skeleton import HeightBreakdown
-from .volume import LabelMap, Volume, voxel_volume_mm3
+from .volume import TISSUE_IDS, LabelMap, Volume, voxel_volume_mm3
 
 REFERENCE_HU = 0.0
 AIR_THRESHOLD_HU = -900.0
 AIR_FILL_HU = -1000.0
+
+
+def density(hu):
+    """Mass density (g/cm^3) of a material of ``hu`` HU."""
+    return (hu + 1000.0) / (REFERENCE_HU + 1000.0)
 
 
 @dataclass(frozen=True)
@@ -67,8 +74,8 @@ def measure_composition(vol: Volume, tissue: LabelMap) -> CompositionReport:
     if tissue.kind != "tissue":
         raise ValueError(f"expected a tissue map, got kind {tissue.kind!r}")
 
-    # compact the body once; the HU->density map then runs in place on one
-    # float64 copy of the body HU, so no other body-sized float is built
+    # compact the body once; density() then runs in place on one float64
+    # copy of the body HU, so no other body-sized float is built
     body = tissue.body_mask()
     labels = tissue.data[body]
     hu = vol.data[body]
@@ -84,10 +91,10 @@ def measure_composition(vol: Volume, tissue: LabelMap) -> CompositionReport:
     m_body = float(rho.sum()) * vox_cm3
     if m_body <= 0.0:
         raise ValueError("degenerate input: body mask has zero total mass")
-    m_fat = float(rho[labels == 2].sum()) * vox_cm3
-    m_muscle = float(rho[labels == 3].sum()) * vox_cm3
+    m_fat = float(rho[labels == TISSUE_IDS["fat"]].sum()) * vox_cm3
+    m_muscle = float(rho[labels == TISSUE_IDS["muscle"]].sum()) * vox_cm3
 
-    bone = labels == 4
+    bone = labels == TISSUE_IDS["bone"]
     m_bone = float(rho[bone].sum()) * vox_cm3
     bone_hu = float(hu[bone].astype(np.float64).mean()) if bone.any() else None
     return CompositionReport(

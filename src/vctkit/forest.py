@@ -52,7 +52,6 @@ class ForestParams:
     n_trees: int = 100
     min_samples_leaf: int = 10
     max_features: str = "sqrt"
-    max_depth: int | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -62,8 +61,6 @@ class ForestParams:
             raise ValueError("min_samples_leaf must be positive")
         if self.max_features not in ("sqrt", "all"):
             raise ValueError("max_features must be 'sqrt' or 'all'")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be nonnegative")
 
 
 REGRESSOR_PARAMS = ForestParams(n_trees=100, min_samples_leaf=5)
@@ -170,12 +167,10 @@ def _leaf(ys, kind) -> dict:
     return {"value": float(np.add.reduce(ys) / len(ys))}
 
 
-def _stops(ys, depth, params, kind) -> bool:
+def _stops(ys, params, kind) -> bool:
     """True when a node is a leaf before any split search (or draw)."""
     n = len(ys)
     if n < 2 * params.min_samples_leaf:
-        return True
-    if params.max_depth is not None and depth >= params.max_depth:
         return True
     if kind == "classifier":
         n1 = int(ys.sum())
@@ -192,7 +187,6 @@ class _Node(NamedTuple):
     key: int | str
     path: tuple  # 0 = left, 1 = right from the root: sorted paths are preorder
     rows: np.ndarray
-    depth: int
 
 
 # a batch's widest node is at most twice its narrowest, so at most half its
@@ -229,7 +223,7 @@ def fit_forest(X, y, kind: str = "classifier",
     trees: list = [None] * params.n_trees
     gains = [[] for _ in streams]  # per tree: (path, feature, weighted gain)
     # per tree, the nodes still to grow; popping takes left before right
-    stacks = [[_Node(trees, t, (), np.asarray(s.integers(n, n)), 0)]
+    stacks = [[_Node(trees, t, (), np.asarray(s.integers(n, n)))]
               for t, s in enumerate(streams)]
     while True:
         ready = []  # (tree, node, candidate features, node targets)
@@ -237,7 +231,7 @@ def fit_forest(X, y, kind: str = "classifier",
             while stack:
                 node = stack.pop()
                 ys = y[node.rows]
-                if _stops(ys, node.depth, params, kind):
+                if _stops(ys, params, kind):
                     node.slot[node.key] = _leaf(ys, kind)
                 elif every is not None:
                     ready.append((t, node, every, ys))
@@ -265,10 +259,8 @@ def fit_forest(X, y, kind: str = "classifier",
                 split = {"feature": f, "threshold": thr, "left": None, "right": None}
                 node.slot[node.key] = split
                 gains[t].append((node.path, f, (len(ys) / n) * gain))
-                stacks[t].append(_Node(split, "right", node.path + (1,),
-                                       node.rows[~left], node.depth + 1))
-                stacks[t].append(_Node(split, "left", node.path + (0,),
-                                       node.rows[left], node.depth + 1))
+                stacks[t].append(_Node(split, "right", node.path + (1,), node.rows[~left]))
+                stacks[t].append(_Node(split, "left", node.path + (0,), node.rows[left]))
     imp = np.zeros(n_features, dtype=np.float64)
     for tree_gains in gains:
         tree_imp = np.zeros(n_features, dtype=np.float64)

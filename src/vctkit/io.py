@@ -13,7 +13,10 @@ size on disk, then reads the payload into the array it returns (F-ordered,
 so no reordering copy) and clamps HU in place.  A NIfTI load reads the
 header alone, checks the payload size on disk, and reads the payload one
 slab at a time into the C-ordered array it returns.  A label map loaded
-with an expected ``kind`` must carry that kind in its CTV header.
+with an expected ``kind`` must carry that kind in its CTV header.  A CTV
+header states its orientation (RAS) and unit (HU for images); the grid,
+volume and label-map constructors check the rest, and a loader raises
+their complaints as ``FormatError``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .volume import (
     Volume,
     LABEL_DTYPES,
     VOLUME_DTYPES,
-    VOLUME_UNITS,
     clamp_hu,
 )
 
@@ -55,7 +57,7 @@ def _write_ctv(grid: Grid, data: np.ndarray, kind: str, unit: str,
         "dims": list(grid.dims),
         "spacing_mm": list(grid.spacing_mm),
         "origin_mm": list(grid.origin_mm),
-        "orientation": grid.orientation,
+        "orientation": "RAS",
         "dtype": str(data.dtype),
         "byte_order": "little",
         "kind": kind,
@@ -73,13 +75,21 @@ def _write_ctv(grid: Grid, data: np.ndarray, kind: str, unit: str,
 
 def save_volume(vol: Volume, path) -> Path:
     """Write a Volume as a CTV pair; returns the header path."""
-    return _write_ctv(vol.grid, vol.data, "image", vol.unit, None, path)
+    return _write_ctv(vol.grid, vol.data, "image", "HU", None, path)
 
 
 def save_labelmap(labels: LabelMap, path) -> Path:
     """Write a LabelMap as a CTV pair; returns the header path."""
     return _write_ctv(labels.grid, labels.data, labels.kind, "label",
                       labels.class_table, path)
+
+
+def _build(record, *args):
+    """``record(*args)``, its constructor's ValueError raised as FormatError."""
+    try:
+        return record(*args)
+    except ValueError as e:
+        raise FormatError(str(e)) from e
 
 
 def _require(header: dict, field: str):
@@ -105,14 +115,11 @@ def _read_ctv(path):
     data_file = _require(header, "data_file")
     if byte_order != "little":
         raise FormatError(f"byte_order must be 'little', got {byte_order!r}")
+    if orientation != "RAS":
+        raise FormatError(f"orientation must be 'RAS', got {orientation!r}")
     if dtype_name not in {**VOLUME_DTYPES, **LABEL_DTYPES}:
         raise FormatError(f"unsupported dtype {dtype_name!r}")
-    if len(dims) != 3 or any(int(d) != d or d < 1 for d in dims):
-        raise FormatError(f"dims must be three positive integers, got {dims}")
-    try:
-        grid = Grid(tuple(int(d) for d in dims), tuple(spacing), tuple(origin), orientation)
-    except ValueError as e:
-        raise FormatError(str(e)) from e
+    grid = _build(Grid, tuple(dims), tuple(spacing), tuple(origin))
     dtype = np.dtype({**VOLUME_DTYPES, **LABEL_DTYPES}[dtype_name]).newbyteorder("<")
     raw_path = header_path.with_name(data_file)
     size = raw_path.stat().st_size
@@ -131,18 +138,15 @@ def load_volume(path) -> Volume:
     p = Path(path)
     if p.name.endswith(".nii"):
         grid, data = _read_nifti(p)
-        if data.dtype not in (np.int16, np.float32):
-            raise FormatError(
-                f"NIfTI dtype {data.dtype} is not a volume dtype (int16/float32)")
-        return Volume(grid, clamp_hu(data), "HU")
-    grid, data, kind, unit, _ = _read_ctv(p)
-    if kind != "image":
-        raise FormatError(f"expected kind 'image', got {kind!r}")
-    if unit not in VOLUME_UNITS:
-        raise FormatError(f"unsupported unit {unit!r}")
-    if str(data.dtype) not in VOLUME_DTYPES:
-        raise FormatError(f"dtype {data.dtype} is not a volume dtype")
-    return Volume(grid, clamp_hu(data), unit)
+    else:
+        grid, data, kind, unit, _ = _read_ctv(p)
+        if kind != "image":
+            raise FormatError(f"expected kind 'image', got {kind!r}")
+        if unit != "HU":
+            raise FormatError(f"unsupported unit {unit!r}")
+    vol = _build(Volume, grid, data)
+    clamp_hu(vol.data)
+    return vol
 
 
 def load_labelmap(path, kind: str | None = None) -> LabelMap:
@@ -154,33 +158,28 @@ def load_labelmap(path, kind: str | None = None) -> LabelMap:
     p = Path(path)
     if p.name.endswith(".nii"):
         grid, data = _read_nifti(p)
-        if data.dtype not in (np.uint8, np.uint16):
-            raise FormatError(
-                f"NIfTI dtype {data.dtype} is not a label dtype (uint8/uint16)")
-        values = np.unique(data)
-        table = {int(v): f"class_{int(v)}" for v in values if v != 0}
-        return LabelMap(grid, data, kind or "structure", table)
-    grid, data, file_kind, unit, header = _read_ctv(p)
-    if file_kind not in ("tissue", "structure"):
-        raise FormatError(f"expected kind 'tissue' or 'structure', got {file_kind!r}")
+        # the present values, one chunk at a time: a whole-grid unique would
+        # sort a copy of the grid
+        flat, present = data.ravel(), set()
+        for start in range(0, flat.size, _UNIQUE_CHUNK):
+            present.update(np.unique(flat[start:start + _UNIQUE_CHUNK]).tolist())
+        table = {v: f"class_{v}" for v in sorted(present) if v != 0}
+        return _build(LabelMap, grid, data, kind or "structure", table)
+    grid, data, file_kind, _, header = _read_ctv(p)
     if kind is not None and kind != file_kind:
         raise FormatError(f"expected kind {kind!r}, got {file_kind!r}")
-    if str(data.dtype) not in LABEL_DTYPES:
-        raise FormatError(f"dtype {data.dtype} is not a label dtype")
     raw_table = header.get("class_table", {})
     try:
         table = {int(k): str(v) for k, v in raw_table.items()}
     except (TypeError, ValueError) as e:
         raise FormatError(f"malformed class_table: {e}") from e
-    try:
-        return LabelMap(grid, data, file_kind, table)
-    except ValueError as e:
-        raise FormatError(str(e)) from e
+    return _build(LabelMap, grid, data, file_kind, table)
 
 
 # --- NIfTI-1 -----------------------------------------------------------
 
 _NIFTI_DTYPES = {2: np.uint8, 4: np.int16, 16: np.float32, 512: np.uint16}
+_UNIQUE_CHUNK = 1 << 16
 
 
 def _read_nifti(path: Path) -> tuple[Grid, np.ndarray]:
@@ -285,5 +284,4 @@ def _read_nifti(path: Path) -> tuple[Grid, np.ndarray]:
         for k in range(dims[2]):
             slab = np.fromfile(fh, dtype=dtype, count=dims[0] * dims[1])
             view[:, :, k] = slab.reshape(dims[:2], order="F")
-    grid = Grid(data.shape, tuple(spacing), tuple(float(o) for o in origin))
-    return grid, data
+    return _build(Grid, data.shape, tuple(spacing), tuple(float(o) for o in origin)), data

@@ -155,22 +155,22 @@ def paired_dice_stats(per_pair) -> dict[int, tuple[float, float]]:
 
 
 def cohort_consistency(a: CohortMeasurements, b: CohortMeasurements,
-                       dice_stats: dict[int, tuple[float, float]] | None = None,
-                       min_samples: int = CONSISTENCY_MIN_SAMPLES) -> ConsistencyTable:
+                       dice_stats: dict[int, tuple[float, float]] | None = None
+                       ) -> ConsistencyTable:
     """Cross-cohort Q-Q agreement per structure class.
 
-    Classes with fewer than ``min_samples`` subjects in either cohort are
-    omitted with a warning.  ``dice_stats`` (from paired comparisons) is
-    merged into the table when available.
+    Classes with fewer than ``CONSISTENCY_MIN_SAMPLES`` subjects in either
+    cohort are omitted with a warning.  ``dice_stats`` (from paired
+    comparisons) is merged into the table when available.
     """
     table = ConsistencyTable()
     classes = sorted(set(a.volumes) & set(b.volumes))
     for c in classes:
         va, vb = a.volumes[c], b.volumes[c]
-        if len(va) < min_samples or len(vb) < min_samples:
-            warnings.warn(
-                f"class {c} ({_class_name(c)}) has fewer than {min_samples} "
-                "samples in a cohort; omitted from consistency table")
+        if min(len(va), len(vb)) < CONSISTENCY_MIN_SAMPLES:
+            warnings.warn(f"class {c} ({_class_name(c)}) has fewer than "
+                          f"{CONSISTENCY_MIN_SAMPLES} samples in a cohort; "
+                          "omitted from consistency table")
             continue
         row = ConsistencyRow(class_id=c, class_name=_class_name(c))
         try:

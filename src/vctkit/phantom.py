@@ -27,18 +27,20 @@ from pathlib import Path
 import numpy as np
 
 from .codec import decode, encode
+from .composition import REFERENCE_HU, density
 from .rng import Stream, subject_seed
 from .volume import (
     Grid,
-    LANDMARK_IDS,
     LabelMap,
+    STRUCTURE_IDS,
     STRUCTURE_TABLE,
     TISSUE_CLASSES,
+    TISSUE_IDS,
     Volume,
     voxel_volume_mm3,
 )
 
-# fixed HU per material (water reference: density = (HU + 1000) / 1000)
+# fixed HU per material; its mass density is composition.density(HU)
 HU_AIR = -1000
 HU_LUNG = -700
 HU_FAT = -100
@@ -46,14 +48,6 @@ HU_BODY = 30
 HU_ORGAN = 40
 HU_AORTA = 45
 HU_MUSCLE = 50
-
-RHO_FAT = 0.9
-RHO_BODY = 1.03
-RHO_ORGAN = 1.04
-RHO_LUNG = 0.3
-RHO_MUSCLE = 1.05
-
-TISSUE_BODY, TISSUE_FAT, TISSUE_MUSCLE, TISSUE_BONE = 1, 2, 3, 4
 
 
 def bone_hu_for_age(age_years: float) -> int:
@@ -107,25 +101,25 @@ class PhantomTruth:
     landmarks: dict[str, tuple[float, float, float]]
 
 
-# organ blobs: (structure_id, hu, tissue, center (fx, fy, fu), semi (ax, ay, au),
+# organ blobs: (structure, hu, tissue, center (fx, fy, fu), semi (ax, ay, au),
 # mirrored).  fx/fy/ax/ay are fractions of the interior semi-axes; fu/au are
 # fractions of the torso half-length.  Mirrored entries appear at +/- fx.
 _ORGANS = (
-    (4, HU_ORGAN, TISSUE_BODY, (0.45, 0.10, 0.05), (0.42, 0.55, 0.16), False),   # liver
-    (2, HU_ORGAN, TISSUE_BODY, (-0.55, -0.15, 0.10), (0.25, 0.35, 0.10), False),  # spleen
-    (3, HU_ORGAN, TISSUE_BODY, (0.42, -0.45, -0.12), (0.18, 0.22, 0.10), True),   # kidneys
-    (5, HU_LUNG, TISSUE_BODY, (0.42, 0.05, 0.62), (0.38, 0.55, 0.14), True),      # lung upper
-    (6, HU_LUNG, TISSUE_BODY, (0.45, -0.05, 0.36), (0.38, 0.50, 0.11), True),     # lung lower
-    (7, HU_LUNG, TISSUE_BODY, (0.48, 0.30, 0.49), (0.22, 0.28, 0.06), False),     # lung middle
-    (8, HU_ORGAN, TISSUE_BODY, (0.0, 0.15, -0.72), (0.22, 0.25, 0.08), False),    # bladder
-    (9, HU_ORGAN, TISSUE_BODY, (0.0, 0.10, -0.86), (0.10, 0.10, 0.035), False),   # prostate
-    (10, HU_ORGAN, TISSUE_BODY, (-0.10, 0.25, 0.42), (0.28, 0.32, 0.10), False),  # heart
-    (12, HU_MUSCLE, TISSUE_MUSCLE, (0.35, -0.55, -0.80), (0.28, 0.28, 0.09), True),
-    (13, HU_MUSCLE, TISSUE_MUSCLE, (0.14, -0.55, -0.05), (0.10, 0.16, 0.72), True),
-    (14, HU_MUSCLE, TISSUE_MUSCLE, (0.22, -0.10, -0.60), (0.13, 0.15, 0.22), True),
+    ("liver", HU_ORGAN, "body", (0.45, 0.10, 0.05), (0.42, 0.55, 0.16), False),
+    ("spleen", HU_ORGAN, "body", (-0.55, -0.15, 0.10), (0.25, 0.35, 0.10), False),
+    ("kidney", HU_ORGAN, "body", (0.42, -0.45, -0.12), (0.18, 0.22, 0.10), True),
+    ("lung_upper_lobes", HU_LUNG, "body", (0.42, 0.05, 0.62), (0.38, 0.55, 0.14), True),
+    ("lung_lower_lobes", HU_LUNG, "body", (0.45, -0.05, 0.36), (0.38, 0.50, 0.11), True),
+    ("lung_middle_lobe", HU_LUNG, "body", (0.48, 0.30, 0.49), (0.22, 0.28, 0.06), False),
+    ("urinary_bladder", HU_ORGAN, "body", (0.0, 0.15, -0.72), (0.22, 0.25, 0.08), False),
+    ("prostate", HU_ORGAN, "body", (0.0, 0.10, -0.86), (0.10, 0.10, 0.035), False),
+    ("heart", HU_ORGAN, "body", (-0.10, 0.25, 0.42), (0.28, 0.32, 0.10), False),
+    ("gluteus_muscles", HU_MUSCLE, "muscle", (0.35, -0.55, -0.80), (0.28, 0.28, 0.09), True),
+    ("autochthonous_muscles", HU_MUSCLE, "muscle", (0.14, -0.55, -0.05), (0.10, 0.16, 0.72), True),
+    ("iliopsoas", HU_MUSCLE, "muscle", (0.22, -0.10, -0.60), (0.13, 0.15, 0.22), True),
 )
 
-_AORTA = (11, HU_AORTA, TISSUE_BODY, (-0.06, -0.12, 0.18), (0.055, 0.055, 0.42))
+_AORTA = ("aorta", HU_AORTA, "body", (-0.06, -0.12, 0.18), (0.055, 0.055, 0.42))
 
 _JITTER_CENTER = 0.04   # relative organ center jitter
 _JITTER_SIZE = 0.06     # relative organ size jitter
@@ -136,7 +130,6 @@ class _Geometry:
     """Solved continuous geometry of one phantom (world mm, feet at z=0)."""
 
     H: float
-    s: float
     z_pelvis: float
     z_knee: float
     z_ankle: float
@@ -173,16 +166,16 @@ def _organ_volumes(qm: float, R: float, ry: float, rz: float) -> dict:
     rx_i = 0.82 * math.sqrt(max(qm, 0.0)) * R
     ry_i = 0.82 * math.sqrt(max(qm, 0.0)) * ry
     vols = {"lung": 0.0, "organ": 0.0, "muscle": 0.0}
-    for _sid, hu, tissue, _c, (ax, ay, au), mirrored in _ORGANS:
+    for _name, hu, tissue, _c, (ax, ay, au), mirrored in _ORGANS:
         v = (4.0 / 3.0) * math.pi * (ax * rx_i) * (ay * ry_i) * (au * rz)
         v *= 2.0 if mirrored else 1.0
         if hu == HU_LUNG:
             vols["lung"] += v
-        elif tissue == TISSUE_MUSCLE:
+        elif tissue == "muscle":
             vols["muscle"] += v
         else:
             vols["organ"] += v
-    _sid, _hu, _t, _c, (ax, ay, au) = _AORTA
+    _name, _hu, _t, _c, (ax, ay, au) = _AORTA
     vols["organ"] += math.pi * (ax * rx_i) * (ay * ry_i) * (2.0 * au * rz)
     return vols
 
@@ -208,15 +201,14 @@ def _solve_geometry(spec: PhantomSpec) -> _Geometry:
     r_stub = 9.0 * s
     r_marker = max(7.0 * s, max(spec.spacing_mm))
     bone_hu = bone_hu_for_age(spec.age_years)
-    rho_bone = (bone_hu + 1000.0) / 1000.0
 
     L_T = z_c7 - z_pelvis
     rz = L_T / 2.0
     zc = (z_pelvis + z_c7) / 2.0
 
     total_g = spec.weight_kg * 1000.0
-    v_fat = 1000.0 * spec.fat_fraction * total_g / RHO_FAT
-    v_muscle = 1000.0 * spec.muscle_fraction * total_g / RHO_MUSCLE
+    v_fat = 1000.0 * spec.fat_fraction * total_g / density(HU_FAT)
+    v_muscle = 1000.0 * spec.muscle_fraction * total_g / density(HU_MUSCLE)
 
     v_femur = 2.0 * math.pi * r_femur**2 * (z_pelvis - z_knee)
     v_tibia = 2.0 * math.pi * r_tibia**2 * ((z_knee - 3.0) - z_ankle)
@@ -244,14 +236,14 @@ def _solve_geometry(spec: PhantomSpec) -> _Geometry:
         v_interior = q_muscle * v_torso
         v_int_body = v_interior - organs["lung"] - organs["organ"] - organs["muscle"] - v_spine
         mass_g = (
-            RHO_FAT * v_fat
-            + RHO_MUSCLE * v_muscle
-            + rho_bone * (v_legbones + v_spine + v_markers)
-            + RHO_BODY * (v_head - v_brain)
-            + RHO_ORGAN * v_brain
-            + RHO_BODY * v_int_body
-            + RHO_ORGAN * organs["organ"]
-            + RHO_LUNG * organs["lung"]
+            density(HU_FAT) * v_fat
+            + density(HU_MUSCLE) * v_muscle
+            + density(bone_hu) * (v_legbones + v_spine + v_markers)
+            + density(HU_BODY) * (v_head - v_brain)
+            + density(HU_ORGAN) * v_brain
+            + density(HU_BODY) * v_int_body
+            + density(HU_ORGAN) * organs["organ"]
+            + density(HU_LUNG) * organs["lung"]
         ) / 1000.0
         return mass_g, q_fat, q_muscle, r_leg, ry
 
@@ -281,7 +273,7 @@ def _solve_geometry(spec: PhantomSpec) -> _Geometry:
         raise InfeasibleSpecError("leg muscle core too thin to hold the femur")
 
     return _Geometry(
-        H=H, s=s, z_pelvis=z_pelvis, z_knee=z_knee, z_ankle=z_ankle,
+        H=H, z_pelvis=z_pelvis, z_knee=z_knee, z_ankle=z_ankle,
         z_c7=z_c7, z_c1=z_c1, z_c2=z_c2, r_head=r_head,
         head_center_z=head_center_z, r_neck=r_neck, neck_top=neck_top,
         R=R, ry=ry, rz=rz, zc=zc, hip_x=0.40 * R, r_leg=r_leg,
@@ -292,7 +284,8 @@ def _solve_geometry(spec: PhantomSpec) -> _Geometry:
 
 class _Canvas:
     """Paint target: HU, tissue, and (optionally) structure arrays plus world
-    coords. Without a structure array, structure ids are ignored."""
+    coords. Tissues and structures are painted by name; without a structure
+    array, structures are ignored."""
 
     def __init__(self, grid: Grid, structures: bool):
         self.grid = grid
@@ -328,13 +321,13 @@ class _Canvas:
         Z = self.z[sl[2]].astype(np.float32)[None, None, :]
         return sl, X, Y, Z
 
-    def assign(self, sl, mask, hu: int, tissue: int, structure: int | None = None):
+    def assign(self, sl, mask, hu: int, tissue: str, structure: str | None = None):
         self.hu[sl][mask] = hu
-        self.tissue[sl][mask] = tissue
+        self.tissue[sl][mask] = TISSUE_IDS[tissue]
         if structure is not None and self.structure is not None:
-            self.structure[sl][mask] = structure
+            self.structure[sl][mask] = STRUCTURE_IDS[structure]
 
-    def paint(self, mask_fn, lo, hi, hu: int, tissue: int, structure: int | None):
+    def paint(self, mask_fn, lo, hi, hu: int, tissue: str, structure: str | None):
         got = self.slab_arrays(lo, hi)
         if got is None:
             return
@@ -416,8 +409,8 @@ def generate_phantom(spec: PhantomSpec, *, structures: bool = True):
         if got is not None:
             sl, X, Y, _Z = got
             q = (((X - cx) ** 2 + (Y - yc) ** 2) / geom.r_leg**2)[:, :, 0]
-            canvas.assign(sl, q <= 1.0, HU_FAT, TISSUE_FAT)
-            canvas.assign(sl, q <= qf, HU_MUSCLE, TISSUE_MUSCLE)
+            canvas.assign(sl, q <= 1.0, HU_FAT, "fat")
+            canvas.assign(sl, q <= qf, HU_MUSCLE, "muscle")
 
     # torso: shared z-profile w(u) = 1 - u^6; shells at fractions of w
     got = canvas.slab_arrays((xc - R, yc - ry, z0 + geom.z_pelvis),
@@ -426,20 +419,19 @@ def generate_phantom(spec: PhantomSpec, *, structures: bool = True):
         sl, X, Y, Z = got
         q = ((X - xc) / R) ** 2 + ((Y - yc) / ry) ** 2
         w = 1.0 - ((Z - zc) / rz) ** 6
-        canvas.assign(sl, q <= w, HU_FAT, TISSUE_FAT)
-        canvas.assign(sl, q <= qf * w, HU_MUSCLE, TISSUE_MUSCLE)
-        canvas.assign(sl, q <= qm * w, HU_BODY, TISSUE_BODY)
+        canvas.assign(sl, q <= w, HU_FAT, "fat")
+        canvas.assign(sl, q <= qf * w, HU_MUSCLE, "muscle")
+        canvas.assign(sl, q <= qm * w, HU_BODY, "body")
 
     # neck and head
     canvas.paint_zcylinder(xc, yc, geom.r_neck, z0 + geom.z_c7, z0 + geom.neck_top,
-                           HU_MUSCLE, TISSUE_MUSCLE)
-    canvas.paint_sphere((xc, yc, z0 + geom.head_center_z), geom.r_head,
-                        HU_BODY, TISSUE_BODY)
+                           HU_MUSCLE, "muscle")
+    canvas.paint_sphere((xc, yc, z0 + geom.head_center_z), geom.r_head, HU_BODY, "body")
 
     # organs inside the interior, with seeded jitter
     rx_i = 0.82 * math.sqrt(qm) * R
     ry_i = 0.82 * math.sqrt(qm) * ry
-    for sid, hu, tissue, (fx, fy, fu), (ax, ay, au), mirrored in _ORGANS:
+    for name, hu, tissue, (fx, fy, fu), (ax, ay, au), mirrored in _ORGANS:
         sides = (-1.0, 1.0) if mirrored else (1.0,)
         for side in sides:
             jc = jit.normal(3, 0.0, _JITTER_CENTER)
@@ -453,33 +445,32 @@ def generate_phantom(spec: PhantomSpec, *, structures: bool = True):
             radii = (max(ax * js[0], 0.02) * rx_i,
                      max(ay * js[1], 0.02) * ry_i,
                      max(au * js[2], 0.01) * rz)
-            canvas.paint_ellipsoid(center, radii, hu, tissue, sid)
-    sid, hu, tissue, (fx, fy, fu), (ax, ay, au) = _AORTA
+            canvas.paint_ellipsoid(center, radii, hu, tissue, name)
+    name, hu, tissue, (fx, fy, fu), (ax, ay, au) = _AORTA
     canvas.paint_zcylinder(xc + fx * rx_i, yc + fy * ry_i, ax * rx_i,
                            zc + (fu - au) * rz, zc + (fu + au) * rz,
-                           hu, tissue, sid)
+                           hu, tissue, name)
 
-    # brain
     canvas.paint_sphere((xc, yc, z0 + geom.head_center_z + 0.1 * geom.r_head),
-                        0.60 * geom.r_head, HU_ORGAN, TISSUE_BODY, 15)
+                        0.60 * geom.r_head, HU_ORGAN, "body", "brain")
 
     bone_hu = geom.bone_hu
     L_T = geom.z_c7 - geom.z_pelvis
-    # spine (structure 1 = merged bone class)
+    # spine, in the merged bone class
     canvas.paint_zcylinder(xc, yc - 0.30 * ry_i, geom.r_spine,
                            z0 + geom.z_pelvis + 0.08 * L_T,
                            z0 + geom.z_c7 - 0.03 * L_T,
-                           bone_hu, TISSUE_BONE, 1)
+                           bone_hu, "bone", "bone")
 
     # leg long bones and ankle stubs
     for sign, side in ((-1.0, "left"), (1.0, "right")):
         cx = xc + sign * geom.hip_x
         canvas.paint_zcylinder(cx, yc, geom.r_femur, z0 + geom.z_knee, z0 + geom.z_pelvis,
-                               bone_hu, TISSUE_BONE, LANDMARK_IDS[f"femur_{side}"])
+                               bone_hu, "bone", f"femur_{side}")
         canvas.paint_zcylinder(cx, yc, geom.r_tibia, z0 + geom.z_ankle, z0 + geom.z_knee - 3.0,
-                               bone_hu, TISSUE_BONE, LANDMARK_IDS[f"tibia_{side}"])
+                               bone_hu, "bone", f"tibia_{side}")
         canvas.paint_zcylinder(cx, yc, geom.r_stub, z0 + 10.0,
-                               z0 + geom.z_ankle, bone_hu, TISSUE_BONE, 16)
+                               z0 + geom.z_ankle, bone_hu, "bone", "appendicular_bones")
 
     # landmark marker spheres
     landmarks = {
@@ -495,13 +486,13 @@ def generate_phantom(spec: PhantomSpec, *, structures: bool = True):
     }
     # patient left is -x in RAS (+x points toward patient right)
     for name, pos in landmarks.items():
-        canvas.paint_sphere(pos, geom.r_marker, bone_hu, TISSUE_BONE, LANDMARK_IDS[name])
+        canvas.paint_sphere(pos, geom.r_marker, bone_hu, "bone", name)
     landmarks["femur_left"] = (xc - geom.hip_x, yc, z0 + (geom.z_knee + geom.z_pelvis) / 2)
     landmarks["femur_right"] = (xc + geom.hip_x, yc, z0 + (geom.z_knee + geom.z_pelvis) / 2)
     landmarks["tibia_left"] = (xc - geom.hip_x, yc, z0 + (geom.z_ankle + geom.z_knee) / 2)
     landmarks["tibia_right"] = (xc + geom.hip_x, yc, z0 + (geom.z_ankle + geom.z_knee) / 2)
 
-    vol = Volume(grid, canvas.hu, "HU")
+    vol = Volume(grid, canvas.hu)
     tissue_map = LabelMap(grid, canvas.tissue, "tissue", dict(TISSUE_CLASSES))
     if not structures:
         return vol, tissue_map, None, None
@@ -545,7 +536,8 @@ def _count_truth(canvas: _Canvas, grid: Grid, geom: _Geometry,
         return int(counts[h & 0xFFFF])
 
     def mass_of(hu_values) -> float:
-        return sum(count_of(h) * (h + 1000.0) / 1000.0 for h in hu_values) * vox / 1000.0
+        return sum(count_of(h) * (h + 1000.0) / (REFERENCE_HU + 1000.0)
+                   for h in hu_values) * vox / 1000.0
 
     present = [int(i) - 65536 if i > 32767 else int(i)
                for i in np.nonzero(counts)[0] if (int(i) - 65536 if i > 32767 else int(i)) != HU_AIR]

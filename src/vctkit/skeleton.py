@@ -20,7 +20,7 @@ Height is the exact sum of four segments:
 Landmark work runs inside each label's index box from ``volume.LabelIndex``
 (one pass over the structure map); only the body moments and the ray
 marches see the whole grid.  Landmarks are looked up by name through
-``volume.LANDMARK_IDS``.
+``volume.STRUCTURE_IDS``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .volume import Grid, LabelIndex, LabelMap, LANDMARK_IDS
+from .volume import Grid, LabelIndex, LabelMap, STRUCTURE_IDS
 
 ISOTROPY_TOL = 1e-9
 
@@ -168,7 +168,7 @@ def _leg_length(index: LabelIndex, body_mask: np.ndarray, s: np.ndarray,
 
     # knee: drop tibia voxels superior to the femur's inferior point, then
     # keep the largest 26-connected component
-    sub, sl = index.mask(LANDMARK_IDS[f"tibia_{side}"])
+    sub, sl = index.mask(STRUCTURE_IDS[f"tibia_{side}"])
     cx, cy, cz = _coords_for(grid, sl)
     heights = (cx[:, None, None] * s[0] + cy[None, :, None] * s[1]
                + cz[None, None, :] * s[2])
@@ -179,7 +179,7 @@ def _leg_length(index: LabelIndex, body_mask: np.ndarray, s: np.ndarray,
     n_t, mean_t, cov_t = _mask_moments(keep, (cx, cy, cz))
     knee_offset = float(heights[keep].max())
 
-    n_f, _, cov_f = _label_moments(index, LANDMARK_IDS[f"femur_{side}"])
+    n_f, _, cov_f = _label_moments(index, STRUCTURE_IDS[f"femur_{side}"])
     femur_axis = _principal_axis_from_moments(n_f, cov_f)
     if femur_axis @ s < 0:
         femur_axis = -femur_axis
@@ -206,8 +206,8 @@ def measure_height(body: LabelMap, structures: LabelMap) -> HeightBreakdown:
         raise ValueError("body and structure maps must share a grid")
     index = LabelIndex(structures)
     for name in ("c1", "c2", "c7"):
-        if LANDMARK_IDS[name] not in index.labels:
-            raise ValueError(f"missing landmark {LANDMARK_IDS[name]} ({name})")
+        if STRUCTURE_IDS[name] not in index.labels:
+            raise ValueError(f"missing landmark {STRUCTURE_IDS[name]} ({name})")
     body_mask = body.body_mask()
     n, _, cov = _mask_moments(body_mask, _coords_for(body.grid))
     if n == 0:
@@ -217,16 +217,16 @@ def measure_height(body: LabelMap, structures: LabelMap) -> HeightBreakdown:
     # each femur's voxel heights along superior, projected once: the pelvis
     # plane is their max over both femurs, a leg's knee cut its femur's min
     femur_heights = {
-        side: _world_coords(index, LANDMARK_IDS[f"femur_{side}"]) @ s
-        for side in ("left", "right") if LANDMARK_IDS[f"femur_{side}"] in index.labels}
+        side: _world_coords(index, STRUCTURE_IDS[f"femur_{side}"]) @ s
+        for side in ("left", "right") if STRUCTURE_IDS[f"femur_{side}"] in index.labels}
     if not femur_heights:
-        raise ValueError(f"no femur voxels (labels {LANDMARK_IDS['femur_left']}/"
-                         f"{LANDMARK_IDS['femur_right']})")
+        raise ValueError(f"no femur voxels (labels {STRUCTURE_IDS['femur_left']}/"
+                         f"{STRUCTURE_IDS['femur_right']})")
     pelvis = max(float(h.max()) for h in femur_heights.values())
 
     per_leg: dict[str, float | None] = {"left_mm": None, "right_mm": None}
     for side, heights in femur_heights.items():
-        if LANDMARK_IDS[f"tibia_{side}"] in index.labels:
+        if STRUCTURE_IDS[f"tibia_{side}"] in index.labels:
             per_leg[f"{side}_mm"] = _leg_length(index, body_mask, s, side, pelvis,
                                                 float(heights.min()))
     totals = [v for v in per_leg.values() if v is not None]
@@ -234,11 +234,11 @@ def measure_height(body: LabelMap, structures: LabelMap) -> HeightBreakdown:
         raise ValueError("no complete leg (femur + tibia) on either side")
     lower_body = max(totals)
 
-    c7 = _centroid(index, LANDMARK_IDS["c7"])
+    c7 = _centroid(index, STRUCTURE_IDS["c7"])
     torso = float(c7 @ s) - pelvis
 
-    c1 = _centroid(index, LANDMARK_IDS["c1"])
-    c2 = _centroid(index, LANDMARK_IDS["c2"])
+    c1 = _centroid(index, STRUCTURE_IDS["c1"])
+    c2 = _centroid(index, STRUCTURE_IDS["c2"])
     neck = float(np.linalg.norm(c7 - c1))
 
     head_dir = c1 - c2

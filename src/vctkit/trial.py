@@ -13,6 +13,9 @@ predictor on the train split, and then audits the predictor:
   Fisher-z cross-type p-value, and random-forest error regressions with
   normalized feature importances compared across sample types.
 
+Each audited subject is carried as one ``(MeasuredSubject, abs_error)``
+pair, from the audit rows through to the attribution's feature matrix.
+
 Synthetic cohorts are regenerated from binned subject attributes with fresh
 seeds, so they carry only the attribute-explained part of body composition
 -- which is exactly what makes re-biasing by culling necessary, mirroring
@@ -30,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import decode, encode
+from .codec import encode
 from .composition import CompositionReport, measure_composition
 from .forest import Forest, ForestParams, REGRESSOR_PARAMS, fit_forest, predict, predict_proba
 from .phantom import (
@@ -59,6 +62,8 @@ TASKS = ("fat_pct", "muscle_pct")
 SAMPLE_TYPES = ("real", "synthetic", "synthetic_rebias")
 FEATURE_NAMES = ("sex", "age", "height", "weight", "fat_pct", "bone_density",
                  "muscle_pct", "body_volume")
+
+ATTRIBUTION_MIN_SUBJECTS = 30
 
 VERDICT_ACCEPTABLE_BELOW = 2.0
 VERDICT_DEGRADED_ABOVE = 3.0
@@ -103,17 +108,7 @@ class BiasBoundary:
 
 
 def report_feature(report: CompositionReport, name: str) -> float:
-    if name == "body_volume":
-        return report.body_volume_l
-    if name == "fat_pct":
-        return report.fat_pct
-    if name == "muscle_pct":
-        return report.muscle_pct
-    if name == "bone_density":
-        if report.bone_density_hu is None:
-            return float("nan")
-        return report.bone_density_hu
-    raise KeyError(f"unknown report feature {name!r}")
+    return report.body_volume_l if name == "body_volume" else getattr(report, name)
 
 
 @dataclass
@@ -123,7 +118,6 @@ class MeasuredSubject:
     subject_id: str
     attributes: Attributes
     report: CompositionReport
-    population: str = "unsplit"     # train | id | ood | unsplit
 
 
 @dataclass(frozen=True)
@@ -172,11 +166,12 @@ def build_biased_split(subjects: list[MeasuredSubject], boundary: BiasBoundary,
                        achieved_pearson=r, boundary=boundary)
 
 
-def rebias(subject_ids, reports: dict, boundary: BiasBoundary, side: str) -> list:
+def rebias(subjects: list[MeasuredSubject], boundary: BiasBoundary,
+           side: str) -> list[MeasuredSubject]:
     """Cull to the subjects on the requested boundary side (idempotent)."""
     if side not in ("id", "ood"):
         raise ValueError("side must be 'id' or 'ood'")
-    kept = [sid for sid in subject_ids if boundary.side(reports[sid]) == side]
+    kept = [s for s in subjects if boundary.side(s.report) == side]
     if not kept:
         warnings.warn(f"rebias kept no subjects on side {side!r}")
     return kept
@@ -386,15 +381,6 @@ def weighted_degradation_estimate(id_errors, id_attrs, classifier: Forest,
 
 
 @dataclass
-class SubjectError:
-    subject_id: str
-    population: str             # id | ood
-    attributes: Attributes
-    report: CompositionReport
-    abs_error: float
-
-
-@dataclass
 class TrialRow:
     population: str             # ID | OOD
     attr_dist: str              # ID | OOD
@@ -425,7 +411,7 @@ class TrialReport:
     counts: dict
     classifier_accuracy: float | None
     rows: list[TrialRow]
-    samples: dict               # sample_type -> list[SubjectError]
+    samples: dict               # sample_type -> [(MeasuredSubject, abs_error)]
     attribution: AttributionBlock | None = None
     attribution_skipped: str | None = None  # why attribution is None
 
@@ -484,34 +470,27 @@ def run_trial(real: dict, split: BiasedSplit, predictor, target: str,
         if sid not in real:
             raise ValueError(f"missing measured report for subject {sid!r}")
 
-    def errors_for(subjects) -> np.ndarray:
-        out = np.empty(len(subjects), dtype=np.float64)
-        for i, s in enumerate(subjects):
-            out[i] = abs(report_feature(s.report, target) - predictor.predict(s, target))
-        return out
+    def with_errors(subjects) -> list:
+        return [(s, abs(report_feature(s.report, target) - predictor.predict(s, target)))
+                for s in subjects]
 
-    def subject_errors(subjects, errs, population) -> list[SubjectError]:
-        return [SubjectError(s.subject_id, population, s.attributes, s.report,
-                             float(e)) for s, e in zip(subjects, errs)]
+    def errors(pairs) -> np.ndarray:
+        return np.array([e for _, e in pairs], dtype=np.float64)
 
-    id_subjects = [real[sid] for sid in split.id_test]
-    ood_subjects = [real[sid] for sid in split.ood_test]
-    real_errors = {"ID": errors_for(id_subjects), "OOD": errors_for(ood_subjects)}
-
+    tested = {"ID": with_errors(real[sid] for sid in split.id_test),
+              "OOD": with_errors(real[sid] for sid in split.ood_test)}
+    samples = {"real": tested["ID"] + tested["OOD"], "synthetic": [], "synthetic_rebias": []}
     rows: list[TrialRow] = []
-    samples: dict[str, list[SubjectError]] = {t: [] for t in SAMPLE_TYPES}
-    samples["real"] = (subject_errors(id_subjects, real_errors["ID"], "id")
-                       + subject_errors(ood_subjects, real_errors["OOD"], "ood"))
 
-    def add_row(population, attr_dist, sample_type, errs):
-        errs = np.asarray(errs, dtype=np.float64)
+    def add_row(population, attr_dist, sample_type, pairs):
+        errs = errors(pairs)
         seed = _row_seed(options.seed, population, sample_type)
         ci = bootstrap_ci(errs, n_boot=options.n_boot, level=options.level, seed=seed)
         point, verdict = float(errs.mean()), verdict_for(float(errs.mean()))
         if sample_type == "real":
             z, z_ci, p = 0.0, None, 1.0
         else:
-            ref = real_errors[population]
+            ref = errors(tested[population])
             z = z_score(errs, ref)
             p = z_test_p(z)
             z_ci = _z_ci(errs, ref, options.z_boot, options.level, seed ^ 0x5A)
@@ -520,39 +499,30 @@ def run_trial(real: dict, split: BiasedSplit, predictor, target: str,
                              mae_ci=ci, z_vs_real=z, z_ci=z_ci, p_value=p,
                              verdict=verdict))
 
-    add_row("ID", "ID", "real", real_errors["ID"])
-    add_row("OOD", "OOD", "real", real_errors["OOD"])
-
+    for population in ("ID", "OOD"):
+        add_row(population, population, "real", tested[population])
     for population in ("ID", "OOD"):
         cohort = synth.get(population, [])
         if not cohort:
             continue
-        errs = errors_for(cohort)
-        samples["synthetic"].extend(subject_errors(cohort, errs, population.lower()))
-        add_row(population, population, "synthetic", errs)
-
-        by_sid = {s.subject_id: s for s in cohort}
-        kept = rebias(list(by_sid), {sid: s.report for sid, s in by_sid.items()},
-                      split.boundary, population.lower())
+        pairs = with_errors(cohort)
+        samples["synthetic"].extend(pairs)
+        add_row(population, population, "synthetic", pairs)
+        kept = with_errors(rebias(cohort, split.boundary, population.lower()))
         if kept:
-            kept_subjects = [by_sid[sid] for sid in kept]
-            kerrs = errors_for(kept_subjects)
-            samples["synthetic_rebias"].extend(
-                subject_errors(kept_subjects, kerrs, population.lower()))
-            add_row(population, population, "synthetic_rebias", kerrs)
-        else:
-            warnings.warn(f"no re-biased synthetic subjects for {population}")
+            samples["synthetic_rebias"].extend(kept)
+            add_row(population, population, "synthetic_rebias", kept)
 
     # importance-weighted estimate of OOD MAE from ID errors
     classifier_accuracy = None
-    if len(id_subjects) and len(ood_subjects):
+    if tested["ID"] and tested["OOD"]:
+        id_attrs = [s.attributes for s, _ in tested["ID"]]
         clf, classifier_accuracy = fit_ood_classifier(
-            [s.attributes for s in id_subjects],
-            [s.attributes for s in ood_subjects], seed=options.seed)
-        n_id, n_ood = len(id_subjects), len(ood_subjects)
+            id_attrs, [s.attributes for s, _ in tested["OOD"]], seed=options.seed)
+        n_id, n_ood = len(tested["ID"]), len(tested["OOD"])
         priors = (n_id / (n_id + n_ood), n_ood / (n_id + n_ood))
         est = weighted_degradation_estimate(
-            real_errors["ID"], [s.attributes for s in id_subjects], clf, priors,
+            errors(tested["ID"]), id_attrs, clf, priors,
             n_boot=options.n_boot, level=options.level,
             seed=_row_seed(options.seed, "OOD", "real_weighted"))
         rows.append(TrialRow(population="OOD", attr_dist="ID",
@@ -581,10 +551,10 @@ def _sex_numeric(sex: str | None) -> float:
     return float("nan")
 
 
-def feature_matrix(subject_errors: list[SubjectError]) -> np.ndarray:
+def feature_matrix(subjects: list[MeasuredSubject]) -> np.ndarray:
     """(n, 8) matrix in FEATURE_NAMES order; missing records become NaN."""
     rows = []
-    for s in subject_errors:
+    for s in subjects:
         a, r = s.attributes, s.report
         rows.append([
             _sex_numeric(a.sex),
@@ -609,9 +579,10 @@ def _fisher_z_p(r1: float, n1: int, r2: float, n2: int) -> float:
     return 2.0 * (1.0 - normal_cdf(abs(z)))
 
 
-def _prepare_features(errors: list[SubjectError]):
-    X = feature_matrix(errors)
-    y = np.array([s.abs_error for s in errors], dtype=np.float64)
+def _prepare_features(pairs: list):
+    subjects, errors = zip(*pairs)
+    X = feature_matrix(subjects)
+    y = np.array(errors, dtype=np.float64)
     # impute column means for missing records so the forest sees full rows
     col_mean = np.nanmean(np.where(np.isfinite(X), X, np.nan), axis=0)
     col_mean = np.where(np.isfinite(col_mean), col_mean, 0.0)
@@ -619,8 +590,7 @@ def _prepare_features(errors: list[SubjectError]):
     return X, y
 
 
-def attribute_errors(report_or_samples, min_subjects: int = 30,
-                     seed: int = 0) -> AttributionBlock:
+def attribute_errors(report_or_samples, seed: int = 0) -> AttributionBlock:
     """Bias attribution over the 8 attributes for each sample type.
 
     Per attribute: Pearson correlation with |error| on real and synthetic
@@ -633,18 +603,18 @@ def attribute_errors(report_or_samples, min_subjects: int = 30,
         samples = report_or_samples.samples
     else:
         samples = report_or_samples
-    present = {t: v for t, v in samples.items() if v and t in SAMPLE_TYPES}
+    present = {t: samples[t] for t in SAMPLE_TYPES if samples.get(t)}
     for t, v in present.items():
-        if len(v) < min_subjects:
+        if len(v) < ATTRIBUTION_MIN_SUBJECTS:
             raise ValueError(f"sample type {t!r} has {len(v)} subjects; "
-                             f"need at least {min_subjects}")
+                             f"need at least {ATTRIBUTION_MIN_SUBJECTS}")
     if "real" not in present:
         raise ValueError("attribution requires real samples")
 
     notes: list[str] = []
     prepared = {}
-    for t, errs in present.items():
-        X, y = _prepare_features(errs)
+    for t, pairs in present.items():
+        X, y = _prepare_features(pairs)
         keep = []
         for j in range(X.shape[1]):
             if np.ptp(X[:, j]) == 0.0:
@@ -738,17 +708,6 @@ class TrialConfig:
             raise ValueError("oversample factor must be >= 1")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie in (0, 1)")
-
-    def to_dict(self) -> dict:
-        return encode(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrialConfig":
-        return decode(cls, d)
-
-    @classmethod
-    def from_json(cls, path) -> "TrialConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def generate_measured_cohort(n: int, dist: AttributeDistribution, spacing,
@@ -852,12 +811,13 @@ def report_to_dict(report: TrialReport, config: TrialConfig | None = None) -> di
     if report.attribution_skipped is not None:
         out["attribution_skipped"] = report.attribution_skipped
     if config is not None:
-        out["config"] = config.to_dict()
+        out["config"] = encode(config)
     return out
 
 
 def _cell(value) -> str:
-    return "" if value is None else repr(value)
+    """A CSV cell: empty for a missing or NaN value."""
+    return "" if value is None or (isinstance(value, float) and math.isnan(value)) else repr(value)
 
 
 def write_zscores_csv(report: TrialReport, path) -> Path:
@@ -884,19 +844,13 @@ def write_bias_corr_csv(attribution: AttributionBlock, path) -> Path:
         writer.writerow(["attribute", "r_real", "r_synthetic", "p_value"])
         for name in FEATURE_NAMES:
             entry = attribution.correlations[name]
-            writer.writerow([name, _nan_cell(entry["real"]),
-                             _nan_cell(entry["synthetic"]),
-                             _nan_cell(entry["p_value"])])
+            writer.writerow([name, _cell(entry["real"]), _cell(entry["synthetic"]),
+                             _cell(entry["p_value"])])
     return p
 
 
-def _nan_cell(v: float) -> str:
-    return "" if v is None or (isinstance(v, float) and math.isnan(v)) else repr(v)
-
-
 def write_feat_import_csv(attribution: AttributionBlock, path) -> Path:
-    types = [t for t in ("real", "synthetic", "synthetic_rebias")
-             if t in attribution.importances]
+    types = [t for t in SAMPLE_TYPES if t in attribution.importances]
     p = Path(path)
     with open(p, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -904,15 +858,9 @@ def write_feat_import_csv(attribution: AttributionBlock, path) -> Path:
         for name in FEATURE_NAMES:
             writer.writerow([name] + [repr(attribution.importances[t][name])
                                       for t in types])
-        corr_row = ["correlation_vs_real"]
-        for t in types:
-            if t == "real":
-                corr_row.append("")
-            else:
-                key = f"real_vs_{t}" if f"real_vs_{t}" in \
-                    attribution.importance_correlations else f"{t}_vs_real"
-                corr_row.append(_nan_cell(attribution.importance_correlations.get(key)))
-        writer.writerow(corr_row)
+        writer.writerow(["correlation_vs_real"] + [
+            "" if t == "real" else _cell(attribution.importance_correlations.get(f"real_vs_{t}"))
+            for t in types])
     return p
 
 

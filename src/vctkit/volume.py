@@ -7,7 +7,8 @@ serialized linear order is x-fastest::
 
     linear = x + dims[0] * (y + dims[1] * z)
 
-which corresponds to Fortran raveling of the ``[x, y, z]`` array.
+which corresponds to Fortran raveling of the ``[x, y, z]`` array.  Every
+grid is in this frame and every volume in HU, so neither is a field.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 HU_MIN = -1024
 HU_MAX = 3071
 
-VOLUME_UNITS = ("HU",)
 VOLUME_DTYPES = {"int16": np.int16, "float32": np.float32}
 LABEL_DTYPES = {"uint8": np.uint8, "uint16": np.uint16}
 
@@ -70,8 +70,9 @@ LANDMARK_CLASSES = {
 # full class table of a structure map: merged organ classes plus landmarks
 STRUCTURE_TABLE = {**STRUCTURE_CLASSES, **LANDMARK_CLASSES}
 
-# the one name -> id map of the landmarks, read by painting and measurement
-LANDMARK_IDS = {name: label for label, name in LANDMARK_CLASSES.items()}
+# the one name -> id map of each table, read by painting and measurement
+TISSUE_IDS = {name: label for label, name in TISSUE_CLASSES.items()}
+STRUCTURE_IDS = {name: label for label, name in STRUCTURE_TABLE.items()}
 
 
 def _missing_runs(class_table: dict, top: int) -> list[tuple[int, int]]:
@@ -95,7 +96,6 @@ class Grid:
     dims: tuple[int, int, int]
     spacing_mm: tuple[float, float, float]
     origin_mm: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    orientation: str = "RAS"
 
     def __post_init__(self):
         if len(self.dims) != 3 or any(int(d) != d or d < 1 for d in self.dims):
@@ -106,8 +106,6 @@ class Grid:
             raise ValueError(f"spacing_mm must be three positive numbers, got {self.spacing_mm}")
         if len(self.origin_mm) != 3 or any(not math.isfinite(o) for o in self.origin_mm):
             raise ValueError(f"origin_mm must be three finite numbers, got {self.origin_mm}")
-        if self.orientation != "RAS":
-            raise ValueError(f"orientation must be 'RAS', got {self.orientation!r}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "spacing_mm", tuple(float(s) for s in self.spacing_mm))
         object.__setattr__(self, "origin_mm", tuple(float(o) for o in self.origin_mm))
@@ -145,14 +143,11 @@ class Volume:
 
     grid: Grid
     data: np.ndarray
-    unit: str = "HU"
 
     def __post_init__(self):
         _check_shape(self.grid, self.data, "volume")
         if self.data.dtype not in (np.int16, np.float32):
             raise ValueError(f"volume dtype must be int16 or float32, got {self.data.dtype}")
-        if self.unit not in VOLUME_UNITS:
-            raise ValueError(f"unit must be one of {VOLUME_UNITS}, got {self.unit!r}")
 
 
 @dataclass(frozen=True)
@@ -166,10 +161,10 @@ class LabelMap:
 
     def __post_init__(self):
         _check_shape(self.grid, self.data, "label map")
-        if self.data.dtype not in (np.uint8, np.uint16):
-            raise ValueError(f"label dtype must be uint8 or uint16, got {self.data.dtype}")
         if self.kind not in ("tissue", "structure"):
             raise ValueError(f"kind must be 'tissue' or 'structure', got {self.kind!r}")
+        if self.data.dtype not in (np.uint8, np.uint16):
+            raise ValueError(f"label dtype must be uint8 or uint16, got {self.data.dtype}")
         # values above the maximum cannot occur, so only the runs of 1..max the
         # table lacks need a look: one unsigned range test per run (values
         # below a run wrap round to large ones). Only a failing map pays for

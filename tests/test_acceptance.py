@@ -35,7 +35,7 @@ from vctkit.rng import Stream, subject_seed
 from vctkit.skeleton import measure_height
 from vctkit.stats import bootstrap_ci, importance_weights, weighted_mae, z_score
 from vctkit.trial import (
-    SubjectError,
+    MeasuredSubject,
     TrialConfig,
     attribute_errors,
     report_to_dict,
@@ -238,8 +238,7 @@ def _volume_driven_errors(n, seed, prefix):
                            float(stream.uniform1() * 70.0 + 20.0),
                            float(stream.uniform1() * 50.0 + 150.0),
                            float(stream.uniform1() * 70.0 + 50.0))
-        out.append(SubjectError(f"{prefix}{i:03d}", "id", attrs, report,
-                                abs_error=0.25 * vol))
+        out.append((MeasuredSubject(f"{prefix}{i:03d}", attrs, report), 0.25 * vol))
     return out
 
 

@@ -45,10 +45,8 @@ def test_air_rule_boundary_inclusive():
 
 
 def test_air_rule_requires_hu(tmp_path):
-    # the air rule reads HU, and no volume in another unit can be built or loaded
+    # the air rule reads HU, and no volume in another unit can be loaded
     vol, _ = _body([0])
-    with pytest.raises(ValueError, match="unit"):
-        Volume(vol.grid, np.ones(vol.grid.dims, dtype=np.float32), "g_per_cm3")
     header = save_volume(vol, tmp_path / "img")
     payload = json.loads(header.read_text())
     payload["unit"] = "g_per_cm3"

@@ -26,7 +26,9 @@ def forest_to_json(forest: Forest) -> str:
     """Canonical dump of a fitted forest: equal strings mean equal forests."""
     payload = {
         "kind": forest.kind,
-        "params": asdict(forest.params),
+        # the digests below were recorded while ForestParams still had a
+        # max_depth field (None in each); the key keeps the format they hash
+        "params": {**asdict(forest.params), "max_depth": None},
         "n_features": forest.n_features,
         "importances": [float(v) for v in forest.importances],
         "trees": forest.trees,
@@ -299,9 +301,6 @@ GOLDEN = [
     # runs of 0.1: all-equal nodes with var() > 0 draw, and move later draws
     ("regressor", 200, 15, replace(REGRESSOR_PARAMS, n_trees=50, max_features="sqrt", seed=7),
      True, "a7010267388ef0596b609798598e6fade8d431cddd4602b18dd267fa350e0c89"),
-    # depth-capped: every tree stops at depth 3
-    ("classifier", 180, 16, ForestParams(n_trees=40, max_depth=3, seed=8), False,
-     "466bd33487113031c7a38913caad4dd97356bbe5322272a45b25a92f19715a3e"),
 ]
 
 

@@ -25,7 +25,6 @@ def test_volume_round_trip_bitwise(tmp_path):
     save_volume(vol, tmp_path / "img")
     back = load_volume(tmp_path / "img.ctv.json")
     assert back.grid == vol.grid
-    assert back.unit == vol.unit
     assert back.data.dtype == np.int16
     np.testing.assert_array_equal(back.data, vol.data)
 
@@ -137,6 +136,25 @@ def test_kind_mismatch_raises(tmp_path):
         load_labelmap(tmp_path / "s", kind="tissue")
 
 
+@pytest.mark.parametrize("edits, message", [
+    # every grid is RAS and every volume HU: a header stating otherwise is refused
+    ({"orientation": "LPS"}, "orientation must be 'RAS', got 'LPS'"),
+    ({"unit": "kelvin"}, "unsupported unit 'kelvin'"),
+    # the rest is checked by the Grid and Volume constructors
+    ({"dims": [3, 4, 0]}, "dims must be three positive integers"),
+    ({"dims": [3, 4.5, 5]}, "dims must be three positive integers"),
+    ({"dtype": "uint8", "dims": [6, 4, 5]}, "volume dtype must be int16 or float32"),
+])
+def test_bad_header_raises(tmp_path, edits, message):
+    header_path = save_volume(_vol(), tmp_path / "img")
+    header = json.loads(header_path.read_text())
+    assert (header["orientation"], header["unit"]) == ("RAS", "HU")
+    header.update(edits)
+    header_path.write_text(json.dumps(header))
+    with pytest.raises(FormatError, match=message):
+        load_volume(header_path)
+
+
 def test_malformed_json_raises(tmp_path):
     p = tmp_path / "bad.ctv.json"
     p.write_text("{not json")
@@ -231,6 +249,17 @@ def test_nifti_labelmap(tmp_path):
     assert lm.kind == "structure"
     assert 7 in lm.class_table
     assert lm.data[1, 1, 1] == 7
+
+
+def test_nifti_labelmap_holds_one_buffer(tmp_path, traced_peak):
+    data = np.random.default_rng(3).integers(0, 6, size=(96, 80, 64)).astype(np.uint8)
+    p = tmp_path / "seg.nii"
+    _write_nifti(p, data)
+    lm, peak = traced_peak(load_labelmap, p)
+    np.testing.assert_array_equal(lm.data, data)
+    assert lm.class_table == {v: f"class_{v}" for v in range(1, 6)}
+    # the uint8 grid is 1 B per voxel; a whole-grid unique sorts a copy of it
+    assert peak <= 1.5 * data.size
 
 
 def test_nifti_truncated_payload(tmp_path):

@@ -8,9 +8,14 @@ a vctkit module (``trial.run_full_vct``).  Neither a re-export from
 
 A module-level variable, public or private, counts as read when a module of
 the package or a script loads it the same way, its own module included.
+
+A parameter default of a function of the package counts as an option only
+when some call in the package or a script passes that parameter, by keyword
+or by position; a console entry point of pyproject.toml is exempt.
 """
 
 import ast
+import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -98,3 +103,67 @@ def test_every_module_variable_is_read():
               if not (name.startswith("__") and name.endswith("__")) and name not in read]
     assert not unread, (f"module-level names that nothing in src/vctkit or scripts/ "
                         f"reads: {unread}")
+
+
+def _entry_points() -> set[str]:
+    """``module.function`` of each console script in pyproject.toml."""
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    return {target.removeprefix("vctkit.").replace(":", ".")
+            for target in scripts["project"]["scripts"].values()}
+
+
+def _defaulted(func: ast.FunctionDef) -> list[tuple[str, int | None]]:
+    """(name, call position) of each parameter with a default; a bound
+    ``self``/``cls`` takes no position, nor does a keyword-only parameter."""
+    positional = func.args.posonlyargs + func.args.args
+    offset = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    first = len(positional) - len(func.args.defaults)
+    out = [(a.arg, i - offset) for i, a in enumerate(positional) if i >= first]
+    return out + [(a.arg, None) for a, d in zip(func.args.kwonlyargs, func.args.kw_defaults)
+                  if d is not None]
+
+
+def _defaults() -> list[tuple[str, str, str, int | None]]:
+    """(module.function, called name, parameter, position) of every defaulted
+    parameter in src/vctkit, methods and nested functions included."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        # a constructor is called by its class's name
+        init_of = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                called = init_of.get(id(func), func.name)
+                out += [(f"{path.stem}.{func.name}", called, param, pos)
+                        for param, pos in _defaulted(func)]
+    return out
+
+
+def _calls() -> dict[str, list[tuple[int, set[str], bool]]]:
+    """Per called name, each call's (positional count, keywords, unpacks)."""
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "scripts").glob("*.py"))
+    calls: dict = {}
+    for path in paths:
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            unpacks = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, unpacks))
+    return calls
+
+
+def test_every_keyword_default_is_passed():
+    # a default no caller overrides is a constant, not an option
+    calls, exempt = _calls(), _entry_points()
+    unpassed = [f"{where}.{param}" for where, called, param, pos in _defaults()
+                if where not in exempt
+                and not any(unpacks or param in keywords or (pos is not None and n > pos)
+                            for n, keywords, unpacks in calls.get(called, ()))]
+    assert not unpassed, (f"keyword defaults that no caller in src/vctkit or scripts/ "
+                          f"passes: {unpassed}")

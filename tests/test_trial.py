@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from vctkit import phantom, trial
+from vctkit.codec import decode, encode
 from vctkit.composition import CompositionReport
 from vctkit.phantom import AttributeDistribution, Attributes
 from vctkit.stats import pearson
@@ -14,7 +15,6 @@ from vctkit.trial import (
     BiasBoundary,
     MeasuredSubject,
     PredictorSpec,
-    SubjectError,
     TrialConfig,
     TrialOptions,
     attribute_errors,
@@ -133,20 +133,18 @@ def test_split_insufficient_subjects():
 def test_rebias_culls_and_is_idempotent():
     subjects = _mixed_cohort()
     b = BiasBoundary()
-    reports = {s.subject_id: s.report for s in subjects}
-    kept = rebias(list(reports), reports, b, "id")
-    assert all(b.side(reports[sid]) == "id" for sid in kept)
-    assert 0 < len(kept) < len(reports)
-    assert rebias(kept, reports, b, "id") == kept
+    kept = rebias(subjects, b, "id")
+    assert all(b.side(s.report) == "id" for s in kept)
+    assert 0 < len(kept) < len(subjects)
+    assert rebias(kept, b, "id") == kept
     with pytest.raises(ValueError):
-        rebias(list(reports), reports, b, "train")
+        rebias(subjects, b, "train")
 
 
 def test_rebias_empty_warns():
     subjects = [_subject("a", 50.0, muscle=50.0), _subject("b", 60.0, muscle=50.0)]
-    reports = {s.subject_id: s.report for s in subjects}
     with pytest.warns(UserWarning):
-        kept = rebias(list(reports), reports, BiasBoundary(), "ood")
+        kept = rebias(subjects, BiasBoundary(), "ood")
     assert kept == []
 
 
@@ -389,8 +387,7 @@ def _constructed_errors(n, seed, prefix):
                      height=float(rng.uniform(150, 200)),
                      weight=float(rng.uniform(50, 120)),
                      bone=float(rng.uniform(600, 1000)))
-        out.append(SubjectError(s.subject_id, "id", s.attributes, s.report,
-                                abs_error=0.1 * age))
+        out.append((s, 0.1 * age))
     return out
 
 
@@ -422,7 +419,7 @@ def test_attribution_requires_real():
 
 def test_attribution_constant_column_warns():
     real = _constructed_errors(40, 1, "r")
-    for s in real:
+    for s, _ in real:
         s.attributes = Attributes("M", s.attributes.age_years,
                                   s.attributes.height_cm, s.attributes.weight_kg)
     with pytest.warns(UserWarning, match="constant attribute column"):
@@ -437,28 +434,26 @@ def test_attribution_constant_column_warns():
 def test_config_round_trip():
     cfg = TrialConfig(n_subjects=120, n_train=12, n_id=30, n_ood=30,
                       boundary=BiasBoundary(slope=-0.1, intercept=50.0))
-    again = TrialConfig.from_dict(cfg.to_dict())
+    again = decode(TrialConfig, encode(cfg))
     assert again == cfg
     shifted = TrialConfig(distribution=AttributeDistribution(
         p_female=0.3, height_mean={"M": 181.0, "F": 166.0},
         weight_range=(50.0, 140.0), missing_rate=0.1))
-    assert TrialConfig.from_dict(json.loads(json.dumps(shifted.to_dict()))) == shifted
+    assert decode(TrialConfig, json.loads(json.dumps(encode(shifted)))) == shifted
 
 
-def test_config_rejects_unknown_keys(tmp_path):
+def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown trial config keys"):
-        TrialConfig.from_dict({"n_subjectz": 10})
+        decode(TrialConfig, {"n_subjectz": 10})
     with pytest.raises(ValueError, match="unknown boundary keys"):
-        TrialConfig.from_dict({"boundary": {"slop": -0.2}})
+        decode(TrialConfig, {"boundary": {"slop": -0.2}})
     with pytest.raises(ValueError, match="unknown distribution keys"):
-        TrialConfig.from_dict({"distribution": {"p_male": 0.5}})
+        decode(TrialConfig, {"distribution": {"p_male": 0.5}})
     with pytest.raises(ValueError, match=r"unknown predictor keys: \['sigmaa'\]"):
-        TrialConfig.from_dict({"predictor": {"kind": "oracle_noise", "sigmaa": 3.0}})
+        decode(TrialConfig, {"predictor": {"kind": "oracle_noise", "sigmaa": 3.0}})
     with pytest.raises(ValueError, match="predictor.path is required"):
-        TrialConfig.from_dict({"predictor": {"kind": "external"}})
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"task": "muscle_pct", "n_subjects": 99}))
-    cfg = TrialConfig.from_json(path)
+        decode(TrialConfig, {"predictor": {"kind": "external"}})
+    cfg = decode(TrialConfig, {"task": "muscle_pct", "n_subjects": 99})
     assert cfg.task == "muscle_pct"
     assert cfg.n_subjects == 99
 
@@ -479,7 +474,7 @@ def test_config_rejects_unknown_keys(tmp_path):
 ])
 def test_config_bad_values_name_the_key(d, key):
     with pytest.raises(ValueError, match=f"^{re.escape(key)} must be"):
-        TrialConfig.from_dict(d)
+        decode(TrialConfig, d)
 
 
 def test_config_validation():
