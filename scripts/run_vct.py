@@ -4,7 +4,8 @@
 Generates the default 350-phantom cohort, splits it with the body_volume /
 muscle_pct shortcut boundary, fits the biased linear predictor on the ID-side
 training pool, and audits fat_pct error on real, synthetic, and re-biased
-synthetic samples.  Outputs (report.json + audit CSVs) land in --out.
+synthetic samples.  Outputs (report.json + audit CSVs) land in --out, with a
+run.log holding the `vct trial run` stage line.
 
     python3 scripts/run_vct.py --out runs/default --threads 4
 
@@ -24,6 +25,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from vctkit.cli import _log_stage, _setup_log
 from vctkit.codec import decode
 from vctkit.trial import (TrialConfig, report_to_dict, run_full_vct,
                           write_trial_outputs)
@@ -98,6 +100,8 @@ def main(argv=None) -> int:
         return 2
     elapsed = time.perf_counter() - t0
     written = write_trial_outputs(report, args.out, config)
+    _log_stage(_setup_log(Path(args.out)), "trial run", t0,
+               subjects=config.n_subjects, rows=len(report.rows))
 
     print_report(report_to_dict(report, config))
     print(f"\n{elapsed:.1f} s; wrote:")

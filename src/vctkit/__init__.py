@@ -36,7 +36,6 @@ from .trial import (
     build_biased_split,
     fit_ood_classifier,
     generate_measured_cohort,
-    oversample_attributes,
     rebias,
     run_full_vct,
     run_trial,

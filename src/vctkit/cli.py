@@ -23,12 +23,7 @@ from . import metrics  # per_class_dice looked up at call time, where perfbench 
 from .codec import decode
 from .composition import CompositionReport, measure_composition
 from .io import load_labelmap, load_volume
-from .metrics import (
-    CohortMeasurements,
-    cohort_consistency,
-    collect_structure_measurements,
-    paired_dice_stats,
-)
+from .metrics import cohort_consistency, collect_structure_measurements, paired_dice_stats
 from .phantom import AttributeDistribution, generate_cohort, load_manifest, map_ordered
 from .skeleton import measure_height
 from .trial import MeasuredSubject, TrialConfig, run_full_vct, write_trial_outputs
@@ -228,25 +223,10 @@ def cmd_trial_run(args) -> int:
 
 
 def _load_indexed(base: Path, record):
-    """A subject's tissue map and the index of its structure map."""
+    """The index of a subject's structure map, and its tissue map."""
     tissue = load_labelmap(base / record.tissue, kind="tissue")
     index = LabelIndex(load_labelmap(base / record.structure, kind="structure"))
-    return tissue, index
-
-
-def _cohort(per_subject) -> CohortMeasurements:
-    cohort = CohortMeasurements()
-    for per_class in per_subject:
-        cohort.add_subject(per_class)
-    return cohort
-
-
-def _collect_cohort(manifest, base: Path, threads: int) -> CohortMeasurements:
-    def build(record):
-        tissue, index = _load_indexed(base, record)
-        return collect_structure_measurements(index, tissue)
-
-    return _cohort(map_ordered(build, manifest.subjects, threads))
+    return index, tissue
 
 
 def cmd_consistency(args) -> int:
@@ -255,6 +235,7 @@ def cmd_consistency(args) -> int:
     log = _setup_log(out)
     path_a, path_b = Path(args.a), Path(args.b)
     manifest_a, manifest_b = _load_subjects(path_a), _load_subjects(path_b)
+    n_a, n_b = len(manifest_a.subjects), len(manifest_b.subjects)
     by_id_a = {s.subject_id: s for s in manifest_a.subjects}
     by_id_b = {s.subject_id: s for s in manifest_b.subjects}
     if args.mode == "paired" and set(by_id_a) != set(by_id_b):
@@ -269,30 +250,31 @@ def cmd_consistency(args) -> int:
         # dict, so no pair of maps outlives its task
         def measure_pair(record):
             sid = record.subject_id
-            tissue_a, index_a = _load_indexed(path_a.parent, record)
-            tissue_b, index_b = _load_indexed(path_b.parent, by_id_b[sid])
+            index_a, tissue_a = _load_indexed(path_a.parent, record)
+            index_b, tissue_b = _load_indexed(path_b.parent, by_id_b[sid])
             if index_a.grid != index_b.grid:
                 raise ConfigError(f"subject {sid!r}: grids differ between cohorts")
-            return (sid, collect_structure_measurements(index_a, tissue_a),
+            return (collect_structure_measurements(index_a, tissue_a),
                     collect_structure_measurements(index_b, tissue_b),
                     metrics.per_class_dice(index_a, index_b))
 
         results = map_ordered(measure_pair, manifest_a.subjects, args.threads)
-        per_b = {sid: b for sid, _, b, _ in results}
-        cohort_a = _cohort(a for _, a, _, _ in results)
-        cohort_b = _cohort(per_b[s.subject_id] for s in manifest_b.subjects)
-        dice_stats = paired_dice_stats(dice for _, _, _, dice in results)
+        cohort_a = [a for a, _, _ in results]
+        cohort_b = [b for _, b, _ in results]
+        dice_stats = paired_dice_stats(dice for _, _, dice in results)
         log.info("paired dice over %d subjects", len(results))
     else:
-        cohort_a = _collect_cohort(manifest_a, path_a.parent, args.threads)
-        cohort_b = _collect_cohort(manifest_b, path_b.parent, args.threads)
+        tasks = ([(path_a.parent, r) for r in manifest_a.subjects]
+                 + [(path_b.parent, r) for r in manifest_b.subjects])
+        measured = map_ordered(lambda task: collect_structure_measurements(
+            *_load_indexed(*task)), tasks, args.threads)
+        cohort_a, cohort_b = measured[:n_a], measured[n_a:]
 
     table = cohort_consistency(cohort_a, cohort_b, dice_stats=dice_stats)
     table.write_csv(out / "consistency.csv")
     log.info("wrote %s", out / "consistency.csv")
     # each indexed subject loads a tissue and a structure map and indexes the
     # latter; paired mode indexes A's subjects in both cohorts
-    n_a, n_b = len(manifest_a.subjects), len(manifest_b.subjects)
     indexes_built = 2 * n_a if args.mode == "paired" else n_a + n_b
     _log_stage(log, "consistency", start, mode=args.mode, subjects_a=n_a, subjects_b=n_b,
                maps_loaded=2 * indexes_built, indexes_built=indexes_built)

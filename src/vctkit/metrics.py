@@ -70,19 +70,6 @@ def collect_structure_measurements(structures: LabelIndex, body: LabelMap) -> di
     return out
 
 
-@dataclass
-class CohortMeasurements:
-    """Per-class value lists accumulated across one cohort."""
-
-    volumes: dict[int, list[float]] = field(default_factory=dict)
-    centroids: dict[int, list[tuple[float, float, float]]] = field(default_factory=dict)
-
-    def add_subject(self, per_class: dict[int, dict]):
-        for c, vals in per_class.items():
-            self.volumes.setdefault(c, []).append(vals["volume_mm3"])
-            self.centroids.setdefault(c, []).append(tuple(vals["centroid"]))
-
-
 def qq_pearson(a, b) -> float:
     """Pearson correlation of matched quantile vectors of two samples."""
     a = np.asarray(a, dtype=np.float64)
@@ -154,31 +141,34 @@ def paired_dice_stats(per_pair) -> dict[int, tuple[float, float]]:
     return out
 
 
-def cohort_consistency(a: CohortMeasurements, b: CohortMeasurements,
+def cohort_consistency(a: list[dict[int, dict]], b: list[dict[int, dict]],
                        dice_stats: dict[int, tuple[float, float]] | None = None
                        ) -> ConsistencyTable:
     """Cross-cohort Q-Q agreement per structure class.
 
-    Classes with fewer than ``CONSISTENCY_MIN_SAMPLES`` subjects in either
-    cohort are omitted with a warning.  ``dice_stats`` (from paired
-    comparisons) is merged into the table when available.
+    ``a`` and ``b`` hold one ``collect_structure_measurements`` dict per
+    subject, in any order.  Classes with fewer than
+    ``CONSISTENCY_MIN_SAMPLES`` subjects in either cohort are omitted with a
+    warning.  ``dice_stats`` (from paired comparisons) is merged into the
+    table when available.
     """
     table = ConsistencyTable()
-    classes = sorted(set(a.volumes) & set(b.volumes))
-    for c in classes:
-        va, vb = a.volumes[c], b.volumes[c]
-        if min(len(va), len(vb)) < CONSISTENCY_MIN_SAMPLES:
+    for c in sorted(set().union(*a) & set().union(*b)):
+        ma = [s[c] for s in a if c in s]
+        mb = [s[c] for s in b if c in s]
+        if min(len(ma), len(mb)) < CONSISTENCY_MIN_SAMPLES:
             warnings.warn(f"class {c} ({_class_name(c)}) has fewer than "
                           f"{CONSISTENCY_MIN_SAMPLES} samples in a cohort; "
                           "omitted from consistency table")
             continue
         row = ConsistencyRow(class_id=c, class_name=_class_name(c))
         try:
-            row.volume_corr = qq_pearson(va, vb)
+            row.volume_corr = qq_pearson([m["volume_mm3"] for m in ma],
+                                         [m["volume_mm3"] for m in mb])
         except ValueError:
             row.volume_corr = None
-        ca = np.asarray(a.centroids[c], dtype=np.float64)
-        cb = np.asarray(b.centroids[c], dtype=np.float64)
+        ca = np.array([m["centroid"] for m in ma], dtype=np.float64)
+        cb = np.array([m["centroid"] for m in mb], dtype=np.float64)
         for axis, col in enumerate(("centroid_r", "centroid_a", "centroid_s")):
             try:
                 setattr(row, col, qq_pearson(ca[:, axis], cb[:, axis]))

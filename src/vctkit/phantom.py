@@ -539,8 +539,8 @@ def _count_truth(canvas: _Canvas, grid: Grid, geom: _Geometry,
         return sum(count_of(h) * (h + 1000.0) / (REFERENCE_HU + 1000.0)
                    for h in hu_values) * vox / 1000.0
 
-    present = [int(i) - 65536 if i > 32767 else int(i)
-               for i in np.nonzero(counts)[0] if (int(i) - 65536 if i > 32767 else int(i)) != HU_AIR]
+    values = np.flatnonzero(counts).astype(np.uint16).view(np.int16)
+    present = [int(h) for h in values if h != HU_AIR]
     m_body = mass_of(present)
     m_fat = mass_of([HU_FAT])
     m_muscle = mass_of([HU_MUSCLE])
@@ -848,40 +848,30 @@ def generate_cohort(n: int, dist: AttributeDistribution, spacing, seed: int,
                     out_dir, threads: int = 1) -> CohortManifest:
     """Generate n phantoms, write CTV files plus a manifest, return it.
 
-    Generation runs in batches of ``threads`` workers; files are written in
-    subject order, so outputs are identical for any thread count.  Each
-    subject's arrays are released once its files are written, before the
-    next batch is generated, so memory stays bounded by one batch.
+    One task per subject generates its phantom and saves its three maps, so
+    at most ``threads`` subjects' arrays are alive at once; the manifest
+    lists the subjects in order, so outputs are identical for any thread
+    count.
     """
     from .io import save_labelmap, save_volume  # deferred: avoids cycle at import
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = CohortManifest(seed=seed, spacing_mm=tuple(float(s) for s in spacing))
-    specs = sample_cohort_specs(n, dist, spacing, seed)
-    batch = max(1, int(threads))
 
     def build(item):
         subject_id, attrs, spec = item
-        return (subject_id, attrs, *generate_phantom(spec))
-
-    def write(subject_id, attrs, vol, tissue, structure, truth):
+        vol, tissue, structure, truth = generate_phantom(spec)
         save_volume(vol, out / f"{subject_id}_image")
         save_labelmap(tissue, out / f"{subject_id}_tissue")
         save_labelmap(structure, out / f"{subject_id}_structure")
-        manifest.subjects.append(SubjectRecord(
-            subject_id=subject_id,
-            attributes=attrs,
-            image=f"{subject_id}_image.ctv.json",
-            tissue=f"{subject_id}_tissue.ctv.json",
-            structure=f"{subject_id}_structure.ctv.json",
-            truth=truth,
-        ))
+        return SubjectRecord(subject_id=subject_id, attributes=attrs,
+                             image=f"{subject_id}_image.ctv.json",
+                             tissue=f"{subject_id}_tissue.ctv.json",
+                             structure=f"{subject_id}_structure.ctv.json",
+                             truth=truth)
 
-    for start in range(0, len(specs), batch):
-        built = map_ordered(build, specs[start:start + batch], batch)
-        # popping leaves no reference to a written subject's arrays
-        while built:
-            write(*built.pop(0))
+    specs = sample_cohort_specs(n, dist, spacing, seed)
+    manifest = CohortManifest(seed=seed, spacing_mm=tuple(float(s) for s in spacing),
+                              subjects=map_ordered(build, specs, threads))
     write_manifest(manifest, out / "manifest.json")
     return manifest

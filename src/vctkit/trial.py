@@ -51,7 +51,6 @@ from .rng import Stream, fnv1a64, subject_seed
 from .stats import (
     bootstrap_ci,
     importance_weights,
-    normal_cdf,
     pearson,
     weighted_mae,
     z_score,
@@ -175,29 +174,6 @@ def rebias(subjects: list[MeasuredSubject], boundary: BiasBoundary,
     if not kept:
         warnings.warn(f"rebias kept no subjects on side {side!r}")
     return kept
-
-
-@dataclass(frozen=True)
-class OversampledAttrs:
-    source_id: str
-    binned: BinnedAttributes
-    seed: int
-
-
-def oversample_attributes(subjects: list[MeasuredSubject], factor: int,
-                          seed: int) -> list[OversampledAttrs]:
-    """Each subject's binned attribute tuple, repeated with fresh seeds."""
-    if factor < 1:
-        raise ValueError("oversample factor must be >= 1")
-    out = []
-    k = 0
-    for s in subjects:
-        binned = bin_attributes(s.attributes)
-        for _ in range(factor):
-            out.append(OversampledAttrs(source_id=s.subject_id, binned=binned,
-                                        seed=subject_seed(seed, k)))
-            k += 1
-    return out
 
 
 # --- predictors -----------------------------------------------------------
@@ -576,7 +552,7 @@ def _fisher_z_p(r1: float, n1: int, r2: float, n2: int) -> float:
     if n1 <= 3 or n2 <= 3:
         return float("nan")
     z = (math.atanh(r1) - math.atanh(r2)) / math.sqrt(1.0 / (n1 - 3) + 1.0 / (n2 - 3))
-    return 2.0 * (1.0 - normal_cdf(abs(z)))
+    return z_test_p(z)
 
 
 def _prepare_features(pairs: list):
@@ -710,16 +686,17 @@ class TrialConfig:
             raise ValueError("level must lie in (0, 1)")
 
 
+def _measured(subject_id: str, attrs: Attributes, spec) -> MeasuredSubject:
+    """One subject's phantom, built without its structure map, and measured."""
+    vol, tissue, _, _ = generate_phantom(spec, structures=False)
+    return MeasuredSubject(subject_id, attrs, measure_composition(vol, tissue))
+
+
 def generate_measured_cohort(n: int, dist: AttributeDistribution, spacing,
                              seed: int, threads: int = 1) -> list[MeasuredSubject]:
     """Generate n phantoms in memory and measure their composition."""
-
-    def build(item):
-        subject_id, attrs, spec = item
-        vol, tissue, _, _ = generate_phantom(spec, structures=False)
-        return MeasuredSubject(subject_id, attrs, measure_composition(vol, tissue))
-
-    return map_ordered(build, sample_cohort_specs(n, dist, spacing, seed), threads)
+    return map_ordered(lambda item: _measured(*item),
+                       sample_cohort_specs(n, dist, spacing, seed), threads)
 
 
 def synthesize_matched_cohort(subjects: list[MeasuredSubject], factor: int,
@@ -728,21 +705,23 @@ def synthesize_matched_cohort(subjects: list[MeasuredSubject], factor: int,
                               ) -> list[MeasuredSubject]:
     """Regenerate a cohort from binned attributes via fresh phantoms.
 
-    Only the attribute bins survive the round trip; composition is redrawn
-    from the conditional model, so residual (non-attribute) structure in the
-    source cohort is deliberately not reproduced.
+    Synthetic subject k takes source subject ``k // factor``'s attribute
+    bins and the seed ``subject_seed(seed, k)``.  Only the bins survive the
+    round trip; composition is redrawn from the conditional model, so
+    residual (non-attribute) structure in the source cohort is deliberately
+    not reproduced.
     """
-    plan = oversample_attributes(subjects, factor, seed)
+    if factor < 1:
+        raise ValueError("oversample factor must be >= 1")
+    binned = [bin_attributes(s.attributes) for s in subjects]
 
-    def build(item):
-        k, o = item
-        spec = generate_matched_spec(o.binned, dist, spacing, o.seed)
-        vol, tissue, _, _ = generate_phantom(spec, structures=False)
+    def build(k):
+        spec = generate_matched_spec(binned[k // factor], dist, spacing,
+                                     subject_seed(seed, k))
         attrs = Attributes(spec.sex, spec.age_years, spec.height_cm, spec.weight_kg)
-        return MeasuredSubject(f"{id_prefix}_{k:04d}", attrs,
-                               measure_composition(vol, tissue))
+        return _measured(f"{id_prefix}_{k:04d}", attrs, spec)
 
-    return map_ordered(build, list(enumerate(plan)), threads)
+    return map_ordered(build, range(factor * len(subjects)), threads)
 
 
 def run_full_vct(config: TrialConfig = TrialConfig(), threads: int = 1,

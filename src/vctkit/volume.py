@@ -75,6 +75,10 @@ TISSUE_IDS = {name: label for label, name in TISSUE_CLASSES.items()}
 STRUCTURE_IDS = {name: label for label, name in STRUCTURE_TABLE.items()}
 
 
+# voxels per chunk of LabelMap validation's range tests
+_CHECK_CHUNK = 1 << 18
+
+
 def _missing_runs(class_table: dict, top: int) -> list[tuple[int, int]]:
     """Inclusive (lo, hi) runs of the values 1..top that the table lacks."""
     runs, expect = [], 1
@@ -167,12 +171,15 @@ class LabelMap:
             raise ValueError(f"label dtype must be uint8 or uint16, got {self.data.dtype}")
         # values above the maximum cannot occur, so only the runs of 1..max the
         # table lacks need a look: one unsigned range test per run (values
-        # below a run wrap round to large ones). Only a failing map pays for
-        # listing its unknown values.
+        # below a run wrap round to large ones), one flat chunk at a time so
+        # its temporaries stay bounded. Only a failing map pays for listing
+        # its unknown values.
         kind = self.data.dtype.type
         runs = _missing_runs(self.class_table, int(self.data.max()))
-        if not any((np.subtract(self.data, kind(lo), dtype=self.data.dtype)
-                    <= kind(hi - lo)).any() for lo, hi in runs):
+        flat = self.data.ravel(order="K")  # a view of a C- or F-ordered map
+        chunks = (flat[i:i + _CHECK_CHUNK] for i in range(0, flat.size, _CHECK_CHUNK))
+        if not any((np.subtract(chunk, kind(lo), dtype=chunk.dtype) <= kind(hi - lo)).any()
+                   for chunk in chunks for lo, hi in runs):
             return
         present = np.nonzero(np.bincount(self.data.ravel()))[0]
         unknown = [int(v) for v in present if v != 0 and int(v) not in self.class_table]

@@ -18,7 +18,6 @@ from vctkit.cli import main
 from vctkit.composition import CompositionReport, measure_composition
 from vctkit.forest import ForestParams, fit_forest, predict
 from vctkit.metrics import (
-    CohortMeasurements,
     cohort_consistency,
     collect_structure_measurements,
     paired_dice_stats,
@@ -276,12 +275,12 @@ def test_dice_hand_case_exact():
 def test_self_comparison_table_all_ones():
     rows = sample_cohort_specs(4, AttributeDistribution(), (5.0, 5.0, 5.0),
                                seed=111)
-    measurements = CohortMeasurements()
+    measurements = []
     pairs = []
     for _sid, _attrs, spec in rows:
         _vol, tissue, structure, _truth = generate_phantom(spec)
         index = LabelIndex(structure)
-        measurements.add_subject(collect_structure_measurements(index, tissue))
+        measurements.append(collect_structure_measurements(index, tissue))
         pairs.append(per_class_dice(index, index))
     table = cohort_consistency(measurements, measurements,
                                dice_stats=paired_dice_stats(pairs))

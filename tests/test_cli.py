@@ -258,6 +258,9 @@ def test_run_vct_quick_records_why_attribution_is_skipped(tmp_path, capsys, requ
     assert report["attribution_skipped"] == reason
     assert not (out / "bias_corr.csv").exists()
     assert f"(attribution skipped: {reason})" in capsys.readouterr().out
+    record = _stage_record(out, "trial run")
+    assert record == {"stage": "trial run", "wall_s": record["wall_s"],
+                      "subjects": 60, "rows": len(report["rows"])}
 
 
 def _corrupt_cohort(cohort_dir, dest, subject, field, value):

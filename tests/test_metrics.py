@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vctkit.metrics import (
-    CohortMeasurements,
     cohort_consistency,
     collect_structure_measurements,
     paired_dice_stats,
@@ -231,17 +230,10 @@ def test_qq_pearson_needs_two_samples():
 
 def _measurements(n, seed, classes=(1, 2)):
     rng = np.random.default_rng(seed)
-    m = CohortMeasurements()
-    for _ in range(n):
-        per = {
-            c: {
-                "volume_mm3": float(rng.uniform(1e3, 5e4)),
-                "centroid": tuple(rng.uniform(0.2, 0.8, 3)),
-            }
-            for c in classes
-        }
-        m.add_subject(per)
-    return m
+    return [{c: {"volume_mm3": float(rng.uniform(1e3, 5e4)),
+                 "centroid": tuple(rng.uniform(0.2, 0.8, 3))}
+             for c in classes}
+            for _ in range(n)]
 
 
 def test_cohort_consistency_self_agreement():

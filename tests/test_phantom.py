@@ -164,6 +164,16 @@ def test_generate_cohort_traced_peak(tmp_path, traced_peak):
     assert peak <= 7 * largest
 
 
+def test_generate_cohort_two_threads_traced_peak(tmp_path, traced_peak):
+    manifest, peak = traced_peak(generate_cohort, 4, AttributeDistribution(),
+                                 (4.0, 4.0, 4.0), 5, tmp_path, threads=2)
+    largest = max(math.prod(json.loads((tmp_path / rec.image).read_text())["dims"])
+                  for rec in manifest.subjects)
+    # each of the two workers holds one subject's arrays and one save buffer;
+    # a subject's arrays are released once its task has saved them
+    assert peak <= 2 * 7 * largest
+
+
 def test_seed_changes_anatomy():
     a = generate_phantom(PhantomSpec(spacing_mm=(4.0, 4.0, 4.0), seed=5))
     b = generate_phantom(PhantomSpec(spacing_mm=(4.0, 4.0, 4.0), seed=6))

@@ -9,7 +9,8 @@ import pytest
 from vctkit import phantom, trial
 from vctkit.codec import decode, encode
 from vctkit.composition import CompositionReport
-from vctkit.phantom import AttributeDistribution, Attributes
+from vctkit.phantom import AttributeDistribution, Attributes, generate_matched_spec
+from vctkit.rng import subject_seed
 from vctkit.stats import pearson
 from vctkit.trial import (
     BiasBoundary,
@@ -22,7 +23,6 @@ from vctkit.trial import (
     encode_binned,
     fit_ood_classifier,
     make_predictor,
-    oversample_attributes,
     rebias,
     report_to_dict,
     run_full_vct,
@@ -148,16 +148,24 @@ def test_rebias_empty_warns():
     assert kept == []
 
 
-def test_oversample_attributes():
+def test_synthesize_matched_cohort_plan():
     subjects = _mixed_cohort(n=3)
-    plan = oversample_attributes(subjects, 2, seed=5)
-    assert len(plan) == 6
-    assert [o.source_id for o in plan] == ["s000", "s000", "s001", "s001",
-                                           "s002", "s002"]
-    assert len({o.seed for o in plan}) == 6
-    assert plan[0].binned == bin_attributes(subjects[0].attributes)
-    with pytest.raises(ValueError):
-        oversample_attributes(subjects, 0, seed=5)
+    dist, spacing = AttributeDistribution(), (8.0, 8.0, 8.0)
+    syn = trial.synthesize_matched_cohort(subjects, 2, dist, spacing, seed=5,
+                                          id_prefix="m")
+    assert [s.subject_id for s in syn] == [f"m_{k:04d}" for k in range(6)]
+    # synthetic subject k: source k // factor's bins, seed subject_seed(seed, k)
+    for k, s in enumerate(syn):
+        binned = bin_attributes(subjects[k // 2].attributes)
+        assert bin_attributes(s.attributes) == binned
+        spec = generate_matched_spec(binned, dist, spacing, subject_seed(5, k))
+        assert s.attributes == Attributes(spec.sex, spec.age_years, spec.height_cm,
+                                          spec.weight_kg)
+    for k in range(0, 6, 2):  # the two copies of one source differ
+        assert syn[k].attributes != syn[k + 1].attributes
+        assert syn[k].report != syn[k + 1].report
+    with pytest.raises(ValueError, match="oversample factor must be >= 1"):
+        trial.synthesize_matched_cohort(subjects, 0, dist, spacing, seed=5)
 
 
 def test_encode_binned_layout():

@@ -174,6 +174,24 @@ def test_labelmap_check_matches_bincount_rule(case):
         LabelMap(grid, data, "structure", table)
 
 
+def test_labelmap_check_traced_peak(phantom_default, traced_peak):
+    # labels {0, 1, 2, 5, 200}: the table lacks the runs 3..4 and 6..199
+    data = np.zeros((160, 160, 160), dtype=np.uint8)
+    data[:40], data[40:80], data[80:100], data[100] = 1, 2, 5, 200
+    table = {0: "bg", 1: "a", 2: "b", 5: "c", 200: "d"}
+    structure = phantom_default[3]  # lacks the run 17..19
+    for grid, labels, classes in ((Grid(data.shape, (1.0, 1.0, 1.0)), data, table),
+                                  (structure.grid, structure.data, STRUCTURE_TABLE)):
+        _, peak = traced_peak(LabelMap, grid, labels, "structure", classes)
+        # a whole-grid range test would hold 2 B per voxel
+        assert peak <= 0.25 * labels.size
+    # a value the table lacks, in the first voxel of a later chunk
+    data.ravel()[1 << 18] = 3
+    with pytest.raises(ValueError) as err:
+        LabelMap(Grid(data.shape, (1.0, 1.0, 1.0)), data, "structure", table)
+    assert str(err.value) == "label values [3] missing from class_table"
+
+
 # --- LabelIndex against whole-grid oracles -------------------------------------
 
 
