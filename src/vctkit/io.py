@@ -36,6 +36,7 @@ from .volume import (
     LABEL_DTYPES,
     VOLUME_DTYPES,
     clamp_hu,
+    present_labels,
 )
 
 CTV_SUFFIX = ".ctv.json"
@@ -158,12 +159,9 @@ def load_labelmap(path, kind: str | None = None) -> LabelMap:
     p = Path(path)
     if p.name.endswith(".nii"):
         grid, data = _read_nifti(p)
-        # the present values, one chunk at a time: a whole-grid unique would
-        # sort a copy of the grid
-        flat, present = data.ravel(), set()
-        for start in range(0, flat.size, _UNIQUE_CHUNK):
-            present.update(np.unique(flat[start:start + _UNIQUE_CHUNK]).tolist())
-        table = {v: f"class_{v}" for v in sorted(present) if v != 0}
+        # a payload of a non-label dtype gets no table: LabelMap rejects its dtype
+        table = ({v: f"class_{v}" for v in present_labels(data) if v != 0}
+                 if data.dtype.name in LABEL_DTYPES else {})
         return _build(LabelMap, grid, data, kind or "structure", table)
     grid, data, file_kind, _, header = _read_ctv(p)
     if kind is not None and kind != file_kind:
@@ -179,7 +177,6 @@ def load_labelmap(path, kind: str | None = None) -> LabelMap:
 # --- NIfTI-1 -----------------------------------------------------------
 
 _NIFTI_DTYPES = {2: np.uint8, 4: np.int16, 16: np.float32, 512: np.uint16}
-_UNIQUE_CHUNK = 1 << 16
 
 
 def _read_nifti(path: Path) -> tuple[Grid, np.ndarray]:

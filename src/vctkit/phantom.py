@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -282,15 +283,41 @@ def _solve_geometry(spec: PhantomSpec) -> _Geometry:
     )
 
 
+def _pooled(pool, name: str, dims, dtype, fill: int) -> np.ndarray:
+    """A ``dims`` view of the calling thread's ``name`` buffer in ``pool``, set to ``fill``.
+
+    The buffer lives in an anonymous memory map, outside malloc's heap, so
+    its pages stay mapped from one phantom to the next instead of being
+    trimmed back to the kernel and faulted in again. It grows by doubling
+    and is unmapped once nothing refers to it.
+    """
+    dtype = np.dtype(dtype)
+    n = dims[0] * dims[1] * dims[2]
+    buf = getattr(pool, name, None)
+    if buf is None or buf.size < n:
+        size = n if buf is None else max(n, 2 * buf.size)
+        buf = np.frombuffer(mmap.mmap(-1, size * dtype.itemsize), dtype)
+        setattr(pool, name, buf)
+    view = buf[:n].reshape(dims)
+    view.fill(fill)
+    return view
+
+
 class _Canvas:
     """Paint target: HU, tissue, and (optionally) structure arrays plus world
     coords. Tissues and structures are painted by name; without a structure
-    array, structures are ignored."""
+    array, structures are ignored. With a ``pool`` (a ``threading.local``),
+    HU and tissue are views of the calling thread's buffers in it, which the
+    next canvas drawn from the same pool on that thread overwrites."""
 
-    def __init__(self, grid: Grid, structures: bool):
+    def __init__(self, grid: Grid, structures: bool, pool):
         self.grid = grid
-        self.hu = np.full(grid.dims, HU_AIR, dtype=np.int16)
-        self.tissue = np.zeros(grid.dims, dtype=np.uint8)
+        if pool is None:
+            self.hu = np.full(grid.dims, HU_AIR, dtype=np.int16)
+            self.tissue = np.zeros(grid.dims, dtype=np.uint8)
+        else:
+            self.hu = _pooled(pool, "hu", grid.dims, np.int16, HU_AIR)
+            self.tissue = _pooled(pool, "tissue", grid.dims, np.uint8, 0)
         self.structure = np.zeros(grid.dims, dtype=np.uint8) if structures else None
         self.x = grid.axis_coords(0)
         self.y = grid.axis_coords(1)
@@ -377,7 +404,7 @@ def _grid_for(geom: _Geometry, spacing) -> tuple[Grid, np.ndarray]:
     return grid, center
 
 
-def generate_phantom(spec: PhantomSpec, *, structures: bool = True):
+def generate_phantom(spec: PhantomSpec, *, structures: bool = True, pool=None):
     """Rasterize one phantom.
 
     Returns ``(volume, tissue_map, structure_map, truth)``.  The seed
@@ -389,10 +416,15 @@ def generate_phantom(spec: PhantomSpec, *, structures: bool = True):
     ``(volume, tissue_map, None, None)`` is returned.  Painting order and
     jitter draws are the same, so the volume and tissue map are
     byte-identical to those of the full call.
+
+    With a ``pool`` (a ``threading.local``), the volume and tissue map are
+    views of the calling thread's canvas buffers in it: they hold the same
+    bytes as owned arrays would, but only until the next phantom generated
+    with that pool on that thread.
     """
     geom = _solve_geometry(spec)
     grid, offset = _grid_for(geom, spec.spacing_mm)
-    canvas = _Canvas(grid, structures)
+    canvas = _Canvas(grid, structures, pool)
     xc, yc, z0 = float(offset[0]), float(offset[1]), float(offset[2])
     jit = Stream(spec.seed)
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import threading
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -686,17 +687,29 @@ class TrialConfig:
             raise ValueError("level must lie in (0, 1)")
 
 
-def _measured(subject_id: str, attrs: Attributes, spec) -> MeasuredSubject:
-    """One subject's phantom, built without its structure map, and measured."""
-    vol, tissue, _, _ = generate_phantom(spec, structures=False)
+def _measured(subject_id: str, attrs: Attributes, spec, pool) -> MeasuredSubject:
+    """One subject's phantom, built without its structure map on a pooled
+    canvas, and measured; only the measurements leave this function."""
+    vol, tissue, _, _ = generate_phantom(spec, structures=False, pool=pool)
     return MeasuredSubject(subject_id, attrs, measure_composition(vol, tissue))
+
+
+def _measure_each(task, items, threads: int) -> list[MeasuredSubject]:
+    """``_measured(*task(item))`` for each item, in order.
+
+    Each worker thread paints every phantom of the call on one canvas of its
+    own (a ``threading.local`` pool), so its pages are mapped once per call
+    rather than once per phantom; the pool is released when the call returns.
+    """
+    pool = threading.local()
+    return map_ordered(lambda item: _measured(*task(item), pool), items, threads)
 
 
 def generate_measured_cohort(n: int, dist: AttributeDistribution, spacing,
                              seed: int, threads: int = 1) -> list[MeasuredSubject]:
     """Generate n phantoms in memory and measure their composition."""
-    return map_ordered(lambda item: _measured(*item),
-                       sample_cohort_specs(n, dist, spacing, seed), threads)
+    return _measure_each(lambda item: item, sample_cohort_specs(n, dist, spacing, seed),
+                         threads)
 
 
 def synthesize_matched_cohort(subjects: list[MeasuredSubject], factor: int,
@@ -715,13 +728,13 @@ def synthesize_matched_cohort(subjects: list[MeasuredSubject], factor: int,
         raise ValueError("oversample factor must be >= 1")
     binned = [bin_attributes(s.attributes) for s in subjects]
 
-    def build(k):
+    def task(k):
         spec = generate_matched_spec(binned[k // factor], dist, spacing,
                                      subject_seed(seed, k))
         attrs = Attributes(spec.sex, spec.age_years, spec.height_cm, spec.weight_kg)
-        return _measured(f"{id_prefix}_{k:04d}", attrs, spec)
+        return f"{id_prefix}_{k:04d}", attrs, spec
 
-    return map_ordered(build, range(factor * len(subjects)), threads)
+    return _measure_each(task, range(factor * len(subjects)), threads)
 
 
 def run_full_vct(config: TrialConfig = TrialConfig(), threads: int = 1,

@@ -77,6 +77,9 @@ STRUCTURE_IDS = {name: label for label, name in STRUCTURE_TABLE.items()}
 
 # voxels per chunk of LabelMap validation's range tests
 _CHECK_CHUNK = 1 << 18
+# voxels per chunk of present_labels: np.bincount casts its input to intp,
+# so a chunk's copy is 128 kB
+_COUNT_CHUNK = 1 << 14
 
 
 def _missing_runs(class_table: dict, top: int) -> list[tuple[int, int]]:
@@ -87,6 +90,20 @@ def _missing_runs(class_table: dict, top: int) -> list[tuple[int, int]]:
             runs.append((expect, k - 1))
         expect = k + 1
     return runs
+
+
+def present_labels(data: np.ndarray) -> list[int]:
+    """The distinct values of an unsigned integer label array, ascending.
+
+    Values are counted one flat chunk of ``_COUNT_CHUNK`` voxels at a time,
+    so no whole-grid copy is made.
+    """
+    flat = data.ravel(order="K")  # a view of a C- or F-ordered array
+    seen = np.zeros(int(flat.max()) + 1, dtype=bool)
+    for start in range(0, flat.size, _COUNT_CHUNK):
+        counts = np.bincount(flat[start:start + _COUNT_CHUNK])
+        seen[:counts.size] |= counts > 0
+    return np.flatnonzero(seen).tolist()
 
 
 class FormatError(ValueError):
@@ -181,8 +198,7 @@ class LabelMap:
         if not any((np.subtract(chunk, kind(lo), dtype=chunk.dtype) <= kind(hi - lo)).any()
                    for chunk in chunks for lo, hi in runs):
             return
-        present = np.nonzero(np.bincount(self.data.ravel()))[0]
-        unknown = [int(v) for v in present if v != 0 and int(v) not in self.class_table]
+        unknown = [v for v in present_labels(self.data) if v != 0 and v not in self.class_table]
         raise ValueError(f"label values {unknown} missing from class_table")
 
     def body_mask(self) -> np.ndarray:

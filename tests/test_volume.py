@@ -192,6 +192,24 @@ def test_labelmap_check_traced_peak(phantom_default, traced_peak):
     assert str(err.value) == "label values [3] missing from class_table"
 
 
+def test_labelmap_rejection_traced_peak(traced_peak):
+    # listing the unknown labels counts them chunk by chunk; a whole-grid
+    # bincount would hold an int64 copy of the grid, 8 B per voxel
+    data = np.zeros((160, 160, 160), dtype=np.uint16)
+    data[:80] = 4
+    data[100, 7, 9] = 60000
+    grid = Grid(data.shape, (1.0, 1.0, 1.0))
+
+    def reject():
+        with pytest.raises(ValueError) as err:
+            LabelMap(grid, data, "tissue", dict(TISSUE_CLASSES))
+        return str(err.value)
+
+    message, peak = traced_peak(reject)
+    assert message == "label values [60000] missing from class_table"
+    assert peak <= 0.25 * data.size
+
+
 # --- LabelIndex against whole-grid oracles -------------------------------------
 
 
