@@ -25,7 +25,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from vctkit.cli import _log_stage, _setup_log
+from vctkit.cli import _close_log, _log_stage, _setup_log
 from vctkit.codec import decode
 from vctkit.trial import (TrialConfig, report_to_dict, run_full_vct,
                           write_trial_outputs)
@@ -102,6 +102,7 @@ def main(argv=None) -> int:
     written = write_trial_outputs(report, args.out, config)
     _log_stage(_setup_log(Path(args.out)), "trial run", t0,
                subjects=config.n_subjects, rows=len(report.rows))
+    _close_log(Path(args.out))
 
     print_report(report_to_dict(report, config))
     print(f"\n{elapsed:.1f} s; wrote:")

@@ -43,15 +43,24 @@ class ConfigError(Exception):
 
 
 def _setup_log(out_dir: Path) -> logging.Logger:
+    """The logger that appends to ``out_dir``/run.log; ``_close_log`` closes it."""
     out_dir.mkdir(parents=True, exist_ok=True)
     logger = logging.getLogger(f"vct.{out_dir}")
     logger.setLevel(logging.INFO)
-    logger.handlers.clear()
+    _close_log(out_dir)
     handler = logging.FileHandler(out_dir / "run.log", encoding="utf-8")
     handler.setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(message)s"))
     logger.addHandler(handler)
     logger.propagate = False
     return logger
+
+
+def _close_log(out_dir: Path) -> None:
+    """Detach and close the run.log handler of ``out_dir``'s logger."""
+    logger = logging.getLogger(f"vct.{out_dir}")
+    for handler in list(logger.handlers):
+        logger.removeHandler(handler)
+        handler.close()
 
 
 def _log_stage(log: logging.Logger, stage: str, start: float, **counters) -> None:
@@ -352,6 +361,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        _close_log(Path(args.out))
 
 
 if __name__ == "__main__":

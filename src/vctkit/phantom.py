@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import io  # savers looked up at call time, where perfbench wraps them
 from .codec import decode, encode
 from .composition import REFERENCE_HU, density
 from .rng import Stream, subject_seed
@@ -885,17 +886,15 @@ def generate_cohort(n: int, dist: AttributeDistribution, spacing, seed: int,
     lists the subjects in order, so outputs are identical for any thread
     count.
     """
-    from .io import save_labelmap, save_volume  # deferred: avoids cycle at import
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     def build(item):
         subject_id, attrs, spec = item
         vol, tissue, structure, truth = generate_phantom(spec)
-        save_volume(vol, out / f"{subject_id}_image")
-        save_labelmap(tissue, out / f"{subject_id}_tissue")
-        save_labelmap(structure, out / f"{subject_id}_structure")
+        io.save_volume(vol, out / f"{subject_id}_image")
+        io.save_labelmap(tissue, out / f"{subject_id}_tissue")
+        io.save_labelmap(structure, out / f"{subject_id}_structure")
         return SubjectRecord(subject_id=subject_id, attributes=attrs,
                              image=f"{subject_id}_image.ctv.json",
                              tissue=f"{subject_id}_tissue.ctv.json",

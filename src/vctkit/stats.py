@@ -83,27 +83,40 @@ def weighted_mae(errors, weights) -> float:
     return float((w * np.abs(e)).sum() / total)
 
 
-def bootstrap_ci(samples, n_boot: int = 10000, level: float = 0.95,
-                 seed: int = 0) -> tuple[float, float]:
-    """Seeded percentile-bootstrap confidence interval of the mean."""
-    x = _check_finite_1d(samples, "samples")
+_BOOT_INDEX_BUDGET = 4_000_000  # indices drawn per chunk of resamples
+
+
+def percentile_ci(statistic, sizes, n_boot: int, level: float,
+                  seed: int) -> tuple[float, float]:
+    """Seeded percentile-bootstrap interval of ``statistic(*idx)``.
+
+    For each chunk of ``b`` resamples, ``idx`` holds one ``(b, n)`` index
+    matrix per ``n`` of ``sizes``, drawn in turn from ``Stream(seed)``; a
+    chunk draws at most ``_BOOT_INDEX_BUDGET`` indices.  The stream is
+    counter-based, so chunks change no draw for one size, nor for several
+    while ``n_boot * sum(sizes)`` fits in one chunk.
+    """
     if n_boot < 1:
         raise ValueError("n_boot must be positive")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     stream = Stream(seed)
-    n = len(x)
     stats = np.empty(n_boot, dtype=np.float64)
-    chunk = max(1, min(n_boot, 4_000_000 // max(n, 1)))
-    done = 0
-    while done < n_boot:
+    chunk = max(1, min(n_boot, _BOOT_INDEX_BUDGET // max(sum(sizes), 1)))
+    for done in range(0, n_boot, chunk):
         b = min(chunk, n_boot - done)
-        idx = stream.integers(b * n, n).reshape(b, n)
-        stats[done:done + b] = x[idx].mean(axis=1)
-        done += b
+        stats[done:done + b] = statistic(
+            *(stream.integers(b * n, n).reshape(b, n) for n in sizes))
     alpha = (1.0 - level) / 2.0
     lo, hi = np.quantile(stats, [alpha, 1.0 - alpha])
     return float(lo), float(hi)
+
+
+def bootstrap_ci(samples, n_boot: int = 10000, level: float = 0.95,
+                 seed: int = 0) -> tuple[float, float]:
+    """Seeded percentile-bootstrap confidence interval of the mean."""
+    x = _check_finite_1d(samples, "samples")
+    return percentile_ci(lambda idx: x[idx].mean(axis=1), (len(x),), n_boot, level, seed)
 
 
 def importance_weights(p_ood, prior_id: float, prior_ood: float) -> np.ndarray:

@@ -53,6 +53,7 @@ from .stats import (
     bootstrap_ci,
     importance_weights,
     pearson,
+    percentile_ci,
     weighted_mae,
     z_score,
     z_test_p,
@@ -302,6 +303,13 @@ def encode_attributes(attrs_list) -> np.ndarray:
                     dtype=np.float64)
 
 
+def _holdout(stream: Stream, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded 80/20 split of ``range(n)``: (test, train), at least one test row."""
+    order = stream.permutation(n)
+    n_test = max(1, int(round(0.2 * n)))
+    return order[:n_test], order[n_test:]
+
+
 def fit_ood_classifier(id_attrs, ood_attrs, seed: int = 0) -> tuple[Forest, float]:
     """Forest over {ID=0, OOD=1} from encoded attributes.
 
@@ -316,15 +324,10 @@ def fit_ood_classifier(id_attrs, ood_attrs, seed: int = 0) -> tuple[Forest, floa
     y = np.concatenate([np.zeros(len(Xi)), np.ones(len(Xo))])
 
     stream = Stream(seed)
-    test_rows = []
-    train_rows = []
-    for cls_rows in (np.arange(len(Xi)), len(Xi) + np.arange(len(Xo))):
-        order = cls_rows[stream.permutation(len(cls_rows))]
-        n_test = max(1, int(round(0.2 * len(order))))
-        test_rows.extend(order[:n_test])
-        train_rows.extend(order[n_test:])
-    train_rows = np.array(sorted(train_rows))
-    test_rows = np.array(sorted(test_rows))
+    id_test, id_train = _holdout(stream, len(Xi))
+    ood_test, ood_train = _holdout(stream, len(Xo))
+    train_rows = np.sort(np.concatenate([id_train, len(Xi) + ood_train]))
+    test_rows = np.sort(np.concatenate([id_test, len(Xi) + ood_test]))
 
     params = ForestParams(seed=seed)
     held = fit_forest(X[train_rows], y[train_rows], "classifier", params)
@@ -336,22 +339,14 @@ def fit_ood_classifier(id_attrs, ood_attrs, seed: int = 0) -> tuple[Forest, floa
 def weighted_degradation_estimate(id_errors, id_attrs, classifier: Forest,
                                   priors: tuple[float, float],
                                   n_boot: int = 10000, level: float = 0.95,
-                                  seed: int = 0) -> dict:
-    """Importance-weighted MAE of ID errors with a pair-resampling CI."""
+                                  seed: int = 0) -> tuple[float, tuple[float, float]]:
+    """Importance-weighted MAE of ID errors and its pair-resampling CI."""
     errors = np.asarray(id_errors, dtype=np.float64)
     p_ood = predict_proba(classifier, encode_attributes(id_attrs))
     w = importance_weights(p_ood, priors[0], priors[1])
-    point = weighted_mae(errors, w)
-
-    stream = Stream(seed)
-    n = len(errors)
-    idx = stream.integers(n_boot * n, n).reshape(n_boot, n)
-    e = errors[idx]
-    ww = w[idx]
-    stats = (e * ww).sum(axis=1) / ww.sum(axis=1)
-    alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(stats, [alpha, 1.0 - alpha])
-    return {"mae": point, "ci": (float(lo), float(hi))}
+    return weighted_mae(errors, w), percentile_ci(
+        lambda i: (errors[i] * w[i]).sum(axis=1) / w[i].sum(axis=1),
+        (len(errors),), n_boot, level, seed)
 
 
 # --- trial rows -----------------------------------------------------------
@@ -404,23 +399,15 @@ def _row_seed(seed: int, population: str, sample_type: str) -> int:
 
 
 def _z_ci(x, y, n_boot: int, level: float, seed: int) -> tuple[float, float]:
-    """Percentile CI of the z statistic, resampling both lists independently."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    stream = Stream(seed)
-    ix = stream.integers(n_boot * len(x), len(x)).reshape(n_boot, len(x))
-    iy = stream.integers(n_boot * len(y), len(y)).reshape(n_boot, len(y))
-    xs = x[ix]
-    ys = y[iy]
-    mx, my = xs.mean(axis=1), ys.mean(axis=1)
-    vx = xs.var(axis=1, ddof=1)
-    vy = ys.var(axis=1, ddof=1)
-    denom = np.sqrt(vx / len(x) + vy / len(y))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zs = np.where(denom > 0, (mx - my) / np.where(denom > 0, denom, 1.0), 0.0)
-    alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(zs, [alpha, 1.0 - alpha])
-    return float(lo), float(hi)
+    """Percentile CI of the z statistic, resampling both arrays independently."""
+    def z(ix, iy):
+        xs, ys = x[ix], y[iy]
+        denom = np.sqrt(xs.var(axis=1, ddof=1) / len(x) + ys.var(axis=1, ddof=1) / len(y))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(denom > 0, (xs.mean(axis=1) - ys.mean(axis=1))
+                            / np.where(denom > 0, denom, 1.0), 0.0)
+
+    return percentile_ci(z, (len(x), len(y)), n_boot, level, seed)
 
 
 @dataclass(frozen=True)
@@ -438,8 +425,9 @@ def run_trial(real: dict, split: BiasedSplit, predictor, target: str,
     ``real`` maps subject_id -> MeasuredSubject for the whole cohort;
     ``synth`` maps population ("ID"/"OOD") -> list[MeasuredSubject] of
     regenerated subjects.  The predictor must already be fitted on the train
-    split.  Rows: real, synthetic, re-biased synthetic per population, plus
-    the importance-weighted estimate of OOD MAE from ID errors.
+    split.  Rows come in report order, per population: real, the
+    importance-weighted estimate of OOD MAE from ID errors (OOD only),
+    synthetic, re-biased synthetic.  Each row draws from its own seed.
     """
     if target not in TASKS:
         raise ValueError(f"target must be one of {TASKS}")
@@ -456,41 +444,9 @@ def run_trial(real: dict, split: BiasedSplit, predictor, target: str,
 
     tested = {"ID": with_errors(real[sid] for sid in split.id_test),
               "OOD": with_errors(real[sid] for sid in split.ood_test)}
+    real_errors = {population: errors(pairs) for population, pairs in tested.items()}
     samples = {"real": tested["ID"] + tested["OOD"], "synthetic": [], "synthetic_rebias": []}
-    rows: list[TrialRow] = []
 
-    def add_row(population, attr_dist, sample_type, pairs):
-        errs = errors(pairs)
-        seed = _row_seed(options.seed, population, sample_type)
-        ci = bootstrap_ci(errs, n_boot=options.n_boot, level=options.level, seed=seed)
-        point, verdict = float(errs.mean()), verdict_for(float(errs.mean()))
-        if sample_type == "real":
-            z, z_ci, p = 0.0, None, 1.0
-        else:
-            ref = errors(tested[population])
-            z = z_score(errs, ref)
-            p = z_test_p(z)
-            z_ci = _z_ci(errs, ref, options.z_boot, options.level, seed ^ 0x5A)
-        rows.append(TrialRow(population=population, attr_dist=attr_dist,
-                             sample_type=sample_type, n=len(errs), mae=point,
-                             mae_ci=ci, z_vs_real=z, z_ci=z_ci, p_value=p,
-                             verdict=verdict))
-
-    for population in ("ID", "OOD"):
-        add_row(population, population, "real", tested[population])
-    for population in ("ID", "OOD"):
-        cohort = synth.get(population, [])
-        if not cohort:
-            continue
-        pairs = with_errors(cohort)
-        samples["synthetic"].extend(pairs)
-        add_row(population, population, "synthetic", pairs)
-        kept = with_errors(rebias(cohort, split.boundary, population.lower()))
-        if kept:
-            samples["synthetic_rebias"].extend(kept)
-            add_row(population, population, "synthetic_rebias", kept)
-
-    # importance-weighted estimate of OOD MAE from ID errors
     classifier_accuracy = None
     if tested["ID"] and tested["OOD"]:
         id_attrs = [s.attributes for s, _ in tested["ID"]]
@@ -498,15 +454,44 @@ def run_trial(real: dict, split: BiasedSplit, predictor, target: str,
             id_attrs, [s.attributes for s, _ in tested["OOD"]], seed=options.seed)
         n_id, n_ood = len(tested["ID"]), len(tested["OOD"])
         priors = (n_id / (n_id + n_ood), n_ood / (n_id + n_ood))
-        est = weighted_degradation_estimate(
-            errors(tested["ID"]), id_attrs, clf, priors,
-            n_boot=options.n_boot, level=options.level,
-            seed=_row_seed(options.seed, "OOD", "real_weighted"))
-        rows.append(TrialRow(population="OOD", attr_dist="ID",
-                             sample_type="real_weighted", n=n_id,
-                             mae=est["mae"], mae_ci=est["ci"], z_vs_real=None,
-                             z_ci=None, p_value=None,
-                             verdict=verdict_for(est["mae"])))
+
+    def row(population, sample_type, errs) -> TrialRow:
+        seed = _row_seed(options.seed, population, sample_type)
+        z = z_ci = p = None
+        if sample_type == "real_weighted":
+            mae, ci = weighted_degradation_estimate(
+                errs, id_attrs, clf, priors, n_boot=options.n_boot, level=options.level,
+                seed=seed)
+        else:
+            ci = bootstrap_ci(errs, n_boot=options.n_boot, level=options.level, seed=seed)
+            mae = float(errs.mean())
+            if sample_type == "real":
+                z, p = 0.0, 1.0
+            else:
+                ref = real_errors[population]
+                z = z_score(errs, ref)
+                p = z_test_p(z)
+                z_ci = _z_ci(errs, ref, options.z_boot, options.level, seed ^ 0x5A)
+        return TrialRow(population=population,
+                        attr_dist="ID" if sample_type == "real_weighted" else population,
+                        sample_type=sample_type, n=len(errs), mae=mae, mae_ci=ci,
+                        z_vs_real=z, z_ci=z_ci, p_value=p, verdict=verdict_for(mae))
+
+    rows: list[TrialRow] = []
+    for population in ("ID", "OOD"):
+        rows.append(row(population, "real", real_errors[population]))
+        if population == "OOD" and classifier_accuracy is not None:
+            rows.append(row(population, "real_weighted", real_errors["ID"]))
+        cohort = synth.get(population, [])
+        if not cohort:
+            continue
+        pairs = with_errors(cohort)
+        samples["synthetic"].extend(pairs)
+        rows.append(row(population, "synthetic", errors(pairs)))
+        kept = with_errors(rebias(cohort, split.boundary, population.lower()))
+        if kept:
+            samples["synthetic_rebias"].extend(kept)
+            rows.append(row(population, "synthetic_rebias", errors(kept)))
 
     counts = {"train": len(split.train), "id_test": len(split.id_test),
               "ood_test": len(split.ood_test),
@@ -602,31 +587,28 @@ def attribute_errors(report_or_samples, seed: int = 0) -> AttributionBlock:
                 keep.append(j)
         prepared[t] = (X, y, keep)
 
-    # per-attribute correlation with |error|, real vs synthetic
-    correlations = {}
-    Xr, yr, keep_r = prepared["real"]
-    syn_key = "synthetic" if "synthetic" in prepared else None
-    for j, name in enumerate(FEATURE_NAMES):
-        r_real = pearson(Xr[:, j], yr) if j in keep_r else float("nan")
-        entry = {"real": r_real, "synthetic": float("nan"), "p_value": float("nan")}
-        if syn_key:
-            Xs, ys, keep_s = prepared[syn_key]
-            if j in keep_s:
-                r_syn = pearson(Xs[:, j], ys)
-                entry["synthetic"] = r_syn
-                if j in keep_r:
-                    entry["p_value"] = _fisher_z_p(r_real, len(yr), r_syn, len(ys))
-        correlations[name] = entry
+    # per-attribute correlation with |error|; NaN for an absent type or dropped column
+    def error_correlations(t):
+        if t not in prepared:
+            return [float("nan")] * len(FEATURE_NAMES), 0
+        X, y, keep = prepared[t]
+        return [pearson(X[:, j], y) if j in keep else float("nan")
+                for j in range(len(FEATURE_NAMES))], len(y)
+
+    r_real, n_real = error_correlations("real")
+    r_syn, n_syn = error_correlations("synthetic")
+    correlations = {
+        name: {"real": a, "synthetic": b,
+               "p_value": float("nan") if math.isnan(a) or math.isnan(b)
+               else _fisher_z_p(a, n_real, b, n_syn)}
+        for name, a, b in zip(FEATURE_NAMES, r_real, r_syn)}
 
     importances = {}
     regression_mae = {}
     params = replace(REGRESSOR_PARAMS, max_features="all", seed=seed)
     for t, (X, y, keep) in prepared.items():
         Xk = X[:, keep]
-        stream = Stream(seed ^ fnv1a64(t.encode("utf-8")))
-        order = stream.permutation(len(y))
-        n_test = max(1, int(round(0.2 * len(y))))
-        test, train = order[:n_test], order[n_test:]
+        test, train = _holdout(Stream(seed ^ fnv1a64(t.encode("utf-8"))), len(y))
         held = fit_forest(Xk[train], y[train], "regressor", params)
         resid = np.abs(predict(held, Xk[test]) - y[test])
         regression_mae[t] = {"mae": float(resid.mean()),
@@ -683,6 +665,9 @@ class TrialConfig:
             raise ValueError("train/id/ood splits need at least 2 subjects each")
         if self.oversample_factor < 1:
             raise ValueError("oversample factor must be >= 1")
+        for knob, value in (("n_boot", self.n_boot), ("z_boot", self.z_boot)):
+            if value < 1:
+                raise ValueError(f"{knob} must be at least 1, got {value}")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie in (0, 1)")
 
@@ -779,15 +764,6 @@ def run_full_vct(config: TrialConfig = TrialConfig(), threads: int = 1,
 
 # --- report serialization ---------------------------------------------------
 
-_TYPE_ORDER = {"real": 0, "real_weighted": 1, "synthetic": 2, "synthetic_rebias": 3}
-_POP_ORDER = {"ID": 0, "OOD": 1}
-
-
-def _sorted_rows(rows: list[TrialRow]) -> list[TrialRow]:
-    return sorted(rows, key=lambda r: (_POP_ORDER[r.population],
-                                       _TYPE_ORDER[r.sample_type]))
-
-
 def report_to_dict(report: TrialReport, config: TrialConfig | None = None) -> dict:
     out = {
         "task": report.task,
@@ -797,7 +773,7 @@ def report_to_dict(report: TrialReport, config: TrialConfig | None = None) -> di
         "classifier_accuracy": report.classifier_accuracy,
         "verdicts": {r.population: r.verdict
                      for r in report.rows if r.sample_type == "real"},
-        "rows": [encode(r) for r in _sorted_rows(report.rows)],
+        "rows": [encode(r) for r in report.rows],
         "attribution": None if report.attribution is None else encode(report.attribution),
     }
     if report.attribution_skipped is not None:
@@ -820,7 +796,7 @@ def write_zscores_csv(report: TrialReport, path) -> Path:
     with open(p, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in _sorted_rows(report.rows):
+        for r in report.rows:
             z_lo, z_hi = r.z_ci if r.z_ci is not None else (None, None)
             writer.writerow([
                 r.population, r.attr_dist, r.sample_type, r.n, repr(r.mae),

@@ -4,6 +4,8 @@ import csv
 import hashlib
 import importlib.util
 import json
+import logging
+import os
 import re
 import shutil
 from dataclasses import replace
@@ -11,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vctkit import cli
+from vctkit import cli, trial
 from vctkit.cli import main
 from vctkit.io import load_labelmap, save_labelmap
 from vctkit.phantom import load_manifest
@@ -247,6 +249,54 @@ def test_run_vct_script_bad_config(tmp_path, capsys, request):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("knob", ["n_boot", "z_boot"])
+def test_zero_resamples_exit_2_before_any_phantom(tmp_path, capsys, request, monkeypatch,
+                                                  knob):
+    def no_phantom(*args, **kwargs):
+        raise AssertionError("a phantom was built")
+
+    monkeypatch.setattr(trial, "generate_phantom", no_phantom)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_subjects": 60, "spacing_mm": [6.0, 6.0, 6.0], knob: 0}))
+    assert main(["trial", "run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert f"{knob} must be at least 1, got 0" in capsys.readouterr().err
+    run_vct = _run_vct_script(request)
+    assert run_vct.main(["--config", str(config), "--out", str(tmp_path / "s")]) == 2
+    assert f"{knob} must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
+
+
+def _open_paths() -> set[str]:
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd")
+    paths = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            paths.add(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:  # the listing's own descriptor, closed by now
+            pass
+    return paths
+
+
+def test_main_closes_run_log_when_it_returns(tmp_path):
+    cohort = tmp_path / "c"
+    for _ in range(3):
+        assert main(["phantom", "gen", "--n", "1", "--seed", "3", "--out", str(cohort),
+                     "--spacing", SPACING]) == 0
+    # a command that fails after its log is set up closes it too
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_subjects": 2}))
+    failed = tmp_path / "t"
+    assert main(["trial", "run", "--config", str(config), "--out", str(failed),
+                 "--cohort", str(cohort)]) == 3
+    for out in (cohort, failed):
+        assert logging.getLogger(f"vct.{out}").handlers == []
+        assert os.path.realpath(out / "run.log") not in _open_paths()
+    stage_lines = [line for line in (cohort / "run.log").read_text().splitlines()
+                   if '"stage": "phantom gen"' in line]
+    assert len(stage_lines) == 3
+
+
 def test_run_vct_quick_records_why_attribution_is_skipped(tmp_path, capsys, request):
     run_vct = _run_vct_script(request)
     out = tmp_path / "quick"
@@ -256,6 +306,7 @@ def test_run_vct_quick_records_why_attribution_is_skipped(tmp_path, capsys, requ
     report = json.loads((out / "report.json").read_text())
     assert report["attribution"] is None
     assert report["attribution_skipped"] == reason
+    assert logging.getLogger(f"vct.{out}").handlers == []  # run.log is closed
     assert not (out / "bias_corr.csv").exists()
     assert f"(attribution skipped: {reason})" in capsys.readouterr().out
     record = _stage_record(out, "trial run")

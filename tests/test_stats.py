@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from vctkit import stats
+from vctkit.rng import Stream
 from vctkit.stats import (
     bootstrap_ci,
     importance_weights,
     normal_cdf,
     pearson,
+    percentile_ci,
     weighted_mae,
     z_score,
     z_test_p,
@@ -97,6 +100,40 @@ def test_bootstrap_rejects_bad_args():
         bootstrap_ci([])
     with pytest.raises(ValueError):
         bootstrap_ci([1.0, 2.0], level=1.0)
+
+
+def test_percentile_ci_draws_one_matrix_per_size_in_order():
+    seen = []
+
+    def statistic(ix, iy):
+        seen.append((ix, iy))
+        return ix[:, 0] - iy[:, 0]
+
+    percentile_ci(statistic, (7, 4), 50, 0.9, 123)
+    stream = Stream(123)
+    expect_x = stream.integers(50 * 7, 7).reshape(50, 7)
+    expect_y = stream.integers(50 * 4, 4).reshape(50, 4)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0][0], expect_x)
+    np.testing.assert_array_equal(seen[0][1], expect_y)
+
+
+def test_percentile_ci_chunks_leave_one_size_interval_identical(monkeypatch):
+    x = np.linspace(-2, 5, 37)
+    whole = bootstrap_ci(x, n_boot=1001, seed=11)
+    calls = []
+    real = Stream.integers
+    monkeypatch.setattr(Stream, "integers",
+                        lambda self, n, upper: calls.append(n) or real(self, n, upper))
+    monkeypatch.setattr(stats, "_BOOT_INDEX_BUDGET", 37 * 100)
+    assert bootstrap_ci(x, n_boot=1001, seed=11) == whole
+    assert calls == [37 * 100] * 10 + [37]
+
+
+@pytest.mark.parametrize("n_boot, level", [(0, 0.95), (-3, 0.95), (10, 0.0), (10, 1.0)])
+def test_percentile_ci_rejects_bad_args(n_boot, level):
+    with pytest.raises(ValueError, match="n_boot" if n_boot < 1 else "level"):
+        percentile_ci(lambda idx: idx.mean(axis=1), (5,), n_boot, level, 0)
 
 
 def test_importance_weights_hand_case():

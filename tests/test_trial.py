@@ -471,6 +471,15 @@ def test_report_row_order_and_verdicts(tmp_path):
     assert "attribution_skipped" not in d  # run_trial does not attempt attribution
 
 
+def test_run_trial_appends_rows_in_report_order():
+    report = _small_trial()[0]
+    keys = [(r.population, r.sample_type) for r in report.rows]
+    assert keys == sorted(keys, key=lambda k: (
+        {"ID": 0, "OOD": 1}[k[0]],
+        {"real": 0, "real_weighted": 1, "synthetic": 2, "synthetic_rebias": 3}[k[1]]))
+    assert report_to_dict(report)["rows"] == [encode(r) for r in report.rows]
+
+
 def test_write_trial_outputs(tmp_path):
     report = _small_trial()[0]
     paths = write_trial_outputs(report, tmp_path, TrialConfig())
