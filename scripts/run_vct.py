@@ -4,31 +4,28 @@
 Generates the default 350-phantom cohort, splits it with the body_volume /
 muscle_pct shortcut boundary, fits the biased linear predictor on the ID-side
 training pool, and audits fat_pct error on real, synthetic, and re-biased
-synthetic samples.  Outputs (report.json + audit CSVs) land in --out, with a
-run.log holding the `vct trial run` stage line.
+synthetic samples.  It runs `vct trial run` (same outputs in --out, run.log
+and exit codes) and prints the whole audit table.
 
     python3 scripts/run_vct.py --out runs/default --threads 4
 
---quick shrinks everything for a smoke run (~15 s); verdicts at that scale
-are not the headline result and attribution is skipped below 30 subjects
-per sample type.
+--config runs a trial config JSON instead.  --quick, which excludes it, shrinks
+everything for a smoke run (~15 s); verdicts at that scale are not the headline
+result and attribution is skipped below 30 subjects per sample type.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from vctkit.cli import _close_log, _log_stage, _setup_log
-from vctkit.codec import decode
-from vctkit.trial import (TrialConfig, report_to_dict, run_full_vct,
-                          write_trial_outputs)
+from vctkit.cli import load_trial_config, run_command, trial_run
+from vctkit.trial import TrialConfig, report_to_dict
 
 QUICK = dict(n_subjects=60, spacing_mm=(6.0, 6.0, 6.0), n_train=6, n_id=10,
              n_ood=10, n_boot=400, z_boot=200)
@@ -71,44 +68,27 @@ def print_report(payload: dict) -> None:
         print(f"  importance corr {pair}: {r:.3f}")
 
 
+def run(args) -> int:
+    config = (dataclasses.replace(TrialConfig(), **QUICK) if args.quick
+              else load_trial_config(args.config))
+    t0 = time.perf_counter()
+    report, written = trial_run(config, Path(args.out), args.threads)
+    print_report(report_to_dict(report, config))
+    print(f"\n{time.perf_counter() - t0:.1f} s; wrote:")
+    for path in written:
+        print(f"  {path}")
+    return 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="runs/vct_default", help="output directory")
     ap.add_argument("--threads", type=int, default=4)
-    ap.add_argument("--config", help="JSON overriding the default trial config")
-    ap.add_argument("--quick", action="store_true",
-                    help="small fast run instead of the headline configuration")
-    args = ap.parse_args(argv)
-
-    if args.config:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-            config = decode(TrialConfig, json.loads(text))
-        except ValueError as exc:
-            print(f"error: bad trial config: {exc}", file=sys.stderr)
-            return 2
-    elif args.quick:
-        config = dataclasses.replace(TrialConfig(), **QUICK)
-    else:
-        config = TrialConfig()
-
-    t0 = time.perf_counter()
-    try:
-        report = run_full_vct(config, threads=args.threads)
-    except ValueError as exc:  # a config that decodes but cannot run, as in `vct trial run`
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    elapsed = time.perf_counter() - t0
-    written = write_trial_outputs(report, args.out, config)
-    _log_stage(_setup_log(Path(args.out)), "trial run", t0,
-               subjects=config.n_subjects, rows=len(report.rows))
-    _close_log(Path(args.out))
-
-    print_report(report_to_dict(report, config))
-    print(f"\n{elapsed:.1f} s; wrote:")
-    for path in written:
-        print(f"  {path}")
-    return 0
+    config = ap.add_mutually_exclusive_group()
+    config.add_argument("--config", help="JSON overriding the default trial config")
+    config.add_argument("--quick", action="store_true",
+                        help="small fast run instead of the headline configuration")
+    return run_command(run, ap.parse_args(argv))
 
 
 if __name__ == "__main__":

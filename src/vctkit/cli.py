@@ -16,6 +16,7 @@ import json
 import logging
 import sys
 import time
+from contextlib import closing, contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,29 +39,21 @@ MEASURE_CSV_HEADER = ["subject_id", "body_mass_kg", "fat_pct", "muscle_pct",
                       "bone_density_hu", "body_volume_l", "height_mm"]
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
-def _setup_log(out_dir: Path) -> logging.Logger:
-    """The logger that appends to ``out_dir``/run.log; ``_close_log`` closes it."""
+@contextmanager
+def _run_log(out_dir: Path):
+    """A logger that appends to ``out_dir``/run.log until the block exits; it is
+    not registered with ``logging``, so nothing of it outlives the block."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    logger = logging.getLogger(f"vct.{out_dir}")
-    logger.setLevel(logging.INFO)
-    _close_log(out_dir)
     handler = logging.FileHandler(out_dir / "run.log", encoding="utf-8")
     handler.setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(message)s"))
-    logger.addHandler(handler)
-    logger.propagate = False
-    return logger
-
-
-def _close_log(out_dir: Path) -> None:
-    """Detach and close the run.log handler of ``out_dir``'s logger."""
-    logger = logging.getLogger(f"vct.{out_dir}")
-    for handler in list(logger.handlers):
-        logger.removeHandler(handler)
-        handler.close()
+    log = logging.Logger("vct", logging.INFO)
+    log.addHandler(handler)
+    with closing(handler):
+        yield log
 
 
 def _log_stage(log: logging.Logger, stage: str, start: float, **counters) -> None:
@@ -103,19 +96,15 @@ def cmd_phantom_gen(args) -> int:
     if (not isinstance(spacing, (list, tuple)) or len(spacing) != 3
             or any(type(s) not in (int, float) for s in spacing) or min(spacing) <= 0):
         raise ConfigError(f"spacing must be three positive numbers, got {spacing}")
-    try:
-        dist = decode(AttributeDistribution, cfg.get("distribution", {}), "distribution")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
+    dist = decode(AttributeDistribution, cfg.get("distribution", {}), "distribution")
     out = Path(args.out)
-    log = _setup_log(out)
-    log.info("phantom gen n=%d seed=%d spacing=%s threads=%d",
-             n, seed, tuple(spacing), args.threads)
-    manifest = generate_cohort(n, dist, spacing, seed, out, threads=args.threads)
-    log.info("wrote %d subjects to %s", len(manifest.subjects), out)
-    _log_stage(log, "phantom gen", start, subjects=len(manifest.subjects),
-               failed=n - len(manifest.subjects))
+    with _run_log(out) as log:
+        log.info("phantom gen n=%d seed=%d spacing=%s threads=%d",
+                 n, seed, tuple(spacing), args.threads)
+        manifest = generate_cohort(n, dist, spacing, seed, out, threads=args.threads)
+        log.info("wrote %d subjects to %s", len(manifest.subjects), out)
+        _log_stage(log, "phantom gen", start, subjects=len(manifest.subjects),
+                   failed=n - len(manifest.subjects))
     print(f"generated {len(manifest.subjects)} phantoms -> {out / 'manifest.json'}")
     return EXIT_OK
 
@@ -146,7 +135,6 @@ def cmd_measure(args) -> int:
     manifest = _load_subjects(manifest_path)
     base = manifest_path.parent
     out = Path(args.out)
-    log = _setup_log(out)
     reports_dir = out / "measurements"
     reports_dir.mkdir(parents=True, exist_ok=True)
 
@@ -157,27 +145,28 @@ def cmd_measure(args) -> int:
             return record.subject_id, None, exc
 
     results = map_ordered(build, manifest.subjects, args.threads)
-    failed = []
-    with open(out / "measurements.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MEASURE_CSV_HEADER)
-        for sid, rep, exc in results:
-            if exc is not None:
-                failed.append(sid)
-                log.error("subject %s failed: %s", sid, exc)
-                print(f"measure failed for subject {sid}: {exc}", file=sys.stderr)
-                continue
-            (reports_dir / f"{sid}.json").write_text(
-                json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8")
-            height_mm = "" if rep.height is None else repr(rep.height.total_mm)
-            writer.writerow([sid, repr(rep.body_mass_kg), repr(rep.fat_pct),
-                             repr(rep.muscle_pct),
-                             "" if rep.bone_density_hu is None else repr(rep.bone_density_hu),
-                             repr(rep.body_volume_l), height_mm])
-    ok = len(results) - len(failed)
-    log.info("measured %d/%d subjects", ok, len(results))
-    _log_stage(log, "measure", start, subjects=len(results), failed=len(failed))
+    with _run_log(out) as log:
+        failed = []
+        with open(out / "measurements.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(MEASURE_CSV_HEADER)
+            for sid, rep, exc in results:
+                if exc is not None:
+                    failed.append(sid)
+                    log.error("subject %s failed: %s", sid, exc)
+                    print(f"measure failed for subject {sid}: {exc}", file=sys.stderr)
+                    continue
+                (reports_dir / f"{sid}.json").write_text(
+                    json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+                height_mm = "" if rep.height is None else repr(rep.height.total_mm)
+                writer.writerow([sid, repr(rep.body_mass_kg), repr(rep.fat_pct),
+                                 repr(rep.muscle_pct),
+                                 "" if rep.bone_density_hu is None else repr(rep.bone_density_hu),
+                                 repr(rep.body_volume_l), height_mm])
+        ok = len(results) - len(failed)
+        log.info("measured %d/%d subjects", ok, len(results))
+        _log_stage(log, "measure", start, subjects=len(results), failed=len(failed))
     print(f"measured {ok}/{len(results)} subjects -> {out / 'measurements.csv'}")
     return EXIT_PARTIAL if failed else EXIT_OK
 
@@ -202,24 +191,37 @@ def _load_measured_cohort(cohort_dir: Path) -> list[MeasuredSubject]:
     return subjects
 
 
-def cmd_trial_run(args) -> int:
-    start = time.perf_counter()
+def load_trial_config(path) -> TrialConfig:
+    """The trial config JSON at ``path``, or the headline ``TrialConfig()`` for None."""
     try:
-        config = decode(TrialConfig, _load_json(args.config))
+        return decode(TrialConfig, {} if path is None else _load_json(path))
     except ValueError as exc:
         raise ConfigError(f"bad trial config: {exc}") from exc
-    out = Path(args.out)
-    log = _setup_log(out)
-    cohort = None
-    if args.cohort:
-        cohort = _load_measured_cohort(Path(args.cohort))
-        log.info("loaded %d measured subjects from %s", len(cohort), args.cohort)
+
+
+def trial_run(config: TrialConfig, out: Path, threads: int, cohort_dir=None):
+    """Run a trial (on the measured cohort in ``cohort_dir``, if given) and
+    write its outputs and run.log to ``out``, which a failed run leaves
+    untouched; returns the report and the written paths."""
+    start = time.perf_counter()
+    if out.exists() and not out.is_dir():
+        raise NotADirectoryError(f"output path {out} is not a directory")
+    cohort = None if cohort_dir is None else _load_measured_cohort(Path(cohort_dir))
     n_subjects = config.n_subjects if cohort is None else len(cohort)
-    log.info("trial task=%s n=%d threads=%d", config.task, n_subjects, args.threads)
-    report = run_full_vct(config, threads=args.threads, cohort=cohort)
+    report = run_full_vct(config, threads=threads, cohort=cohort)
     written = write_trial_outputs(report, out, config)
-    log.info("wrote %s", ", ".join(str(p) for p in written))
-    _log_stage(log, "trial run", start, subjects=n_subjects, rows=len(report.rows))
+    with _run_log(out) as log:
+        if cohort is not None:
+            log.info("loaded %d measured subjects from %s", len(cohort), cohort_dir)
+        log.info("trial task=%s n=%d threads=%d", config.task, n_subjects, threads)
+        log.info("wrote %s", ", ".join(str(p) for p in written))
+        _log_stage(log, "trial run", start, subjects=n_subjects, rows=len(report.rows))
+    return report, written
+
+
+def cmd_trial_run(args) -> int:
+    config = load_trial_config(args.config)
+    report, _ = trial_run(config, Path(args.out), args.threads, cohort_dir=args.cohort)
     print(f"train |r({report.boundary.x_feature}, {report.task})| = "
           f"{abs(report.achieved_pearson):.3f}")
     for row in report.rows:
@@ -241,7 +243,6 @@ def _load_indexed(base: Path, record):
 def cmd_consistency(args) -> int:
     start = time.perf_counter()
     out = Path(args.out)
-    log = _setup_log(out)
     path_a, path_b = Path(args.a), Path(args.b)
     manifest_a, manifest_b = _load_subjects(path_a), _load_subjects(path_b)
     n_a, n_b = len(manifest_a.subjects), len(manifest_b.subjects)
@@ -271,7 +272,6 @@ def cmd_consistency(args) -> int:
         cohort_a = [a for a, _, _ in results]
         cohort_b = [b for _, b, _ in results]
         dice_stats = paired_dice_stats(dice for _, _, dice in results)
-        log.info("paired dice over %d subjects", len(results))
     else:
         tasks = ([(path_a.parent, r) for r in manifest_a.subjects]
                  + [(path_b.parent, r) for r in manifest_b.subjects])
@@ -280,13 +280,14 @@ def cmd_consistency(args) -> int:
         cohort_a, cohort_b = measured[:n_a], measured[n_a:]
 
     table = cohort_consistency(cohort_a, cohort_b, dice_stats=dice_stats)
-    table.write_csv(out / "consistency.csv")
-    log.info("wrote %s", out / "consistency.csv")
     # each indexed subject loads a tissue and a structure map and indexes the
     # latter; paired mode indexes A's subjects in both cohorts
     indexes_built = 2 * n_a if args.mode == "paired" else n_a + n_b
-    _log_stage(log, "consistency", start, mode=args.mode, subjects_a=n_a, subjects_b=n_b,
-               maps_loaded=2 * indexes_built, indexes_built=indexes_built)
+    with _run_log(out) as log:
+        table.write_csv(out / "consistency.csv")
+        log.info("wrote %s", out / "consistency.csv")
+        _log_stage(log, "consistency", start, mode=args.mode, subjects_a=n_a,
+                   subjects_b=n_b, maps_loaded=2 * indexes_built, indexes_built=indexes_built)
     print(f"consistency table ({args.mode}) -> {out / 'consistency.csv'}")
     return EXIT_OK
 
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     trial = sub.add_parser("trial", help="trial commands")
     tsub = trial.add_subparsers(dest="subcommand", required=True)
     run = tsub.add_parser("run", help="run a full virtual clinical trial")
-    run.add_argument("--config", required=True)
+    run.add_argument("--config", help="trial config JSON (default: the headline trial)")
     run.add_argument("--out", required=True)
     run.add_argument("--cohort", default=None,
                      help="directory with manifest.json and measurements/ "
@@ -347,22 +348,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run_command(func, args) -> int:
+    """``func(args)``'s exit code, or 2 if it raises on a bad config or input, 3 on I/O."""
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return func(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    finally:
-        _close_log(Path(args.out))
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return run_command(args.func, args)
 
 
 if __name__ == "__main__":

@@ -75,6 +75,14 @@ def test_gen_bad_inputs(tmp_path):
                      "--out", str(tmp_path / "z")]) == 2, bad
 
 
+def test_gen_bad_distribution_names_the_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "seed": 1, "distribution": {"age_meen": 50.0}}))
+    assert main(["phantom", "gen", "--config", str(cfg), "--out", str(tmp_path / "z")]) == 2
+    assert capsys.readouterr().err == "error: unknown distribution keys: ['age_meen']\n"
+    assert not (tmp_path / "z").exists()
+
+
 def test_measure_matches_manifest_truth(cohort_dir):
     manifest = load_manifest(cohort_dir / "manifest.json")
     truth = {s.subject_id: s.truth for s in manifest.subjects}
@@ -312,6 +320,81 @@ def test_run_vct_quick_records_why_attribution_is_skipped(tmp_path, capsys, requ
     record = _stage_record(out, "trial run")
     assert record == {"stage": "trial run", "wall_s": record["wall_s"],
                       "subjects": 60, "rows": len(report["rows"])}
+
+
+def test_commands_register_no_logger_and_close_run_log(tmp_path, request):
+    cohort, failed, quick = tmp_path / "c", tmp_path / "t", tmp_path / "q"
+    assert main(["phantom", "gen", "--n", "1", "--seed", "3", "--out", str(cohort),
+                 "--spacing", SPACING]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_subjects": 2}))
+    # no measurements/ under the cohort: exit 3 once the trial starts loading it
+    assert main(["trial", "run", "--config", str(config), "--out", str(failed),
+                 "--cohort", str(cohort)]) == 3
+    run_vct = _run_vct_script(request)
+    with pytest.warns(UserWarning, match="attribution skipped"):
+        assert run_vct.main(["--quick", "--threads", "1", "--out", str(quick)]) == 0
+    registered = set(logging.root.manager.loggerDict)
+    assert not {f"vct.{out}" for out in (cohort, failed, quick)} & registered
+    assert not failed.exists()  # a failed trial leaves no directory, not even a run.log
+    open_paths = _open_paths()
+    for out in (cohort, quick):
+        assert (out / "run.log").exists()
+        assert os.path.realpath(out / "run.log") not in open_paths
+
+
+def test_trial_run_without_config_runs_the_headline_config(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def record(config, **kwargs):
+        seen.append(config)
+        raise ValueError("stop before any phantom")
+
+    monkeypatch.setattr(cli, "run_full_vct", record)
+    assert main(["trial", "run", "--out", str(tmp_path / "o")]) == 2
+    assert seen == [trial.TrialConfig()]
+    assert capsys.readouterr().err == "error: stop before any phantom\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_missing_trial_config_exits_3_in_both_entry_points(tmp_path, capsys, request):
+    missing = str(tmp_path / "nonexistent.json")
+    assert main(["trial", "run", "--config", missing, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    run_vct = _run_vct_script(request)
+    assert run_vct.main(["--config", missing, "--out", str(tmp_path / "s")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "nonexistent.json" in err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
+
+
+def test_out_that_is_a_file_exits_3_before_any_phantom(tmp_path, capsys, request,
+                                                        monkeypatch):
+    def no_phantom(*args, **kwargs):
+        raise AssertionError("a phantom was built")
+
+    monkeypatch.setattr(trial, "generate_phantom", no_phantom)
+    cfg = tmp_path / "trial.json"
+    cfg.write_text(json.dumps(_trial_config()))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    run_vct = _run_vct_script(request)
+    for entry, argv in ((main, ["trial", "run", "--config", str(cfg), "--out", str(taken)]),
+                        (run_vct.main, ["--config", str(cfg), "--out", str(taken)])):
+        assert entry(argv) == 3
+        assert capsys.readouterr().err == f"i/o error: output path {taken} is not a directory\n"
+        assert taken.read_text() == "not a directory\n"
+
+
+def test_run_vct_quick_and_config_exclude_each_other(tmp_path, capsys, request):
+    run_vct = _run_vct_script(request)
+    cfg = tmp_path / "trial.json"
+    cfg.write_text(json.dumps(_trial_config()))
+    with pytest.raises(SystemExit) as exc:
+        run_vct.main(["--quick", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def _corrupt_cohort(cohort_dir, dest, subject, field, value):
