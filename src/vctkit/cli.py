@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 partial per-subject failure, 2 config/usage error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -21,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import metrics  # per_class_dice looked up at call time, where perfbench wraps it
-from .codec import decode
+from .codec import decode, read_json, write_csv, write_json
 from .composition import CompositionReport, measure_composition
 from .io import load_labelmap, load_volume
 from .metrics import cohort_consistency, collect_structure_measurements, paired_dice_stats
@@ -64,22 +63,12 @@ def _log_stage(log: logging.Logger, stage: str, start: float, **counters) -> Non
                                **counters}, sort_keys=True))
 
 
-def _load_json(path) -> dict:
-    try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    return cfg
-
-
 # --- phantom gen ------------------------------------------------------------
 
 
 def cmd_phantom_gen(args) -> int:
     start = time.perf_counter()
-    cfg = _load_json(args.config) if args.config else {}
+    cfg = read_json(args.config) if args.config else {}
     bad = set(cfg) - {"n", "seed", "spacing_mm", "distribution"}
     if bad:
         raise ConfigError(f"unknown phantom config keys: {sorted(bad)}")
@@ -112,9 +101,17 @@ def cmd_phantom_gen(args) -> int:
 # --- measure ----------------------------------------------------------------
 
 
+def _map_path(base: Path, record, key: str) -> Path:
+    """The path of a subject's ``key`` map ("image", "tissue" or "structure")."""
+    name = getattr(record, key)
+    if name is None:
+        raise ConfigError(f"subject {record.subject_id!r} has no {key!r} path in the manifest")
+    return base / name
+
+
 def _measure_one(base: Path, record):
-    vol = load_volume(base / record.image)
-    tissue = load_labelmap(base / record.tissue, kind="tissue")
+    vol = load_volume(_map_path(base, record, "image"))
+    tissue = load_labelmap(_map_path(base, record, "tissue"), kind="tissue")
     rep = measure_composition(vol, tissue)
     if record.structure:
         structures = load_labelmap(base / record.structure, kind="structure")
@@ -146,24 +143,18 @@ def cmd_measure(args) -> int:
 
     results = map_ordered(build, manifest.subjects, args.threads)
     with _run_log(out) as log:
-        failed = []
-        with open(out / "measurements.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(MEASURE_CSV_HEADER)
-            for sid, rep, exc in results:
-                if exc is not None:
-                    failed.append(sid)
-                    log.error("subject %s failed: %s", sid, exc)
-                    print(f"measure failed for subject {sid}: {exc}", file=sys.stderr)
-                    continue
-                (reports_dir / f"{sid}.json").write_text(
-                    json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-                height_mm = "" if rep.height is None else repr(rep.height.total_mm)
-                writer.writerow([sid, repr(rep.body_mass_kg), repr(rep.fat_pct),
-                                 repr(rep.muscle_pct),
-                                 "" if rep.bone_density_hu is None else repr(rep.bone_density_hu),
-                                 repr(rep.body_volume_l), height_mm])
+        failed, rows = [], []
+        for sid, rep, exc in results:
+            if exc is not None:
+                failed.append(sid)
+                log.error("subject %s failed: %s", sid, exc)
+                print(f"measure failed for subject {sid}: {exc}", file=sys.stderr)
+                continue
+            write_json(reports_dir / f"{sid}.json", rep.to_dict())
+            rows.append([sid, rep.body_mass_kg, rep.fat_pct, rep.muscle_pct,
+                         rep.bone_density_hu, rep.body_volume_l,
+                         None if rep.height is None else rep.height.total_mm])
+        write_csv(out / "measurements.csv", MEASURE_CSV_HEADER, rows)
         ok = len(results) - len(failed)
         log.info("measured %d/%d subjects", ok, len(results))
         _log_stage(log, "measure", start, subjects=len(results), failed=len(failed))
@@ -184,7 +175,7 @@ def _load_measured_cohort(cohort_dir: Path) -> list[MeasuredSubject]:
             raise FileNotFoundError(
                 f"no measurement for subject {record.subject_id!r} under {measurements}")
         try:
-            rep = CompositionReport.from_dict(json.loads(path.read_text(encoding="utf-8")))
+            rep = CompositionReport.from_dict(read_json(path))
         except ValueError as exc:
             raise ValueError(f"subject {record.subject_id!r}: {exc}") from exc
         subjects.append(MeasuredSubject(record.subject_id, record.attributes, rep))
@@ -194,7 +185,7 @@ def _load_measured_cohort(cohort_dir: Path) -> list[MeasuredSubject]:
 def load_trial_config(path) -> TrialConfig:
     """The trial config JSON at ``path``, or the headline ``TrialConfig()`` for None."""
     try:
-        return decode(TrialConfig, {} if path is None else _load_json(path))
+        return decode(TrialConfig, {} if path is None else read_json(path))
     except ValueError as exc:
         raise ConfigError(f"bad trial config: {exc}") from exc
 
@@ -235,8 +226,8 @@ def cmd_trial_run(args) -> int:
 
 def _load_indexed(base: Path, record):
     """The index of a subject's structure map, and its tissue map."""
-    tissue = load_labelmap(base / record.tissue, kind="tissue")
-    index = LabelIndex(load_labelmap(base / record.structure, kind="structure"))
+    tissue = load_labelmap(_map_path(base, record, "tissue"), kind="tissue")
+    index = LabelIndex(load_labelmap(_map_path(base, record, "structure"), kind="structure"))
     return index, tissue
 
 

@@ -1,4 +1,10 @@
-"""The JSON codec of every dataclass record vctkit writes or reads.
+"""The one reader and writer of data JSON and CSV files, and the record codec.
+
+A data JSON file holds one object, written with sorted keys, a 2-space
+indent and a final newline; ``read_json`` raises ValueError naming the file
+for malformed JSON or any other top-level value.  A data CSV is a header
+row and then one row per record; a None or NaN cell is written empty, any
+other cell the way ``csv`` writes it (``repr`` for a float).
 
 ``encode`` turns a dataclass into a JSON-ready dict, field by field;
 ``decode`` is its inverse and converts each value by its field's type
@@ -8,10 +14,44 @@ a value of the wrong type -- raises ValueError naming the dotted key.
 
 from __future__ import annotations
 
+import csv
+import json
+import math
 import re
 import types
 from dataclasses import MISSING, fields, is_dataclass
+from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
+
+
+def read_json(path) -> dict:
+    """The JSON object in the file at ``path``; anything else raises ValueError
+    naming the file."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def write_json(path, payload: dict) -> Path:
+    """Write ``payload`` to ``path`` as a data JSON file; returns the path."""
+    p = Path(path)
+    p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return p
+
+
+def write_csv(path, header, rows) -> Path:
+    """Write ``header`` and then ``rows`` to ``path`` as a data CSV; returns the path."""
+    p = Path(path)
+    with open(p, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([None if isinstance(v, float) and math.isnan(v) else v for v in row]
+                         for row in rows)
+    return p
 
 
 def encode(obj) -> dict:

@@ -1,7 +1,9 @@
 """File I/O: the CTV header+raw format (read/write) and NIfTI-1 (read only).
 
-A CTV pair is ``name.ctv.json`` plus ``name.raw``.  The header is UTF-8 JSON;
-the payload is the raw array little-endian in x-fastest order (linear index
+A CTV pair is ``name.ctv.json`` plus ``name.raw``.  The header is a UTF-8
+JSON object, read by ``codec.read_json`` and written here in the CTV key
+order (not sorted, unlike a data JSON file); the payload is the raw array
+little-endian in x-fastest order (linear index
 ``x + dims[0] * (y + dims[1] * z)``).  NIfTI-1 support covers uncompressed
 single-file images with dtype int16/uint8/uint16/float32 whose affine is an
 axis permutation/flip; oblique orientations are rejected.  HU volumes are
@@ -28,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import read_json
 from .volume import (
     FormatError,
     Grid,
@@ -101,10 +104,7 @@ def _require(header: dict, field: str):
 
 def _read_ctv(path):
     header_path, _, _ = _ctv_paths(path)
-    try:
-        header = json.loads(header_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise FormatError(f"CTV header is not valid JSON: {e}") from e
+    header = _build(read_json, header_path)
     dims = _require(header, "dims")
     spacing = _require(header, "spacing_mm")
     origin = header.get("origin_mm", [0.0, 0.0, 0.0])

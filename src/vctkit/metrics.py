@@ -9,12 +9,12 @@ the identity line, and is invariant to affine rescaling of either sample.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import codec
 from .stats import pearson
 from .volume import LabelIndex, LabelMap, STRUCTURE_CLASSES, voxel_volume_mm3
 
@@ -114,13 +114,9 @@ class ConsistencyTable:
     def write_csv(self, path):
         header = ["class", "dice_mean", "dice_std", "volume_corr",
                   "centroid_R", "centroid_A", "centroid_S"]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for r in [self.rows[c] for c in sorted(self.rows)] + [self.average_row()]:
-                writer.writerow([r.class_name] + [
-                    "" if getattr(r, col) is None else repr(getattr(r, col))
-                    for col in self._COLUMNS])
+        codec.write_csv(path, header, [
+            [r.class_name] + [getattr(r, col) for col in self._COLUMNS]
+            for r in [self.rows[c] for c in sorted(self.rows)] + [self.average_row()]])
 
 
 def _class_name(c: int) -> str:

@@ -18,7 +18,6 @@ verifiability is the point.
 
 from __future__ import annotations
 
-import json
 import math
 import mmap
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io  # savers looked up at call time, where perfbench wraps them
-from .codec import decode, encode
+from .codec import decode, encode, read_json, write_json
 from .composition import REFERENCE_HU, density
 from .rng import Stream, subject_seed
 from .volume import (
@@ -842,17 +841,15 @@ def write_manifest(manifest: CohortManifest, path) -> Path:
             for s in manifest.subjects
         ],
     }
-    p = Path(path)
-    p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return p
+    return write_json(path, payload)
 
 
 def load_manifest(path) -> CohortManifest:
     """Read a manifest.json; a bad entry raises ValueError naming the file,
     the subject (by id, or by position when it has none) and the key."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = read_json(path)
     try:
-        if not isinstance(payload, dict) or not isinstance(payload.get("subjects"), list):
+        if not isinstance(payload.get("subjects"), list):
             raise ValueError("the top level must be a JSON object with a 'subjects' list")
         manifest = decode(CohortManifest, {k: v for k, v in payload.items() if k != "subjects"})
         for i, s in enumerate(payload["subjects"]):

@@ -25,7 +25,6 @@ the audit this package exists to reproduce.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import threading
 import warnings
@@ -34,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import encode
+from .codec import encode, write_csv, write_json
 from .composition import CompositionReport, measure_composition
 from .forest import Forest, ForestParams, REGRESSOR_PARAMS, fit_forest, predict, predict_proba
 from .phantom import (
@@ -783,69 +782,31 @@ def report_to_dict(report: TrialReport, config: TrialConfig | None = None) -> di
     return out
 
 
-def _cell(value) -> str:
-    """A CSV cell: empty for a missing or NaN value."""
-    return "" if value is None or (isinstance(value, float) and math.isnan(value)) else repr(value)
-
-
-def write_zscores_csv(report: TrialReport, path) -> Path:
-    header = ["population", "attr_dist", "sample_type", "n", "mae",
-              "mae_ci_low", "mae_ci_high", "z_vs_real", "z_ci_low",
-              "z_ci_high", "p_value", "verdict"]
-    p = Path(path)
-    with open(p, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in report.rows:
-            z_lo, z_hi = r.z_ci if r.z_ci is not None else (None, None)
-            writer.writerow([
-                r.population, r.attr_dist, r.sample_type, r.n, repr(r.mae),
-                repr(r.mae_ci[0]), repr(r.mae_ci[1]), _cell(r.z_vs_real),
-                _cell(z_lo), _cell(z_hi), _cell(r.p_value), r.verdict])
-    return p
-
-
-def write_bias_corr_csv(attribution: AttributionBlock, path) -> Path:
-    p = Path(path)
-    with open(p, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["attribute", "r_real", "r_synthetic", "p_value"])
-        for name in FEATURE_NAMES:
-            entry = attribution.correlations[name]
-            writer.writerow([name, _cell(entry["real"]), _cell(entry["synthetic"]),
-                             _cell(entry["p_value"])])
-    return p
-
-
-def write_feat_import_csv(attribution: AttributionBlock, path) -> Path:
-    types = [t for t in SAMPLE_TYPES if t in attribution.importances]
-    p = Path(path)
-    with open(p, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["attribute"] + types)
-        for name in FEATURE_NAMES:
-            writer.writerow([name] + [repr(attribution.importances[t][name])
-                                      for t in types])
-        writer.writerow(["correlation_vs_real"] + [
-            "" if t == "real" else _cell(attribution.importance_correlations.get(f"real_vs_{t}"))
-            for t in types])
-    return p
-
-
 def write_trial_outputs(report: TrialReport, out_dir,
                         config: TrialConfig | None = None) -> list[Path]:
     """report.json plus the three audit CSVs; returns written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    payload = report_to_dict(report, config)
-    rp = out / "report.json"
-    rp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                  encoding="utf-8")
-    written.append(rp)
-    written.append(write_zscores_csv(report, out / "zscores.csv"))
-    if report.attribution is not None:
-        written.append(write_bias_corr_csv(report.attribution, out / "bias_corr.csv"))
-        written.append(write_feat_import_csv(report.attribution,
-                                             out / "feat_import.csv"))
+    header = ["population", "attr_dist", "sample_type", "n", "mae",
+              "mae_ci_low", "mae_ci_high", "z_vs_real", "z_ci_low",
+              "z_ci_high", "p_value", "verdict"]
+    rows = [[r.population, r.attr_dist, r.sample_type, r.n, r.mae, *r.mae_ci,
+             r.z_vs_real, *(r.z_ci or (None, None)), r.p_value, r.verdict]
+            for r in report.rows]
+    written = [write_json(out / "report.json", report_to_dict(report, config)),
+               write_csv(out / "zscores.csv", header, rows)]
+    attribution = report.attribution
+    if attribution is not None:
+        rows = [[name] + [attribution.correlations[name][k]
+                          for k in ("real", "synthetic", "p_value")]
+                for name in FEATURE_NAMES]
+        written.append(write_csv(out / "bias_corr.csv",
+                                 ["attribute", "r_real", "r_synthetic", "p_value"], rows))
+        types = [t for t in SAMPLE_TYPES if t in attribution.importances]
+        rows = [[name] + [attribution.importances[t][name] for t in types]
+                for name in FEATURE_NAMES]
+        rows.append(["correlation_vs_real"] + [
+            None if t == "real" else attribution.importance_correlations.get(f"real_vs_{t}")
+            for t in types])
+        written.append(write_csv(out / "feat_import.csv", ["attribute"] + types, rows))
     return written

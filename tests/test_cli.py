@@ -298,7 +298,7 @@ def test_main_closes_run_log_when_it_returns(tmp_path):
     assert main(["trial", "run", "--config", str(config), "--out", str(failed),
                  "--cohort", str(cohort)]) == 3
     for out in (cohort, failed):
-        assert logging.getLogger(f"vct.{out}").handlers == []
+        assert f"vct.{out}" not in logging.root.manager.loggerDict
         assert os.path.realpath(out / "run.log") not in _open_paths()
     stage_lines = [line for line in (cohort / "run.log").read_text().splitlines()
                    if '"stage": "phantom gen"' in line]
@@ -314,7 +314,7 @@ def test_run_vct_quick_records_why_attribution_is_skipped(tmp_path, capsys, requ
     report = json.loads((out / "report.json").read_text())
     assert report["attribution"] is None
     assert report["attribution_skipped"] == reason
-    assert logging.getLogger(f"vct.{out}").handlers == []  # run.log is closed
+    assert f"vct.{out}" not in logging.root.manager.loggerDict
     assert not (out / "bias_corr.csv").exists()
     assert f"(attribution skipped: {reason})" in capsys.readouterr().out
     record = _stage_record(out, "trial run")
@@ -402,15 +402,19 @@ def _corrupt_cohort(cohort_dir, dest, subject, field, value):
 
     ``field`` is "<record>.<key>" with record "truth", "attributes" or
     "subject" (the subject's manifest entry), "manifest" (its top level; no
-    subject) or "measurement"; ``value`` None deletes the key.
+    subject) or "measurement"; ``value`` None deletes the key.  A bare
+    "manifest" or "measurement" replaces that whole file with the text ``value``.
     """
     shutil.copytree(cohort_dir / "measurements", dest / "measurements")
     shutil.copy(cohort_dir / "manifest.json", dest / "manifest.json")
-    record, key = field.split(".")
+    record, _, key = field.partition(".")
     if record == "measurement":
         path = dest / "measurements" / f"{subject}.json"
     else:
         path = dest / "manifest.json"
+    if not key:
+        path.write_text(value)
+        return dest
     payload = json.loads(path.read_text())
     if record in ("measurement", "manifest"):
         target = payload
@@ -440,6 +444,8 @@ def _corrupt_cohort(cohort_dir, dest, subject, field, value):
      "error: manifest {manifest}: spacing_mm must be a list of 3 numbers"),
     (None, "manifest.subjects", None,
      "error: manifest {manifest}: the top level must be a JSON object with a 'subjects' list"),
+    (None, "manifest", '{"seed": ',
+     "error: malformed JSON in {manifest}: Expecting value: line 1 column 10"),
 ])
 def test_bad_manifest_exits_2_naming_subject_and_key(cohort_dir, tmp_path, capsys,
                                                      subject, field, value, message):
@@ -459,10 +465,12 @@ def test_bad_manifest_exits_2_naming_subject_and_key(cohort_dir, tmp_path, capsy
     ("measurement.fat_pct", None, "composition report is missing keys: ['fat_pct']"),
     ("measurement.bone_density_hu", "dense", "bone_density_hu must be float"),
     ("measurement.height", {"per_leg": {}}, "height is missing keys: ['head_mm', "),
+    ("measurement", "{not json", "malformed JSON in {path}: Expecting property name"),
 ])
 def test_bad_measurement_exits_2_naming_subject_and_key(cohort_dir, tmp_path, capsys,
                                                         field, value, message):
     cohort = _corrupt_cohort(cohort_dir, tmp_path / "cohort", "subj_0002", field, value)
+    message = message.format(path=cohort / "measurements" / "subj_0002.json")
     cfg = tmp_path / "trial.json"
     cfg.write_text(json.dumps(_trial_config()))
     assert main(["trial", "run", "--config", str(cfg), "--out", str(tmp_path / "out"),
@@ -643,6 +651,44 @@ def test_swapped_tissue_and_structure_maps_are_rejected(tmp_path, capsys):
     for s in payload["subjects"]:
         assert (f"measure failed for subject {s['id']}: "
                 "expected kind 'tissue', got 'structure'") in err
+
+
+def _cohort_missing_map_paths(tmp_path, keys):
+    """A 3-subject cohort and a copy of its manifest whose subj_0001 lacks ``keys``."""
+    cohort = tmp_path / "cohort"
+    assert main(["phantom", "gen", "--n", "3", "--seed", "4",
+                 "--out", str(cohort), "--spacing", "8,8,8"]) == 0
+    payload = json.loads((cohort / "manifest.json").read_text())
+    for key in keys:
+        del payload["subjects"][1][key]
+    stripped = cohort / "stripped.json"
+    stripped.write_text(json.dumps(payload))
+    return cohort, stripped
+
+
+@pytest.mark.parametrize("keys, missing", [(("tissue", "structure"), "tissue"),
+                                           (("structure",), "structure")])
+def test_consistency_missing_map_path_exits_2_naming_subject_and_key(tmp_path, capsys,
+                                                                      keys, missing):
+    cohort, stripped = _cohort_missing_map_paths(tmp_path, keys)
+    capsys.readouterr()
+    assert main(["consistency", "--a", str(cohort / "manifest.json"), "--b", str(stripped),
+                 "--out", str(tmp_path / "cons"), "--paired"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: subject 'subj_0001' has no '{missing}' path in the manifest\n")
+    assert not (tmp_path / "cons").exists()
+
+
+def test_measure_missing_map_path_fails_only_that_subject(tmp_path, capsys):
+    _, stripped = _cohort_missing_map_paths(tmp_path, ("tissue", "structure"))
+    capsys.readouterr()
+    assert main(["measure", "--manifest", str(stripped),
+                 "--out", str(tmp_path / "measured")]) == 1
+    assert capsys.readouterr().err == ("measure failed for subject subj_0001: "
+                                       "subject 'subj_0001' has no 'tissue' path "
+                                       "in the manifest\n")
+    with open(tmp_path / "measured" / "measurements.csv", newline="") as fh:
+        assert [r["subject_id"] for r in csv.DictReader(fh)] == ["subj_0000", "subj_0002"]
 
 
 def test_consistency_cohort_mode(cohort_dir, tmp_path):

@@ -1,6 +1,7 @@
 """CTV round trips, header validation, and the NIfTI-1 reader."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -159,7 +160,7 @@ def test_malformed_json_raises(tmp_path):
     p = tmp_path / "bad.ctv.json"
     p.write_text("{not json")
     (tmp_path / "bad.raw").write_bytes(b"")
-    with pytest.raises(FormatError, match="JSON"):
+    with pytest.raises(FormatError, match=f"^malformed JSON in {re.escape(str(p))}: "):
         load_volume(p)
 
 
