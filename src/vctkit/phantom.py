@@ -689,10 +689,14 @@ def _sample_height_weight(stream: Stream, dist: AttributeDistribution,
     raise ValueError(f"could not draw height/weight after {_MAX_DRAWS} tries")
 
 
+def _draw_sex(stream: Stream, dist: AttributeDistribution) -> str:
+    return "F" if stream.uniform1() < dist.p_female else "M"
+
+
 def sample_subject_spec(stream: Stream, dist: AttributeDistribution,
                         spacing, seed: int) -> tuple[Attributes, PhantomSpec]:
     """Draw one subject: true PhantomSpec plus (possibly censored) record."""
-    sex = "F" if stream.uniform1() < dist.p_female else "M"
+    sex = _draw_sex(stream, dist)
     age = _truncated_normal(stream, dist.age_mean, dist.age_sd, dist.age_range)
     height, weight = _sample_height_weight(stream, dist, sex)
     fat, muscle = sample_fractions(sex, age, weight, stream)
@@ -724,59 +728,49 @@ def sample_cohort_specs(n: int, dist: AttributeDistribution, spacing,
 # --- binning ------------------------------------------------------------
 
 
+BIN_WIDTH = 10.0  # years, cm and kg alike
+
+
 @dataclass(frozen=True)
 class BinnedAttributes:
-    sex: str        # "M" | "F" | "none"
-    age: str        # e.g. "50-60" | "none"
-    height: str     # cm bin
-    weight: str     # kg bin
+    sex: str | None         # "M" | "F" | None: missing, or another sex
+    age: float | None       # bin lower edge, a multiple of BIN_WIDTH | None: missing
+    height: float | None    # cm bin
+    weight: float | None    # kg bin
 
 
-def _bin_value(v: float | None) -> str:
-    if v is None:
-        return "none"
-    k = max(0, int(math.floor(v / 10.0)))
-    return f"{10 * k}-{10 * (k + 1)}"
+def _bin_edge(v: float | None) -> float | None:
+    return None if v is None else BIN_WIDTH * max(0, math.floor(v / BIN_WIDTH))
 
 
 def bin_attributes(attrs: Attributes) -> BinnedAttributes:
-    """Half-open decade/10cm/10kg bins; missing values map to 'none'."""
+    """Half-open bins [lo, lo + BIN_WIDTH), negatives in the first one."""
     return BinnedAttributes(
-        sex=attrs.sex if attrs.sex in ("M", "F") else "none",
-        age=_bin_value(attrs.age_years),
-        height=_bin_value(attrs.height_cm),
-        weight=_bin_value(attrs.weight_kg),
+        sex=attrs.sex if attrs.sex in ("M", "F") else None,
+        age=_bin_edge(attrs.age_years),
+        height=_bin_edge(attrs.height_cm),
+        weight=_bin_edge(attrs.weight_kg),
     )
-
-
-def bin_midpoint(bin_label: str) -> float | None:
-    if bin_label == "none":
-        return None
-    lo, hi = bin_label.split("-")
-    return (float(lo) + float(hi)) / 2.0
 
 
 def generate_matched_spec(binned: BinnedAttributes, dist: AttributeDistribution,
                           spacing, seed: int) -> PhantomSpec:
     """Draw a fresh subject consistent with binned attributes.
 
-    Known bins are sampled uniformly within the bin; 'none' falls back to
-    the cohort prior.  Composition comes from the same conditional model as
-    real cohort generation, so only the attribute-explained part of body
-    composition is reproduced.
+    Known bins are sampled uniformly within the bin, cut to the clamp range
+    (the whole range when the bin lies outside it); a missing value falls
+    back to the cohort prior.  Composition comes from the same conditional
+    model as real cohort generation, so only the attribute-explained part
+    of body composition is reproduced.
     """
     stream = Stream(seed)
-    if binned.sex in ("M", "F"):
-        sex = binned.sex
-    else:
-        sex = "F" if stream.uniform1() < dist.p_female else "M"
+    sex = _draw_sex(stream, dist) if binned.sex is None else binned.sex
 
-    def draw(bin_label: str, prior_mean, prior_sd, prior_range, clamp):
-        if bin_label == "none":
+    def draw(lo: float | None, prior_mean, prior_sd, prior_range, clamp):
+        if lo is None:
             return _truncated_normal(stream, prior_mean, prior_sd, prior_range)
-        lo, hi = (float(p) for p in bin_label.split("-"))
+        hi = min(lo + BIN_WIDTH, clamp[1])
         lo = max(lo, clamp[0])
-        hi = min(hi, clamp[1])
         if lo >= hi:
             lo, hi = clamp
         return lo + stream.uniform1() * (hi - lo)
@@ -849,8 +843,11 @@ def load_manifest(path) -> CohortManifest:
     the subject (by id, or by position when it has none) and the key."""
     payload = read_json(path)
     try:
-        if not isinstance(payload.get("subjects"), list):
-            raise ValueError("the top level must be a JSON object with a 'subjects' list")
+        if "subjects" not in payload:
+            raise ValueError("cohort manifest is missing keys: ['subjects']")
+        if not isinstance(payload["subjects"], list):
+            raise ValueError("subjects must be a list, got "
+                             f"{type(payload['subjects']).__name__}")
         manifest = decode(CohortManifest, {k: v for k, v in payload.items() if k != "subjects"})
         for i, s in enumerate(payload["subjects"]):
             if not isinstance(s, dict) or "id" not in s:
@@ -889,14 +886,12 @@ def generate_cohort(n: int, dist: AttributeDistribution, spacing, seed: int,
     def build(item):
         subject_id, attrs, spec = item
         vol, tissue, structure, truth = generate_phantom(spec)
-        io.save_volume(vol, out / f"{subject_id}_image")
-        io.save_labelmap(tissue, out / f"{subject_id}_tissue")
-        io.save_labelmap(structure, out / f"{subject_id}_structure")
-        return SubjectRecord(subject_id=subject_id, attributes=attrs,
-                             image=f"{subject_id}_image.ctv.json",
-                             tissue=f"{subject_id}_tissue.ctv.json",
-                             structure=f"{subject_id}_structure.ctv.json",
-                             truth=truth)
+        return SubjectRecord(
+            subject_id=subject_id, attributes=attrs,
+            image=io.save_volume(vol, out / f"{subject_id}_image").name,
+            tissue=io.save_labelmap(tissue, out / f"{subject_id}_tissue").name,
+            structure=io.save_labelmap(structure, out / f"{subject_id}_structure").name,
+            truth=truth)
 
     specs = sample_cohort_specs(n, dist, spacing, seed)
     manifest = CohortManifest(seed=seed, spacing_mm=tuple(float(s) for s in spacing),

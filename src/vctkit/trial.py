@@ -37,11 +37,11 @@ from .codec import encode, write_csv, write_json
 from .composition import CompositionReport, measure_composition
 from .forest import Forest, ForestParams, REGRESSOR_PARAMS, fit_forest, predict, predict_proba
 from .phantom import (
+    BIN_WIDTH,
     AttributeDistribution,
     Attributes,
     BinnedAttributes,
     bin_attributes,
-    bin_midpoint,
     generate_matched_spec,
     generate_phantom,
     map_ordered,
@@ -257,14 +257,31 @@ class ExternalPredictions:
 
     @staticmethod
     def from_csv(path) -> "ExternalPredictions":
+        """Read the CSV; a bad row raises ValueError naming the file, the line
+        and the subject.  Each subject appears once, with one finite number."""
         preds = {}
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != ["subject_id", "prediction"]:
-                raise ValueError(
-                    "external predictions CSV must have header subject_id,prediction")
+            reader = csv.reader(fh)
+            if next(reader, None) != ["subject_id", "prediction"]:
+                raise ValueError("external predictions CSV must have header "
+                                 f"subject_id,prediction: {path}")
             for row in reader:
-                preds[row["subject_id"]] = float(row["prediction"])
+                if not row:
+                    continue
+                where = (f"external predictions CSV {path} line {reader.line_num}: "
+                         f"subject {row[0]!r}")
+                if len(row) != 2:
+                    raise ValueError(f"{where} has {len(row)} cells, expected 2")
+                try:
+                    value = float(row[1])
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ValueError(f"{where}: prediction must be a finite number, "
+                                     f"got {row[1]!r}")
+                if row[0] in preds:
+                    raise ValueError(f"{where} is listed twice")
+                preds[row[0]] = value
         return ExternalPredictions(preds)
 
     def fit(self, subjects, target) -> None:
@@ -288,12 +305,10 @@ def make_predictor(spec: PredictorSpec, seed: int = 0):
 # --- attribute encoding and the OOD classifier ----------------------------
 
 def encode_binned(binned: BinnedAttributes) -> list[float]:
-    """Sex one-hot, bin midpoints as ordinals, 'none' indicator columns."""
+    """Sex one-hot, bin midpoints as ordinals (0 if missing), missing indicators."""
     row = [1.0 if binned.sex == "M" else 0.0, 1.0 if binned.sex == "F" else 0.0]
-    for label in (binned.age, binned.height, binned.weight):
-        mid = bin_midpoint(label)
-        row.append(0.0 if mid is None else mid)
-        row.append(1.0 if mid is None else 0.0)
+    for lo in (binned.age, binned.height, binned.weight):
+        row += [0.0, 1.0] if lo is None else [lo + BIN_WIDTH / 2, 0.0]
     return row
 
 
@@ -504,29 +519,15 @@ def run_trial(real: dict, split: BiasedSplit, predictor, target: str,
 # --- attribution ----------------------------------------------------------
 
 
-def _sex_numeric(sex: str | None) -> float:
-    if sex == "M":
-        return 0.0
-    if sex == "F":
-        return 1.0
-    return float("nan")
-
-
 def feature_matrix(subjects: list[MeasuredSubject]) -> np.ndarray:
-    """(n, 8) matrix in FEATURE_NAMES order; missing records become NaN."""
+    """(n, 8) matrix in FEATURE_NAMES order; sex M is 0 and F is 1, and a
+    missing record (None, or another sex) becomes NaN."""
+    sex_code = {"M": 0.0, "F": 1.0}.get
     rows = []
     for s in subjects:
         a, r = s.attributes, s.report
-        rows.append([
-            _sex_numeric(a.sex),
-            float("nan") if a.age_years is None else a.age_years,
-            float("nan") if a.height_cm is None else a.height_cm,
-            float("nan") if a.weight_kg is None else a.weight_kg,
-            r.fat_pct,
-            float("nan") if r.bone_density_hu is None else r.bone_density_hu,
-            r.muscle_pct,
-            r.body_volume_l,
-        ])
+        rows.append([sex_code(a.sex), a.age_years, a.height_cm, a.weight_kg,
+                     r.fat_pct, r.bone_density_hu, r.muscle_pct, r.body_volume_l])
     return np.array(rows, dtype=np.float64)
 
 

@@ -443,7 +443,9 @@ def _corrupt_cohort(cohort_dir, dest, subject, field, value):
     (None, "manifest.spacing_mm", [4.0, 4.0],
      "error: manifest {manifest}: spacing_mm must be a list of 3 numbers"),
     (None, "manifest.subjects", None,
-     "error: manifest {manifest}: the top level must be a JSON object with a 'subjects' list"),
+     "error: manifest {manifest}: cohort manifest is missing keys: ['subjects']"),
+    (None, "manifest.subjects", {"subj_0000": {}},
+     "error: manifest {manifest}: subjects must be a list, got dict"),
     (None, "manifest", '{"seed": ',
      "error: malformed JSON in {manifest}: Expecting value: line 1 column 10"),
 ])

@@ -12,15 +12,16 @@ from hypothesis import example, given, strategies as st
 from vctkit.codec import decode, encode
 from vctkit.phantom import (
     _TRUTH_CHUNK,
+    BIN_WIDTH,
     AttributeDistribution,
     Attributes,
+    BinnedAttributes,
     CohortManifest,
     InfeasibleSpecError,
     PhantomSpec,
     PhantomTruth,
     SubjectRecord,
     bin_attributes,
-    bin_midpoint,
     bone_hu_for_age,
     generate_cohort,
     generate_matched_spec,
@@ -32,6 +33,7 @@ from vctkit.phantom import (
     write_manifest,
 )
 from vctkit.rng import Stream
+from vctkit.trial import encode_binned
 
 
 def test_spec_validation():
@@ -267,17 +269,47 @@ def test_missing_rate_censors_records():
 def test_bin_attributes_hand_cases():
     b = bin_attributes(Attributes(sex="F", age_years=55.0, height_cm=176.0,
                                   weight_kg=80.0))
-    assert (b.sex, b.age, b.height, b.weight) == ("F", "50-60", "170-180", "80-90")
+    assert (b.sex, b.age, b.height, b.weight) == ("F", 50.0, 170.0, 80.0)
     # bins are half-open: 60 falls in the next decade
-    assert bin_attributes(Attributes("M", 60.0, 160.0, 59.999)).age == "60-70"
-    assert bin_attributes(Attributes(None, None, 150.0, None)).sex == "none"
-    assert bin_attributes(Attributes(None, None, 150.0, None)).age == "none"
+    b = bin_attributes(Attributes("M", 60.0, 160.0, 59.999))
+    assert (b.age, b.weight) == (60.0, 50.0)
+    assert bin_attributes(Attributes(None, None, 150.0, None)) == \
+        BinnedAttributes(None, None, 150.0, None)
+    # another sex is missing too; a negative value falls in the first bin
+    assert bin_attributes(Attributes("X", -3.0, 150.0, 0.0)) == \
+        BinnedAttributes(None, 0.0, 150.0, 0.0)
 
 
-def test_bin_midpoint():
-    assert bin_midpoint("50-60") == 55.0
-    assert bin_midpoint("170-180") == 175.0
-    assert bin_midpoint("none") is None
+_MATCH_CLAMPS = {"age_years": (0.0, 110.0), "height_cm": (100.0, 215.0),
+                 "weight_kg": (25.0, 180.0)}
+
+
+@given(sex=st.sampled_from(["M", "F"]) | st.none() | st.text(max_size=3),
+       values=st.tuples(*[st.none() | st.floats(-1e6, 1e6)] * 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(sex="M", values=(59.999, 214.0, -4.0), seed=0)
+def test_bins_drive_matched_draws_and_encoding(sex, values, seed):
+    attrs = Attributes(sex, *values)
+    binned = bin_attributes(attrs)
+    edges = (binned.age, binned.height, binned.weight)
+    spec = generate_matched_spec(binned, AttributeDistribution(), (4.0, 4.0, 4.0), seed)
+    if sex in ("M", "F"):
+        assert binned.sex == spec.sex == sex
+    else:
+        assert binned.sex is None
+    row = encode_binned(binned)
+    assert row[:2] == [float(sex == "M"), float(sex == "F")]
+    for (name, clamp), v, lo, (mid, missing) in zip(
+            _MATCH_CLAMPS.items(), values, edges, zip(row[2::2], row[3::2])):
+        if v is None:
+            assert lo is None and (mid, missing) == (0.0, 1.0)
+            continue
+        assert lo % BIN_WIDTH == 0.0 and lo <= max(v, 0.0) < lo + BIN_WIDTH
+        assert (mid, missing) == (lo + 5.0, 0.0)
+        a, b = max(lo, clamp[0]), min(lo + BIN_WIDTH, clamp[1])
+        if a >= b:  # the bin lies outside the clamp range: draw from all of it
+            a, b = clamp
+        assert a <= getattr(spec, name) < b
 
 
 def test_generate_matched_spec_respects_bins():

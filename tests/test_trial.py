@@ -237,6 +237,29 @@ def test_external_predictions_csv(tmp_path):
         make_predictor(PredictorSpec("external", path=str(bad)))
 
 
+@pytest.mark.parametrize("rows, line, message", [
+    ("s000,24.5\ns001\n", 3, "subject 's001' has 1 cells, expected 2"),
+    ("s000,abc\n", 2, "subject 's000': prediction must be a finite number, got 'abc'"),
+    ("s000,24.5\ns001,nan\n", 3,
+     "subject 's001': prediction must be a finite number, got 'nan'"),
+    ("s000,-inf\n", 2, "subject 's000': prediction must be a finite number, got '-inf'"),
+    ("s000,24.5,1\n", 2, "subject 's000' has 3 cells, expected 2"),
+    ("s000,24.5\ns001,3\ns000,25.0\n", 4, "subject 's000' is listed twice"),
+])
+def test_bad_external_predictions_row_names_file_line_and_subject(
+        monkeypatch, tmp_path, rows, line, message):
+    def no_phantoms(spec, **kwargs):
+        raise AssertionError("a phantom was built before the predictions were checked")
+
+    monkeypatch.setattr(trial, "generate_phantom", no_phantoms)
+    path = tmp_path / "preds.csv"
+    path.write_text("subject_id,prediction\n" + rows)
+    config = TrialConfig(predictor=PredictorSpec("external", path=str(path)))
+    with pytest.raises(ValueError) as info:
+        run_full_vct(config)
+    assert str(info.value) == f"external predictions CSV {path} line {line}: {message}"
+
+
 def test_unknown_predictor_kind():
     with pytest.raises(ValueError, match="unknown predictor"):
         PredictorSpec("mlp")
