@@ -16,7 +16,7 @@ import logging
 import sys
 import time
 from contextlib import closing, contextmanager
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import metrics  # per_class_dice looked up at call time, where perfbench wraps it
@@ -24,7 +24,8 @@ from .codec import decode, read_json, write_csv, write_json
 from .composition import CompositionReport, measure_composition
 from .io import load_labelmap, load_volume
 from .metrics import cohort_consistency, collect_structure_measurements, paired_dice_stats
-from .phantom import AttributeDistribution, generate_cohort, load_manifest, map_ordered
+from .phantom import (AttributeDistribution, check_spacing, generate_cohort, load_manifest,
+                      map_ordered)
 from .skeleton import measure_height
 from .trial import MeasuredSubject, TrialConfig, run_full_vct, write_trial_outputs
 from .volume import LabelIndex
@@ -66,34 +67,37 @@ def _log_stage(log: logging.Logger, stage: str, start: float, **counters) -> Non
 # --- phantom gen ------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PhantomConfig:
+    """The ``phantom gen`` config JSON; each flag overrides its key."""
+
+    n: int | None = None
+    seed: int | None = None
+    spacing_mm: tuple[float, float, float] = (2.0, 2.0, 2.0)
+    distribution: AttributeDistribution = field(default_factory=AttributeDistribution)
+
+    def __post_init__(self):
+        if self.n is not None and self.n < 1:
+            raise ValueError(f"cohort size must be positive, got {self.n}")
+        check_spacing(self.spacing_mm)
+
+
 def cmd_phantom_gen(args) -> int:
     start = time.perf_counter()
-    cfg = read_json(args.config) if args.config else {}
-    bad = set(cfg) - {"n", "seed", "spacing_mm", "distribution"}
-    if bad:
-        raise ConfigError(f"unknown phantom config keys: {sorted(bad)}")
-    n = args.n if args.n is not None else cfg.get("n")
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if n is None or seed is None:
+    cfg = decode(PhantomConfig, read_json(args.config)) if args.config else PhantomConfig()
+    flags = {"n": args.n, "seed": args.seed, "spacing_mm": args.spacing}
+    cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    if cfg.n is None or cfg.seed is None:
         raise ConfigError("phantom gen needs --n and --seed (flag or config)")
-    for name, value in (("n", n), ("seed", seed)):
-        if type(value) is not int:
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if n < 1:
-        raise ConfigError(f"cohort size must be positive, got {n}")
-    spacing = args.spacing or cfg.get("spacing_mm") or (2.0, 2.0, 2.0)
-    if (not isinstance(spacing, (list, tuple)) or len(spacing) != 3
-            or any(type(s) not in (int, float) for s in spacing) or min(spacing) <= 0):
-        raise ConfigError(f"spacing must be three positive numbers, got {spacing}")
-    dist = decode(AttributeDistribution, cfg.get("distribution", {}), "distribution")
     out = Path(args.out)
     with _run_log(out) as log:
         log.info("phantom gen n=%d seed=%d spacing=%s threads=%d",
-                 n, seed, tuple(spacing), args.threads)
-        manifest = generate_cohort(n, dist, spacing, seed, out, threads=args.threads)
+                 cfg.n, cfg.seed, cfg.spacing_mm, args.threads)
+        manifest = generate_cohort(cfg.n, cfg.distribution, cfg.spacing_mm, cfg.seed, out,
+                                   threads=args.threads)
         log.info("wrote %d subjects to %s", len(manifest.subjects), out)
         _log_stage(log, "phantom gen", start, subjects=len(manifest.subjects),
-                   failed=n - len(manifest.subjects))
+                   failed=cfg.n - len(manifest.subjects))
     print(f"generated {len(manifest.subjects)} phantoms -> {out / 'manifest.json'}")
     return EXIT_OK
 
@@ -105,7 +109,7 @@ def _map_path(base: Path, record, key: str) -> Path:
     """The path of a subject's ``key`` map ("image", "tissue" or "structure")."""
     name = getattr(record, key)
     if name is None:
-        raise ConfigError(f"subject {record.subject_id!r} has no {key!r} path in the manifest")
+        raise ConfigError(f"subject {record.id!r} has no {key!r} path in the manifest")
     return base / name
 
 
@@ -137,9 +141,9 @@ def cmd_measure(args) -> int:
 
     def build(record):
         try:
-            return record.subject_id, _measure_one(base, record), None
+            return record.id, _measure_one(base, record), None
         except Exception as exc:  # per-subject isolation: one bad file != a dead run
-            return record.subject_id, None, exc
+            return record.id, None, exc
 
     results = map_ordered(build, manifest.subjects, args.threads)
     with _run_log(out) as log:
@@ -170,15 +174,15 @@ def _load_measured_cohort(cohort_dir: Path) -> list[MeasuredSubject]:
     measurements = cohort_dir / "measurements"
     subjects = []
     for record in manifest.subjects:
-        path = measurements / f"{record.subject_id}.json"
+        path = measurements / f"{record.id}.json"
         if not path.exists():
             raise FileNotFoundError(
-                f"no measurement for subject {record.subject_id!r} under {measurements}")
+                f"no measurement for subject {record.id!r} under {measurements}")
         try:
             rep = CompositionReport.from_dict(read_json(path))
         except ValueError as exc:
-            raise ValueError(f"subject {record.subject_id!r}: {exc}") from exc
-        subjects.append(MeasuredSubject(record.subject_id, record.attributes, rep))
+            raise ValueError(f"subject {record.id!r}: {exc}") from exc
+        subjects.append(MeasuredSubject(record.id, record.attributes, rep))
     return subjects
 
 
@@ -237,8 +241,8 @@ def cmd_consistency(args) -> int:
     path_a, path_b = Path(args.a), Path(args.b)
     manifest_a, manifest_b = _load_subjects(path_a), _load_subjects(path_b)
     n_a, n_b = len(manifest_a.subjects), len(manifest_b.subjects)
-    by_id_a = {s.subject_id: s for s in manifest_a.subjects}
-    by_id_b = {s.subject_id: s for s in manifest_b.subjects}
+    by_id_a = {s.id: s for s in manifest_a.subjects}
+    by_id_b = {s.id: s for s in manifest_b.subjects}
     if args.mode == "paired" and set(by_id_a) != set(by_id_b):
         raise ConfigError("paired mode requires identical subject ids "
                           f"(A has {len(by_id_a)}, B has {len(by_id_b)}, "
@@ -250,7 +254,7 @@ def cmd_consistency(args) -> int:
         # structure map once, and keeps only the measurements and the Dice
         # dict, so no pair of maps outlives its task
         def measure_pair(record):
-            sid = record.subject_id
+            sid = record.id
             index_a, tissue_a = _load_indexed(path_a.parent, record)
             index_b, tissue_b = _load_indexed(path_b.parent, by_id_b[sid])
             if index_a.grid != index_b.grid:

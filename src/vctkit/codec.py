@@ -9,7 +9,8 @@ other cell the way ``csv`` writes it (``repr`` for a float).
 ``encode`` turns a dataclass into a JSON-ready dict, field by field;
 ``decode`` is its inverse and converts each value by its field's type
 annotation.  Anything that does not fit -- an unknown key, a missing key,
-a value of the wrong type -- raises ValueError naming the dotted key.
+a value of the wrong type, a non-finite float -- raises ValueError naming
+the dotted key, with ``key[i]`` for element ``i`` of a list.
 """
 
 from __future__ import annotations
@@ -55,18 +56,18 @@ def write_csv(path, header, rows) -> Path:
 
 
 def encode(obj) -> dict:
-    """JSON-ready dict of a dataclass, field by field, nested included."""
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            value = encode(value)
-        elif isinstance(value, tuple):
-            value = list(value)
-        elif isinstance(value, dict):
-            value = dict(value)
-        out[f.name] = value
-    return out
+    """JSON-ready dict of a dataclass, field by field, nested and listed records included."""
+    return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def _encode(value):
+    if is_dataclass(value):
+        return encode(value)
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    return value
 
 
 def decode(cls, d, key: str = ""):
@@ -103,6 +104,10 @@ def _decode(tp, value, key: str):
         if not isinstance(value, (list, tuple)) or len(value) != len(args):
             raise ValueError(f"{key} must be a list of {len(args)} numbers, got {value!r}")
         return tuple(_decode(t, v, key) for t, v in zip(args, value))
+    if origin is list:
+        if not isinstance(value, list):
+            raise ValueError(f"{key} must be a list, got {type(value).__name__}")
+        return [_decode(args[0], v, f"{key}[{i}]") for i, v in enumerate(value)]
     if origin is dict:
         if not isinstance(value, dict):
             raise ValueError(f"{key} must be a JSON object, got {value!r}")
@@ -113,4 +118,6 @@ def _decode(tp, value, key: str):
     accepted = (int, float) if tp is float else tp
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"{key} must be {tp.__name__}, got {value!r}")
+    if tp is float and not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
     return tp(value)

@@ -63,7 +63,7 @@ class ForestParams:
             raise ValueError("max_features must be 'sqrt' or 'all'")
 
 
-REGRESSOR_PARAMS = ForestParams(n_trees=100, min_samples_leaf=5)
+REGRESSOR_PARAMS = ForestParams(min_samples_leaf=5, max_features="all")
 
 
 @dataclass

@@ -86,9 +86,14 @@ class PhantomSpec:
             raise ValueError("muscle_fraction must be positive")
         if self.fat_fraction + self.muscle_fraction > 0.9:
             raise ValueError("fat_fraction + muscle_fraction must not exceed 0.9")
-        if len(self.spacing_mm) != 3 or any(not 0.4 <= s <= 8.0 for s in self.spacing_mm):
-            raise ValueError(f"spacing_mm components must lie in [0.4, 8], got {self.spacing_mm}")
-        object.__setattr__(self, "spacing_mm", tuple(float(s) for s in self.spacing_mm))
+        object.__setattr__(self, "spacing_mm", check_spacing(self.spacing_mm))
+
+
+def check_spacing(spacing) -> tuple[float, float, float]:
+    """``spacing`` as three floats, each of which must lie in [0.4, 8] mm."""
+    if len(spacing) != 3 or any(not 0.4 <= s <= 8.0 for s in spacing):
+        raise ValueError(f"spacing_mm components must lie in [0.4, 8], got {spacing}")
+    return tuple(float(s) for s in spacing)
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,7 @@ class PhantomTruth:
     body_mass_g: float
     fat_pct: float
     muscle_pct: float
-    bone_density_hu: float
+    bone_density_hu: float | None  # None when no voxel is bone
     body_volume_mm3: float
     height_breakdown: dict[str, float]
     landmarks: dict[str, tuple[float, float, float]]
@@ -577,7 +582,7 @@ def _count_truth(canvas: _Canvas, grid: Grid, geom: _Geometry,
     m_fat = mass_of([HU_FAT])
     m_muscle = mass_of([HU_MUSCLE])
     n_body = sum(count_of(h) for h in present)
-    bone_hu = float(geom.bone_hu) if count_of(geom.bone_hu) > 0 else float("nan")
+    bone_hu = float(geom.bone_hu) if count_of(geom.bone_hu) > 0 else None
     breakdown = {
         "lower_body_mm": geom.z_pelvis,
         "torso_mm": geom.z_c7 - geom.z_pelvis,
@@ -802,7 +807,7 @@ def map_ordered(fn, items, threads: int):
 
 @dataclass
 class SubjectRecord:
-    subject_id: str
+    id: str
     attributes: Attributes
     population: str = "unsplit"
     image: str | None = None
@@ -815,60 +820,21 @@ class SubjectRecord:
 class CohortManifest:
     seed: int
     spacing_mm: tuple[float, float, float]
-    subjects: list[SubjectRecord] = field(default_factory=list)
+    subjects: list[SubjectRecord]
 
 
 def write_manifest(manifest: CohortManifest, path) -> Path:
-    payload = {
-        "seed": manifest.seed,
-        "spacing_mm": list(manifest.spacing_mm),
-        "subjects": [
-            {
-                "id": s.subject_id,
-                "image": s.image,
-                "tissue": s.tissue,
-                "structure": s.structure,
-                "population": s.population,
-                "attributes": encode(s.attributes),
-                "truth": encode(s.truth) if s.truth is not None else None,
-            }
-            for s in manifest.subjects
-        ],
-    }
-    return write_json(path, payload)
+    return write_json(path, encode(manifest))
 
 
 def load_manifest(path) -> CohortManifest:
-    """Read a manifest.json; a bad entry raises ValueError naming the file,
-    the subject (by id, or by position when it has none) and the key."""
+    """Read a manifest.json; a bad entry raises ValueError naming the file
+    and the dotted key, e.g. ``subjects[3].attributes.age_years``."""
     payload = read_json(path)
     try:
-        if "subjects" not in payload:
-            raise ValueError("cohort manifest is missing keys: ['subjects']")
-        if not isinstance(payload["subjects"], list):
-            raise ValueError("subjects must be a list, got "
-                             f"{type(payload['subjects']).__name__}")
-        manifest = decode(CohortManifest, {k: v for k, v in payload.items() if k != "subjects"})
-        for i, s in enumerate(payload["subjects"]):
-            if not isinstance(s, dict) or "id" not in s:
-                raise ValueError(f"subjects[{i}] is missing keys: ['id']")
-            try:
-                attributes = decode(Attributes, s.get("attributes"), "attributes")
-                truth = decode(PhantomTruth, s["truth"], "truth") if s.get("truth") else None
-            except ValueError as exc:
-                raise ValueError(f"subject {s['id']!r}: {exc}") from exc
-            manifest.subjects.append(SubjectRecord(
-                subject_id=s["id"],
-                attributes=attributes,
-                population=s.get("population", "unsplit"),
-                image=s.get("image"),
-                tissue=s.get("tissue"),
-                structure=s.get("structure"),
-                truth=truth,
-            ))
+        return decode(CohortManifest, payload)
     except ValueError as exc:
         raise ValueError(f"manifest {path}: {exc}") from exc
-    return manifest
 
 
 def generate_cohort(n: int, dist: AttributeDistribution, spacing, seed: int,
@@ -887,7 +853,7 @@ def generate_cohort(n: int, dist: AttributeDistribution, spacing, seed: int,
         subject_id, attrs, spec = item
         vol, tissue, structure, truth = generate_phantom(spec)
         return SubjectRecord(
-            subject_id=subject_id, attributes=attrs,
+            id=subject_id, attributes=attrs,
             image=io.save_volume(vol, out / f"{subject_id}_image").name,
             tissue=io.save_labelmap(tissue, out / f"{subject_id}_tissue").name,
             structure=io.save_labelmap(structure, out / f"{subject_id}_structure").name,

@@ -605,7 +605,7 @@ def attribute_errors(report_or_samples, seed: int = 0) -> AttributionBlock:
 
     importances = {}
     regression_mae = {}
-    params = replace(REGRESSOR_PARAMS, max_features="all", seed=seed)
+    params = replace(REGRESSOR_PARAMS, seed=seed)
     for t, (X, y, keep) in prepared.items():
         Xk = X[:, keep]
         test, train = _holdout(Stream(seed ^ fnv1a64(t.encode("utf-8"))), len(y))

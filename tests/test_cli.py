@@ -42,7 +42,7 @@ def test_gen_outputs_and_manifest(cohort_dir):
     assert len(manifest.subjects) == 20
     assert (cohort_dir / "run.log").exists()
     rec = manifest.subjects[0]
-    assert rec.subject_id == "subj_0000"
+    assert rec.id == "subj_0000"
     for name in (rec.image, rec.tissue, rec.structure):
         assert (cohort_dir / name).exists()
         raw = name.replace(".ctv.json", ".raw")
@@ -83,9 +83,36 @@ def test_gen_bad_distribution_names_the_key(tmp_path, capsys):
     assert not (tmp_path / "z").exists()
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--spacing", "10,10,10"], None),
+    (["--spacing", "0.2,4,4"], None),
+    (["--spacing", "nan,4,4"], None),
+    ([], {"spacing_mm": [4, 4, 9]}),
+])
+def test_gen_bad_spacing_exits_2_before_any_output(tmp_path, capsys, flags, config):
+    args = ["phantom", "gen", "--n", "2", "--seed", "1", "--out", str(tmp_path / "z")]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args += ["--config", str(cfg)]
+    assert main(args + flags) == 2
+    assert "spacing_mm components must lie in [0.4, 8]" in capsys.readouterr().err
+    assert not (tmp_path / "z").exists()
+
+
+def test_gen_flags_override_config_keys(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 5, "seed": 2, "spacing_mm": [4, 4, 4],
+                               "distribution": {"missing_rate": 0.5}}))
+    assert main(["phantom", "gen", "--config", str(cfg), "--n", "2", "--spacing", "6,6,6",
+                 "--out", str(tmp_path / "z")]) == 0
+    manifest = load_manifest(tmp_path / "z" / "manifest.json")
+    assert (len(manifest.subjects), manifest.seed, manifest.spacing_mm) == (2, 2, (6.0, 6.0, 6.0))
+
+
 def test_measure_matches_manifest_truth(cohort_dir):
     manifest = load_manifest(cohort_dir / "manifest.json")
-    truth = {s.subject_id: s.truth for s in manifest.subjects}
+    truth = {s.id: s.truth for s in manifest.subjects}
     with open(cohort_dir / "measurements.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 20
@@ -210,7 +237,9 @@ def test_trial_bad_configs(tmp_path, capsys):
             ({"predictor": {"kind": "external"}},
              "bad trial config: predictor.path is required for kind 'external'"),
             ({"predictor": {"kind": "oracle_noise", "sigmaa": 3.0}},
-             "bad trial config: unknown predictor keys: ['sigmaa']")):
+             "bad trial config: unknown predictor keys: ['sigmaa']"),
+            ({"predictor": {"kind": "oracle_noise", "sigma": float("inf")}},
+             "bad trial config: predictor.sigma must be a finite number, got inf")):
         unknown.write_text(json.dumps(bad))
         assert main(["trial", "run", "--config", str(unknown),
                      "--out", str(tmp_path / "o4")]) == 2, bad
@@ -431,11 +460,11 @@ def _corrupt_cohort(cohort_dir, dest, subject, field, value):
 
 @pytest.mark.parametrize("subject, field, value, message", [
     ("subj_0000", "truth.fat_pct", None,
-     "subject 'subj_0000': truth is missing keys: ['fat_pct']"),
+     "subjects[0].truth is missing keys: ['fat_pct']"),
     ("subj_0003", "attributes.age_years", "old",
-     "subject 'subj_0003': attributes.age_years must be float, got 'old'"),
+     "subjects[3].attributes.age_years must be float, got 'old'"),
     ("subj_0005", "truth.landmarks", {"c7": [1.0, 2.0]},
-     "subject 'subj_0005': truth.landmarks.c7 must be a list of 3 numbers"),
+     "subjects[5].truth.landmarks.c7 must be a list of 3 numbers"),
     ("subj_0003", "subject.id", None,
      "error: manifest {manifest}: subjects[3] is missing keys: ['id']"),
     (None, "manifest.seed", None,
@@ -448,6 +477,13 @@ def _corrupt_cohort(cohort_dir, dest, subject, field, value):
      "error: manifest {manifest}: subjects must be a list, got dict"),
     (None, "manifest", '{"seed": ',
      "error: malformed JSON in {manifest}: Expecting value: line 1 column 10"),
+    ("subj_0003", "attributes.age_years", float("inf"),
+     "error: manifest {manifest}: subjects[3].attributes.age_years must be a finite number, "
+     "got inf"),
+    ("subj_0001", "subject.colour", "red",
+     "error: manifest {manifest}: unknown subjects[1] keys: ['colour']"),
+    ("subj_0002", "subject.truth", {},
+     "error: manifest {manifest}: subjects[2].truth is missing keys: ['body_mass_g', "),
 ])
 def test_bad_manifest_exits_2_naming_subject_and_key(cohort_dir, tmp_path, capsys,
                                                      subject, field, value, message):

@@ -1,10 +1,23 @@
-"""The data-file reader and writers of vctkit.codec."""
+"""The data-file reader and writers and the record codec of vctkit.codec."""
 
 import re
+from dataclasses import dataclass
 
 import pytest
 
-from vctkit.codec import read_json, write_csv, write_json
+from vctkit.codec import decode, encode, read_json, write_csv, write_json
+
+
+@dataclass
+class _Point:
+    name: str
+    at: tuple[float, float]
+    weight: float | None = None
+
+
+@dataclass
+class _Route:
+    points: list[_Point]
 
 
 def test_write_csv_writes_none_and_nan_empty_and_floats_as_repr(tmp_path):
@@ -35,3 +48,37 @@ def test_read_json_rejects_anything_but_an_object_naming_the_file(tmp_path, cont
     path.write_bytes(content)
     with pytest.raises(ValueError, match=re.escape(message.format(path=path))):
         read_json(path)
+
+
+def test_list_of_records_round_trips_through_json(tmp_path):
+    route = _Route([_Point("a", (0.0, 1.5)), _Point("b", (2.0, -1.0), 0.25)])
+    payload = encode(route)
+    assert payload == {"points": [{"name": "a", "at": [0.0, 1.5], "weight": None},
+                                  {"name": "b", "at": [2.0, -1.0], "weight": 0.25}]}
+    assert decode(_Route, read_json(write_json(tmp_path / "p.json", payload))) == route
+    assert decode(_Route, {"points": []}) == _Route([])
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"points": {"name": "a"}}, "points must be a list, got dict"),
+    ({"points": [{"name": "a", "at": [0, 1]}, {"name": "b", "at": [0]}]},
+     "points[1].at must be a list of 2 numbers, got [0]"),
+    ({"points": [{"name": "a", "at": [0, 1], "size": 3}]}, "unknown points[0] keys: ['size']"),
+    ({"points": [{"name": "a"}]}, "points[0] is missing keys: ['at']"),
+    ({"points": ["a"]}, "points[0] must be a JSON object, got 'a'"),
+])
+def test_decode_names_list_elements_by_index(payload, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        decode(_Route, payload)
+
+
+@pytest.mark.parametrize("value, shown", [
+    (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan")])
+def test_decode_rejects_non_finite_floats_naming_the_key(value, shown):
+    payloads = ({"points": [{"name": "a", "at": [0, 1]}, {"name": "b", "at": [0, 1],
+                                                          "weight": value}]},
+                {"points": [{"name": "a", "at": [value, 1]}]})
+    for payload, key in zip(payloads, ("points[1].weight", "points[0].at")):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{key} must be a finite number, got {shown}")):
+            decode(_Route, payload)

@@ -206,13 +206,15 @@ def test_truth_round_trip(phantom_small):
     assert back == truth
     assert back.landmarks["c7"] == truth.landmarks["c7"]
     assert type(back.landmarks["c7"]) is tuple
-    # a phantom without bone voxels records NaN bone density, which survives JSON
-    boneless = replace(truth, bone_density_hu=float("nan"))
+    # a phantom without bone voxels records None bone density, which survives
+    # JSON; a non-finite one is no record the program writes
+    boneless = replace(truth, bone_density_hu=None)
     text = json.dumps(encode(boneless))
-    assert '"bone_density_hu": NaN' in text
-    back = decode(PhantomTruth, json.loads(text), "truth")
-    assert math.isnan(back.bone_density_hu)
-    assert replace(back, bone_density_hu=0.0) == replace(truth, bone_density_hu=0.0)
+    assert '"bone_density_hu": null' in text
+    assert decode(PhantomTruth, json.loads(text), "truth") == boneless
+    with pytest.raises(ValueError, match=r"truth\.bone_density_hu must be a finite number, "
+                                         r"got nan"):
+        decode(PhantomTruth, {**encode(truth), "bone_density_hu": float("nan")}, "truth")
     missing = encode(truth)
     del missing["fat_pct"]
     with pytest.raises(ValueError, match=r"truth is missing keys: \['fat_pct'\]"):
@@ -347,7 +349,7 @@ def test_matched_spec_deterministic_in_seed():
 def test_manifest_round_trip(tmp_path, phantom_small):
     _, _, _, _, truth = phantom_small
     rec = SubjectRecord(
-        subject_id="subj_0000",
+        id="subj_0000",
         attributes=Attributes("F", 34.0, 161.0, None),
         population="ID",
         image="subj_0000.ctv.json",
@@ -361,7 +363,7 @@ def test_manifest_round_trip(tmp_path, phantom_small):
     assert loaded.seed == 9
     assert loaded.spacing_mm == (3.0, 3.0, 3.0)
     got = loaded.subjects[0]
-    assert got.subject_id == "subj_0000"
+    assert got.id == "subj_0000"
     assert got.attributes == rec.attributes
     assert got.population == "ID"
     assert got.image == rec.image
