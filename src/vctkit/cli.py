@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import metrics  # per_class_dice looked up at call time, where perfbench wraps it
-from .codec import decode, read_json, write_csv, write_json
+from .codec import decode, encode, read_json, write_csv, write_json
 from .composition import CompositionReport, measure_composition
 from .io import load_labelmap, load_volume
 from .metrics import cohort_consistency, collect_structure_measurements, paired_dice_stats
@@ -37,10 +37,6 @@ EXIT_IO = 3
 
 MEASURE_CSV_HEADER = ["subject_id", "body_mass_kg", "fat_pct", "muscle_pct",
                       "bone_density_hu", "body_volume_l", "height_mm"]
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @contextmanager
@@ -88,7 +84,7 @@ def cmd_phantom_gen(args) -> int:
     flags = {"n": args.n, "seed": args.seed, "spacing_mm": args.spacing}
     cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     if cfg.n is None or cfg.seed is None:
-        raise ConfigError("phantom gen needs --n and --seed (flag or config)")
+        raise ValueError("phantom gen needs --n and --seed (flag or config)")
     out = Path(args.out)
     with _run_log(out) as log:
         log.info("phantom gen n=%d seed=%d spacing=%s threads=%d",
@@ -109,7 +105,7 @@ def _map_path(base: Path, record, key: str) -> Path:
     """The path of a subject's ``key`` map ("image", "tissue" or "structure")."""
     name = getattr(record, key)
     if name is None:
-        raise ConfigError(f"subject {record.id!r} has no {key!r} path in the manifest")
+        raise ValueError(f"subject {record.id!r} has no {key!r} path in the manifest")
     return base / name
 
 
@@ -126,7 +122,7 @@ def _measure_one(base: Path, record):
 def _load_subjects(manifest_path: Path):
     manifest = load_manifest(manifest_path)
     if not manifest.subjects:
-        raise ConfigError(f"manifest {manifest_path} lists no subjects")
+        raise ValueError(f"manifest {manifest_path} lists no subjects")
     return manifest
 
 
@@ -154,7 +150,7 @@ def cmd_measure(args) -> int:
                 log.error("subject %s failed: %s", sid, exc)
                 print(f"measure failed for subject {sid}: {exc}", file=sys.stderr)
                 continue
-            write_json(reports_dir / f"{sid}.json", rep.to_dict())
+            write_json(reports_dir / f"{sid}.json", encode(rep))
             rows.append([sid, rep.body_mass_kg, rep.fat_pct, rep.muscle_pct,
                          rep.bone_density_hu, rep.body_volume_l,
                          None if rep.height is None else rep.height.total_mm])
@@ -179,7 +175,7 @@ def _load_measured_cohort(cohort_dir: Path) -> list[MeasuredSubject]:
             raise FileNotFoundError(
                 f"no measurement for subject {record.id!r} under {measurements}")
         try:
-            rep = CompositionReport.from_dict(read_json(path))
+            rep = decode(CompositionReport, read_json(path))
         except ValueError as exc:
             raise ValueError(f"subject {record.id!r}: {exc}") from exc
         subjects.append(MeasuredSubject(record.id, record.attributes, rep))
@@ -191,7 +187,7 @@ def load_trial_config(path) -> TrialConfig:
     try:
         return decode(TrialConfig, {} if path is None else read_json(path))
     except ValueError as exc:
-        raise ConfigError(f"bad trial config: {exc}") from exc
+        raise ValueError(f"bad trial config: {exc}") from exc
 
 
 def trial_run(config: TrialConfig, out: Path, threads: int, cohort_dir=None):
@@ -244,9 +240,9 @@ def cmd_consistency(args) -> int:
     by_id_a = {s.id: s for s in manifest_a.subjects}
     by_id_b = {s.id: s for s in manifest_b.subjects}
     if args.mode == "paired" and set(by_id_a) != set(by_id_b):
-        raise ConfigError("paired mode requires identical subject ids "
-                          f"(A has {len(by_id_a)}, B has {len(by_id_b)}, "
-                          f"overlap {len(set(by_id_a) & set(by_id_b))})")
+        raise ValueError("paired mode requires identical subject ids "
+                         f"(A has {len(by_id_a)}, B has {len(by_id_b)}, "
+                         f"overlap {len(set(by_id_a) & set(by_id_b))})")
 
     dice_stats = None
     if args.mode == "paired":
@@ -258,7 +254,7 @@ def cmd_consistency(args) -> int:
             index_a, tissue_a = _load_indexed(path_a.parent, record)
             index_b, tissue_b = _load_indexed(path_b.parent, by_id_b[sid])
             if index_a.grid != index_b.grid:
-                raise ConfigError(f"subject {sid!r}: grids differ between cohorts")
+                raise ValueError(f"subject {sid!r}: grids differ between cohorts")
             return (collect_structure_measurements(index_a, tissue_a),
                     collect_structure_measurements(index_b, tissue_b),
                     metrics.per_class_dice(index_a, index_b))

@@ -9,8 +9,9 @@ other cell the way ``csv`` writes it (``repr`` for a float).
 ``encode`` turns a dataclass into a JSON-ready dict, field by field;
 ``decode`` is its inverse and converts each value by its field's type
 annotation.  Anything that does not fit -- an unknown key, a missing key,
-a value of the wrong type, a non-finite float -- raises ValueError naming
-the dotted key, with ``key[i]`` for element ``i`` of a list.
+a value of the wrong type, a number no finite float holds -- raises
+ValueError naming the dotted key, with ``key[i]`` for element ``i`` of a
+list.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import csv
 import json
 import math
 import re
+import sys
 import types
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
@@ -118,6 +120,7 @@ def _decode(tp, value, key: str):
     accepted = (int, float) if tp is float else tp
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"{key} must be {tp.__name__}, got {value!r}")
-    if tp is float and not math.isfinite(value):
+    # an exact comparison: NaN, inf and an int beyond the float range all fail it
+    if tp is float and not abs(value) <= sys.float_info.max:
         raise ValueError(f"{key} must be a finite number, got {value!r}")
     return tp(value)

@@ -14,11 +14,10 @@ the air adjustment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import decode, encode
 from .skeleton import HeightBreakdown
 from .volume import TISSUE_IDS, LabelMap, Volume, voxel_volume_mm3
 
@@ -34,32 +33,15 @@ def density(hu):
 
 @dataclass(frozen=True)
 class CompositionReport:
-    """Per-subject body-composition measurements."""
+    """Per-subject body-composition measurements, in their files' units."""
 
-    body_mass_g: float
+    body_mass_kg: float
     fat_pct: float
     muscle_pct: float
     bone_density_hu: float | None
     body_volume_l: float
     per_tissue_mass_g: dict[str, float] = field(default_factory=dict)
     height: HeightBreakdown | None = None  # attached by measure pipelines
-
-    @property
-    def body_mass_kg(self) -> float:
-        return self.body_mass_g / 1000.0
-
-    def to_dict(self) -> dict:
-        """The record as written to JSON; body mass goes out in kg."""
-        d = encode(self)
-        d["body_mass_kg"] = d.pop("body_mass_g") / 1000.0
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CompositionReport":
-        if isinstance(d, dict):
-            d = {("body_mass_g" if k == "body_mass_kg" else k): v for k, v in d.items()}
-        rep = decode(cls, d)
-        return replace(rep, body_mass_g=1000.0 * rep.body_mass_g)
 
 
 def measure_composition(vol: Volume, tissue: LabelMap) -> CompositionReport:
@@ -98,7 +80,7 @@ def measure_composition(vol: Volume, tissue: LabelMap) -> CompositionReport:
     m_bone = float(rho[bone].sum()) * vox_cm3
     bone_hu = float(hu[bone].astype(np.float64).mean()) if bone.any() else None
     return CompositionReport(
-        body_mass_g=m_body,
+        body_mass_kg=m_body / 1000.0,
         fat_pct=100.0 * m_fat / m_body,
         muscle_pct=100.0 * m_muscle / m_body,
         bone_density_hu=bone_hu,

@@ -18,7 +18,7 @@ slab at a time into the C-ordered array it returns.  A label map loaded
 with an expected ``kind`` must carry that kind in its CTV header.  A CTV
 header states its orientation (RAS) and unit (HU for images); the grid,
 volume and label-map constructors check the rest, and a loader raises
-their complaints as ``FormatError``.
+their complaints unchanged.  Every malformed file raises ValueError.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 
 from .codec import read_json
 from .volume import (
-    FormatError,
     Grid,
     LabelMap,
     Volume,
@@ -88,23 +87,15 @@ def save_labelmap(labels: LabelMap, path) -> Path:
                       labels.class_table, path)
 
 
-def _build(record, *args):
-    """``record(*args)``, its constructor's ValueError raised as FormatError."""
-    try:
-        return record(*args)
-    except ValueError as e:
-        raise FormatError(str(e)) from e
-
-
 def _require(header: dict, field: str):
     if field not in header:
-        raise FormatError(f"CTV header missing field {field!r}")
+        raise ValueError(f"CTV header missing field {field!r}")
     return header[field]
 
 
 def _read_ctv(path):
     header_path, _, _ = _ctv_paths(path)
-    header = _build(read_json, header_path)
+    header = read_json(header_path)
     dims = _require(header, "dims")
     spacing = _require(header, "spacing_mm")
     origin = header.get("origin_mm", [0.0, 0.0, 0.0])
@@ -115,18 +106,18 @@ def _read_ctv(path):
     unit = _require(header, "unit")
     data_file = _require(header, "data_file")
     if byte_order != "little":
-        raise FormatError(f"byte_order must be 'little', got {byte_order!r}")
+        raise ValueError(f"byte_order must be 'little', got {byte_order!r}")
     if orientation != "RAS":
-        raise FormatError(f"orientation must be 'RAS', got {orientation!r}")
+        raise ValueError(f"orientation must be 'RAS', got {orientation!r}")
     if dtype_name not in {**VOLUME_DTYPES, **LABEL_DTYPES}:
-        raise FormatError(f"unsupported dtype {dtype_name!r}")
-    grid = _build(Grid, tuple(dims), tuple(spacing), tuple(origin))
+        raise ValueError(f"unsupported dtype {dtype_name!r}")
+    grid = Grid(tuple(dims), tuple(spacing), tuple(origin))
     dtype = np.dtype({**VOLUME_DTYPES, **LABEL_DTYPES}[dtype_name]).newbyteorder("<")
     raw_path = header_path.with_name(data_file)
     size = raw_path.stat().st_size
     expected = grid.n_voxels * dtype.itemsize
     if size != expected:
-        raise FormatError(
+        raise ValueError(
             f"payload size {size} does not match dims {grid.dims} "
             f"and dtype {dtype_name} (expected {expected})")
     # one writable buffer: the astype copies only on a big-endian host
@@ -142,10 +133,10 @@ def load_volume(path) -> Volume:
     else:
         grid, data, kind, unit, _ = _read_ctv(p)
         if kind != "image":
-            raise FormatError(f"expected kind 'image', got {kind!r}")
+            raise ValueError(f"expected kind 'image', got {kind!r}")
         if unit != "HU":
-            raise FormatError(f"unsupported unit {unit!r}")
-    vol = _build(Volume, grid, data)
+            raise ValueError(f"unsupported unit {unit!r}")
+    vol = Volume(grid, data)
     clamp_hu(vol.data)
     return vol
 
@@ -162,16 +153,16 @@ def load_labelmap(path, kind: str | None = None) -> LabelMap:
         # a payload of a non-label dtype gets no table: LabelMap rejects its dtype
         table = ({v: f"class_{v}" for v in present_labels(data) if v != 0}
                  if data.dtype.name in LABEL_DTYPES else {})
-        return _build(LabelMap, grid, data, kind or "structure", table)
+        return LabelMap(grid, data, kind or "structure", table)
     grid, data, file_kind, _, header = _read_ctv(p)
     if kind is not None and kind != file_kind:
-        raise FormatError(f"expected kind {kind!r}, got {file_kind!r}")
+        raise ValueError(f"expected kind {kind!r}, got {file_kind!r}")
     raw_table = header.get("class_table", {})
     try:
         table = {int(k): str(v) for k, v in raw_table.items()}
     except (TypeError, ValueError) as e:
-        raise FormatError(f"malformed class_table: {e}") from e
-    return _build(LabelMap, grid, data, file_kind, table)
+        raise ValueError(f"malformed class_table: {e}") from e
+    return LabelMap(grid, data, file_kind, table)
 
 
 # --- NIfTI-1 -----------------------------------------------------------
@@ -183,34 +174,34 @@ def _read_nifti(path: Path) -> tuple[Grid, np.ndarray]:
     with open(path, "rb") as fh:
         blob = fh.read(352)
     if len(blob) < 352:
-        raise FormatError("NIfTI file shorter than its 352-byte minimum")
+        raise ValueError("NIfTI file shorter than its 352-byte minimum")
     endian = "<"
     (sizeof_hdr,) = struct.unpack_from("<i", blob, 0)
     if sizeof_hdr != 348:
         endian = ">"
         (sizeof_hdr,) = struct.unpack_from(">i", blob, 0)
         if sizeof_hdr != 348:
-            raise FormatError("not a NIfTI-1 file (bad sizeof_hdr)")
+            raise ValueError("not a NIfTI-1 file (bad sizeof_hdr)")
     magic = struct.unpack_from("4s", blob, 344)[0]
     if magic not in (b"n+1\x00",):
-        raise FormatError(
+        raise ValueError(
             "only single-file NIfTI-1 ('n+1') is supported, got magic "
             f"{magic!r}")
     dim = struct.unpack_from(endian + "8h", blob, 40)
     ndim = dim[0]
     if ndim < 3 or any(d > 1 for d in dim[4:1 + ndim]):
-        raise FormatError(f"only 3-D NIfTI images are supported, dim={dim}")
+        raise ValueError(f"only 3-D NIfTI images are supported, dim={dim}")
     dims = tuple(int(d) for d in dim[1:4])
     if any(d < 1 for d in dims):
-        raise FormatError(f"bad NIfTI dims {dims}")
+        raise ValueError(f"bad NIfTI dims {dims}")
     (datatype,) = struct.unpack_from(endian + "h", blob, 70)
     if datatype not in _NIFTI_DTYPES:
-        raise FormatError(f"unsupported NIfTI datatype code {datatype}")
+        raise ValueError(f"unsupported NIfTI datatype code {datatype}")
     pixdim = struct.unpack_from(endian + "8f", blob, 76)
     (vox_offset,) = struct.unpack_from(endian + "f", blob, 108)
     scl_slope, scl_inter = struct.unpack_from(endian + "2f", blob, 112)
     if scl_slope not in (0.0, 1.0) or scl_inter != 0.0:
-        raise FormatError(
+        raise ValueError(
             f"NIfTI value scaling unsupported (scl_slope={scl_slope}, "
             f"scl_inter={scl_inter})")
     qform_code, sform_code = struct.unpack_from(endian + "2h", blob, 252)
@@ -242,10 +233,10 @@ def _read_nifti(path: Path) -> tuple[Grid, np.ndarray]:
     dtype = np.dtype(_NIFTI_DTYPES[datatype]).newbyteorder(endian)
     start = int(vox_offset)
     if start < 348:
-        raise FormatError(f"bad vox_offset {vox_offset}")
+        raise ValueError(f"bad vox_offset {vox_offset}")
     count = dims[0] * dims[1] * dims[2]
     if path.stat().st_size - start < count * dtype.itemsize:
-        raise FormatError("NIfTI payload truncated")
+        raise ValueError("NIfTI payload truncated")
 
     # map data axes to world RAS axes; only permutation/flip affines allowed
     spacing = [0.0, 0.0, 0.0]
@@ -256,12 +247,12 @@ def _read_nifti(path: Path) -> tuple[Grid, np.ndarray]:
         w = int(np.argmax(np.abs(col)))
         rest = np.abs(col).sum() - abs(col[w])
         if abs(col[w]) <= 0 or rest > 1e-3 * abs(col[w]):
-            raise FormatError("oblique NIfTI orientation is unsupported")
+            raise ValueError("oblique NIfTI orientation is unsupported")
         perm[j] = w
         flip[j] = col[w] < 0
         spacing[w] = abs(col[w])
     if sorted(perm) != [0, 1, 2]:
-        raise FormatError("degenerate NIfTI orientation")
+        raise ValueError("degenerate NIfTI orientation")
 
     origin = np.asarray(offset, dtype=np.float64).copy()
     for j in range(3):
@@ -281,4 +272,4 @@ def _read_nifti(path: Path) -> tuple[Grid, np.ndarray]:
         for k in range(dims[2]):
             slab = np.fromfile(fh, dtype=dtype, count=dims[0] * dims[1])
             view[:, :, k] = slab.reshape(dims[:2], order="F")
-    return _build(Grid, data.shape, tuple(spacing), tuple(float(o) for o in origin)), data
+    return Grid(data.shape, tuple(spacing), tuple(float(o) for o in origin)), data

@@ -56,10 +56,6 @@ def bone_hu_for_age(age_years: float) -> int:
     return int(min(1200.0, max(400.0, 1100.0 - 5.0 * age_years)))
 
 
-class InfeasibleSpecError(ValueError):
-    """The requested size/composition cannot be realized geometrically."""
-
-
 @dataclass(frozen=True)
 class PhantomSpec:
     sex: str = "M"
@@ -257,7 +253,7 @@ def _solve_geometry(spec: PhantomSpec) -> _Geometry:
     m_lo = model(lo)[0]
     m_hi = model(hi)[0]
     if not m_lo < total_g < m_hi:
-        raise InfeasibleSpecError(
+        raise ValueError(
             f"no torso radius in [{lo}, {hi}] mm realizes {spec.weight_kg} kg")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -269,14 +265,14 @@ def _solve_geometry(spec: PhantomSpec) -> _Geometry:
     _, q_fat, q_muscle, r_leg, ry = model(R)
 
     if q_fat <= 0.0:
-        raise InfeasibleSpecError("fat_fraction exceeds the available soft volume")
+        raise ValueError("fat_fraction exceeds the available soft volume")
     if q_muscle <= 0.05:
-        raise InfeasibleSpecError("fat + muscle leave no room for the torso interior")
+        raise ValueError("fat + muscle leave no room for the torso interior")
     if q_muscle >= q_fat:
-        raise InfeasibleSpecError("muscle_fraction exceeds the available shell volume")
+        raise ValueError("muscle_fraction exceeds the available shell volume")
     core_r = r_leg * math.sqrt(q_fat)
     if core_r < r_femur + 1.5 * max(spec.spacing_mm):
-        raise InfeasibleSpecError("leg muscle core too thin to hold the femur")
+        raise ValueError("leg muscle core too thin to hold the femur")
 
     return _Geometry(
         H=H, z_pelvis=z_pelvis, z_knee=z_knee, z_ankle=z_ankle,
@@ -638,6 +634,11 @@ class AttributeDistribution:
             raise ValueError("height_weight_corr must lie in (-1, 1)")
         if not 0.0 <= self.missing_rate < 1.0:
             raise ValueError("missing_rate must lie in [0, 1)")
+        for name in ("height_mean", "height_sd", "weight_mean", "weight_sd"):
+            by_sex = getattr(self, name)
+            if set(by_sex) != {"M", "F"}:
+                raise ValueError(f"{name} must have exactly the keys 'M' and 'F', "
+                                 f"got {list(by_sex)}")
 
 
 # attribute -> composition model, shared by cohort and matched generation

@@ -401,12 +401,6 @@ class TrialReport:
     attribution: AttributionBlock | None = None
     attribution_skipped: str | None = None  # why attribution is None
 
-    def row(self, population: str, sample_type: str) -> TrialRow | None:
-        for r in self.rows:
-            if r.population == population and r.sample_type == sample_type:
-                return r
-        return None
-
 
 def _row_seed(seed: int, population: str, sample_type: str) -> int:
     return seed ^ fnv1a64(f"{population}:{sample_type}".encode("utf-8"))

@@ -106,10 +106,6 @@ def present_labels(data: np.ndarray) -> list[int]:
     return np.flatnonzero(seen).tolist()
 
 
-class FormatError(ValueError):
-    """Malformed file header or payload."""
-
-
 @dataclass(frozen=True)
 class Grid:
     """Geometry of a voxel grid in the RAS world frame."""

@@ -65,12 +65,12 @@ def test_measurement_closure_50_phantoms():
 
     for spec, truth, rep, height in results:
         # against the requested subject
-        assert abs(rep.body_mass_g / 1000.0 - spec.weight_kg) <= 0.01 * spec.weight_kg
+        assert abs(rep.body_mass_kg - spec.weight_kg) <= 0.01 * spec.weight_kg
         assert abs(rep.fat_pct - 100.0 * spec.fat_fraction) <= 0.5
         assert abs(rep.muscle_pct - 100.0 * spec.muscle_fraction) <= 0.5
         assert abs(height.total_mm - 10.0 * spec.height_cm) <= diag2
         # and against the voxel-counted truth, which must agree tighter still
-        assert rep.body_mass_g == pytest.approx(truth.body_mass_g, rel=1e-9)
+        assert rep.body_mass_kg == pytest.approx(truth.body_mass_g / 1000.0, rel=1e-9)
         assert rep.fat_pct == pytest.approx(truth.fat_pct, rel=1e-9)
         assert abs(height.total_mm - truth.height_breakdown["total_mm"]) <= diag2
     assert elapsed < 60.0, f"closure run took {elapsed:.1f}s"
@@ -172,6 +172,12 @@ def test_weighting_hand_case_three():
 # --- 6. the full shortcut-audit trial -----------------------------------------
 
 
+def _row(report, population, sample_type):
+    """The report's row of ``population`` and ``sample_type``, or None."""
+    return next((r for r in report.rows
+                 if (r.population, r.sample_type) == (population, sample_type)), None)
+
+
 def test_full_trial_shortcut_audit():
     config = TrialConfig()
     assert config.n_subjects == 350
@@ -184,24 +190,24 @@ def test_full_trial_shortcut_audit():
                              "synthetic": 300}
     assert abs(report.achieved_pearson) >= 0.8
 
-    id_real = report.row("ID", "real")
-    ood_real = report.row("OOD", "real")
+    id_real = _row(report, "ID", "real")
+    ood_real = _row(report, "OOD", "real")
     assert id_real.mae < 2.0
     assert ood_real.mae > 3.0
 
     # the matched-attribute synthetic cohort reaches the same verdicts
-    assert report.row("ID", "synthetic").verdict == id_real.verdict
-    syn_ood = report.row("OOD", "synthetic")
+    assert _row(report, "ID", "synthetic").verdict == id_real.verdict
+    syn_ood = _row(report, "OOD", "synthetic")
     assert syn_ood.verdict == ood_real.verdict
     assert syn_ood.mae_ci[0] <= ood_real.mae <= syn_ood.mae_ci[1]
 
     # importance weighting of ID errors does not reach the true OOD MAE
-    weighted = report.row("OOD", "real_weighted")
+    weighted = _row(report, "OOD", "real_weighted")
     assert weighted.mae < ood_real.mae
 
     # re-biased synthetic errors are statistically indistinguishable from real
     for population in ("ID", "OOD"):
-        rebias_row = report.row(population, "synthetic_rebias")
+        rebias_row = _row(report, population, "synthetic_rebias")
         assert rebias_row is not None
         assert rebias_row.p_value > 0.05
 
@@ -228,7 +234,7 @@ def _volume_driven_errors(n, seed, prefix):
     for i in range(n):
         vol = float(stream.uniform1() * 50.0 + 40.0)
         report = CompositionReport(
-            body_mass_g=float(stream.uniform1() * 50000.0 + 50000.0),
+            body_mass_kg=float(stream.uniform1() * 50.0 + 50.0),
             fat_pct=float(stream.uniform1() * 25.0 + 15.0),
             muscle_pct=float(stream.uniform1() * 25.0 + 30.0),
             bone_density_hu=float(stream.uniform1() * 400.0 + 600.0),

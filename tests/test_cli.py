@@ -83,6 +83,19 @@ def test_gen_bad_distribution_names_the_key(tmp_path, capsys):
     assert not (tmp_path / "z").exists()
 
 
+def test_per_sex_prior_without_both_sexes_exits_2_naming_the_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    distribution = {"height_mean": {"M": 170.0}}
+    message = "height_mean must have exactly the keys 'M' and 'F', got ['M']"
+    cfg.write_text(json.dumps({"n": 2, "seed": 1, "distribution": distribution}))
+    assert main(["phantom", "gen", "--config", str(cfg), "--out", str(tmp_path / "z")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    cfg.write_text(json.dumps(_trial_config(distribution=distribution)))
+    assert main(["trial", "run", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err == f"error: bad trial config: {message}\n"
+    assert not (tmp_path / "z").exists() and not (tmp_path / "t").exists()
+
+
 @pytest.mark.parametrize("flags, config", [
     (["--spacing", "10,10,10"], None),
     (["--spacing", "0.2,4,4"], None),
@@ -199,10 +212,12 @@ def test_trial_run_shortcut(tmp_path, capsys):
 
 
 def test_trial_run_from_measured_cohort(cohort_dir, tmp_path, capsys):
+    # the config of the cohort the files hold, so that an in-memory run of
+    # it builds the same subjects and records the same config
     cfg = tmp_path / "trial.json"
     cfg.write_text(json.dumps(_trial_config(
-        spacing_mm=[5.0, 5.0, 5.0], n_train=2, n_id=3, n_ood=3,
-        predictor={"kind": "oracle_noise", "sigma": 0.3, "seed": 5})))
+        n_subjects=20, cohort_seed=21, spacing_mm=[5.0, 5.0, 5.0], n_train=2, n_id=3,
+        n_ood=3, predictor={"kind": "oracle_noise", "sigma": 0.3, "seed": 5})))
     out = tmp_path / "out"
     assert main(["trial", "run", "--config", str(cfg), "--out", str(out),
                  "--cohort", str(cohort_dir)]) == 0
@@ -217,6 +232,11 @@ def test_trial_run_from_measured_cohort(cohort_dir, tmp_path, capsys):
     record = _stage_record(out, "trial run")
     assert record == {"stage": "trial run", "wall_s": record["wall_s"],
                       "subjects": 20, "rows": len(report["rows"])}
+    # measured records read back from the files audit as the in-memory ones
+    in_memory = tmp_path / "in_memory"
+    assert main(["trial", "run", "--config", str(cfg), "--out", str(in_memory)]) == 0
+    for name in ("report.json", "zscores.csv"):
+        assert (out / name).read_bytes() == (in_memory / name).read_bytes(), name
 
 
 def test_trial_bad_configs(tmp_path, capsys):
@@ -484,6 +504,10 @@ def _corrupt_cohort(cohort_dir, dest, subject, field, value):
      "error: manifest {manifest}: unknown subjects[1] keys: ['colour']"),
     ("subj_0002", "subject.truth", {},
      "error: manifest {manifest}: subjects[2].truth is missing keys: ['body_mass_g', "),
+    # json reads a 400-digit literal as an int, which no float can hold
+    pytest.param("subj_0000", "attributes.age_years", 10 ** 400,
+                 "error: manifest {manifest}: subjects[0].attributes.age_years must be a "
+                 f"finite number, got {10 ** 400}", id="age-beyond-float-range"),
 ])
 def test_bad_manifest_exits_2_naming_subject_and_key(cohort_dir, tmp_path, capsys,
                                                      subject, field, value, message):

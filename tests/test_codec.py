@@ -73,7 +73,8 @@ def test_decode_names_list_elements_by_index(payload, message):
 
 
 @pytest.mark.parametrize("value, shown", [
-    (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan")])
+    (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan"),
+    pytest.param(-10 ** 400, str(-10 ** 400), id="int-beyond-float-range")])
 def test_decode_rejects_non_finite_floats_naming_the_key(value, shown):
     payloads = ({"points": [{"name": "a", "at": [0, 1]}, {"name": "b", "at": [0, 1],
                                                           "weight": value}]},

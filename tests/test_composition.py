@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vctkit.codec import encode
+from vctkit.codec import decode, encode
 from vctkit.composition import (
     AIR_FILL_HU,
     AIR_THRESHOLD_HU,
@@ -16,8 +16,10 @@ from vctkit.composition import (
     measure_composition,
 )
 from vctkit.io import load_volume, save_volume
+from vctkit.phantom import AttributeDistribution
 from vctkit.skeleton import measure_height
-from vctkit.volume import TISSUE_CLASSES, FormatError, Grid, LabelMap, Volume, voxel_volume_mm3
+from vctkit.trial import generate_measured_cohort
+from vctkit.volume import TISSUE_CLASSES, Grid, LabelMap, Volume, voxel_volume_mm3
 
 
 def _hu_volume(values, spacing=(1.0, 1.0, 1.0)):
@@ -39,7 +41,7 @@ def test_air_rule_boundary_inclusive():
     water_40 = (40 + 1000.0) / 1000.0
     for hu, extra in ((-950, 0.0), (-900, 0.0), (-899, 0.101)):
         rep = measure_composition(*_body([hu, 40]))
-        assert rep.body_mass_g == pytest.approx(water_40 + extra, abs=1e-12), hu
+        assert 1000.0 * rep.body_mass_kg == pytest.approx(water_40 + extra, abs=1e-12), hu
     with pytest.raises(ValueError, match="zero total mass"):
         measure_composition(*_body([-950, -900]))
 
@@ -51,27 +53,27 @@ def test_air_rule_requires_hu(tmp_path):
     payload = json.loads(header.read_text())
     payload["unit"] = "g_per_cm3"
     header.write_text(json.dumps(payload))
-    with pytest.raises(FormatError, match="unsupported unit 'g_per_cm3'"):
+    with pytest.raises(ValueError, match="unsupported unit 'g_per_cm3'"):
         load_volume(header)
 
 
 def test_density_mapping_fixed_points():
     for hu, rho in ((0, 1.0), (500, 1.5), (-100, 0.9)):
         rep = measure_composition(*_body([hu]))
-        assert rep.body_mass_g == pytest.approx(rho, abs=1e-12), hu
+        assert 1000.0 * rep.body_mass_kg == pytest.approx(rho, abs=1e-12), hu
 
 
 def test_density_mapping_reference_material():
     # the reference material (water) has density exactly 1 g/cm^3
     rep = measure_composition(*_body([REFERENCE_HU]))
     assert REFERENCE_HU == 0.0
-    assert rep.body_mass_g == 1.0
+    assert rep.body_mass_kg == 0.001
 
 
 def test_region_mass_liter_of_water():
     # 10^6 voxels of 0 HU at 1 mm^3 -> density 1 g/cm^3 over one liter
     rep = measure_composition(*_body(np.zeros(10**6), spacing=(1.0, 1.0, 1.0)))
-    assert rep.body_mass_g == pytest.approx(1000.0, rel=1e-12)
+    assert rep.body_mass_kg == pytest.approx(1.0, rel=1e-12)
     assert rep.body_volume_l == pytest.approx(1.0, rel=1e-12)
 
 
@@ -92,7 +94,7 @@ def test_measure_composition_hand_case():
     vol, tissue = _tiny_subject()
     rep = measure_composition(vol, tissue)
     # densities: 1.0, 0.9, 1.05 at 1 cm^3 each; air voxel is background
-    assert rep.body_mass_g == pytest.approx(2.95)
+    assert 1000.0 * rep.body_mass_kg == pytest.approx(2.95)
     assert rep.fat_pct == pytest.approx(100 * 0.9 / 2.95)
     assert rep.muscle_pct == pytest.approx(100 * 1.05 / 2.95)
     assert rep.bone_density_hu is None
@@ -127,13 +129,13 @@ def test_percentages_bounded(phantom_default):
     assert 0 <= rep.muscle_pct <= 100
     assert rep.fat_pct + rep.muscle_pct <= 100
     for mass in rep.per_tissue_mass_g.values():
-        assert mass <= rep.body_mass_g
+        assert mass <= 1000.0 * rep.body_mass_kg
 
 
 def test_truth_closure_single_phantom(phantom_default):
     _, vol, tissue, _, truth = phantom_default
     rep = measure_composition(vol, tissue)
-    assert rep.body_mass_g == pytest.approx(truth.body_mass_g, rel=1e-9)
+    assert rep.body_mass_kg == pytest.approx(truth.body_mass_g / 1000.0, rel=1e-9)
     assert rep.fat_pct == pytest.approx(truth.fat_pct, abs=1e-9)
     assert rep.muscle_pct == pytest.approx(truth.muscle_pct, abs=1e-9)
     assert rep.bone_density_hu == pytest.approx(truth.bone_density_hu, abs=1e-9)
@@ -143,22 +145,31 @@ def test_report_json_round_trip(phantom_default):
     _, vol, tissue, structure, _ = phantom_default
     bare = measure_composition(vol, tissue)
     for rep in (bare, replace(bare, height=measure_height(tissue, structure))):
-        d = rep.to_dict()
+        d = encode(rep)
         assert set(d) == {"body_mass_kg", "fat_pct", "muscle_pct", "bone_density_hu",
                           "body_volume_l", "per_tissue_mass_g", "height"}
-        assert d["body_mass_kg"] == rep.body_mass_kg
-        back = CompositionReport.from_dict(json.loads(json.dumps(d)))
-        assert back.body_mass_g == pytest.approx(rep.body_mass_g, rel=1e-12)
-        assert replace(back, body_mass_g=rep.body_mass_g) == rep
+        back = decode(CompositionReport, json.loads(json.dumps(d)))
+        assert back == rep
     assert back.height is not None and bare.height is None
     # fields with defaults may be absent; the others may not
-    assert CompositionReport.from_dict({k: v for k, v in d.items()
-                                        if k not in ("height", "per_tissue_mass_g")}) \
+    assert decode(CompositionReport, {k: v for k, v in d.items()
+                                      if k not in ("height", "per_tissue_mass_g")}) \
         == replace(back, height=None, per_tissue_mass_g={})
     with pytest.raises(ValueError, match=r"composition report is missing keys: \['fat_pct'\]"):
-        CompositionReport.from_dict({k: v for k, v in d.items() if k != "fat_pct"})
+        decode(CompositionReport, {k: v for k, v in d.items() if k != "fat_pct"})
     with pytest.raises(ValueError, match=r"height\.total_mm must be float"):
-        CompositionReport.from_dict({**d, "height": {**d["height"], "total_mm": "tall"}})
+        decode(CompositionReport, {**d, "height": {**d["height"], "total_mm": "tall"}})
+
+
+def test_report_json_round_trip_is_exact_over_a_cohort():
+    # the record holds its file's units (body mass in kg, as in
+    # measurements.csv), so a record read back from its JSON is the measured
+    # one to the last bit, with no unit conversion on the way
+    for subject in generate_measured_cohort(40, AttributeDistribution(), (8.0,) * 3, 3):
+        rep = subject.report
+        d = json.loads(json.dumps(encode(rep)))
+        assert d["body_mass_kg"] == rep.body_mass_kg
+        assert decode(CompositionReport, d) == rep, subject.subject_id
 
 
 def _chain_oracle(vol, tissue):
@@ -181,7 +192,7 @@ def _chain_oracle(vol, tissue):
     bone = labels == 4
     m_bone = float(rho[bone].sum()) * vox_cm3
     return CompositionReport(
-        body_mass_g=m_body,
+        body_mass_kg=m_body / 1000.0,
         fat_pct=100.0 * m_fat / m_body,
         muscle_pct=100.0 * m_muscle / m_body,
         bone_density_hu=float(hu[bone].mean()) if bone.any() else None,

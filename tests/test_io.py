@@ -9,7 +9,7 @@ import pytest
 
 from vctkit.io import load_labelmap, load_volume, save_labelmap, save_volume
 from vctkit.phantom import AttributeDistribution, generate_phantom, sample_cohort_specs
-from vctkit.volume import FormatError, Grid, LabelMap, Volume
+from vctkit.volume import Grid, LabelMap, Volume
 
 
 def _vol(dims=(3, 4, 5), dtype=np.int16):
@@ -77,7 +77,7 @@ def test_missing_header_field_raises(tmp_path):
     header = json.loads(header_path.read_text())
     del header["spacing_mm"]
     header_path.write_text(json.dumps(header))
-    with pytest.raises(FormatError, match="spacing_mm"):
+    with pytest.raises(ValueError, match="spacing_mm"):
         load_volume(header_path)
 
 
@@ -87,8 +87,8 @@ def test_payload_size_mismatch_raises(tmp_path):
     raw = (tmp_path / "img.raw").read_bytes()
     for payload in (raw[:-2], raw[:-1], raw + b"\0"):
         (tmp_path / "img.raw").write_bytes(payload)
-        with pytest.raises(FormatError, match=f"payload size {len(payload)} does not "
-                                              f"match dims .* \\(expected {len(raw)}\\)"):
+        with pytest.raises(ValueError, match=f"payload size {len(payload)} does not "
+                                             f"match dims .* \\(expected {len(raw)}\\)"):
             load_volume(tmp_path / "img")
 
 
@@ -122,18 +122,18 @@ def test_kind_mismatch_raises(tmp_path):
     g = Grid((2, 2, 2), (1.0, 1.0, 1.0))
     lm = LabelMap(g, np.zeros(g.dims, dtype=np.uint8), "tissue")
     save_labelmap(lm, tmp_path / "t")
-    with pytest.raises(FormatError, match="image"):
+    with pytest.raises(ValueError, match="image"):
         load_volume(tmp_path / "t")
     vol = _vol((2, 2, 2))
     save_volume(vol, tmp_path / "v")
-    with pytest.raises(FormatError, match="tissue"):
+    with pytest.raises(ValueError, match="tissue"):
         load_labelmap(tmp_path / "v")
     # an expected kind must match the header's; no expectation accepts either
     assert load_labelmap(tmp_path / "t", kind="tissue").kind == "tissue"
-    with pytest.raises(FormatError, match="expected kind 'structure', got 'tissue'"):
+    with pytest.raises(ValueError, match="expected kind 'structure', got 'tissue'"):
         load_labelmap(tmp_path / "t", kind="structure")
     save_labelmap(LabelMap(g, lm.data, "structure"), tmp_path / "s")
-    with pytest.raises(FormatError, match="expected kind 'tissue', got 'structure'"):
+    with pytest.raises(ValueError, match="expected kind 'tissue', got 'structure'"):
         load_labelmap(tmp_path / "s", kind="tissue")
 
 
@@ -152,7 +152,7 @@ def test_bad_header_raises(tmp_path, edits, message):
     assert (header["orientation"], header["unit"]) == ("RAS", "HU")
     header.update(edits)
     header_path.write_text(json.dumps(header))
-    with pytest.raises(FormatError, match=message):
+    with pytest.raises(ValueError, match=message):
         load_volume(header_path)
 
 
@@ -160,7 +160,7 @@ def test_malformed_json_raises(tmp_path):
     p = tmp_path / "bad.ctv.json"
     p.write_text("{not json")
     (tmp_path / "bad.raw").write_bytes(b"")
-    with pytest.raises(FormatError, match=f"^malformed JSON in {re.escape(str(p))}: "):
+    with pytest.raises(ValueError, match=f"^malformed JSON in {re.escape(str(p))}: "):
         load_volume(p)
 
 
@@ -229,7 +229,7 @@ def test_nifti_oblique_rejected(tmp_path):
     srow = [(0.9, 0.1, 0.0, 0.0), (-0.1, 0.9, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)]
     p = tmp_path / "oblique.nii"
     _write_nifti(p, data, srow=srow)
-    with pytest.raises(FormatError):
+    with pytest.raises(ValueError, match="oblique NIfTI orientation is unsupported"):
         load_volume(p)
 
 
@@ -237,7 +237,7 @@ def test_nifti_scaling_rejected(tmp_path):
     data = np.zeros((2, 2, 2), dtype=np.int16)
     p = tmp_path / "scaled.nii"
     _write_nifti(p, data, scl_slope=2.0)
-    with pytest.raises(FormatError, match="scaling"):
+    with pytest.raises(ValueError, match="scaling"):
         load_volume(p)
 
 
@@ -269,5 +269,5 @@ def test_nifti_truncated_payload(tmp_path):
     _write_nifti(p, data)
     blob = p.read_bytes()
     p.write_bytes(blob[:-10])
-    with pytest.raises(FormatError, match="truncated"):
+    with pytest.raises(ValueError, match="truncated"):
         load_volume(p)

@@ -17,7 +17,6 @@ from vctkit.phantom import (
     Attributes,
     BinnedAttributes,
     CohortManifest,
-    InfeasibleSpecError,
     PhantomSpec,
     PhantomTruth,
     SubjectRecord,
@@ -193,9 +192,10 @@ def test_tissue_labels_cover_classes(phantom_default):
 
 
 def test_infeasible_spec():
-    with pytest.raises(InfeasibleSpecError):
+    # a valid spec whose geometry cannot be solved, not a rejected field
+    with pytest.raises(ValueError, match=r"fat \+ muscle leave no room"):
         generate_phantom(PhantomSpec(height_cm=200.0, weight_kg=20.0))
-    with pytest.raises(InfeasibleSpecError):
+    with pytest.raises(ValueError, match=r"fat \+ muscle leave no room"):
         generate_phantom(PhantomSpec(weight_kg=60.0, fat_fraction=0.55,
                                      muscle_fraction=0.30))
 

@@ -9,6 +9,10 @@ a vctkit module (``trial.run_full_vct``).  Neither a re-export from
 A module-level variable, public or private, counts as read when a module of
 the package or a script loads it the same way, its own module included.
 
+A method or property of a module-level class whose name has no leading
+underscore counts as read when a module of the package (``__init__.py``
+aside) or a script reads an attribute of that name.
+
 A parameter default of a function of the package counts as an option only
 when some call in the package or a script passes that parameter, by keyword
 or by position; a console entry point of pyproject.toml is exempt.
@@ -52,11 +56,15 @@ def _loaded(node: ast.AST, aliases: set[str]) -> set[str]:
     return names
 
 
-def _callers() -> set[str]:
+def _program_paths() -> list[Path]:
+    """The package's modules but ``__init__.py``, then the scripts."""
     paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    paths += sorted((ROOT / "scripts").glob("*.py"))
+    return paths + sorted((ROOT / "scripts").glob("*.py"))
+
+
+def _callers() -> set[str]:
     names = set()
-    for path in paths:
+    for path in _program_paths():
         tree = _parse(path)
         aliases = _module_aliases(tree)
         for stmt in tree.body:
@@ -76,6 +84,19 @@ def test_every_public_name_has_a_caller():
                 and stmt.name not in callers]
     assert not uncalled, (f"public names that nothing in src/vctkit or scripts/ "
                           f"calls: {uncalled}")
+
+
+def test_every_public_method_is_read():
+    read = {node.attr for path in _program_paths() for node in ast.walk(_parse(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.stem}.{cls.name}.{func.name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for cls in _parse(path).body if isinstance(cls, ast.ClassDef)
+              for func in cls.body
+              if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not func.name.startswith("_") and func.name not in read]
+    assert not unread, (f"public methods and properties that nothing in src/vctkit or "
+                        f"scripts/ reads: {unread}")
 
 
 def _assigned(stmt: ast.stmt) -> list[str]:
@@ -142,10 +163,8 @@ def _defaults() -> list[tuple[str, str, str, int | None]]:
 
 def _calls() -> dict[str, list[tuple[int, set[str], bool]]]:
     """Per called name, each call's (positional count, keywords, unpacks)."""
-    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    paths += sorted((ROOT / "scripts").glob("*.py"))
     calls: dict = {}
-    for path in paths:
+    for path in _program_paths():
         for node in ast.walk(_parse(path)):
             if not isinstance(node, ast.Call):
                 continue

@@ -43,8 +43,14 @@ from vctkit.trial import (
 from vctkit.phantom import bin_attributes
 
 
+def _row(report, population, sample_type):
+    """The report's row of ``population`` and ``sample_type``, or None."""
+    return next((r for r in report.rows
+                 if (r.population, r.sample_type) == (population, sample_type)), None)
+
+
 def _report(vol_l, muscle=40.0, fat=25.0, bone=800.0):
-    return CompositionReport(body_mass_g=vol_l * 1020.0, fat_pct=fat,
+    return CompositionReport(body_mass_kg=vol_l * 1.02, fat_pct=fat,
                              muscle_pct=muscle, bone_density_hu=bone,
                              body_volume_l=vol_l)
 
@@ -446,7 +452,7 @@ def test_run_trial_rows_and_real_reference():
     assert ("ID", "synthetic") in got and ("OOD", "synthetic") in got
     assert ("OOD", "real_weighted") in got
 
-    id_real = report.row("ID", "real")
+    id_real = _row(report, "ID", "real")
     errs = [abs(real[sid].report.fat_pct - predictor.predict(real[sid], "fat_pct"))
             for sid in split.id_test]
     assert id_real.mae == pytest.approx(float(np.mean(errs)))
@@ -455,10 +461,10 @@ def test_run_trial_rows_and_real_reference():
     assert id_real.n == 8
     assert id_real.mae_ci[0] <= id_real.mae <= id_real.mae_ci[1]
 
-    weighted = report.row("OOD", "real_weighted")
+    weighted = _row(report, "OOD", "real_weighted")
     assert weighted.attr_dist == "ID"
     assert weighted.z_vs_real is None and weighted.p_value is None
-    assert report.row("ID", "real_weighted") is None
+    assert _row(report, "ID", "real_weighted") is None
 
     assert report.counts == {"train": 6, "id_test": 8, "ood_test": 8,
                              "synthetic": 24}
@@ -516,7 +522,7 @@ def test_write_trial_outputs(tmp_path):
     assert len(lines) == 1 + len(report.rows)
     id_real = lines[1].split(",")
     assert id_real[0] == "ID" and id_real[2] == "real"
-    assert float(id_real[4]) == report.row("ID", "real").mae
+    assert float(id_real[4]) == _row(report, "ID", "real").mae
 
 
 # --- attribution on constructed errors ------------------------------------
