@@ -40,7 +40,7 @@ def _fmt(v, width, prec=3):
 def print_report(payload: dict) -> None:
     acc = payload["classifier_accuracy"]
     print(f"task: {payload['task']}   "
-          f"train |r({payload['boundary']['x_feature']}, {payload['task']})| = "
+          f"train |r(body_volume, {payload['task']})| = "
           f"{abs(payload['achieved_pearson']):.3f}   "
           f"ood classifier acc = {'-' if acc is None else f'{acc:.3f}'}")
     print(f"counts: {payload['counts']}")

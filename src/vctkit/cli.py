@@ -213,7 +213,7 @@ def trial_run(config: TrialConfig, out: Path, threads: int, cohort_dir=None):
 def cmd_trial_run(args) -> int:
     config = load_trial_config(args.config)
     report, _ = trial_run(config, Path(args.out), args.threads, cohort_dir=args.cohort)
-    print(f"train |r({report.boundary.x_feature}, {report.task})| = "
+    print(f"train |r(body_volume, {report.task})| = "
           f"{abs(report.achieved_pearson):.3f}")
     for row in report.rows:
         if row.sample_type == "real":
@@ -343,7 +343,7 @@ def run_command(func, args) -> int:
     """``func(args)``'s exit code, or 2 if it raises on a bad config or input, 3 on I/O."""
     try:
         return func(args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

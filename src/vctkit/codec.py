@@ -8,10 +8,10 @@ other cell the way ``csv`` writes it (``repr`` for a float).
 
 ``encode`` turns a dataclass into a JSON-ready dict, field by field;
 ``decode`` is its inverse and converts each value by its field's type
-annotation.  Anything that does not fit -- an unknown key, a missing key,
-a value of the wrong type, a number no finite float holds -- raises
-ValueError naming the dotted key, with ``key[i]`` for element ``i`` of a
-list.
+annotation, an ``int`` dict key from the decimal string JSON holds.
+Anything that does not fit -- an unknown key, a missing key, a value of the
+wrong type, a number no finite float holds -- raises ValueError naming the
+dotted key, with ``key[i]`` for element ``i`` of a list.
 """
 
 from __future__ import annotations
@@ -115,6 +115,11 @@ def _decode(tp, value, key: str):
             raise ValueError(f"{key} must be a JSON object, got {value!r}")
         if not args:
             return dict(value)
+        if args[0] is int:  # a JSON object key is a string
+            for k in value:
+                if not re.fullmatch(r"-?[0-9]+", str(k)):
+                    raise ValueError(f"{key} keys must be decimal integers, got {k!r}")
+            value = {int(k): v for k, v in value.items()}
         return {_decode(args[0], k, key): _decode(args[1], v, f"{key}.{k}")
                 for k, v in value.items()}
     accepted = (int, float) if tp is float else tp

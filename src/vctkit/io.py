@@ -1,24 +1,24 @@
 """File I/O: the CTV header+raw format (read/write) and NIfTI-1 (read only).
 
-A CTV pair is ``name.ctv.json`` plus ``name.raw``.  The header is a UTF-8
-JSON object, read by ``codec.read_json`` and written here in the CTV key
-order (not sorted, unlike a data JSON file); the payload is the raw array
-little-endian in x-fastest order (linear index
-``x + dims[0] * (y + dims[1] * z)``).  NIfTI-1 support covers uncompressed
-single-file images with dtype int16/uint8/uint16/float32 whose affine is an
-axis permutation/flip; oblique orientations are rejected.  HU volumes are
-clamped to [-1024, 3071] on load.
+A CTV pair is ``name.ctv.json`` plus ``name.raw``.  The header is one
+``CtvHeader`` record, written by ``codec.encode`` in field order (not sorted,
+unlike a data JSON file; an image header has no ``class_table`` key) and
+read by ``codec.decode``.  The payload is the raw array little-endian in
+x-fastest order (linear index ``x + dims[0] * (y + dims[1] * z)``).
+NIfTI-1 support covers uncompressed single-file images with dtype
+int16/uint8/uint16/float32 whose affine is an axis permutation/flip; oblique
+orientations are rejected.  HU volumes are clamped to [-1024, 3071] on load.
 
 A CTV save copies the grid at most once (the x-fastest ravel of a C-ordered
 array) and writes that buffer straight to disk.  A load checks the payload
 size on disk, then reads the payload into the array it returns (F-ordered,
 so no reordering copy) and clamps HU in place.  A NIfTI load reads the
 header alone, checks the payload size on disk, and reads the payload one
-slab at a time into the C-ordered array it returns.  A label map loaded
-with an expected ``kind`` must carry that kind in its CTV header.  A CTV
-header states its orientation (RAS) and unit (HU for images); the grid,
-volume and label-map constructors check the rest, and a loader raises
-their complaints unchanged.  Every malformed file raises ValueError.
+slab at a time into the C-ordered array it returns.  A loader names the
+kind of map it expects, and a CTV header must state that kind.
+
+Every malformed file raises ValueError; for a CTV header the message names
+the header file and the field.
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .codec import read_json
+from .codec import decode, encode, read_json
 from .volume import (
     Grid,
     LabelMap,
@@ -44,32 +45,60 @@ from .volume import (
 CTV_SUFFIX = ".ctv.json"
 RAW_SUFFIX = ".raw"
 
+CTV_UNITS = {"image": "HU", "tissue": "label", "structure": "label"}
 
-def _ctv_paths(path) -> tuple[Path, Path, str]:
+
+@dataclass(frozen=True, kw_only=True)
+class CtvHeader:
+    """The JSON header of a CTV pair, its fields in the order they are written."""
+
+    dims: tuple[int, int, int]
+    spacing_mm: tuple[float, float, float]
+    origin_mm: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    orientation: str
+    dtype: str
+    byte_order: str
+    kind: str
+    unit: str
+    class_table: dict[int, str] | None = None
+    data_file: str
+
+    def __post_init__(self):
+        if self.orientation != "RAS":
+            raise ValueError(f"orientation must be 'RAS', got {self.orientation!r}")
+        if self.dtype not in {**VOLUME_DTYPES, **LABEL_DTYPES}:
+            raise ValueError(f"unsupported dtype {self.dtype!r}")
+        if self.byte_order != "little":
+            raise ValueError(f"byte_order must be 'little', got {self.byte_order!r}")
+        if self.kind not in CTV_UNITS:
+            raise ValueError(f"kind must be one of {list(CTV_UNITS)}, got {self.kind!r}")
+        if self.unit != CTV_UNITS[self.kind]:
+            raise ValueError(f"unsupported unit {self.unit!r} for kind {self.kind!r}")
+
+    @property
+    def grid(self) -> Grid:
+        return Grid(self.dims, self.spacing_mm, self.origin_mm)
+
+
+def _ctv_paths(path) -> tuple[Path, Path]:
     header = Path(path)
     if not header.name.endswith(CTV_SUFFIX):
         header = header.with_name(header.name + CTV_SUFFIX)
-    name = header.name[: -len(CTV_SUFFIX)]
-    return header, header.with_name(name + RAW_SUFFIX), name
+    return header, header.with_name(header.name[: -len(CTV_SUFFIX)] + RAW_SUFFIX)
 
 
-def _write_ctv(grid: Grid, data: np.ndarray, kind: str, unit: str,
+def _write_ctv(grid: Grid, data: np.ndarray, kind: str,
                class_table: dict[int, str] | None, path) -> Path:
-    header_path, raw_path, name = _ctv_paths(path)
-    header = {
-        "dims": list(grid.dims),
-        "spacing_mm": list(grid.spacing_mm),
-        "origin_mm": list(grid.origin_mm),
-        "orientation": "RAS",
-        "dtype": str(data.dtype),
-        "byte_order": "little",
-        "kind": kind,
-        "unit": unit,
-    }
-    if class_table is not None:
-        header["class_table"] = {str(k): v for k, v in sorted(class_table.items())}
-    header["data_file"] = raw_path.name
-    header_path.write_text(json.dumps(header, indent=2) + "\n", encoding="utf-8")
+    header_path, raw_path = _ctv_paths(path)
+    header = CtvHeader(
+        dims=grid.dims, spacing_mm=grid.spacing_mm, origin_mm=grid.origin_mm,
+        orientation="RAS", dtype=str(data.dtype), byte_order="little", kind=kind,
+        unit=CTV_UNITS[kind],
+        class_table=None if class_table is None else dict(sorted(class_table.items())),
+        data_file=raw_path.name)
+    # only class_table can be None: an image header has no such key
+    payload = {k: v for k, v in encode(header).items() if v is not None}
+    header_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     # ravel copies a C-ordered grid once (a view of an F-ordered one); the
     # asarray converts only big-endian data, and tofile writes the buffer
     np.asarray(data.ravel(order="F"), dtype=data.dtype.newbyteorder("<")).tofile(raw_path)
@@ -78,51 +107,35 @@ def _write_ctv(grid: Grid, data: np.ndarray, kind: str, unit: str,
 
 def save_volume(vol: Volume, path) -> Path:
     """Write a Volume as a CTV pair; returns the header path."""
-    return _write_ctv(vol.grid, vol.data, "image", "HU", None, path)
+    return _write_ctv(vol.grid, vol.data, "image", None, path)
 
 
 def save_labelmap(labels: LabelMap, path) -> Path:
     """Write a LabelMap as a CTV pair; returns the header path."""
-    return _write_ctv(labels.grid, labels.data, labels.kind, "label",
-                      labels.class_table, path)
+    return _write_ctv(labels.grid, labels.data, labels.kind, labels.class_table, path)
 
 
-def _require(header: dict, field: str):
-    if field not in header:
-        raise ValueError(f"CTV header missing field {field!r}")
-    return header[field]
-
-
-def _read_ctv(path):
-    header_path, _, _ = _ctv_paths(path)
-    header = read_json(header_path)
-    dims = _require(header, "dims")
-    spacing = _require(header, "spacing_mm")
-    origin = header.get("origin_mm", [0.0, 0.0, 0.0])
-    orientation = _require(header, "orientation")
-    dtype_name = _require(header, "dtype")
-    byte_order = _require(header, "byte_order")
-    kind = _require(header, "kind")
-    unit = _require(header, "unit")
-    data_file = _require(header, "data_file")
-    if byte_order != "little":
-        raise ValueError(f"byte_order must be 'little', got {byte_order!r}")
-    if orientation != "RAS":
-        raise ValueError(f"orientation must be 'RAS', got {orientation!r}")
-    if dtype_name not in {**VOLUME_DTYPES, **LABEL_DTYPES}:
-        raise ValueError(f"unsupported dtype {dtype_name!r}")
-    grid = Grid(tuple(dims), tuple(spacing), tuple(origin))
-    dtype = np.dtype({**VOLUME_DTYPES, **LABEL_DTYPES}[dtype_name]).newbyteorder("<")
-    raw_path = header_path.with_name(data_file)
+def _read_ctv(path, kind: str) -> tuple[CtvHeader, np.ndarray]:
+    header_path, _ = _ctv_paths(path)
+    payload = read_json(header_path)
+    try:
+        header = decode(CtvHeader, payload)
+        grid = header.grid
+    except ValueError as exc:
+        raise ValueError(f"{header_path}: {exc}") from exc
+    if header.kind != kind:
+        raise ValueError(f"expected kind {kind!r}, got {header.kind!r}")
+    dtype = np.dtype({**VOLUME_DTYPES, **LABEL_DTYPES}[header.dtype]).newbyteorder("<")
+    raw_path = header_path.with_name(header.data_file)
     size = raw_path.stat().st_size
     expected = grid.n_voxels * dtype.itemsize
     if size != expected:
         raise ValueError(
             f"payload size {size} does not match dims {grid.dims} "
-            f"and dtype {dtype_name} (expected {expected})")
+            f"and dtype {header.dtype} (expected {expected})")
     # one writable buffer: the astype copies only on a big-endian host
     data = np.fromfile(raw_path, dtype=dtype).astype(dtype.newbyteorder("="), copy=False)
-    return grid, data.reshape(grid.dims, order="F"), kind, unit, header
+    return header, data.reshape(grid.dims, order="F")
 
 
 def load_volume(path) -> Volume:
@@ -131,21 +144,18 @@ def load_volume(path) -> Volume:
     if p.name.endswith(".nii"):
         grid, data = _read_nifti(p)
     else:
-        grid, data, kind, unit, _ = _read_ctv(p)
-        if kind != "image":
-            raise ValueError(f"expected kind 'image', got {kind!r}")
-        if unit != "HU":
-            raise ValueError(f"unsupported unit {unit!r}")
+        header, data = _read_ctv(p, "image")
+        grid = header.grid
     vol = Volume(grid, data)
     clamp_hu(vol.data)
     return vol
 
 
-def load_labelmap(path, kind: str | None = None) -> LabelMap:
-    """Load a label map from a CTV pair or a NIfTI-1 file.
+def load_labelmap(path, kind: str) -> LabelMap:
+    """Load a label map of ``kind`` from a CTV pair or a NIfTI-1 file.
 
     NIfTI files carry no class table; one is synthesized from the values
-    present, and ``kind`` defaults to "structure".
+    present.
     """
     p = Path(path)
     if p.name.endswith(".nii"):
@@ -153,16 +163,9 @@ def load_labelmap(path, kind: str | None = None) -> LabelMap:
         # a payload of a non-label dtype gets no table: LabelMap rejects its dtype
         table = ({v: f"class_{v}" for v in present_labels(data) if v != 0}
                  if data.dtype.name in LABEL_DTYPES else {})
-        return LabelMap(grid, data, kind or "structure", table)
-    grid, data, file_kind, _, header = _read_ctv(p)
-    if kind is not None and kind != file_kind:
-        raise ValueError(f"expected kind {kind!r}, got {file_kind!r}")
-    raw_table = header.get("class_table", {})
-    try:
-        table = {int(k): str(v) for k, v in raw_table.items()}
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"malformed class_table: {e}") from e
-    return LabelMap(grid, data, file_kind, table)
+        return LabelMap(grid, data, kind, table)
+    header, data = _read_ctv(p, kind)
+    return LabelMap(header.grid, data, kind, header.class_table or {})
 
 
 # --- NIfTI-1 -----------------------------------------------------------

@@ -80,9 +80,8 @@ def verdict_for(mae_value: float) -> str:
 
 @dataclass(frozen=True)
 class BiasBoundary:
-    """Line in (x_feature, y_feature) space; id_side picks the half-plane."""
+    """Line in (body volume, y_feature) space; id_side picks the half-plane."""
 
-    x_feature: str = "body_volume"
     y_feature: str = "muscle_pct"
     slope: float = -0.2
     intercept: float = 58.3
@@ -91,24 +90,17 @@ class BiasBoundary:
     def __post_init__(self):
         if not (math.isfinite(self.slope) and math.isfinite(self.intercept)):
             raise ValueError("boundary slope/intercept must be finite")
-        if self.x_feature not in ("body_volume",):
-            raise ValueError(f"unsupported x_feature {self.x_feature!r}")
         if self.y_feature not in ("muscle_pct", "fat_pct"):
             raise ValueError(f"unsupported y_feature {self.y_feature!r}")
         if self.id_side not in ("above", "below"):
             raise ValueError("id_side must be 'above' or 'below'")
 
     def side(self, report: CompositionReport) -> str:
-        x = report_feature(report, self.x_feature)
-        y = report_feature(report, self.y_feature)
-        above = y > self.slope * x + self.intercept
+        line = self.slope * report.body_volume_l + self.intercept
+        above = getattr(report, self.y_feature) > line
         if self.id_side == "above":
             return "id" if above else "ood"
         return "ood" if above else "id"
-
-
-def report_feature(report: CompositionReport, name: str) -> float:
-    return report.body_volume_l if name == "body_volume" else getattr(report, name)
 
 
 @dataclass
@@ -134,8 +126,8 @@ def build_biased_split(subjects: list[MeasuredSubject], boundary: BiasBoundary,
                        target: str = "fat_pct") -> BiasedSplit:
     """Seeded draw of train/ID from the boundary's ID side, OOD from the other.
 
-    Also reports the achieved Pearson correlation between the boundary's
-    x feature and the task target over the train split -- the number that
+    Also reports the achieved Pearson correlation between body volume and
+    the task target over the train split -- the number that
     tells you how exploitable the shortcut is.
     """
     if target not in TASKS:
@@ -159,8 +151,8 @@ def build_biased_split(subjects: list[MeasuredSubject], boundary: BiasBoundary,
     ood_test = tuple(ood_order[:n_ood])
 
     by_id = {s.subject_id: s for s in subjects}
-    xs = [report_feature(by_id[i].report, boundary.x_feature) for i in train]
-    ys = [report_feature(by_id[i].report, target) for i in train]
+    xs = [by_id[i].report.body_volume_l for i in train]
+    ys = [getattr(by_id[i].report, target) for i in train]
     r = pearson(xs, ys)
     return BiasedSplit(train=train, id_test=id_test, ood_test=ood_test,
                        achieved_pearson=r, boundary=boundary)
@@ -218,8 +210,7 @@ class ShortcutLinear:
 
     def fit(self, subjects: list[MeasuredSubject], target: str) -> None:
         x = np.array([s.report.body_volume_l for s in subjects], dtype=np.float64)
-        y = np.array([report_feature(s.report, target) for s in subjects],
-                     dtype=np.float64)
+        y = np.array([getattr(s.report, target) for s in subjects], dtype=np.float64)
         sx = x - x.mean()
         denom = float(sx @ sx)
         if denom == 0.0:
@@ -244,7 +235,7 @@ class OracleNoise:
         pass
 
     def predict(self, subject: MeasuredSubject, target: str) -> float:
-        y = report_feature(subject.report, target)
+        y = getattr(subject.report, target)
         stream = Stream(self.seed ^ fnv1a64(subject.subject_id.encode("utf-8")))
         return y + stream.normal1(0.0, self.sigma)
 
@@ -444,7 +435,7 @@ def run_trial(real: dict, split: BiasedSplit, predictor, target: str,
             raise ValueError(f"missing measured report for subject {sid!r}")
 
     def with_errors(subjects) -> list:
-        return [(s, abs(report_feature(s.report, target) - predictor.predict(s, target)))
+        return [(s, abs(getattr(s.report, target) - predictor.predict(s, target)))
                 for s in subjects]
 
     def errors(pairs) -> np.ndarray:

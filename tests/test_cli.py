@@ -668,7 +668,7 @@ def test_consistency_paired_shifted_cohort_pins_bytes(tmp_path):
                  "--spacing", SPACING]) == 0
     shutil.copytree(a, b)
     for record in load_manifest(a / "manifest.json").subjects:
-        structures = load_labelmap(a / record.structure)
+        structures = load_labelmap(a / record.structure, "structure")
         shifted = np.zeros_like(structures.data)
         shifted[:, :, 1:] = structures.data[:, :, :-1]
         save_labelmap(replace(structures, data=shifted), b / record.structure)
@@ -738,6 +738,38 @@ def test_consistency_missing_map_path_exits_2_naming_subject_and_key(tmp_path, c
                  "--out", str(tmp_path / "cons"), "--paired"]) == 2
     assert capsys.readouterr().err == (
         f"error: subject 'subj_0001' has no '{missing}' path in the manifest\n")
+    assert not (tmp_path / "cons").exists()
+
+
+@pytest.fixture(scope="module")
+def one_subject_cohort(tmp_path_factory):
+    root = tmp_path_factory.mktemp("one_subject")
+    assert main(["phantom", "gen", "--n", "1", "--seed", "4",
+                 "--out", str(root), "--spacing", "8,8,8"]) == 0
+    return root
+
+
+@pytest.mark.parametrize("mode", ["--paired", "--cohort"])
+@pytest.mark.parametrize("edit, message", [
+    ({"dims": 5}, "dims must be a list of 3 numbers, got 5"),
+    ({"spacing_mm": "abc"}, "spacing_mm must be a list of 3 numbers, got 'abc'"),
+    ({"origin_mm": None}, "origin_mm must be a list of 3 numbers, got None"),
+    ({"data_file": 3}, "data_file must be str, got 3"),
+    ({"dtype": ["uint8"]}, "dtype must be str, got ['uint8']"),
+    ({"class_table": [1, 2]}, "class_table must be a JSON object, got [1, 2]"),
+    ({"extra": 1}, "unknown ctv header keys: ['extra']"),
+])
+def test_consistency_malformed_map_header_exits_2_naming_file_and_field(
+        one_subject_cohort, tmp_path, capsys, mode, edit, message):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(one_subject_cohort, cohort)
+    header_path = cohort / load_manifest(cohort / "manifest.json").subjects[0].tissue
+    header_path.write_text(json.dumps({**json.loads(header_path.read_text()), **edit}))
+    capsys.readouterr()
+    manifest = str(cohort / "manifest.json")
+    assert main(["consistency", "--a", manifest, "--b", manifest,
+                 "--out", str(tmp_path / "cons"), mode]) == 2
+    assert capsys.readouterr().err == f"error: {header_path}: {message}\n"
     assert not (tmp_path / "cons").exists()
 
 

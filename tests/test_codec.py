@@ -20,6 +20,11 @@ class _Route:
     points: list[_Point]
 
 
+@dataclass
+class _Legend:
+    names: dict[int, str]
+
+
 def test_write_csv_writes_none_and_nan_empty_and_floats_as_repr(tmp_path):
     path = write_csv(tmp_path / "t.csv", ["a", "b", "c", "d", "e"],
                      [[None, float("nan"), 0.1, 7, "x y"],
@@ -83,3 +88,17 @@ def test_decode_rejects_non_finite_floats_naming_the_key(value, shown):
         with pytest.raises(ValueError,
                            match=re.escape(f"{key} must be a finite number, got {shown}")):
             decode(_Route, payload)
+
+
+def test_int_keyed_dict_round_trips_through_json(tmp_path):
+    legend = _Legend({2: "fat", -1: "air", 10: "bone"})
+    payload = read_json(write_json(tmp_path / "l.json", encode(legend)))
+    assert payload == {"names": {"-1": "air", "10": "bone", "2": "fat"}}
+    assert decode(_Legend, payload) == legend
+
+
+@pytest.mark.parametrize("key", ["x", "2.0", " 2", "+2", "", "0x1"])
+def test_int_dict_key_must_be_a_decimal_string(key):
+    with pytest.raises(ValueError, match=re.escape(
+            f"names keys must be decimal integers, got {key!r}")):
+        decode(_Legend, {"names": {"2": "fat", key: "air"}})

@@ -3,9 +3,11 @@
 import json
 import re
 import struct
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from vctkit.io import load_labelmap, load_volume, save_labelmap, save_volume
 from vctkit.phantom import AttributeDistribution, generate_phantom, sample_cohort_specs
@@ -44,7 +46,7 @@ def test_labelmap_round_trip(tmp_path):
     data[0, 0, 0] = 4
     lm = LabelMap(g, data, "tissue", {2: "fat", 4: "bone"})
     save_labelmap(lm, tmp_path / "t")
-    back = load_labelmap(tmp_path / "t")
+    back = load_labelmap(tmp_path / "t", "tissue")
     assert back.kind == "tissue"
     assert back.class_table == {2: "fat", 4: "bone"}
     np.testing.assert_array_equal(back.data, lm.data)
@@ -96,9 +98,10 @@ def test_resaving_loaded_maps_keeps_payload_bytes(tmp_path):
     # loaded arrays are F-ordered, so the second save writes through a view
     [(_, _, spec)] = sample_cohort_specs(1, AttributeDistribution(), (8.0,) * 3, 3)
     vol, tissue, structure, _ = generate_phantom(spec)
-    for name, save, load, obj in (("img", save_volume, load_volume, vol),
-                                  ("tis", save_labelmap, load_labelmap, tissue),
-                                  ("str", save_labelmap, load_labelmap, structure)):
+    for name, save, load, obj in (
+            ("img", save_volume, load_volume, vol),
+            ("tis", save_labelmap, partial(load_labelmap, kind="tissue"), tissue),
+            ("str", save_labelmap, partial(load_labelmap, kind="structure"), structure)):
         save(obj, tmp_path / name)
         back = load(tmp_path / name)
         assert back.data.flags.f_contiguous and back.data.flags.writeable
@@ -126,9 +129,9 @@ def test_kind_mismatch_raises(tmp_path):
         load_volume(tmp_path / "t")
     vol = _vol((2, 2, 2))
     save_volume(vol, tmp_path / "v")
-    with pytest.raises(ValueError, match="tissue"):
-        load_labelmap(tmp_path / "v")
-    # an expected kind must match the header's; no expectation accepts either
+    with pytest.raises(ValueError, match="expected kind 'tissue', got 'image'"):
+        load_labelmap(tmp_path / "v", "tissue")
+    # the expected kind must match the header's
     assert load_labelmap(tmp_path / "t", kind="tissue").kind == "tissue"
     with pytest.raises(ValueError, match="expected kind 'structure', got 'tissue'"):
         load_labelmap(tmp_path / "t", kind="structure")
@@ -141,10 +144,13 @@ def test_kind_mismatch_raises(tmp_path):
     # every grid is RAS and every volume HU: a header stating otherwise is refused
     ({"orientation": "LPS"}, "orientation must be 'RAS', got 'LPS'"),
     ({"unit": "kelvin"}, "unsupported unit 'kelvin'"),
-    # the rest is checked by the Grid and Volume constructors
+    # the Grid and Volume constructors check a well-typed grid and dtype; decode
+    # refuses a non-integer dimension (3.0 too) and an unknown key
     ({"dims": [3, 4, 0]}, "dims must be three positive integers"),
-    ({"dims": [3, 4.5, 5]}, "dims must be three positive integers"),
+    ({"dims": [3, 4.5, 5]}, "dims must be int, got 4.5"),
     ({"dtype": "uint8", "dims": [6, 4, 5]}, "volume dtype must be int16 or float32"),
+    ({"dims": [3.0, 4, 5]}, "dims must be int, got 3.0"),
+    ({"extra": 1}, "unknown ctv header keys: ['extra']"),
 ])
 def test_bad_header_raises(tmp_path, edits, message):
     header_path = save_volume(_vol(), tmp_path / "img")
@@ -152,8 +158,133 @@ def test_bad_header_raises(tmp_path, edits, message):
     assert (header["orientation"], header["unit"]) == ("RAS", "HU")
     header.update(edits)
     header_path.write_text(json.dumps(header))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_volume(header_path)
+
+
+def test_label_header_unit_must_be_label(tmp_path):
+    g = Grid((2, 2, 2), (1.0, 1.0, 1.0))
+    header_path = save_labelmap(LabelMap(g, np.zeros(g.dims, dtype=np.uint8), "tissue"),
+                                tmp_path / "t")
+    header = json.loads(header_path.read_text())
+    header["unit"] = "HU"
+    header_path.write_text(json.dumps(header))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{header_path}: unsupported unit 'HU' for kind 'tissue'")):
+        load_labelmap(header_path, "tissue")
+
+
+def test_header_text_pins_key_order(tmp_path):
+    # keys in the record's field order, not sorted; an image has no class_table
+    save_volume(Volume(Grid((3, 1, 2), (1.0, 1.5, 2.0), (3.0, -1.0, 0.0)),
+                       np.zeros((3, 1, 2), dtype=np.int16)), tmp_path / "img")
+    assert (tmp_path / "img.ctv.json").read_text() == """{
+  "dims": [
+    3,
+    1,
+    2
+  ],
+  "spacing_mm": [
+    1.0,
+    1.5,
+    2.0
+  ],
+  "origin_mm": [
+    3.0,
+    -1.0,
+    0.0
+  ],
+  "orientation": "RAS",
+  "dtype": "int16",
+  "byte_order": "little",
+  "kind": "image",
+  "unit": "HU",
+  "data_file": "img.raw"
+}
+"""
+    # a class table is written in label order
+    data = np.zeros((1, 1, 2), dtype=np.uint8)
+    data[0, 0, 1] = 4
+    save_labelmap(LabelMap(Grid((1, 1, 2), (2.0, 2.0, 2.0)), data, "tissue",
+                           {4: "bone", 2: "fat"}), tmp_path / "tis")
+    assert (tmp_path / "tis.ctv.json").read_text() == """{
+  "dims": [
+    1,
+    1,
+    2
+  ],
+  "spacing_mm": [
+    2.0,
+    2.0,
+    2.0
+  ],
+  "origin_mm": [
+    0.0,
+    0.0,
+    0.0
+  ],
+  "orientation": "RAS",
+  "dtype": "uint8",
+  "byte_order": "little",
+  "kind": "tissue",
+  "unit": "label",
+  "class_table": {
+    "2": "fat",
+    "4": "bone"
+  },
+  "data_file": "tis.raw"
+}
+"""
+
+
+# one strategy per JSON type, and the JSON types each header field accepts
+_JSON_TYPES = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "number": st.integers(-5, 5) | st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=4),
+    "array": st.lists(st.integers(0, 5), max_size=4),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(0, 5), max_size=2),
+}
+_FIELD_TYPES = {
+    "dims": {"array"}, "spacing_mm": {"array"}, "origin_mm": {"array"},
+    "orientation": {"string"}, "dtype": {"string"}, "byte_order": {"string"},
+    "kind": {"string"}, "unit": {"string"}, "class_table": {"object", "null"},
+    "data_file": {"string"},
+}
+
+
+@pytest.fixture(scope="module")
+def saved_maps(tmp_path_factory):
+    """A saved image, tissue and structure map: kind -> (header path, loader)."""
+    root = tmp_path_factory.mktemp("maps")
+    g = Grid((2, 3, 2), (1.0, 1.0, 1.0))
+    labels = np.zeros(g.dims, dtype=np.uint8)
+    labels[1, 1, 1] = 2
+    return {
+        "image": (save_volume(_vol(g.dims), root / "img"), load_volume),
+        "tissue": (save_labelmap(LabelMap(g, labels, "tissue", {2: "fat"}), root / "tis"),
+                   partial(load_labelmap, kind="tissue")),
+        "structure": (save_labelmap(LabelMap(g, labels, "structure", {2: "spleen"}),
+                                    root / "str"), partial(load_labelmap, kind="structure")),
+    }
+
+
+@given(kind=st.sampled_from(["image", "tissue", "structure"]), data=st.data())
+def test_header_field_of_another_json_type_raises_naming_it(saved_maps, kind, data):
+    header_path, load = saved_maps[kind]
+    text = header_path.read_text()
+    header = json.loads(text)
+    name = data.draw(st.sampled_from(sorted(header)), label="field")
+    header[name] = data.draw(st.one_of(*(strategy for t, strategy in _JSON_TYPES.items()
+                                         if t not in _FIELD_TYPES[name])), label="value")
+    header_path.write_text(json.dumps(header))
+    try:
+        with pytest.raises(ValueError) as info:
+            load(header_path)
+    finally:
+        header_path.write_text(text)
+    assert str(info.value).startswith(f"{header_path}: {name} ")
 
 
 def test_malformed_json_raises(tmp_path):
@@ -246,7 +377,7 @@ def test_nifti_labelmap(tmp_path):
     data[1, 1, 1] = 7
     p = tmp_path / "seg.nii"
     _write_nifti(p, data)
-    lm = load_labelmap(p)
+    lm = load_labelmap(p, "structure")
     assert lm.kind == "structure"
     assert 7 in lm.class_table
     assert lm.data[1, 1, 1] == 7
@@ -256,7 +387,7 @@ def test_nifti_labelmap_holds_one_buffer(tmp_path, traced_peak):
     data = np.random.default_rng(3).integers(0, 6, size=(96, 80, 64)).astype(np.uint8)
     p = tmp_path / "seg.nii"
     _write_nifti(p, data)
-    lm, peak = traced_peak(load_labelmap, p)
+    lm, peak = traced_peak(load_labelmap, p, "tissue")
     np.testing.assert_array_equal(lm.data, data)
     assert lm.class_table == {v: f"class_{v}" for v in range(1, 6)}
     # the uint8 grid is 1 B per voxel; a whole-grid unique sorts a copy of it

@@ -82,9 +82,10 @@ def test_boundary_validation():
     with pytest.raises(ValueError):
         BiasBoundary(id_side="left")
     with pytest.raises(ValueError):
-        BiasBoundary(x_feature="age")
-    with pytest.raises(ValueError):
         BiasBoundary(slope=float("inf"))
+    # the boundary's x axis is body volume, not a key
+    with pytest.raises(ValueError, match=re.escape("unknown boundary keys: ['x_feature']")):
+        decode(TrialConfig, {"boundary": {"x_feature": "body_volume"}})
 
 
 def _mixed_cohort(n=40, seed=0):

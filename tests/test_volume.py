@@ -48,7 +48,7 @@ def _save_and_reload(labels: LabelMap, directory: Path):
     """The CTV raw payload of ``labels`` as bytes, and the label map read back."""
     save_labelmap(labels, directory / "m")
     payload = np.frombuffer((directory / "m.raw").read_bytes(), dtype=np.uint8)
-    return payload, load_labelmap(directory / "m")
+    return payload, load_labelmap(directory / "m", labels.kind)
 
 
 @given(st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
