@@ -27,7 +27,7 @@ from .metrics import cohort_consistency, collect_structure_measurements, paired_
 from .phantom import (AttributeDistribution, check_spacing, generate_cohort, load_manifest,
                       map_ordered)
 from .skeleton import measure_height
-from .trial import MeasuredSubject, TrialConfig, run_full_vct, write_trial_outputs
+from .trial import MeasuredSubject, TrialConfig, TrialReport, run_full_vct, write_trial_outputs
 from .volume import LabelIndex
 
 EXIT_OK = 0
@@ -138,7 +138,7 @@ def cmd_measure(args) -> int:
     def build(record):
         try:
             return record.id, _measure_one(base, record), None
-        except Exception as exc:  # per-subject isolation: one bad file != a dead run
+        except (ValueError, OSError) as exc:  # a bad file fails its subject, not the run
             return record.id, None, exc
 
     results = map_ordered(build, manifest.subjects, args.threads)
@@ -210,14 +210,43 @@ def trial_run(config: TrialConfig, out: Path, threads: int, cohort_dir=None):
     return report, written
 
 
+def _fmt(v, width, prec=3):
+    return "-".rjust(width) if v is None else f"{v:.{prec}f}".rjust(width)
+
+
+def print_report(report: TrialReport) -> None:
+    """The audit table, then the top attribution importances or why there are none."""
+    print(f"task: {report.task}   "
+          f"train |r(body_volume, {report.task})| = {abs(report.achieved_pearson):.3f}   "
+          f"ood classifier acc = {report.classifier_accuracy:.3f}")
+    print(f"counts: {report.counts}\n")
+    head = (f"{'pop':<4} {'attrs':<5} {'sample':<17} {'n':>4} {'mae':>7} "
+            f"{'95% ci':>15} {'z':>7} {'p':>7}  verdict")
+    print(head)
+    print("-" * len(head))
+    for r in report.rows:
+        lo, hi = r.mae_ci
+        ci = f"[{lo:.2f}, {hi:.2f}]".rjust(15)
+        print(f"{r.population:<4} {r.attr_dist:<5} {r.sample_type:<17} "
+              f"{r.n:>4} {r.mae:>7.3f} {ci} {_fmt(r.z_vs_real, 7, 2)} "
+              f"{_fmt(r.p_value, 7, 3)}  {r.verdict}")
+    attribution = report.attribution
+    if attribution is None:
+        print(f"\n(attribution skipped: {report.attribution_skipped})")
+        return
+    print("\nerror attribution (forest importances):")
+    for sample_type, imps in attribution.importances.items():
+        top = sorted(imps.items(), key=lambda kv: -kv[1])[:3]
+        ranked = ", ".join(f"{k}={v:.3f}" for k, v in top)
+        print(f"  {sample_type:<10} {ranked}")
+    for pair, r in attribution.importance_correlations.items():
+        print(f"  importance corr {pair}: {r:.3f}")
+
+
 def cmd_trial_run(args) -> int:
     config = load_trial_config(args.config)
     report, _ = trial_run(config, Path(args.out), args.threads, cohort_dir=args.cohort)
-    print(f"train |r(body_volume, {report.task})| = "
-          f"{abs(report.achieved_pearson):.3f}")
-    for row in report.rows:
-        if row.sample_type == "real":
-            print(f"{row.population}: {row.verdict} (real MAE {row.mae:.2f})")
+    print_report(report)
     return EXIT_OK
 
 

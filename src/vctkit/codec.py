@@ -1,10 +1,11 @@
 """The one reader and writer of data JSON and CSV files, and the record codec.
 
 A data JSON file holds one object, written with sorted keys, a 2-space
-indent and a final newline; ``read_json`` raises ValueError naming the file
-for malformed JSON or any other top-level value.  A data CSV is a header
-row and then one row per record; a None or NaN cell is written empty, any
-other cell the way ``csv`` writes it (``repr`` for a float).
+indent, a final newline and no NaN or infinity (a missing value is None);
+``read_json`` raises ValueError naming the file for malformed JSON or any
+other top-level value.  A data CSV is a header row and then one row per
+record; a None or NaN cell is written empty, any other cell the way ``csv``
+writes it (``repr`` for a float).
 
 ``encode`` turns a dataclass into a JSON-ready dict, field by field;
 ``decode`` is its inverse and converts each value by its field's type
@@ -42,7 +43,8 @@ def read_json(path) -> dict:
 def write_json(path, payload: dict) -> Path:
     """Write ``payload`` to ``path`` as a data JSON file; returns the path."""
     p = Path(path)
-    p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    p.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
+                 encoding="utf-8")
     return p
 
 

@@ -49,7 +49,7 @@ def measure_composition(vol: Volume, tissue: LabelMap) -> CompositionReport:
 
     The body is every nonzero tissue voxel.  Percentages are mass fractions
     of total body mass.  An empty body mask (or one with zero total mass) is
-    a degenerate input and raises.
+    a degenerate input and raises, as does a non-finite HU in the body.
     """
     if vol.grid != tissue.grid:
         raise ValueError("volume and tissue map must share a grid")
@@ -71,6 +71,8 @@ def measure_composition(vol: Volume, tissue: LabelMap) -> CompositionReport:
     vox_cm3 = voxel_volume_mm3(vol.grid) / 1000.0
 
     m_body = float(rho.sum()) * vox_cm3
+    if not np.isfinite(m_body):
+        raise ValueError(f"body mass is {m_body}: the image holds a non-finite HU value")
     if m_body <= 0.0:
         raise ValueError("degenerate input: body mask has zero total mass")
     m_fat = float(rho[labels == TISSUE_IDS["fat"]].sum()) * vox_cm3

@@ -74,6 +74,8 @@ class CtvHeader:
             raise ValueError(f"kind must be one of {list(CTV_UNITS)}, got {self.kind!r}")
         if self.unit != CTV_UNITS[self.kind]:
             raise ValueError(f"unsupported unit {self.unit!r} for kind {self.kind!r}")
+        if self.data_file in ("", ".", "..") or Path(self.data_file).name != self.data_file:
+            raise ValueError(f"data_file must be a plain file name, got {self.data_file!r}")
 
     @property
     def grid(self) -> Grid:

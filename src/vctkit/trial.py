@@ -1,7 +1,7 @@
 """Virtual-clinical-trial orchestration.
 
 A trial takes a measured phantom cohort, splits it along a linear decision
-boundary in (body volume, tissue percentage) space into a biased train/ID
+boundary in (body volume, muscle %) space into a biased train/ID
 population and an OOD population, fits a (deliberately shortcut-prone)
 predictor on the train split, and then audits the predictor:
 
@@ -80,27 +80,19 @@ def verdict_for(mae_value: float) -> str:
 
 @dataclass(frozen=True)
 class BiasBoundary:
-    """Line in (body volume, y_feature) space; id_side picks the half-plane."""
+    """The line muscle % = slope * body volume (l) + intercept; a subject
+    above it is on the ID side, one on or below it on the OOD side."""
 
-    y_feature: str = "muscle_pct"
     slope: float = -0.2
     intercept: float = 58.3
-    id_side: str = "above"
 
     def __post_init__(self):
         if not (math.isfinite(self.slope) and math.isfinite(self.intercept)):
             raise ValueError("boundary slope/intercept must be finite")
-        if self.y_feature not in ("muscle_pct", "fat_pct"):
-            raise ValueError(f"unsupported y_feature {self.y_feature!r}")
-        if self.id_side not in ("above", "below"):
-            raise ValueError("id_side must be 'above' or 'below'")
 
     def side(self, report: CompositionReport) -> str:
-        line = self.slope * report.body_volume_l + self.intercept
-        above = getattr(report, self.y_feature) > line
-        if self.id_side == "above":
-            return "id" if above else "ood"
-        return "ood" if above else "id"
+        above = report.muscle_pct > self.slope * report.body_volume_l + self.intercept
+        return "id" if above else "ood"
 
 
 @dataclass
@@ -140,8 +132,7 @@ def build_biased_split(subjects: list[MeasuredSubject], boundary: BiasBoundary,
             raise ValueError(
                 f"insufficient subjects on the {side} side: need {knob} = {need}, "
                 f"have {len(pool)} of n_subjects = {len(subjects)}; boundary "
-                f"y_feature={boundary.y_feature!r}, slope={boundary.slope!r}, "
-                f"intercept={boundary.intercept!r}, id_side={boundary.id_side!r}")
+                f"slope={boundary.slope!r}, intercept={boundary.intercept!r}")
 
     stream = Stream(seed)
     id_order = [id_pool[i] for i in stream.permutation(len(id_pool))]
@@ -178,13 +169,12 @@ PREDICTOR_KINDS = ("shortcut_linear", "oracle_noise", "external")
 class PredictorSpec:
     """Which predictor a trial audits.
 
-    ``sigma`` and ``seed`` (default: the trial seed) apply to
-    ``oracle_noise``; ``path`` (a subject_id,prediction CSV) to ``external``.
+    ``sigma`` applies to ``oracle_noise``, whose noise the trial seed draws;
+    ``path`` (a subject_id,prediction CSV) to ``external``.
     """
 
     kind: str = "shortcut_linear"
     sigma: float = 0.5
-    seed: int | None = None
     path: str | None = None
 
     def __post_init__(self):
@@ -285,9 +275,9 @@ class ExternalPredictions:
 
 
 def make_predictor(spec: PredictorSpec, seed: int = 0):
-    """The predictor ``spec`` names; ``seed`` stands in for an unset spec seed."""
+    """The predictor ``spec`` names; ``seed`` seeds oracle noise."""
     if spec.kind == "oracle_noise":
-        return OracleNoise(sigma=spec.sigma, seed=seed if spec.seed is None else spec.seed)
+        return OracleNoise(sigma=spec.sigma, seed=seed)
     if spec.kind == "external":
         return ExternalPredictions.from_csv(spec.path)
     return ShortcutLinear()
@@ -386,7 +376,7 @@ class TrialReport:
     boundary: BiasBoundary
     achieved_pearson: float
     counts: dict
-    classifier_accuracy: float | None
+    classifier_accuracy: float
     rows: list[TrialRow]
     samples: dict               # sample_type -> [(MeasuredSubject, abs_error)]
     attribution: AttributionBlock | None = None
@@ -446,13 +436,11 @@ def run_trial(real: dict, split: BiasedSplit, predictor, target: str,
     real_errors = {population: errors(pairs) for population, pairs in tested.items()}
     samples = {"real": tested["ID"] + tested["OOD"], "synthetic": [], "synthetic_rebias": []}
 
-    classifier_accuracy = None
-    if tested["ID"] and tested["OOD"]:
-        id_attrs = [s.attributes for s, _ in tested["ID"]]
-        clf, classifier_accuracy = fit_ood_classifier(
-            id_attrs, [s.attributes for s, _ in tested["OOD"]], seed=options.seed)
-        n_id, n_ood = len(tested["ID"]), len(tested["OOD"])
-        priors = (n_id / (n_id + n_ood), n_ood / (n_id + n_ood))
+    id_attrs = [s.attributes for s, _ in tested["ID"]]
+    clf, classifier_accuracy = fit_ood_classifier(
+        id_attrs, [s.attributes for s, _ in tested["OOD"]], seed=options.seed)
+    n_id, n_ood = len(tested["ID"]), len(tested["OOD"])
+    priors = (n_id / (n_id + n_ood), n_ood / (n_id + n_ood))
 
     def row(population, sample_type, errs) -> TrialRow:
         seed = _row_seed(options.seed, population, sample_type)
@@ -479,7 +467,7 @@ def run_trial(real: dict, split: BiasedSplit, predictor, target: str,
     rows: list[TrialRow] = []
     for population in ("ID", "OOD"):
         rows.append(row(population, "real", real_errors[population]))
-        if population == "OOD" and classifier_accuracy is not None:
+        if population == "OOD":
             rows.append(row(population, "real_weighted", real_errors["ID"]))
         cohort = synth.get(population, [])
         if not cohort:
@@ -516,12 +504,12 @@ def feature_matrix(subjects: list[MeasuredSubject]) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def _fisher_z_p(r1: float, n1: int, r2: float, n2: int) -> float:
-    """Two-sided p for equality of two correlations via Fisher z."""
+def _fisher_z_p(r1: float, n1: int, r2: float, n2: int) -> float | None:
+    """Two-sided Fisher-z p for equal correlations; None below 4 subjects a sample."""
     r1 = min(max(r1, -0.999999), 0.999999)
     r2 = min(max(r2, -0.999999), 0.999999)
     if n1 <= 3 or n2 <= 3:
-        return float("nan")
+        return None
     z = (math.atanh(r1) - math.atanh(r2)) / math.sqrt(1.0 / (n1 - 3) + 1.0 / (n2 - 3))
     return z_test_p(z)
 
@@ -572,19 +560,19 @@ def attribute_errors(report_or_samples, seed: int = 0) -> AttributionBlock:
                 keep.append(j)
         prepared[t] = (X, y, keep)
 
-    # per-attribute correlation with |error|; NaN for an absent type or dropped column
+    # per-attribute correlation with |error|; None for an absent type or dropped column
     def error_correlations(t):
         if t not in prepared:
-            return [float("nan")] * len(FEATURE_NAMES), 0
+            return [None] * len(FEATURE_NAMES), 0
         X, y, keep = prepared[t]
-        return [pearson(X[:, j], y) if j in keep else float("nan")
+        return [pearson(X[:, j], y) if j in keep else None
                 for j in range(len(FEATURE_NAMES))], len(y)
 
     r_real, n_real = error_correlations("real")
     r_syn, n_syn = error_correlations("synthetic")
     correlations = {
         name: {"real": a, "synthetic": b,
-               "p_value": float("nan") if math.isnan(a) or math.isnan(b)
+               "p_value": None if a is None or b is None
                else _fisher_z_p(a, n_real, b, n_syn)}
         for name, a, b in zip(FEATURE_NAMES, r_real, r_syn)}
 
@@ -749,7 +737,7 @@ def run_full_vct(config: TrialConfig = TrialConfig(), threads: int = 1,
 
 # --- report serialization ---------------------------------------------------
 
-def report_to_dict(report: TrialReport, config: TrialConfig | None = None) -> dict:
+def report_to_dict(report: TrialReport, config: TrialConfig) -> dict:
     out = {
         "task": report.task,
         "boundary": encode(report.boundary),
@@ -760,16 +748,14 @@ def report_to_dict(report: TrialReport, config: TrialConfig | None = None) -> di
                      for r in report.rows if r.sample_type == "real"},
         "rows": [encode(r) for r in report.rows],
         "attribution": None if report.attribution is None else encode(report.attribution),
+        "config": encode(config),
     }
     if report.attribution_skipped is not None:
         out["attribution_skipped"] = report.attribution_skipped
-    if config is not None:
-        out["config"] = encode(config)
     return out
 
 
-def write_trial_outputs(report: TrialReport, out_dir,
-                        config: TrialConfig | None = None) -> list[Path]:
+def write_trial_outputs(report: TrialReport, out_dir, config: TrialConfig) -> list[Path]:
     """report.json plus the three audit CSVs; returns written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -343,7 +343,7 @@ def test_cli_byte_identical_across_reruns_and_threads(tmp_path):
     cfg.write_text(json.dumps({
         "spacing_mm": [5.0, 5.0, 5.0], "n_train": 2, "n_id": 3, "n_ood": 3,
         "n_boot": 400, "z_boot": 200,
-        "predictor": {"kind": "oracle_noise", "sigma": 0.3, "seed": 5},
+        "predictor": {"kind": "oracle_noise", "sigma": 0.3},
     }))
     t1, t2 = tmp_path / "t1", tmp_path / "t2"
     for out, threads in ((t1, "1"), (t2, "2")):

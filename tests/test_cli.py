@@ -15,9 +15,9 @@ import pytest
 
 from vctkit import cli, trial
 from vctkit.cli import main
-from vctkit.io import load_labelmap, save_labelmap
+from vctkit.io import load_labelmap, load_volume, save_labelmap, save_volume
 from vctkit.phantom import load_manifest
-from vctkit.volume import LabelIndex
+from vctkit.volume import LabelIndex, Volume
 
 SPACING = "5,5,5"
 # consistency.csv of test_consistency_paired_shifted_cohort_pins_bytes, as
@@ -189,6 +189,12 @@ def _trial_config(**overrides):
     return cfg
 
 
+def _table_verdicts(stdout):
+    """(population, sample type) -> verdict, read from the printed audit table."""
+    rows = re.findall(r"^(ID|OOD) +(?:ID|OOD) +(\w+) .* (\w+)$", stdout, re.M)
+    return {(population, sample): verdict for population, sample, verdict in rows}
+
+
 def test_trial_run_shortcut(tmp_path, capsys):
     cfg = tmp_path / "trial.json"
     cfg.write_text(json.dumps(_trial_config()))
@@ -196,11 +202,11 @@ def test_trial_run_shortcut(tmp_path, capsys):
     assert main(["trial", "run", "--config", str(cfg), "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert re.search(r"train \|r\(body_volume, fat_pct\)\| = 0\.\d+", stdout)
-    assert re.search(r"^ID: (acceptable|indeterminate|degraded) \(real MAE",
-                     stdout, re.M)
-    assert re.search(r"^OOD: (acceptable|indeterminate|degraded) \(real MAE",
-                     stdout, re.M)
     report = json.loads((out / "report.json").read_text())
+    # the audit table prints one line per report row
+    assert _table_verdicts(stdout) == {(r["population"], r["sample_type"]): r["verdict"]
+                                       for r in report["rows"]}
+    assert len(report["rows"]) == 7
     assert report["counts"] == {"train": 6, "id_test": 10, "ood_test": 10,
                                 "synthetic": 40}
     assert abs(report["achieved_pearson"]) > 0.5  # the shortcut is real
@@ -217,14 +223,13 @@ def test_trial_run_from_measured_cohort(cohort_dir, tmp_path, capsys):
     cfg = tmp_path / "trial.json"
     cfg.write_text(json.dumps(_trial_config(
         n_subjects=20, cohort_seed=21, spacing_mm=[5.0, 5.0, 5.0], n_train=2, n_id=3,
-        n_ood=3, predictor={"kind": "oracle_noise", "sigma": 0.3, "seed": 5})))
+        n_ood=3, predictor={"kind": "oracle_noise", "sigma": 0.3})))
     out = tmp_path / "out"
     assert main(["trial", "run", "--config", str(cfg), "--out", str(out),
                  "--cohort", str(cohort_dir)]) == 0
-    stdout = capsys.readouterr().out
+    verdicts = _table_verdicts(capsys.readouterr().out)
     # near-oracle predictions: both populations well under the 2.0 band
-    assert "ID: acceptable" in stdout
-    assert "OOD: acceptable" in stdout
+    assert (verdicts[("ID", "real")], verdicts[("OOD", "real")]) == ("acceptable",) * 2
     report = json.loads((out / "report.json").read_text())
     assert report["counts"]["train"] == 2
     assert report["verdicts"] == {"ID": "acceptable", "OOD": "acceptable"}
@@ -301,9 +306,68 @@ def test_run_vct_script_bad_config(tmp_path, capsys, request):
     assert run_vct.main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: insufficient subjects on the id side: need n_train \+ n_id"
-                        r" = 20, have \d of n_subjects = 8; boundary y_feature='muscle_pct',"
-                        r" slope=-0\.2, intercept=58\.3, id_side='above'\n", err)
+                        r" = 20, have \d of n_subjects = 8; boundary slope=-0\.2,"
+                        r" intercept=58\.3\n", err)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"boundary": {"y_feature": "fat_pct"}}, "unknown boundary keys: ['y_feature']"),
+    ({"boundary": {"id_side": "below"}}, "unknown boundary keys: ['id_side']"),
+    ({"predictor": {"kind": "oracle_noise", "seed": 5}}, "unknown predictor keys: ['seed']"),
+])
+def test_removed_trial_keys_exit_2_in_both_entry_points(tmp_path, capsys, request,
+                                                        config, key):
+    # the boundary is one line with the ID side above it, and oracle noise
+    # draws from trial_seed: none of these is a key any more
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    run_vct = _run_vct_script(request)
+    for entry, argv in ((main, ["trial", "run", "--config", str(bad),
+                                "--out", str(tmp_path / "o")]),
+                        (run_vct.main, ["--config", str(bad), "--out", str(tmp_path / "s")])):
+        assert entry(argv) == 2
+        assert capsys.readouterr().err == f"error: bad trial config: {key}\n"
+    assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
+
+
+# one sex only: the sex column is constant, so its correlations are undefined
+ONE_SEX_TRIAL = {"n_subjects": 120, "spacing_mm": [8, 8, 8], "n_train": 4, "n_id": 16,
+                 "n_ood": 16, "n_boot": 200, "z_boot": 100,
+                 "distribution": {"p_female": 0.0}}
+
+
+def _strict_json(path):
+    def refuse(token):
+        raise AssertionError(f"{path} holds the non-JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_trial_entry_points_print_one_table_and_write_strict_json(tmp_path, capsys, request):
+    cfg = tmp_path / "trial.json"
+    cfg.write_text(json.dumps(ONE_SEX_TRIAL))
+    with pytest.warns(UserWarning, match="constant attribute column 'sex'"):
+        assert main(["trial", "run", "--config", str(cfg), "--out", str(tmp_path / "cli")]) == 0
+    table = capsys.readouterr().out
+    run_vct = _run_vct_script(request)
+    with pytest.warns(UserWarning, match="constant attribute column 'sex'"):
+        assert run_vct.main(["--config", str(cfg), "--threads", "1",
+                             "--out", str(tmp_path / "script")]) == 0
+    # the script prints the same table, then its elapsed time and the written paths
+    script = capsys.readouterr().out
+    assert script.startswith(table)
+    assert re.fullmatch(r"\n\d+\.\d s; wrote:\n(  \S+\n){4}", script[len(table):])
+    assert "error attribution (forest importances):" in table
+    for out in ("cli", "script"):
+        report = _strict_json(tmp_path / out / "report.json")
+        assert report["attribution"]["correlations"]["sex"] == {
+            "real": None, "synthetic": None, "p_value": None}
+        with open(tmp_path / out / "bias_corr.csv", newline="") as fh:
+            sex = next(row for row in csv.DictReader(fh) if row["attribute"] == "sex")
+        assert sex == {"attribute": "sex", "r_real": "", "r_synthetic": "", "p_value": ""}
+    assert ((tmp_path / "cli" / "report.json").read_bytes()
+            == (tmp_path / "script" / "report.json").read_bytes())
 
 
 @pytest.mark.parametrize("knob", ["n_boot", "z_boot"])
@@ -758,6 +822,12 @@ def one_subject_cohort(tmp_path_factory):
     ({"dtype": ["uint8"]}, "dtype must be str, got ['uint8']"),
     ({"class_table": [1, 2]}, "class_table must be a JSON object, got [1, 2]"),
     ({"extra": 1}, "unknown ctv header keys: ['extra']"),
+    # the payload sits beside its header: data_file is a plain file name
+    ({"data_file": ""}, "data_file must be a plain file name, got ''"),
+    ({"data_file": "."}, "data_file must be a plain file name, got '.'"),
+    ({"data_file": ".."}, "data_file must be a plain file name, got '..'"),
+    ({"data_file": "a/b"}, "data_file must be a plain file name, got 'a/b'"),
+    ({"data_file": "/etc/passwd"}, "data_file must be a plain file name, got '/etc/passwd'"),
 ])
 def test_consistency_malformed_map_header_exits_2_naming_file_and_field(
         one_subject_cohort, tmp_path, capsys, mode, edit, message):
@@ -783,6 +853,36 @@ def test_measure_missing_map_path_fails_only_that_subject(tmp_path, capsys):
                                        "in the manifest\n")
     with open(tmp_path / "measured" / "measurements.csv", newline="") as fh:
         assert [r["subject_id"] for r in csv.DictReader(fh)] == ["subj_0000", "subj_0002"]
+
+
+def test_measure_nan_voxel_fails_that_subject(one_subject_cohort, tmp_path, capsys):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(one_subject_cohort, cohort)
+    record = load_manifest(cohort / "manifest.json").subjects[0]
+    image = load_volume(cohort / record.image)
+    tissue = load_labelmap(cohort / record.tissue, "tissue")
+    data = image.data.astype(np.float32)
+    data[tuple(np.argwhere(tissue.body_mask())[0])] = np.nan
+    save_volume(Volume(image.grid, data), cohort / record.image)
+    capsys.readouterr()
+    assert main(["measure", "--manifest", str(cohort / "manifest.json"),
+                 "--out", str(tmp_path / "m")]) == 1
+    assert capsys.readouterr().err == (
+        f"measure failed for subject {record.id}: "
+        "body mass is nan: the image holds a non-finite HU value\n")
+    assert not list((tmp_path / "m" / "measurements").iterdir())
+
+
+def test_measure_propagates_a_program_fault(one_subject_cohort, tmp_path, monkeypatch):
+    # only bad input (ValueError, OSError) fails one subject; any other
+    # exception is a fault in the program and keeps its traceback
+    def fault(*args, **kwargs):
+        raise RuntimeError("a fault in the program")
+
+    monkeypatch.setattr(cli, "measure_height", fault)
+    with pytest.raises(RuntimeError, match="a fault in the program"):
+        main(["measure", "--manifest", str(one_subject_cohort / "manifest.json"),
+              "--out", str(tmp_path / "m")])
 
 
 def test_consistency_cohort_mode(cohort_dir, tmp_path):

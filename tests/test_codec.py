@@ -35,6 +35,14 @@ def test_write_csv_writes_none_and_nan_empty_and_floats_as_repr(tmp_path):
                                  + f"{1 / 3!r},1e-20,-0.0,0,\r\n".encode())
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_write_json_refuses_nan_and_infinity(tmp_path, bad):
+    # a strict JSON parser rejects NaN and Infinity; a missing value is None
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(tmp_path / "t.json", {"a": {"b": [1.0, bad]}})
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_write_json_sorts_keys_with_two_space_indent_and_final_newline(tmp_path):
     path = write_json(tmp_path / "t.json", {"b": [1, 2], "a": {"d": None, "c": 0.5}})
     assert path.read_text() == ('{\n  "a": {\n    "c": 0.5,\n    "d": null\n  },\n'

@@ -114,6 +114,14 @@ def test_measure_composition_grid_and_kind_checks():
         measure_composition(vol, structure)
 
 
+def test_measure_composition_non_finite_hu_raises():
+    vol, tissue = _body([0, 40])
+    data = vol.data.astype(np.float32)
+    data[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="body mass is nan: the image holds a non-finite HU"):
+        measure_composition(Volume(vol.grid, data), tissue)
+
+
 def test_measure_composition_empty_body_raises():
     g = Grid((2, 2, 2), (1.0, 1.0, 1.0))
     vol = Volume(g, np.zeros(g.dims, dtype=np.int16))

@@ -162,6 +162,18 @@ def test_bad_header_raises(tmp_path, edits, message):
         load_volume(header_path)
 
 
+@pytest.mark.parametrize("data_file", ["", ".", "..", "a/b", "/etc/passwd"])
+def test_data_file_must_be_a_plain_file_name(tmp_path, data_file):
+    # the payload sits beside its header, so data_file names no directory
+    header_path = save_volume(_vol(), tmp_path / "img")
+    header = json.loads(header_path.read_text())
+    header["data_file"] = data_file
+    header_path.write_text(json.dumps(header))
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{header_path}: data_file must be a plain file name, got {data_file!r}")):
+        load_volume(header_path)
+
+
 def test_label_header_unit_must_be_label(tmp_path):
     g = Grid((2, 2, 2), (1.0, 1.0, 1.0))
     header_path = save_labelmap(LabelMap(g, np.zeros(g.dims, dtype=np.uint8), "tissue"),

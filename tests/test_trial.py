@@ -73,19 +73,21 @@ def test_boundary_side_hand_case():
     b = BiasBoundary()  # muscle_pct vs body_volume, slope -0.2, intercept 58.3
     assert b.side(_report(50.0, muscle=50.0)) == "id"   # 50 > 48.3
     assert b.side(_report(50.0, muscle=48.0)) == "ood"  # 48 < 48.3
-    flipped = BiasBoundary(id_side="below")
-    assert flipped.side(_report(50.0, muscle=50.0)) == "ood"
-    assert flipped.side(_report(50.0, muscle=48.0)) == "id"
+    # a subject on the line is on the OOD side
+    flat = BiasBoundary(slope=0.0, intercept=40.0)
+    assert flat.side(_report(50.0, muscle=40.0)) == "ood"
+    assert flat.side(_report(50.0, muscle=40.5)) == "id"
 
 
 def test_boundary_validation():
     with pytest.raises(ValueError):
-        BiasBoundary(id_side="left")
-    with pytest.raises(ValueError):
         BiasBoundary(slope=float("inf"))
-    # the boundary's x axis is body volume, not a key
-    with pytest.raises(ValueError, match=re.escape("unknown boundary keys: ['x_feature']")):
-        decode(TrialConfig, {"boundary": {"x_feature": "body_volume"}})
+    # the boundary is one line in (body volume, muscle %): its axes and its ID
+    # side are not keys
+    for key, value in (("x_feature", "body_volume"), ("y_feature", "muscle_pct"),
+                       ("id_side", "above")):
+        with pytest.raises(ValueError, match=re.escape(f"unknown boundary keys: ['{key}']")):
+            decode(TrialConfig, {"boundary": {key: value}})
 
 
 def _mixed_cohort(n=40, seed=0):
@@ -134,7 +136,7 @@ def test_split_pearson_is_train_correlation():
 def test_split_insufficient_subjects():
     # the message names the knobs that set the need, the cohort size and the boundary
     subjects = _mixed_cohort(n=10)
-    boundary = "boundary y_feature='muscle_pct', slope=-0.2, intercept=58.3, id_side='above'"
+    boundary = "boundary slope=-0.2, intercept=58.3"
     with pytest.raises(ValueError) as exc:
         build_biased_split(subjects, BiasBoundary(), 10, 10, 2, seed=0)
     assert re.fullmatch(r"insufficient subjects on the id side: need n_train \+ n_id = 20, "
@@ -220,11 +222,16 @@ def test_shortcut_unfitted_raises():
 
 
 def test_oracle_noise_deterministic_per_subject():
-    p = make_predictor(PredictorSpec("oracle_noise", sigma=0.5, seed=3))
+    p = make_predictor(PredictorSpec("oracle_noise", sigma=0.5), seed=3)
     s = _subject("s000", 50.0, fat=30.0)
     assert p.predict(s, "fat_pct") == p.predict(s, "fat_pct")
     other = _subject("s001", 50.0, fat=30.0)
     assert p.predict(s, "fat_pct") != p.predict(other, "fat_pct")
+    # the noise draws from the seed make_predictor is given: the trial seed
+    reseeded = make_predictor(PredictorSpec("oracle_noise", sigma=0.5), seed=4)
+    assert reseeded.predict(s, "fat_pct") != p.predict(s, "fat_pct")
+    with pytest.raises(ValueError, match=re.escape("unknown predictor keys: ['seed']")):
+        decode(TrialConfig, {"predictor": {"kind": "oracle_noise", "seed": 5}})
     exact = make_predictor(PredictorSpec("oracle_noise", sigma=0.0))
     assert exact.predict(s, "fat_pct") == 30.0
     with pytest.raises(ValueError, match="predictor.sigma"):
@@ -476,7 +483,7 @@ def test_run_trial_rows_and_real_reference():
 def test_run_trial_deterministic():
     r1 = _small_trial()[0]
     r2 = _small_trial()[0]
-    assert report_to_dict(r1) == report_to_dict(r2)
+    assert report_to_dict(r1, TrialConfig()) == report_to_dict(r2, TrialConfig())
 
 
 def test_run_trial_missing_subject():
@@ -491,7 +498,7 @@ def test_run_trial_missing_subject():
 
 def test_report_row_order_and_verdicts(tmp_path):
     report = _small_trial()[0]
-    d = report_to_dict(report)
+    d = report_to_dict(report, TrialConfig())
     keys = [(r["population"], r["sample_type"]) for r in d["rows"]]
     assert keys == sorted(keys, key=lambda k: (
         {"ID": 0, "OOD": 1}[k[0]],
@@ -507,7 +514,7 @@ def test_run_trial_appends_rows_in_report_order():
     assert keys == sorted(keys, key=lambda k: (
         {"ID": 0, "OOD": 1}[k[0]],
         {"real": 0, "real_weighted": 1, "synthetic": 2, "synthetic_rebias": 3}[k[1]]))
-    assert report_to_dict(report)["rows"] == [encode(r) for r in report.rows]
+    assert report_to_dict(report, TrialConfig())["rows"] == [encode(r) for r in report.rows]
 
 
 def test_write_trial_outputs(tmp_path):
@@ -580,6 +587,10 @@ def test_attribution_constant_column_warns():
         block = attribute_errors({"real": real}, seed=0)
     assert block.importances["real"]["sex"] == 0.0
     assert block.warnings
+    # an undefined correlation or p-value is None, the missing value, not NaN
+    assert block.correlations["sex"] == {"real": None, "synthetic": None, "p_value": None}
+    assert block.correlations["age"]["synthetic"] is None  # no synthetic samples
+    assert trial._fisher_z_p(0.5, 3, 0.2, 40) is None
 
 
 # --- config -------------------------------------------------------------------
