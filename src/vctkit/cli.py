@@ -23,7 +23,7 @@ from . import metrics  # per_class_dice looked up at call time, where perfbench 
 from .codec import decode, encode, read_json, write_csv, write_json
 from .composition import CompositionReport, measure_composition
 from .io import load_labelmap, load_volume
-from .metrics import cohort_consistency, collect_structure_measurements, paired_dice_stats
+from .metrics import cohort_consistency, collect_structure_measurements, write_consistency_csv
 from .phantom import (AttributeDistribution, check_spacing, generate_cohort, load_manifest,
                       map_ordered)
 from .skeleton import measure_height
@@ -273,7 +273,6 @@ def cmd_consistency(args) -> int:
                          f"(A has {len(by_id_a)}, B has {len(by_id_b)}, "
                          f"overlap {len(set(by_id_a) & set(by_id_b))})")
 
-    dice_stats = None
     if args.mode == "paired":
         # one task per subject loads its four maps once, indexes each
         # structure map once, and keeps only the measurements and the Dice
@@ -288,23 +287,21 @@ def cmd_consistency(args) -> int:
                     collect_structure_measurements(index_b, tissue_b),
                     metrics.per_class_dice(index_a, index_b))
 
-        results = map_ordered(measure_pair, manifest_a.subjects, args.threads)
-        cohort_a = [a for a, _, _ in results]
-        cohort_b = [b for _, b, _ in results]
-        dice_stats = paired_dice_stats(dice for _, _, dice in results)
+        cohort_a, cohort_b, dice = zip(*map_ordered(measure_pair, manifest_a.subjects,
+                                                    args.threads))
     else:
         tasks = ([(path_a.parent, r) for r in manifest_a.subjects]
                  + [(path_b.parent, r) for r in manifest_b.subjects])
         measured = map_ordered(lambda task: collect_structure_measurements(
             *_load_indexed(*task)), tasks, args.threads)
-        cohort_a, cohort_b = measured[:n_a], measured[n_a:]
+        cohort_a, cohort_b, dice = measured[:n_a], measured[n_a:], []
 
-    table = cohort_consistency(cohort_a, cohort_b, dice_stats=dice_stats)
+    rows = cohort_consistency(cohort_a, cohort_b, dice)
     # each indexed subject loads a tissue and a structure map and indexes the
     # latter; paired mode indexes A's subjects in both cohorts
     indexes_built = 2 * n_a if args.mode == "paired" else n_a + n_b
     with _run_log(out) as log:
-        table.write_csv(out / "consistency.csv")
+        write_consistency_csv(out / "consistency.csv", rows)
         log.info("wrote %s", out / "consistency.csv")
         _log_stage(log, "consistency", start, mode=args.mode, subjects_a=n_a,
                    subjects_b=n_b, maps_loaded=2 * indexes_built, indexes_built=indexes_built)

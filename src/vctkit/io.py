@@ -48,6 +48,12 @@ RAW_SUFFIX = ".raw"
 CTV_UNITS = {"image": "HU", "tissue": "label", "structure": "label"}
 
 
+def check_file_name(name: str, what: str) -> None:
+    """Refuse a ``name`` that is empty, ``.``, ``..`` or holds a directory part."""
+    if name in ("", ".", "..") or Path(name).name != name:
+        raise ValueError(f"{what} must be a plain file name, got {name!r}")
+
+
 @dataclass(frozen=True, kw_only=True)
 class CtvHeader:
     """The JSON header of a CTV pair, its fields in the order they are written."""
@@ -74,8 +80,7 @@ class CtvHeader:
             raise ValueError(f"kind must be one of {list(CTV_UNITS)}, got {self.kind!r}")
         if self.unit != CTV_UNITS[self.kind]:
             raise ValueError(f"unsupported unit {self.unit!r} for kind {self.kind!r}")
-        if self.data_file in ("", ".", "..") or Path(self.data_file).name != self.data_file:
-            raise ValueError(f"data_file must be a plain file name, got {self.data_file!r}")
+        check_file_name(self.data_file, "data_file")
 
     @property
     def grid(self) -> Grid:

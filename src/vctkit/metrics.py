@@ -10,7 +10,6 @@ the identity line, and is invariant to affine rescaling of either sample.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,71 +83,36 @@ def qq_pearson(a, b) -> float:
     return pearson(qa, qb)
 
 
-@dataclass
-class ConsistencyRow:
-    class_id: int
-    class_name: str
-    dice_mean: float | None = None
-    dice_std: float | None = None
-    volume_corr: float | None = None
-    centroid_r: float | None = None
-    centroid_a: float | None = None
-    centroid_s: float | None = None
-
-
-@dataclass
-class ConsistencyTable:
-    rows: dict[int, ConsistencyRow] = field(default_factory=dict)
-
-    _COLUMNS = ("dice_mean", "dice_std", "volume_corr",
-                "centroid_r", "centroid_a", "centroid_s")
-
-    def average_row(self) -> ConsistencyRow:
-        avg = ConsistencyRow(class_id=0, class_name="Average")
-        for col in self._COLUMNS:
-            vals = [getattr(r, col) for r in self.rows.values() if getattr(r, col) is not None]
-            if vals:
-                setattr(avg, col, float(np.mean(vals)))
-        return avg
-
-    def write_csv(self, path):
-        header = ["class", "dice_mean", "dice_std", "volume_corr",
-                  "centroid_R", "centroid_A", "centroid_S"]
-        codec.write_csv(path, header, [
-            [r.class_name] + [getattr(r, col) for col in self._COLUMNS]
-            for r in [self.rows[c] for c in sorted(self.rows)] + [self.average_row()]])
+# the columns of consistency.csv; a row of the table holds the six after "class"
+CONSISTENCY_HEADER = ["class", "dice_mean", "dice_std", "volume_corr",
+                      "centroid_R", "centroid_A", "centroid_S"]
 
 
 def _class_name(c: int) -> str:
     return STRUCTURE_CLASSES.get(c, f"class_{c}")
 
 
-def paired_dice_stats(per_pair) -> dict[int, tuple[float, float]]:
-    """Mean and std of per-class Dice over pairs, one ``per_class_dice`` dict each."""
-    samples: dict[int, list[float]] = {}
-    for dice in per_pair:
-        for c, d in dice.items():
-            samples.setdefault(c, []).append(d)
-    out = {}
-    for c, vals in samples.items():
-        arr = np.asarray(vals, dtype=np.float64)
-        sd = float(arr.std(ddof=1)) if len(arr) >= 2 else 0.0
-        out[c] = (float(arr.mean()), sd)
-    return out
+def _qq_or_none(a, b) -> float | None:
+    try:
+        return qq_pearson(a, b)
+    except ValueError:
+        return None
 
 
 def cohort_consistency(a: list[dict[int, dict]], b: list[dict[int, dict]],
-                       dice_stats: dict[int, tuple[float, float]] | None = None
-                       ) -> ConsistencyTable:
-    """Cross-cohort Q-Q agreement per structure class.
+                       dice: list[dict[int, float]]) -> dict[int, list]:
+    """Cross-cohort agreement per structure class: its row of the cells after
+    ``class`` in ``CONSISTENCY_HEADER``.
 
     ``a`` and ``b`` hold one ``collect_structure_measurements`` dict per
-    subject, in any order.  Classes with fewer than
-    ``CONSISTENCY_MIN_SAMPLES`` subjects in either cohort are omitted with a
-    warning.  ``dice_stats`` (from paired comparisons) is merged into the
-    table when available.
+    subject, in any order; ``dice`` holds one ``per_class_dice`` dict per
+    subject pair (none when unpaired).  A row is the mean and sample std of
+    the class's Dice over the pairs that hold it, then the Q-Q correlations
+    of volume and of each centroid axis; a cell without a value is None.
+    Classes with fewer than ``CONSISTENCY_MIN_SAMPLES`` subjects in either
+    cohort are omitted with a warning.
     """
-    table = ConsistencyTable()
+    rows = {}
     for c in sorted(set().union(*a) & set().union(*b)):
         ma = [s[c] for s in a if c in s]
         mb = [s[c] for s in b if c in s]
@@ -157,23 +121,24 @@ def cohort_consistency(a: list[dict[int, dict]], b: list[dict[int, dict]],
                           f"{CONSISTENCY_MIN_SAMPLES} samples in a cohort; "
                           "omitted from consistency table")
             continue
-        row = ConsistencyRow(class_id=c, class_name=_class_name(c))
-        try:
-            row.volume_corr = qq_pearson([m["volume_mm3"] for m in ma],
-                                         [m["volume_mm3"] for m in mb])
-        except ValueError:
-            row.volume_corr = None
-        ca = np.array([m["centroid"] for m in ma], dtype=np.float64)
-        cb = np.array([m["centroid"] for m in mb], dtype=np.float64)
-        for axis, col in enumerate(("centroid_r", "centroid_a", "centroid_s")):
-            try:
-                setattr(row, col, qq_pearson(ca[:, axis], cb[:, axis]))
-            except ValueError:
-                setattr(row, col, None)
-        table.rows[c] = row
-    if dice_stats:
-        for c, (dm, ds) in dice_stats.items():
-            if c in table.rows:
-                table.rows[c].dice_mean = dm
-                table.rows[c].dice_std = ds
-    return table
+        d = np.array([pair[c] for pair in dice if c in pair], dtype=np.float64)
+        if len(d):
+            row = [float(d.mean()), float(d.std(ddof=1)) if len(d) >= 2 else 0.0]
+        else:
+            row = [None, None]
+        # one Q-Q cell per column of (volume_mm3, *centroid)
+        va, vb = ([(m["volume_mm3"], *m["centroid"]) for m in ms] for ms in (ma, mb))
+        rows[c] = row + [_qq_or_none(x, y) for x, y in zip(zip(*va), zip(*vb))]
+    return rows
+
+
+def write_consistency_csv(path, rows: dict[int, list]) -> None:
+    """Write ``cohort_consistency`` rows in class order, then the Average row:
+    each column's mean over its non-None cells, empty when it has none."""
+    classes = sorted(rows)
+    average = []
+    for j in range(len(CONSISTENCY_HEADER) - 1):
+        vals = [rows[c][j] for c in classes if rows[c][j] is not None]
+        average.append(float(np.mean(vals)) if vals else None)
+    codec.write_csv(path, CONSISTENCY_HEADER,
+                    [[_class_name(c), *rows[c]] for c in classes] + [["Average", *average]])

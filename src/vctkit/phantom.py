@@ -38,6 +38,7 @@ from .volume import (
     TISSUE_CLASSES,
     TISSUE_IDS,
     Volume,
+    value_counts,
     voxel_volume_mm3,
 )
 
@@ -534,23 +535,6 @@ def generate_phantom(spec: PhantomSpec, *, structures: bool = True, pool=None):
     return vol, tissue_map, structure_map, truth
 
 
-_TRUTH_CHUNK = 1 << 18
-
-
-def _hu_histogram(hu: np.ndarray) -> np.ndarray:
-    """Voxel count per int16 HU value, indexed by its two's-complement uint16.
-
-    ``np.bincount`` casts its input to intp, so a whole-grid call would build
-    an int64 copy of the grid (8 B per voxel, four times the image); chunks
-    of ``_TRUTH_CHUNK`` voxels bound that copy at 2 MB.
-    """
-    flat = hu.ravel().view(np.uint16)
-    counts = np.zeros(65536, dtype=np.int64)
-    for start in range(0, flat.size, _TRUTH_CHUNK):
-        counts += np.bincount(flat[start:start + _TRUTH_CHUNK], minlength=65536)
-    return counts
-
-
 def _count_truth(canvas: _Canvas, grid: Grid, geom: _Geometry,
                  landmarks: dict) -> PhantomTruth:
     """Ground truth by exact voxel counting with the default density map.
@@ -558,12 +542,13 @@ def _count_truth(canvas: _Canvas, grid: Grid, geom: _Geometry,
     Every material has a distinct fixed HU and air only appears outside the
     body, so one histogram over HU values yields all masses exactly (air
     adjustment included: every in-body HU is above -900).  The histogram is
-    built chunk by chunk (``_hu_histogram``), so counting allocates no
+    built chunk by chunk (``value_counts``), so counting allocates no
     whole-grid temporary; its counts are exact integers, so every mass and
     percentage is independent of the chunking.
     """
     vox = voxel_volume_mm3(grid)
-    counts = _hu_histogram(canvas.hu)
+    # indexed by each int16 HU value's two's-complement uint16
+    counts = value_counts(canvas.hu.view(np.uint16), minlength=65536)
 
     def count_of(h: int) -> int:
         return int(counts[h & 0xFFFF])
@@ -816,12 +801,23 @@ class SubjectRecord:
     structure: str | None = None
     truth: PhantomTruth | None = None
 
+    def __post_init__(self):
+        # an id names the subject's measurement file, so it is a plain file name
+        io.check_file_name(self.id, "subject id")
+
 
 @dataclass
 class CohortManifest:
     seed: int
     spacing_mm: tuple[float, float, float]
     subjects: list[SubjectRecord]
+
+    def __post_init__(self):
+        seen = set()
+        for s in self.subjects:
+            if s.id in seen:
+                raise ValueError(f"subject id {s.id!r} is repeated")
+            seen.add(s.id)
 
 
 def write_manifest(manifest: CohortManifest, path) -> Path:

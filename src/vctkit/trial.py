@@ -525,8 +525,8 @@ def _prepare_features(pairs: list):
     return X, y
 
 
-def attribute_errors(report_or_samples, seed: int = 0) -> AttributionBlock:
-    """Bias attribution over the 8 attributes for each sample type.
+def attribute_errors(report: TrialReport, seed: int = 0) -> AttributionBlock:
+    """Bias attribution over the 8 attributes for each sample type of ``report``.
 
     Per attribute: Pearson correlation with |error| on real and synthetic
     subjects plus a Fisher-z p-value for their difference.  Per sample type:
@@ -534,11 +534,7 @@ def attribute_errors(report_or_samples, seed: int = 0) -> AttributionBlock:
     then a refit on all rows for normalized importances), and pairwise
     correlations between the importance vectors.
     """
-    if isinstance(report_or_samples, TrialReport):
-        samples = report_or_samples.samples
-    else:
-        samples = report_or_samples
-    present = {t: samples[t] for t in SAMPLE_TYPES if samples.get(t)}
+    present = {t: report.samples[t] for t in SAMPLE_TYPES if report.samples.get(t)}
     for t, v in present.items():
         if len(v) < ATTRIBUTION_MIN_SUBJECTS:
             raise ValueError(f"sample type {t!r} has {len(v)} subjects; "

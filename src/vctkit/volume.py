@@ -77,9 +77,9 @@ STRUCTURE_IDS = {name: label for label, name in STRUCTURE_TABLE.items()}
 
 # voxels per chunk of LabelMap validation's range tests
 _CHECK_CHUNK = 1 << 18
-# voxels per chunk of present_labels: np.bincount casts its input to intp,
+# least voxels per chunk of value_counts: np.bincount casts its input to intp,
 # so a chunk's copy is 128 kB
-_COUNT_CHUNK = 1 << 14
+_BINCOUNT_CHUNK = 1 << 14
 
 
 def _missing_runs(class_table: dict, top: int) -> list[tuple[int, int]]:
@@ -92,18 +92,27 @@ def _missing_runs(class_table: dict, top: int) -> list[tuple[int, int]]:
     return runs
 
 
-def present_labels(data: np.ndarray) -> list[int]:
-    """The distinct values of an unsigned integer label array, ascending.
+def value_counts(data: np.ndarray, minlength: int = 0) -> np.ndarray:
+    """Voxel count per value of an unsigned integer array, at least ``minlength`` long.
 
-    Values are counted one flat chunk of ``_COUNT_CHUNK`` voxels at a time,
-    so no whole-grid copy is made.
+    Values are counted one flat chunk at a time, so no whole-grid copy is
+    made; a chunk of ``_BINCOUNT_CHUNK`` voxels, or ``minlength`` when more,
+    costs no less to count than its counts cost to add.
     """
     flat = data.ravel(order="K")  # a view of a C- or F-ordered array
-    seen = np.zeros(int(flat.max()) + 1, dtype=bool)
-    for start in range(0, flat.size, _COUNT_CHUNK):
-        counts = np.bincount(flat[start:start + _COUNT_CHUNK])
-        seen[:counts.size] |= counts > 0
-    return np.flatnonzero(seen).tolist()
+    counts = np.zeros(minlength, dtype=np.int64)
+    step = max(_BINCOUNT_CHUNK, minlength)
+    for start in range(0, flat.size, step):
+        part = np.bincount(flat[start:start + step])
+        if part.size > counts.size:
+            counts, part = part, counts  # the longer one accumulates
+        counts[:part.size] += part
+    return counts
+
+
+def present_labels(data: np.ndarray) -> list[int]:
+    """The distinct values of an unsigned integer label array, ascending."""
+    return np.flatnonzero(value_counts(data)).tolist()
 
 
 @dataclass(frozen=True)

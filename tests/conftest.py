@@ -11,6 +11,7 @@ settings.register_profile(
 settings.load_profile("suite")
 
 from vctkit.phantom import PhantomSpec, generate_phantom
+from vctkit.trial import BiasBoundary, TrialReport
 
 
 @pytest.fixture(scope="session")
@@ -53,3 +54,14 @@ def _traced_peak(fn, *args, **kwargs):
 @pytest.fixture()
 def traced_peak():
     return _traced_peak
+
+
+def _samples_report(samples):
+    """A trial report that holds only ``samples``, for attribution on constructed errors."""
+    return TrialReport(task="fat_pct", boundary=BiasBoundary(), achieved_pearson=0.0,
+                       counts={}, classifier_accuracy=0.0, rows=[], samples=samples)
+
+
+@pytest.fixture()
+def samples_report():
+    return _samples_report

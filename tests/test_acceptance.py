@@ -20,7 +20,6 @@ from vctkit.forest import ForestParams, fit_forest, predict
 from vctkit.metrics import (
     cohort_consistency,
     collect_structure_measurements,
-    paired_dice_stats,
     per_class_dice,
     qq_pearson,
 )
@@ -247,12 +246,12 @@ def _volume_driven_errors(n, seed, prefix):
     return out
 
 
-def test_attribution_ranks_constructed_driver():
+def test_attribution_ranks_constructed_driver(samples_report):
     samples = {
         "real": _volume_driven_errors(80, 909, "r"),
         "synthetic": _volume_driven_errors(80, 910, "s"),
     }
-    block = attribute_errors(samples, seed=0)
+    block = attribute_errors(samples_report(samples), seed=0)
     assert block.importances["real"]["body_volume"] >= 0.5
     assert block.importances["synthetic"]["body_volume"] >= 0.5
     imp_r = np.array([block.importances["real"][f]
@@ -288,15 +287,11 @@ def test_self_comparison_table_all_ones():
         index = LabelIndex(structure)
         measurements.append(collect_structure_measurements(index, tissue))
         pairs.append(per_class_dice(index, index))
-    table = cohort_consistency(measurements, measurements,
-                               dice_stats=paired_dice_stats(pairs))
-    assert table.rows
-    for row in table.rows.values():
-        assert row.dice_mean == 1.0
-        assert row.dice_std == 0.0
-        assert row.volume_corr == 1.0
-        for col in ("centroid_r", "centroid_a", "centroid_s"):
-            assert getattr(row, col) == 1.0
+    rows = cohort_consistency(measurements, measurements, pairs)
+    assert rows
+    for row in rows.values():
+        # Dice mean and std, then volume and centroid R, A, S Q-Q correlations
+        assert row == [1.0, 0.0, 1.0, 1.0, 1.0, 1.0]
 
 
 def test_qq_scale_invariance():

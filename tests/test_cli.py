@@ -895,3 +895,52 @@ def test_consistency_cohort_mode(cohort_dir, tmp_path):
     assert lines[0].startswith("class,")
     # unpaired mode: dice columns stay empty
     assert all(line.split(",")[1] == "" for line in lines[1:])
+
+
+def test_consistency_paired_and_cohort_agree_off_dice(tmp_path):
+    # B holds A's structure maps moved one voxel superior, so the two
+    # cohorts differ; the modes differ only in the Dice columns
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["phantom", "gen", "--n", "4", "--seed", "6", "--out", str(a),
+                 "--spacing", "8,8,8"]) == 0
+    shutil.copytree(a, b)
+    for record in load_manifest(a / "manifest.json").subjects:
+        structures = load_labelmap(a / record.structure, "structure")
+        shifted = np.zeros_like(structures.data)
+        shifted[:, :, 1:] = structures.data[:, :, :-1]
+        save_labelmap(replace(structures, data=shifted), b / record.structure)
+    tables = {}
+    for mode in ("paired", "cohort"):
+        out = tmp_path / mode
+        assert main(["consistency", "--a", str(a / "manifest.json"),
+                     "--b", str(b / "manifest.json"), "--out", str(out), f"--{mode}"]) == 0
+        with open(out / "consistency.csv", newline="") as fh:
+            tables[mode] = [[row[0], *row[3:]] for row in csv.reader(fh)]
+    assert len(tables["paired"]) > 2
+    assert tables["paired"] == tables["cohort"]
+
+
+@pytest.mark.parametrize("case", ["escaping", "repeated"])
+def test_bad_subject_ids_exit_2_naming_the_id(tmp_path, capsys, case):
+    # a manifest whose subject id leaves the output directory, or repeats
+    # another subject's, so its measurement file would be written outside
+    # --out or overwrite the other subject's
+    cohort = tmp_path / "cohort"
+    assert main(["phantom", "gen", "--n", "3", "--seed", "4",
+                 "--out", str(cohort), "--spacing", "8,8,8"]) == 0
+    payload = json.loads((cohort / "manifest.json").read_text())
+    if case == "escaping":
+        payload["subjects"][1]["id"] = bad = "../../escaped"
+    else:
+        payload["subjects"][2]["id"] = bad = payload["subjects"][0]["id"]
+    (cohort / "manifest.json").write_text(json.dumps(payload))
+    manifest = str(cohort / "manifest.json")
+    before = set(tmp_path.rglob("*"))
+    for argv in (["measure", "--manifest", manifest, "--out", str(cohort / "meas")],
+                 ["consistency", "--a", manifest, "--b", manifest,
+                  "--out", str(cohort / "cons"), "--paired"],
+                 ["trial", "run", "--cohort", str(cohort), "--out", str(cohort / "trial")]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert repr(bad) in capsys.readouterr().err, argv
+        assert set(tmp_path.rglob("*")) == before, argv

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vctkit.metrics import (
+    CONSISTENCY_HEADER,
     cohort_consistency,
     collect_structure_measurements,
-    paired_dice_stats,
     per_class_dice,
     qq_pearson,
+    write_consistency_csv,
 )
 from vctkit.volume import Grid, LabelIndex, LabelMap, voxel_volume_mm3
 
@@ -238,51 +239,81 @@ def _measurements(n, seed, classes=(1, 2)):
 
 def test_cohort_consistency_self_agreement():
     m = _measurements(25, seed=2)
-    table = cohort_consistency(m, m)
-    assert set(table.rows) == {1, 2}
-    for row in table.rows.values():
-        assert row.volume_corr == pytest.approx(1.0)
-        for col in ("centroid_r", "centroid_a", "centroid_s"):
-            assert getattr(row, col) == pytest.approx(1.0)
+    rows = cohort_consistency(m, m, [])
+    assert set(rows) == {1, 2}
+    for row in rows.values():
+        assert len(row) == len(CONSISTENCY_HEADER) - 1
+        assert row[:2] == [None, None]  # no pairs, no Dice
+        assert row[2:] == pytest.approx([1.0] * 4)
 
 
 def test_cohort_consistency_min_samples_warns_and_omits():
     a = _measurements(2, seed=1)
     b = _measurements(25, seed=3)
-    with pytest.warns(UserWarning):
-        table = cohort_consistency(a, b)
-    assert not table.rows
+    with pytest.warns(UserWarning, match="fewer than 3 samples"):
+        rows = cohort_consistency(a, b, [])
+    assert rows == {}
 
 
-def test_cohort_consistency_merges_dice():
+def test_cohort_consistency_dice_over_pairs():
     m = _measurements(10, seed=4)
-    table = cohort_consistency(m, m, dice_stats={1: (0.97, 0.01), 7: (0.5, 0.0)})
-    assert table.rows[1].dice_mean == 0.97
-    assert table.rows[2].dice_mean is None  # no paired stats for class 2
+    # class 7 is in no cohort, so it has no row; no pair holds class 2
+    dice = [{1: 0.9, 7: 0.5}, {1: 1.0}, {7: 0.5}, {1: 0.8}]
+    rows = cohort_consistency(m, m, dice)
+    d = np.array([0.9, 1.0, 0.8])
+    assert rows[1][:2] == [float(d.mean()), float(d.std(ddof=1))]
+    assert rows[2][:2] == [None, None]
+    assert set(rows) == {1, 2}
+    # one pair: its Dice, and a std of 0.0
+    assert cohort_consistency(m, m, [{1: 0.75}])[1][:2] == [0.75, 0.0]
 
 
-def test_paired_dice_stats_identity():
+def test_cohort_consistency_identical_pairs():
     a = np.zeros((5, 5, 5), dtype=np.uint8)
     a[1:4, 1:4, 1:4] = 1
     a[2, 2, 2] = 2
-    stats = paired_dice_stats([per_class_dice(_ix(a), _ix(a.copy()))] * 3)
+    m = _measurements(3, seed=5)
+    rows = cohort_consistency(m, m, [per_class_dice(_ix(a), _ix(a.copy()))] * 3)
     for lab in (1, 2):
-        mean, sd = stats[lab]
-        assert mean == pytest.approx(1.0)
-        assert sd == pytest.approx(0.0)
+        assert rows[lab][:2] == [1.0, 0.0]
+
+
+def test_cohort_consistency_undefined_qq_is_none():
+    # a constant centroid axis in one cohort only: its Q-Q Pearson is 0/0
+    a = _measurements(5, seed=6, classes=(1,))
+    b = [{1: {"volume_mm3": m[1]["volume_mm3"], "centroid": (0.5, *m[1]["centroid"][1:])}}
+         for m in _measurements(5, seed=7, classes=(1,))]
+    rows = cohort_consistency(a, b, [])
+    assert rows[1][3] is None
+    assert all(v is not None for v in rows[1][4:])
+
+
+def test_write_consistency_csv_pinned(tmp_path):
+    rows = {
+        33: [0.5, 0.25, 1.0, None, 0.75, 0.5],  # a class without a name
+        2: [None, None, 0.5, None, 0.25, 1.0],  # a class without Dice
+    }
+    path = tmp_path / "consistency.csv"
+    write_consistency_csv(path, rows)
+    assert path.read_bytes() == (
+        b"class,dice_mean,dice_std,volume_corr,centroid_R,centroid_A,centroid_S\r\n"
+        b"spleen,,,0.5,,0.25,1.0\r\n"
+        b"class_33,0.5,0.25,1.0,,0.75,0.5\r\n"
+        b"Average,0.5,0.25,0.75,,0.5,0.75\r\n")
+    write_consistency_csv(path, {})
+    assert path.read_bytes() == (
+        b"class,dice_mean,dice_std,volume_corr,centroid_R,centroid_A,centroid_S\r\n"
+        b"Average,,,,,,\r\n")
 
 
 def test_consistency_table_csv_schema(tmp_path):
     m = _measurements(12, seed=9)
-    table = cohort_consistency(m, m, dice_stats={1: (0.95, 0.02), 2: (0.91, 0.03)})
+    rows = cohort_consistency(m, m, [{1: 0.95, 2: 0.91}, {1: 0.93, 2: 0.9}])
     path = tmp_path / "consistency.csv"
-    table.write_csv(path)
+    write_consistency_csv(path, rows)
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == ("class,dice_mean,dice_std,volume_corr,"
-                        "centroid_R,centroid_A,centroid_S")
+    assert lines[0].strip() == ",".join(CONSISTENCY_HEADER)
     assert lines[-1].startswith("Average,")
-    header = lines[0].split(",")
-    qq_idx = header.index("volume_corr")
-    vals = [float(l.split(",")[qq_idx]) for l in lines[1:-1] if l.split(",")[qq_idx]]
-    avg = float(lines[-1].split(",")[qq_idx])
-    assert avg == pytest.approx(float(np.mean(vals)), abs=1e-12)
+    for j in range(1, len(CONSISTENCY_HEADER)):
+        vals = [rows[c][j - 1] for c in sorted(rows)]
+        assert float(lines[-1].split(",")[j]) == float(np.mean(vals))

@@ -11,7 +11,6 @@ from hypothesis import example, given, strategies as st
 
 from vctkit.codec import decode, encode
 from vctkit.phantom import (
-    _TRUTH_CHUNK,
     BIN_WIDTH,
     AttributeDistribution,
     Attributes,
@@ -25,7 +24,6 @@ from vctkit.phantom import (
     generate_cohort,
     generate_matched_spec,
     generate_phantom,
-    _hu_histogram,
     load_manifest,
     sample_cohort_specs,
     sample_fractions,
@@ -118,33 +116,9 @@ TRUTH_DIGESTS = {
 def test_truth_encoding_pinned(spacing):
     [(_, _, spec)] = sample_cohort_specs(1, AttributeDistribution(), (spacing,) * 3, 3)
     vol, _, _, truth = generate_phantom(spec)
-    assert vol.grid.n_voxels > _TRUTH_CHUNK  # the count spans more than one chunk
+    assert vol.grid.n_voxels > 65536  # the 65536-bin count spans more than one chunk
     text = json.dumps(encode(truth), sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TRUTH_DIGESTS[spacing]
-
-
-_PLANTED = (-32768, -32767, -1024, -1000, -1, 0, 1, 3071, 32767)
-
-
-@given(chunks=st.integers(0, 3), offset=st.integers(-2, 2), seed=st.integers(0, 2 ** 32 - 1),
-       n_values=st.integers(1, 300), planted=st.lists(st.sampled_from(_PLANTED), max_size=4))
-@example(chunks=0, offset=0, seed=0, n_values=1, planted=[])  # an empty grid
-@example(chunks=0, offset=1, seed=0, n_values=1, planted=[-32768])
-@example(chunks=1, offset=0, seed=1, n_values=2, planted=[-32768, 32767])
-@example(chunks=2, offset=-1, seed=2, n_values=300, planted=[-1, -1024])
-def test_hu_histogram_matches_one_bincount(chunks, offset, seed, n_values, planted):
-    size = max(0, chunks * _TRUTH_CHUNK + offset)
-    rng = np.random.default_rng(seed)
-    # few distinct values, as in a phantom, so counts grow across chunks
-    values = rng.integers(-32768, 32768, size=n_values, dtype=np.int16)
-    hu = values[rng.integers(0, n_values, size=size)]
-    for i, h in enumerate(planted):
-        if size:  # each chunk's last voxel and the next chunk's first
-            hu[min(size - 1, max(0, (i // 2 + 1) * _TRUTH_CHUNK - 1 + i % 2))] = h
-    oracle = np.bincount(hu.view(np.uint16), minlength=65536)
-    counts = _hu_histogram(hu.reshape(1, 1, size))
-    assert counts.dtype == oracle.dtype
-    assert np.array_equal(counts, oracle)
 
 
 def test_generate_phantom_traced_peak(traced_peak):
@@ -368,3 +342,16 @@ def test_manifest_round_trip(tmp_path, phantom_small):
     assert got.population == "ID"
     assert got.image == rec.image
     assert got.truth == truth
+
+
+@pytest.mark.parametrize("bad", ["", ".", "..", "a/b", "../escaped", "/abs"])
+def test_subject_id_must_be_plain_file_name(bad):
+    with pytest.raises(ValueError, match="subject id must be a plain file name"):
+        SubjectRecord(id=bad, attributes=Attributes(None, None, None, None))
+
+
+def test_manifest_refuses_repeated_subject_id():
+    subjects = [SubjectRecord(id=sid, attributes=Attributes(None, None, None, None))
+                for sid in ("s0", "s1", "s0")]
+    with pytest.raises(ValueError, match="subject id 's0' is repeated"):
+        CohortManifest(seed=1, spacing_mm=(3.0, 3.0, 3.0), subjects=subjects)

@@ -552,12 +552,12 @@ def _constructed_errors(n, seed, prefix):
     return out
 
 
-def test_attribution_finds_driving_attribute():
+def test_attribution_finds_driving_attribute(samples_report):
     samples = {
         "real": _constructed_errors(60, 1, "r"),
         "synthetic": _constructed_errors(60, 2, "s"),
     }
-    block = attribute_errors(samples, seed=0)
+    block = attribute_errors(samples_report(samples), seed=0)
     assert block.importances["real"]["age"] > 0.6
     assert block.importances["synthetic"]["age"] > 0.6
     assert block.importance_correlations["real_vs_synthetic"] > 0.9
@@ -566,25 +566,25 @@ def test_attribution_finds_driving_attribute():
     assert block.regression_mae["real"]["mae"] < 1.0
 
 
-def test_attribution_min_subjects():
+def test_attribution_min_subjects(samples_report):
     samples = {"real": _constructed_errors(10, 1, "r")}
     with pytest.raises(ValueError, match="at least 30"):
-        attribute_errors(samples)
+        attribute_errors(samples_report(samples))
 
 
-def test_attribution_requires_real():
+def test_attribution_requires_real(samples_report):
     samples = {"synthetic": _constructed_errors(40, 1, "s")}
     with pytest.raises(ValueError, match="requires real"):
-        attribute_errors(samples)
+        attribute_errors(samples_report(samples))
 
 
-def test_attribution_constant_column_warns():
+def test_attribution_constant_column_warns(samples_report):
     real = _constructed_errors(40, 1, "r")
     for s, _ in real:
         s.attributes = Attributes("M", s.attributes.age_years,
                                   s.attributes.height_cm, s.attributes.weight_kg)
     with pytest.warns(UserWarning, match="constant attribute column"):
-        block = attribute_errors({"real": real}, seed=0)
+        block = attribute_errors(samples_report({"real": real}), seed=0)
     assert block.importances["real"]["sex"] == 0.0
     assert block.warnings
     # an undefined correlation or p-value is None, the missing value, not NaN
