@@ -5,9 +5,10 @@ Voxel HU maps to mass density via ``density(HU) = (HU + 1000) /
 reference material whose density is defined as 1 (water, 0 HU); the
 phantom's materials and its ground truth use the same map.  Before the
 mapping, voxels at or below the air threshold (-900 HU inclusive) are set to
--1000 HU so near-air noise carries zero mass.  The map is applied once, in
-place, to a float64 copy of the body HU: the body is compacted first, and
-that copy is the only body-sized float array a measurement builds.  Bone
+-1000 HU so near-air noise carries zero mass.  The body is compacted first;
+one float64 array then holds its ``HU + 1000``, its air voxels are set to
+``AIR_FILL_HU + 1000`` (zero) and it is divided in place, so it is the only
+body-sized float array a measurement builds.  Bone
 density is reported as the mean *raw* HU over bone-tissue voxels, without
 the air adjustment.
 """
@@ -56,17 +57,16 @@ def measure_composition(vol: Volume, tissue: LabelMap) -> CompositionReport:
     if tissue.kind != "tissue":
         raise ValueError(f"expected a tissue map, got kind {tissue.kind!r}")
 
-    # compact the body once; density() then runs in place on one float64
-    # copy of the body HU, so no other body-sized float is built
+    # compact the body once; density() then runs on one float64 array that
+    # the + 1000 builds, so no other body-sized float is built
     body = tissue.body_mask()
     labels = tissue.data[body]
     hu = vol.data[body]
     n_body = labels.size
     if n_body == 0:
         raise ValueError("degenerate input: body mask is empty")
-    rho = hu.astype(np.float64)
-    rho[hu <= AIR_THRESHOLD_HU] = AIR_FILL_HU
-    rho += 1000.0
+    rho = np.add(hu, 1000.0, dtype=np.float64)
+    rho[hu <= AIR_THRESHOLD_HU] = AIR_FILL_HU + 1000.0
     rho /= REFERENCE_HU + 1000.0
     vox_cm3 = voxel_volume_mm3(vol.grid) / 1000.0
 

@@ -127,6 +127,10 @@ _AORTA = ("aorta", HU_AORTA, "body", (-0.06, -0.12, 0.18), (0.055, 0.055, 0.42))
 _JITTER_CENTER = 0.04   # relative organ center jitter
 _JITTER_SIZE = 0.06     # relative organ size jitter
 
+# one (organ, side) per painted blob, in painting order
+_ORGAN_SIDES = tuple((organ, side) for organ in _ORGANS
+                     for side in ((-1.0, 1.0) if organ[5] else (1.0,)))
+
 
 @dataclass
 class _Geometry:
@@ -321,16 +325,15 @@ class _Canvas:
             self.hu = _pooled(pool, "hu", grid.dims, np.int16, HU_AIR)
             self.tissue = _pooled(pool, "tissue", grid.dims, np.uint8, 0)
         self.structure = np.zeros(grid.dims, dtype=np.uint8) if structures else None
-        self.x = grid.axis_coords(0)
-        self.y = grid.axis_coords(1)
-        self.z = grid.axis_coords(2)
+        # float64 to bound slabs, float32 to paint them
+        self.coords = tuple(grid.axis_coords(a) for a in range(3))
+        self.coords32 = tuple(c.astype(np.float32) for c in self.coords)
 
     def _slab(self, lo: np.ndarray, hi: np.ndarray):
-        coords = (self.x, self.y, self.z)
         sl = []
         for a in range(3):
-            i0 = int(np.searchsorted(coords[a], lo[a], side="left"))
-            i1 = int(np.searchsorted(coords[a], hi[a], side="right"))
+            i0 = int(np.searchsorted(self.coords[a], lo[a], side="left"))
+            i1 = int(np.searchsorted(self.coords[a], hi[a], side="right"))
             if i0 >= i1:
                 return None
             sl.append(slice(i0, i1))
@@ -345,10 +348,8 @@ class _Canvas:
         sl = self._slab(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
         if sl is None:
             return None
-        X = self.x[sl[0]].astype(np.float32)[:, None, None]
-        Y = self.y[sl[1]].astype(np.float32)[None, :, None]
-        Z = self.z[sl[2]].astype(np.float32)[None, None, :]
-        return sl, X, Y, Z
+        x, y, z = (c[s] for c, s in zip(self.coords32, sl))
+        return sl, x[:, None, None], y[None, :, None], z[None, None, :]
 
     def assign(self, sl, mask, hu: int, tissue: str, structure: str | None = None):
         self.hu[sl][mask] = hu
@@ -356,34 +357,37 @@ class _Canvas:
         if structure is not None and self.structure is not None:
             self.structure[sl][mask] = STRUCTURE_IDS[structure]
 
-    def paint(self, mask_fn, lo, hi, hu: int, tissue: str, structure: str | None):
-        got = self.slab_arrays(lo, hi)
-        if got is None:
-            return
-        sl, X, Y, Z = got
-        shape = (X.shape[0], Y.shape[1], Z.shape[2])
-        mask = np.broadcast_to(mask_fn(X, Y, Z), shape)
-        if not mask.any():
-            return
-        self.assign(sl, mask, hu, tissue, structure)
-
     def paint_ellipsoid(self, center, radii, hu, tissue, structure=None):
         c = np.asarray(center, dtype=float)
         r = np.asarray(radii, dtype=float)
-        self.paint(
-            lambda X, Y, Z: ((X - c[0]) / r[0]) ** 2 + ((Y - c[1]) / r[1]) ** 2
-            + ((Z - c[2]) / r[2]) ** 2 <= 1.0,
-            c - r, c + r, hu, tissue, structure)
+        got = self.slab_arrays(c - r, c + r)
+        if got is None:
+            return
+        sl, X, Y, Z = got
+        mask = (((X - c[0]) / r[0]) ** 2 + ((Y - c[1]) / r[1]) ** 2
+                + ((Z - c[2]) / r[2]) ** 2 <= 1.0)
+        if mask.any():
+            self.assign(sl, mask, hu, tissue, structure)
 
     def paint_sphere(self, center, radius, hu, tissue, structure=None):
         self.paint_ellipsoid(center, (radius, radius, radius), hu, tissue, structure)
 
-    def paint_zcylinder(self, cx, cy, radius, z0, z1, hu, tissue, structure=None):
-        self.paint(
-            lambda X, Y, Z: (((X - cx) / radius) ** 2 + ((Y - cy) / radius) ** 2 <= 1.0)
-            & (Z >= z0) & (Z <= z1),
-            (cx - radius, cy - radius, z0), (cx + radius, cy + radius, z1),
-            hu, tissue, structure)
+    def paint_zcylinder(self, cx, cy, radius, z0: float, z1: float, hu, tissue,
+                        structure=None):
+        """Paint a z-aligned cylinder from its 2-D disk, as the legs are.
+
+        The slab already bounds z to [z0, z1] in float64, and rounding to
+        float32 is monotone, so float32 tests of its coordinates against the
+        Python floats ``z0`` and ``z1`` (which numpy rounds to float32 too)
+        hold on every voxel of it: only the disk needs testing.
+        """
+        got = self.slab_arrays((cx - radius, cy - radius, z0), (cx + radius, cy + radius, z1))
+        if got is None:
+            return
+        sl, X, Y, _Z = got
+        disk = (((X - cx) / radius) ** 2 + ((Y - cy) / radius) ** 2 <= 1.0)[:, :, 0]
+        if disk.any():
+            self.assign(sl, disk, hu, tissue, structure)
 
 
 def _grid_for(geom: _Geometry, spacing) -> tuple[Grid, np.ndarray]:
@@ -428,7 +432,6 @@ def generate_phantom(spec: PhantomSpec, *, structures: bool = True, pool=None):
     grid, offset = _grid_for(geom, spec.spacing_mm)
     canvas = _Canvas(grid, structures, pool)
     xc, yc, z0 = float(offset[0]), float(offset[1]), float(offset[2])
-    jit = Stream(spec.seed)
 
     rz, zc = geom.rz, z0 + geom.zc
     R, ry = geom.R, geom.ry
@@ -462,24 +465,25 @@ def generate_phantom(spec: PhantomSpec, *, structures: bool = True, pool=None):
                            HU_MUSCLE, "muscle")
     canvas.paint_sphere((xc, yc, z0 + geom.head_center_z), geom.r_head, HU_BODY, "body")
 
-    # organs inside the interior, with seeded jitter
+    # organs inside the interior, with seeded jitter: rows 2k and 2k + 1 are
+    # side k's center and size draws, with normal(3, 0.0, sd)'s arithmetic,
+    # so each row holds the bits one normal call per row would give
     rx_i = 0.82 * math.sqrt(qm) * R
     ry_i = 0.82 * math.sqrt(qm) * ry
-    for name, hu, tissue, (fx, fy, fu), (ax, ay, au), mirrored in _ORGANS:
-        sides = (-1.0, 1.0) if mirrored else (1.0,)
-        for side in sides:
-            jc = jit.normal(3, 0.0, _JITTER_CENTER)
-            js = 1.0 + jit.normal(3, 0.0, _JITTER_SIZE)
-            js = np.clip(js, 0.8, 1.2)
-            center = (
-                xc + (side * fx + jc[0]) * rx_i,
-                yc + (fy + jc[1]) * ry_i,
-                zc + (fu + 0.5 * jc[2] * au) * rz,
-            )
-            radii = (max(ax * js[0], 0.02) * rx_i,
-                     max(ay * js[1], 0.02) * ry_i,
-                     max(au * js[2], 0.01) * rz)
-            canvas.paint_ellipsoid(center, radii, hu, tissue, name)
+    z = Stream(spec.seed).standard_normals(2 * len(_ORGAN_SIDES), 3)
+    jitter_c = 0.0 + _JITTER_CENTER * z[0::2]
+    jitter_s = np.clip(1.0 + (0.0 + _JITTER_SIZE * z[1::2]), 0.8, 1.2)
+    for (organ, side), jc, js in zip(_ORGAN_SIDES, jitter_c, jitter_s):
+        name, hu, tissue, (fx, fy, fu), (ax, ay, au), _mirrored = organ
+        center = (
+            xc + (side * fx + jc[0]) * rx_i,
+            yc + (fy + jc[1]) * ry_i,
+            zc + (fu + 0.5 * jc[2] * au) * rz,
+        )
+        radii = (max(ax * js[0], 0.02) * rx_i,
+                 max(ay * js[1], 0.02) * ry_i,
+                 max(au * js[2], 0.01) * rz)
+        canvas.paint_ellipsoid(center, radii, hu, tissue, name)
     name, hu, tissue, (fx, fy, fu), (ax, ay, au) = _AORTA
     canvas.paint_zcylinder(xc + fx * rx_i, yc + fy * ry_i, ax * rx_i,
                            zc + (fu - au) * rz, zc + (fu + au) * rz,

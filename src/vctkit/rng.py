@@ -12,10 +12,13 @@ finalizer::
     z ^= z >> 27;  z *= 0x94D049BB133111EB
     z ^= z >> 31
 
-Uniform doubles take the top 53 bits: ``(out >> 11) * 2**-53``.  Gaussians
-use Box-Muller on consecutive uniform pairs.  Integer draws in ``[0, n)``
-are ``floor(u * n)``.  Substreams (per tree, per subject) are made by
-re-seeding with an offset or XORed hash of the parent seed, see callers.
+Uniform doubles take the top 53 bits: ``(out >> 11) * 2**-53``.  Integer
+draws in ``[0, n)`` are ``floor(u * n)``.  Gaussians use Box-Muller on
+uniforms; they go through numpy's ``log``, ``cos`` and ``sin``, whose last
+bits can depend on the CPU and the numpy build, so only the integer and
+uniform draws are reproducible across platforms.  Substreams (per tree, per
+subject) are made by re-seeding with an offset or XORed hash of the parent
+seed, see callers.
 """
 
 from __future__ import annotations
@@ -76,24 +79,30 @@ class Stream:
         """n doubles uniform on [0, 1)."""
         return (self.u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-    def uniform_open(self, n: int) -> np.ndarray:
-        """n doubles uniform on (0, 1]; safe as a log argument."""
-        return ((self.u64(n) >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
-
     def integers(self, n: int, upper: int) -> np.ndarray:
         """n integer draws in [0, upper) as int64, via floor(u * upper)."""
         if upper <= 0:
             raise ValueError("upper must be positive")
         return np.minimum((self.uniform(n) * upper).astype(np.int64), upper - 1)
 
+    def standard_normals(self, rows: int, n: int) -> np.ndarray:
+        """(rows, n) standard Gaussians via Box-Muller: row i holds the draws
+        of the i-th of ``rows`` consecutive ``normal(n)`` calls.
+
+        Each row takes ``2 * m`` draws, ``m = ceil(n / 2)``: ``m`` for
+        ``u1`` on (0, 1], a safe log argument, then ``m`` for ``u2`` on [0, 1).
+        """
+        m = (n + 1) // 2
+        raw = (self.u64(rows * 2 * m) >> np.uint64(11)).reshape(rows, 2, m)
+        u1 = (raw[:, 0] + np.uint64(1)).astype(np.float64) * 2.0**-53
+        u2 = raw[:, 1].astype(np.float64) * 2.0**-53
+        r = np.sqrt(-2.0 * np.log(u1))
+        return np.concatenate([r * np.cos(2.0 * np.pi * u2),
+                               r * np.sin(2.0 * np.pi * u2)], axis=1)[:, :n]
+
     def normal(self, n: int, mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
         """n Gaussian draws via Box-Muller."""
-        m = (n + 1) // 2
-        u1 = self.uniform_open(m)
-        u2 = self.uniform(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:n]
-        return mean + sd * z
+        return mean + sd * self.standard_normals(1, n)[0]
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n): argsort of raw draws."""

@@ -121,6 +121,30 @@ def test_truth_encoding_pinned(spacing):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TRUTH_DIGESTS[spacing]
 
 
+# sha256 of the HU, tissue and structure bytes of the same subject; the truth
+# counts only HU values, so these pin where each voxel and label lands
+PHANTOM_DIGESTS = {
+    2.0: ("9045b3f118102d5e575f9032162622c11f13992dbcfc537e73d227277c372879",
+          "7bd0fb66390dd9aa528d221d702c4b4f0f53995f3a4f6644bc8ffb6b25ac24e8",
+          "9120548b36d814125914e6d2a18a3ff55cede5a3c5b2a20df289a38ef1e6ee7b"),
+    4.0: ("735236fa3965ab2a7bfdd12da2274a54c0f8fba9cf993e7b0f9d530550cad906",
+          "b0f11792e8dc8570cd2781836bda9a709e8a0165e979d2ae192bf480d020e7c8",
+          "2038b22d9f29b787b598620d867f1f755ed6504f5eb8a8c9b3e02369baa154ef"),
+    8.0: ("7ef0354483fbd97c443705f292c54d8d4726cae4f433dc171cd884ffd3c976b9",
+          "3929c9c863315fef79bd3f42c157f48ce78caf1b7044ee89bd72eab0a7e0f3aa",
+          "26f0d770098a9fc08b04666709b3fc428836bce89760dccbbbdef5b8f075dd95"),
+}
+
+
+@pytest.mark.parametrize("spacing", sorted(PHANTOM_DIGESTS))
+def test_painted_bytes_pinned(spacing):
+    [(_, _, spec)] = sample_cohort_specs(1, AttributeDistribution(), (spacing,) * 3, 3)
+    vol, tissue, structure, _ = generate_phantom(spec)
+    digests = tuple(hashlib.sha256(m.data.tobytes()).hexdigest()
+                    for m in (vol, tissue, structure))
+    assert digests == PHANTOM_DIGESTS[spacing]
+
+
 def test_generate_phantom_traced_peak(traced_peak):
     (vol, *_), peak = traced_peak(generate_phantom,
                                   PhantomSpec(spacing_mm=(4.0, 4.0, 4.0), seed=5))

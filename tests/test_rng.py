@@ -33,9 +33,14 @@ def test_uniform_range_and_mean():
     assert abs(u.mean() - 0.5) < 0.02
 
 
-def test_uniform_open_never_zero():
-    u = Stream(11).uniform_open(5000)
-    assert u.min() > 0.0 and u.max() <= 1.0
+@given(st.integers(0, 2**64 - 1), st.integers(1, 40), st.integers(1, 7))
+def test_standard_normals_rows_are_consecutive_normal_calls(seed, rows, n):
+    batched, single = Stream(seed), Stream(seed)
+    z = batched.standard_normals(rows, n)
+    assert z.shape == (rows, n) and np.isfinite(z).all()
+    for row in z:
+        assert row.tobytes() == single.normal(n).tobytes()
+    assert batched.u64(1).tobytes() == single.u64(1).tobytes()
 
 
 @given(st.integers(0, 2**64 - 1), st.integers(1, 1000))
