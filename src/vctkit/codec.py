@@ -115,8 +115,6 @@ def _decode(tp, value, key: str):
     if origin is dict:
         if not isinstance(value, dict):
             raise ValueError(f"{key} must be a JSON object, got {value!r}")
-        if not args:
-            return dict(value)
         if args[0] is int:  # a JSON object key is a string
             for k in value:
                 if not re.fullmatch(r"-?[0-9]+", str(k)):

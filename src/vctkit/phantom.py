@@ -310,44 +310,37 @@ def _pooled(pool, name: str, dims, dtype, fill: int) -> np.ndarray:
 
 
 class _Canvas:
-    """Paint target: HU, tissue, and (optionally) structure arrays plus world
-    coords. Tissues and structures are painted by name; without a structure
-    array, structures are ignored. With a ``pool`` (a ``threading.local``),
-    HU and tissue are views of the calling thread's buffers in it, which the
-    next canvas drawn from the same pool on that thread overwrites."""
+    """Paint target: HU, tissue and structure arrays plus world coords; tissues
+    and structures are painted by name. With a ``pool`` (a ``threading.local``)
+    HU and tissue are the calling thread's buffers in it, which its next
+    canvas overwrites, and there is no structure array to paint."""
 
-    def __init__(self, grid: Grid, structures: bool, pool):
+    def __init__(self, grid: Grid, pool):
         self.grid = grid
         if pool is None:
             self.hu = np.full(grid.dims, HU_AIR, dtype=np.int16)
             self.tissue = np.zeros(grid.dims, dtype=np.uint8)
+            self.structure = np.zeros(grid.dims, dtype=np.uint8)
         else:
             self.hu = _pooled(pool, "hu", grid.dims, np.int16, HU_AIR)
             self.tissue = _pooled(pool, "tissue", grid.dims, np.uint8, 0)
-        self.structure = np.zeros(grid.dims, dtype=np.uint8) if structures else None
+            self.structure = None
         # float64 to bound slabs, float32 to paint them
         self.coords = tuple(grid.axis_coords(a) for a in range(3))
         self.coords32 = tuple(c.astype(np.float32) for c in self.coords)
 
-    def _slab(self, lo: np.ndarray, hi: np.ndarray):
-        sl = []
-        for a in range(3):
-            i0 = int(np.searchsorted(self.coords[a], lo[a], side="left"))
-            i1 = int(np.searchsorted(self.coords[a], hi[a], side="right"))
-            if i0 >= i1:
-                return None
-            sl.append(slice(i0, i1))
-        return tuple(sl)
-
     def slab_arrays(self, lo, hi):
-        """(slices, X, Y, Z) broadcastable world coords for a box, or None.
-
-        Coordinates are float32: the rasterized surface is the definition of
-        the phantom, so only self-consistency matters, not float64 rounding.
+        """(slices, X, Y, Z) of the voxel centres in the box [lo, hi], bounded in
+        float64; a box between voxel centres gives empty slices, which paint
+        nothing. X, Y and Z are broadcastable float32 world coords (the raster
+        is the phantom's definition, so only self-consistency matters).
+        Cylinders, legs and torso mix them with Python floats and so compute
+        in float32; ellipsoids and spheres promote them to float64 through
+        their float64 ``c`` and ``r``.
         """
-        sl = self._slab(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-        if sl is None:
-            return None
+        sl = tuple(slice(int(np.searchsorted(c, lo[a], side="left")),
+                         int(np.searchsorted(c, hi[a], side="right")))
+                   for a, c in enumerate(self.coords))
         x, y, z = (c[s] for c, s in zip(self.coords32, sl))
         return sl, x[:, None, None], y[None, :, None], z[None, None, :]
 
@@ -360,14 +353,10 @@ class _Canvas:
     def paint_ellipsoid(self, center, radii, hu, tissue, structure=None):
         c = np.asarray(center, dtype=float)
         r = np.asarray(radii, dtype=float)
-        got = self.slab_arrays(c - r, c + r)
-        if got is None:
-            return
-        sl, X, Y, Z = got
+        sl, X, Y, Z = self.slab_arrays(c - r, c + r)
         mask = (((X - c[0]) / r[0]) ** 2 + ((Y - c[1]) / r[1]) ** 2
                 + ((Z - c[2]) / r[2]) ** 2 <= 1.0)
-        if mask.any():
-            self.assign(sl, mask, hu, tissue, structure)
+        self.assign(sl, mask, hu, tissue, structure)
 
     def paint_sphere(self, center, radius, hu, tissue, structure=None):
         self.paint_ellipsoid(center, (radius, radius, radius), hu, tissue, structure)
@@ -379,15 +368,12 @@ class _Canvas:
         The slab already bounds z to [z0, z1] in float64, and rounding to
         float32 is monotone, so float32 tests of its coordinates against the
         Python floats ``z0`` and ``z1`` (which numpy rounds to float32 too)
-        hold on every voxel of it: only the disk needs testing.
+        hold on every voxel of it: only the disk needs testing, in float32.
         """
-        got = self.slab_arrays((cx - radius, cy - radius, z0), (cx + radius, cy + radius, z1))
-        if got is None:
-            return
-        sl, X, Y, _Z = got
+        sl, X, Y, _Z = self.slab_arrays((cx - radius, cy - radius, z0),
+                                        (cx + radius, cy + radius, z1))
         disk = (((X - cx) / radius) ** 2 + ((Y - cy) / radius) ** 2 <= 1.0)[:, :, 0]
-        if disk.any():
-            self.assign(sl, disk, hu, tissue, structure)
+        self.assign(sl, disk, hu, tissue, structure)
 
 
 def _grid_for(geom: _Geometry, spacing) -> tuple[Grid, np.ndarray]:
@@ -410,27 +396,22 @@ def _grid_for(geom: _Geometry, spacing) -> tuple[Grid, np.ndarray]:
     return grid, center
 
 
-def generate_phantom(spec: PhantomSpec, *, structures: bool = True, pool=None):
+def generate_phantom(spec: PhantomSpec, *, pool=None):
     """Rasterize one phantom.
 
     Returns ``(volume, tissue_map, structure_map, truth)``.  The seed
     perturbs organ positions and sizes slightly so cohorts carry anatomical
     variation beyond pure scaling.
 
-    With ``structures=False`` only the volume and tissue map are built: no
-    structure array is painted or validated and no truth is counted, so
-    ``(volume, tissue_map, None, None)`` is returned.  Painting order and
-    jitter draws are the same, so the volume and tissue map are
-    byte-identical to those of the full call.
-
-    With a ``pool`` (a ``threading.local``), the volume and tissue map are
-    views of the calling thread's canvas buffers in it: they hold the same
-    bytes as owned arrays would, but only until the next phantom generated
-    with that pool on that thread.
+    With a ``pool`` (a ``threading.local``) only the volume and tissue map
+    are built, on the calling thread's canvas buffers in it, and
+    ``(volume, tissue_map, None, None)`` is returned.  They hold the bytes
+    of the full call, but only until the next phantom generated with that
+    pool on that thread: a pooled phantom is for measuring and dropping.
     """
     geom = _solve_geometry(spec)
     grid, offset = _grid_for(geom, spec.spacing_mm)
-    canvas = _Canvas(grid, structures, pool)
+    canvas = _Canvas(grid, pool)
     xc, yc, z0 = float(offset[0]), float(offset[1]), float(offset[2])
 
     rz, zc = geom.rz, z0 + geom.zc
@@ -441,24 +422,20 @@ def generate_phantom(spec: PhantomSpec, *, structures: bool = True, pool=None):
     # coordinate is computed once, masks are z-uniform
     for sx in (-1.0, 1.0):
         cx = xc + sx * geom.hip_x
-        got = canvas.slab_arrays((cx - geom.r_leg, yc - geom.r_leg, z0),
-                                 (cx + geom.r_leg, yc + geom.r_leg, z0 + geom.z_pelvis))
-        if got is not None:
-            sl, X, Y, _Z = got
-            q = (((X - cx) ** 2 + (Y - yc) ** 2) / geom.r_leg**2)[:, :, 0]
-            canvas.assign(sl, q <= 1.0, HU_FAT, "fat")
-            canvas.assign(sl, q <= qf, HU_MUSCLE, "muscle")
+        sl, X, Y, _Z = canvas.slab_arrays((cx - geom.r_leg, yc - geom.r_leg, z0),
+                                          (cx + geom.r_leg, yc + geom.r_leg, z0 + geom.z_pelvis))
+        q = (((X - cx) ** 2 + (Y - yc) ** 2) / geom.r_leg**2)[:, :, 0]
+        canvas.assign(sl, q <= 1.0, HU_FAT, "fat")
+        canvas.assign(sl, q <= qf, HU_MUSCLE, "muscle")
 
     # torso: shared z-profile w(u) = 1 - u^6; shells at fractions of w
-    got = canvas.slab_arrays((xc - R, yc - ry, z0 + geom.z_pelvis),
-                             (xc + R, yc + ry, z0 + geom.z_c7))
-    if got is not None:
-        sl, X, Y, Z = got
-        q = ((X - xc) / R) ** 2 + ((Y - yc) / ry) ** 2
-        w = 1.0 - ((Z - zc) / rz) ** 6
-        canvas.assign(sl, q <= w, HU_FAT, "fat")
-        canvas.assign(sl, q <= qf * w, HU_MUSCLE, "muscle")
-        canvas.assign(sl, q <= qm * w, HU_BODY, "body")
+    sl, X, Y, Z = canvas.slab_arrays((xc - R, yc - ry, z0 + geom.z_pelvis),
+                                     (xc + R, yc + ry, z0 + geom.z_c7))
+    q = ((X - xc) / R) ** 2 + ((Y - yc) / ry) ** 2
+    w = 1.0 - ((Z - zc) / rz) ** 6
+    canvas.assign(sl, q <= w, HU_FAT, "fat")
+    canvas.assign(sl, q <= qf * w, HU_MUSCLE, "muscle")
+    canvas.assign(sl, q <= qm * w, HU_BODY, "body")
 
     # neck and head
     canvas.paint_zcylinder(xc, yc, geom.r_neck, z0 + geom.z_c7, z0 + geom.neck_top,
@@ -532,7 +509,7 @@ def generate_phantom(spec: PhantomSpec, *, structures: bool = True, pool=None):
 
     vol = Volume(grid, canvas.hu)
     tissue_map = LabelMap(grid, canvas.tissue, "tissue", dict(TISSUE_CLASSES))
-    if not structures:
+    if pool is not None:
         return vol, tissue_map, None, None
     structure_map = LabelMap(grid, canvas.structure, "structure", dict(STRUCTURE_TABLE))
     truth = _count_truth(canvas, grid, geom, landmarks)

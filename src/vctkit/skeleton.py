@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .volume import Grid, LabelIndex, LabelMap, STRUCTURE_IDS
 
@@ -119,6 +118,8 @@ def _principal_axis_from_moments(n: int, cov: np.ndarray) -> np.ndarray:
 
 def _largest_component(mask: np.ndarray) -> np.ndarray:
     """Largest 26-connected component of a boolean mask."""
+    from scipy import ndimage  # here, so only height measurement loads scipy
+
     labels, count = ndimage.label(mask, structure=np.ones((3, 3, 3), dtype=bool))
     if count <= 1:
         return mask
@@ -127,38 +128,34 @@ def _largest_component(mask: np.ndarray) -> np.ndarray:
     return labels == int(np.argmax(sizes))
 
 
-def _inside(body_mask: np.ndarray, grid: Grid, p: np.ndarray) -> bool:
-    idx = np.rint((p - np.asarray(grid.origin_mm)) / np.asarray(grid.spacing_mm)).astype(int)
-    if (idx < 0).any() or (idx >= np.asarray(grid.dims)).any():
-        return False
-    return bool(body_mask[idx[0], idx[1], idx[2]])
-
-
 def _ray_exit(body_mask: np.ndarray, grid: Grid, start: np.ndarray,
               direction: np.ndarray) -> np.ndarray:
     """Last in-body point marching from start along direction.
 
-    Step is half the smallest spacing.  The march may take a short lead-in
-    before entering the body; never entering, or never leaving the grid or
-    body, is a degenerate-geometry error.
+    Step is half the smallest spacing; step i is at ``start + i * step *
+    direction``, each rounded to its nearest voxel, and every step is
+    tested at once.  The march may take a short lead-in before entering the
+    body; never entering, or never leaving the grid or body, is a
+    degenerate-geometry error.
     """
     direction = direction / np.linalg.norm(direction)
     step = 0.5 * min(grid.spacing_mm)
     extent = [grid.dims[a] * grid.spacing_mm[a] for a in range(3)]
     max_steps = int(2 * math.ceil(math.sqrt(sum(e * e for e in extent)) / step)) + 4
     lead_in = int(math.ceil(4.0 * max(grid.spacing_mm) / step))
-    last_inside = None
-    entered = False
-    for i in range(max_steps):
-        p = start + i * step * direction
-        if _inside(body_mask, grid, p):
-            entered = True
-            last_inside = p
-        elif entered:
-            return last_inside
-        elif i > lead_in:
-            raise ValueError("ray march never entered the body mask")
-    raise ValueError("ray march found no exit from the body mask")
+    points = start + (np.arange(max_steps) * step)[:, None] * direction
+    idx = np.rint((points - np.asarray(grid.origin_mm))
+                  / np.asarray(grid.spacing_mm)).astype(int)
+    in_grid = ((idx >= 0) & (idx < np.asarray(grid.dims))).all(axis=1)
+    inside = np.zeros(max_steps, dtype=bool)
+    inside[in_grid] = body_mask[tuple(idx[in_grid].T)]
+    first = int(np.argmax(inside)) if inside.any() else max_steps
+    if first > lead_in + 1 and lead_in + 1 < max_steps:
+        raise ValueError("ray march never entered the body mask")
+    left = np.flatnonzero(~inside[first:])
+    if not left.size:
+        raise ValueError("ray march found no exit from the body mask")
+    return points[first + int(left[0]) - 1]
 
 
 def _leg_length(index: LabelIndex, body_mask: np.ndarray, s: np.ndarray,

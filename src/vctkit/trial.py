@@ -644,7 +644,7 @@ class TrialConfig:
 def _measured(subject_id: str, attrs: Attributes, spec, pool) -> MeasuredSubject:
     """One subject's phantom, built without its structure map on a pooled
     canvas, and measured; only the measurements leave this function."""
-    vol, tissue, _, _ = generate_phantom(spec, structures=False, pool=pool)
+    vol, tissue, _, _ = generate_phantom(spec, pool=pool)
     return MeasuredSubject(subject_id, attrs, measure_composition(vol, tissue))
 
 

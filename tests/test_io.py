@@ -311,26 +311,36 @@ def test_malformed_json_raises(tmp_path):
 
 
 def _write_nifti(path, data: np.ndarray, spacing=(1.0, 1.0, 1.0),
-                 srow=None, scl_slope=0.0):
-    """Minimal single-file NIfTI-1 writer for tests."""
+                 srow=None, scl_slope=0.0, qform=None, endian="<"):
+    """Minimal single-file NIfTI-1 writer for tests.
+
+    ``qform`` is ``(quatern_b, quatern_c, quatern_d, offset, qfac)``, written
+    with qform_code 1 and no sform; ``endian`` is the byte order of the
+    header and the payload.
+    """
     dtype_codes = {np.dtype(np.uint8): 2, np.dtype(np.int16): 4,
                    np.dtype(np.float32): 16, np.dtype(np.uint16): 512}
     header = bytearray(348)
-    struct.pack_into("<i", header, 0, 348)
+    struct.pack_into(endian + "i", header, 0, 348)
     dims = data.shape
-    struct.pack_into("<8h", header, 40, 3, dims[0], dims[1], dims[2], 1, 1, 1, 1)
-    struct.pack_into("<h", header, 70, dtype_codes[data.dtype])
-    struct.pack_into("<8f", header, 76, 1.0, *spacing, 0.0, 0.0, 0.0, 0.0)
-    struct.pack_into("<f", header, 108, 352.0)
-    struct.pack_into("<2f", header, 112, scl_slope, 0.0)
+    struct.pack_into(endian + "8h", header, 40, 3, dims[0], dims[1], dims[2], 1, 1, 1, 1)
+    struct.pack_into(endian + "h", header, 70, dtype_codes[data.dtype])
+    qfac = 1.0 if qform is None else qform[4]
+    struct.pack_into(endian + "8f", header, 76, qfac, *spacing, 0.0, 0.0, 0.0, 0.0)
+    struct.pack_into(endian + "f", header, 108, 352.0)
+    struct.pack_into(endian + "2f", header, 112, scl_slope, 0.0)
+    if qform is not None:
+        struct.pack_into(endian + "2h", header, 252, 1, 0)
+        struct.pack_into(endian + "3f", header, 256, *qform[:3])
+        struct.pack_into(endian + "3f", header, 268, *qform[3])
     if srow is not None:
-        struct.pack_into("<2h", header, 252, 0, 1)
-        struct.pack_into("<4f", header, 280, *srow[0])
-        struct.pack_into("<4f", header, 296, *srow[1])
-        struct.pack_into("<4f", header, 312, *srow[2])
+        struct.pack_into(endian + "2h", header, 252, 0, 1)
+        struct.pack_into(endian + "4f", header, 280, *srow[0])
+        struct.pack_into(endian + "4f", header, 296, *srow[1])
+        struct.pack_into(endian + "4f", header, 312, *srow[2])
     struct.pack_into("4s", header, 344, b"n+1\x00")
-    blob = bytes(header) + b"\x00" * 4 + data.tobytes(order="F")
-    path.write_bytes(blob)
+    payload = data.astype(data.dtype.newbyteorder(endian)).tobytes(order="F")
+    path.write_bytes(bytes(header) + b"\x00" * 4 + payload)
 
 
 def test_nifti_identity_affine(tmp_path):
@@ -365,6 +375,35 @@ def test_nifti_load_holds_one_buffer(tmp_path, traced_peak, srow):
     # the int16 grid is 2 B per voxel; reading the whole file, converting its
     # byte order and clamping to a copy would hold 6
     assert peak <= 4 * data.size
+
+
+@pytest.mark.parametrize("quatern, qfac, flips, origin", [
+    # a half turn about z: data x and y run toward world -x and -y
+    ((0.0, 0.0, 1.0), 1.0, (True, True, False), (9.0, 16.0, 30.0)),
+    # the identity rotation with qfac -1: data z runs toward world -z
+    ((0.0, 0.0, 0.0), -1.0, (False, False, True), (10.0, 20.0, 21.0)),
+], ids=["half_turn_z", "qfac_minus_one"])
+def test_nifti_qform(tmp_path, quatern, qfac, flips, origin):
+    data = np.arange(24, dtype=np.int16).reshape(2, 3, 4)
+    p = tmp_path / "qform.nii"
+    _write_nifti(p, data, spacing=(1.0, 2.0, 3.0),
+                 qform=(*quatern, (10.0, 20.0, 30.0), qfac))
+    vol = load_volume(p)
+    assert vol.grid.spacing_mm == (1.0, 2.0, 3.0)
+    assert vol.grid.origin_mm == origin
+    flipped = data[tuple(slice(None, None, -1 if f else 1) for f in flips)]
+    np.testing.assert_array_equal(vol.data, flipped)
+
+
+def test_nifti_big_endian(tmp_path):
+    data = np.arange(24, dtype=np.int16).reshape(2, 3, 4) * 100 - 1000  # in HU range
+    p = tmp_path / "big.nii"
+    _write_nifti(p, data, spacing=(1.0, 2.0, 3.0), endian=">")
+    vol = load_volume(p)
+    assert vol.grid.dims == (2, 3, 4)
+    assert vol.grid.spacing_mm == (1.0, 2.0, 3.0)
+    assert vol.data.dtype == np.int16 and vol.data.dtype.isnative
+    np.testing.assert_array_equal(vol.data, data)
 
 
 def test_nifti_oblique_rejected(tmp_path):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -29,8 +30,10 @@ from vctkit.phantom import (
     sample_fractions,
     write_manifest,
 )
+from vctkit.phantom import _Canvas
 from vctkit.rng import Stream
 from vctkit.trial import encode_binned
+from vctkit.volume import Grid
 
 
 def test_spec_validation():
@@ -96,11 +99,26 @@ def test_image_and_tissue_only_match_full_call(spacing, seed):
     [(_, _, spec)] = sample_cohort_specs(1, AttributeDistribution(), (spacing,) * 3, seed)
     vol, tissue, structure, truth = generate_phantom(spec)
     assert structure is not None and truth is not None
-    vol2, tissue2, structure2, truth2 = generate_phantom(spec, structures=False)
+    vol2, tissue2, structure2, truth2 = generate_phantom(spec, pool=threading.local())
     assert structure2 is None and truth2 is None
     assert vol2.grid == vol.grid and tissue2.grid == tissue.grid
     assert vol2.data.tobytes() == vol.data.tobytes()
     assert tissue2.data.tobytes() == tissue.data.tobytes()
+
+
+@pytest.mark.parametrize("pool", [None, threading.local()], ids=["owned", "pooled"])
+def test_box_between_voxel_centres_paints_nothing(pool):
+    # voxel centres at 0, 2, 4 and 6 mm on every axis
+    canvas = _Canvas(Grid((4, 4, 4), (2.0, 2.0, 2.0)), pool)
+    before = [a.copy() for a in (canvas.hu, canvas.tissue, canvas.structure) if a is not None]
+    canvas.paint_sphere((1.0, 1.0, 1.0), 0.5, 50, "muscle", "c1")  # empty on every axis
+    canvas.paint_ellipsoid((1.0, 3.0, 3.0), (0.5, 9.0, 9.0), 50, "muscle", "c1")  # empty in x
+    canvas.paint_zcylinder(3.0, 3.0, 9.0, 2.5, 3.5, 50, "muscle", "c1")  # empty in z only
+    canvas.paint_zcylinder(3.0, 3.0, 9.0, 5.0, 1.0, 50, "muscle", "c1")  # z0 above z1
+    after = [a for a in (canvas.hu, canvas.tissue, canvas.structure) if a is not None]
+    assert [a.tobytes() for a in after] == [a.tobytes() for a in before]
+    canvas.paint_zcylinder(3.0, 3.0, 9.0, 1.5, 2.5, 50, "muscle", "c1")  # holds z = 2
+    assert (canvas.hu[:, :, 1] == 50).all() and (canvas.hu[:, :, [0, 2, 3]] == -1000).all()
 
 
 # sha256 of json.dumps(encode(truth), sort_keys=True) for the seed-3 subject,

@@ -1,13 +1,20 @@
 """Superior-axis estimation and segmentwise height on rasterized phantoms."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from vctkit import skeleton
 from vctkit.codec import decode, encode
 from vctkit.skeleton import HeightBreakdown, measure_height
-from vctkit.volume import LabelMap
+from vctkit.volume import Grid, LabelMap, STRUCTURE_IDS
 
 
 def _diag2(grid):
@@ -83,3 +90,90 @@ def test_breakdown_round_trip(phantom_default):
     assert decode(HeightBreakdown, json.loads(text)) == one_leg
     with pytest.raises(ValueError, match=r"per_leg\.right_mm must be float"):
         decode(HeightBreakdown, {**encode(one_leg), "per_leg": {"right_mm": "x"}})
+
+
+def test_detached_tibia_fragment_is_dropped(phantom_default, monkeypatch):
+    _, _, tissue, structure, _ = phantom_default
+    # a 2x2x2 tibia_left piece beside the tibia's middle, one voxel clear of
+    # it: a detached component below the femur
+    data = structure.data.copy()
+    idx = np.nonzero(data == STRUCTURE_IDS["tibia_left"])
+    x, y = int(idx[0].max()) + 2, int(np.median(idx[1]))
+    z = (int(idx[2].min()) + int(idx[2].max())) // 2
+    assert not data[x:x + 2, y:y + 2, z:z + 2].any()
+    data[x:x + 2, y:y + 2, z:z + 2] = STRUCTURE_IDS["tibia_left"]
+    fragmented = LabelMap(structure.grid, data, "structure", dict(structure.class_table))
+    dropped = []
+    largest = skeleton._largest_component
+
+    def spy(mask):
+        kept = largest(mask)
+        dropped.append(int(mask.sum()) - int(kept.sum()))
+        return kept
+    monkeypatch.setattr(skeleton, "_largest_component", spy)
+    assert measure_height(tissue, fragmented) == measure_height(tissue, structure)
+    # the left tibia came in two pieces and lost the fragment; nothing else did
+    assert dropped == [8, 0, 0, 0]
+
+
+def _ray_exit_stepwise(body_mask, grid, start, direction):
+    """The march one step at a time, each step's point rounded to its voxel."""
+    direction = direction / np.linalg.norm(direction)
+    step = 0.5 * min(grid.spacing_mm)
+    extent = [grid.dims[a] * grid.spacing_mm[a] for a in range(3)]
+    max_steps = int(2 * math.ceil(math.sqrt(sum(e * e for e in extent)) / step)) + 4
+    lead_in = int(math.ceil(4.0 * max(grid.spacing_mm) / step))
+    last_inside = None
+    entered = False
+    for i in range(max_steps):
+        p = start + i * step * direction
+        idx = np.rint((p - np.asarray(grid.origin_mm)) / np.asarray(grid.spacing_mm)).astype(int)
+        if (idx >= 0).all() and (idx < np.asarray(grid.dims)).all() and body_mask[tuple(idx)]:
+            entered = True
+            last_inside = p
+        elif entered:
+            return last_inside
+        elif i > lead_in:
+            raise ValueError("ray march never entered the body mask")
+    raise ValueError("ray march found no exit from the body mask")
+
+
+def _outcome(march, *args):
+    try:
+        return march(*args).tobytes()
+    except ValueError as err:
+        return str(err)
+
+
+@given(st.tuples(*[st.integers(2, 9)] * 3), st.sampled_from([0.5, 1.0, 1.5, 3.0]),
+       st.integers(0, 2**32 - 1))
+def test_ray_exit_matches_stepwise_march(dims, spacing, seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid(dims, (spacing, spacing * 1.5, spacing), (1.0, -2.0, 3.0))
+    body = rng.random(dims) < rng.choice([0.5, 0.95])
+    extent = np.asarray(dims) * np.asarray(grid.spacing_mm)
+    start = np.asarray(grid.origin_mm) + rng.uniform(-0.2, 1.2, 3) * extent
+    direction = rng.normal(size=3)
+    assert (_outcome(skeleton._ray_exit, body, grid, start, direction)
+            == _outcome(_ray_exit_stepwise, body, grid, start, direction))
+
+
+def test_ray_march_never_entered_raises():
+    grid = Grid((40, 4, 4), (1.0, 1.0, 1.0))
+    body = np.zeros(grid.dims, dtype=bool)
+    body[30:36, 1:3, 1:3] = True  # ahead of the ray, past its 8-step lead-in
+    start, direction = np.array([0.0, 1.5, 1.5]), np.array([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="never entered the body mask"):
+        skeleton._ray_exit(body, grid, start, direction)
+    body[4:30] = body[30]  # now the body begins 4 voxels ahead
+    exit_point = skeleton._ray_exit(body, grid, start, direction)
+    assert exit_point.tolist() == [35.0, 1.5, 1.5]  # x = 35.5 rounds to voxel 36, outside
+
+
+def test_trial_and_cli_do_not_load_scipy():
+    src = str(Path(skeleton.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, vctkit.trial, vctkit.cli; "
+             "assert 'scipy.ndimage' not in sys.modules, 'scipy.ndimage loaded'")
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=120)

@@ -309,7 +309,7 @@ def test_trial_path_builds_image_and_tissue_only(monkeypatch, tmp_path):
     cohort = trial.generate_measured_cohort(2, dist, spacing, seed=4)
     trial.synthesize_matched_cohort(cohort, 1, dist, spacing, seed=5)
     pools = [kwargs.pop("pool") for _, kwargs in calls]
-    assert calls == [("vctkit.trial", {"structures": False})] * 4
+    assert calls == [("vctkit.trial", {})] * 4
     # each cohort call paints on one canvas pool of its own
     assert all(isinstance(pool, threading.local) for pool in pools)
     assert pools[0] is pools[1] and pools[2] is pools[3] and pools[0] is not pools[2]
@@ -346,15 +346,14 @@ def test_pooled_canvas_matches_fresh(seeds):
     subjects = [_drawn_subject(seed) for seed in seeds + seeds[::-1]]
     fresh = []
     for _, _, spec in subjects:
-        vol, tissue, _, _ = phantom.generate_phantom(spec, structures=False)
+        vol, tissue, _, _ = phantom.generate_phantom(spec)
         fresh.append((vol.data.tobytes(), tissue.data.tobytes(),
                       measure_composition(vol, tissue)))
     for threads in (1, 2):
         pool = threading.local()
 
         def pooled(item):
-            vol, tissue, _, _ = phantom.generate_phantom(item[2], structures=False,
-                                                         pool=pool)
+            vol, tissue, _, _ = phantom.generate_phantom(item[2], pool=pool)
             canvas = (vol.data.tobytes(), tissue.data.tobytes())
             subject = trial._measured(*item, pool)
             for array in _arrays(subject):
