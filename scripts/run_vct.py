@@ -10,7 +10,7 @@ and exit codes) and prints the whole audit table.
     python3 scripts/run_vct.py --out runs/default --threads 4
 
 --config runs a trial config JSON instead.  --quick, which excludes it, shrinks
-everything for a smoke run (~15 s); verdicts at that scale are not the headline
+everything for a smoke run (about 1 s); verdicts at that scale are not the headline
 result and attribution is skipped below 30 subjects per sample type.
 """
 
@@ -36,7 +36,7 @@ def run(args) -> int:
               else load_trial_config(args.config))
     t0 = time.perf_counter()
     report, written = trial_run(config, Path(args.out), args.threads)
-    print_report(report)
+    print_report(report, config.level)
     print(f"\n{time.perf_counter() - t0:.1f} s; wrote:")
     for path in written:
         print(f"  {path}")

@@ -210,26 +210,31 @@ def trial_run(config: TrialConfig, out: Path, threads: int, cohort_dir=None):
     return report, written
 
 
-def _fmt(v, width, prec=3):
-    return "-".rjust(width) if v is None else f"{v:.{prec}f}".rjust(width)
-
-
-def print_report(report: TrialReport) -> None:
-    """The audit table, then the top attribution importances or why there are none."""
+def print_report(report: TrialReport, level: float) -> None:
+    """The audit table, its CI column at ``level``, then the top attribution
+    importances or why there are none."""
     print(f"task: {report.task}   "
           f"train |r(body_volume, {report.task})| = {abs(report.achieved_pearson):.3f}   "
           f"ood classifier acc = {report.classifier_accuracy:.3f}")
     print(f"counts: {report.counts}\n")
-    head = (f"{'pop':<4} {'attrs':<5} {'sample':<17} {'n':>4} {'mae':>7} "
-            f"{'95% ci':>15} {'z':>7} {'p':>7}  verdict")
+    # a column an entry: its header, the format of its header and cells
+    # (alignment, width and the gap after it), and its cell of a TrialRow
+    columns = [
+        ("pop", "{:<4} ", lambda r: r.population),
+        ("attrs", "{:<5} ", lambda r: r.attr_dist),
+        ("sample", "{:<17} ", lambda r: r.sample_type),
+        ("n", "{:>4} ", lambda r: r.n),
+        ("mae", "{:>7} ", lambda r: f"{r.mae:.3f}"),
+        (f"{100 * level:g}% ci", "{:>15} ", lambda r: "[{:.2f}, {:.2f}]".format(*r.mae_ci)),
+        ("z", "{:>7} ", lambda r: "-" if r.z_vs_real is None else f"{r.z_vs_real:.2f}"),
+        ("p", "{:>7}  ", lambda r: "-" if r.p_value is None else f"{r.p_value:.3f}"),
+        ("verdict", "{}", lambda r: r.verdict),
+    ]
+    head = "".join(fmt.format(header) for header, fmt, _ in columns)
     print(head)
     print("-" * len(head))
     for r in report.rows:
-        lo, hi = r.mae_ci
-        ci = f"[{lo:.2f}, {hi:.2f}]".rjust(15)
-        print(f"{r.population:<4} {r.attr_dist:<5} {r.sample_type:<17} "
-              f"{r.n:>4} {r.mae:>7.3f} {ci} {_fmt(r.z_vs_real, 7, 2)} "
-              f"{_fmt(r.p_value, 7, 3)}  {r.verdict}")
+        print("".join(fmt.format(cell(r)) for _, fmt, cell in columns))
     attribution = report.attribution
     if attribution is None:
         print(f"\n(attribution skipped: {report.attribution_skipped})")
@@ -246,7 +251,7 @@ def print_report(report: TrialReport) -> None:
 def cmd_trial_run(args) -> int:
     config = load_trial_config(args.config)
     report, _ = trial_run(config, Path(args.out), args.threads, cohort_dir=args.cohort)
-    print_report(report)
+    print_report(report, config.level)
     return EXIT_OK
 
 

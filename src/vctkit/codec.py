@@ -5,7 +5,11 @@ indent, a final newline and no NaN or infinity (a missing value is None);
 ``read_json`` raises ValueError naming the file for malformed JSON or any
 other top-level value.  A data CSV is a header row and then one row per
 record; a None or NaN cell is written empty, any other cell the way ``csv``
-writes it (``repr`` for a float).
+writes it (``repr`` for a float).  ``write_records`` writes dataclass records
+as a data CSV with one column per field in declared order, except that a
+field annotated as a tuple (a ``(low, high)`` pair, ``None`` allowed) is the
+two columns ``<field>_low`` and ``<field>_high``, and a None pair is two
+empty cells; the header comes from the annotations alone, not the records.
 
 ``encode`` turns a dataclass into a JSON-ready dict, field by field;
 ``decode`` is its inverse and converts each value by its field's type
@@ -59,6 +63,20 @@ def write_csv(path, header, rows) -> Path:
     return p
 
 
+def write_records(path, cls, records) -> Path:
+    """Write ``records`` of dataclass ``cls`` to ``path`` as a data CSV, one
+    column per field and two per tuple field; returns the path."""
+    hints = get_type_hints(cls)
+    pairs = [(f.name, get_origin(_unwrap_optional(hints[f.name])) is tuple)
+             for f in fields(cls)]
+    header = [col for name, pair in pairs
+              for col in ((f"{name}_low", f"{name}_high") if pair else (name,))]
+    rows = [[v for name, pair in pairs
+             for v in ((getattr(r, name) or (None, None)) if pair else (getattr(r, name),))]
+            for r in records]
+    return write_csv(path, header, rows)
+
+
 def encode(obj) -> dict:
     """JSON-ready dict of a dataclass, field by field, nested and listed records included."""
     return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
@@ -100,10 +118,7 @@ def _decode(tp, value, key: str):
         return decode(tp, value, key)
     origin, args = get_origin(tp) or tp, get_args(tp)
     if origin in (Union, types.UnionType):
-        if value is None:
-            return None
-        (tp,) = (t for t in args if t is not type(None))  # X | None only
-        return _decode(tp, value, key)
+        return None if value is None else _decode(_unwrap_optional(tp), value, key)
     if origin is tuple:
         if not isinstance(value, (list, tuple)) or len(value) != len(args):
             raise ValueError(f"{key} must be a list of {len(args)} numbers, got {value!r}")
@@ -129,3 +144,10 @@ def _decode(tp, value, key: str):
     if tp is float and not abs(value) <= sys.float_info.max:
         raise ValueError(f"{key} must be a finite number, got {value!r}")
     return tp(value)
+
+
+def _unwrap_optional(tp):
+    """``X`` of an ``X | None`` annotation, the only union a record holds."""
+    if get_origin(tp) in (Union, types.UnionType):
+        (tp,) = (t for t in get_args(tp) if t is not type(None))
+    return tp

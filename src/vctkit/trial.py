@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import encode, write_csv, write_json
+from .codec import encode, write_csv, write_json, write_records
 from .composition import CompositionReport, measure_composition
 from .forest import Forest, ForestParams, REGRESSOR_PARAMS, fit_forest, predict, predict_proba
 from .phantom import (
@@ -755,14 +755,8 @@ def write_trial_outputs(report: TrialReport, out_dir, config: TrialConfig) -> li
     """report.json plus the three audit CSVs; returns written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    header = ["population", "attr_dist", "sample_type", "n", "mae",
-              "mae_ci_low", "mae_ci_high", "z_vs_real", "z_ci_low",
-              "z_ci_high", "p_value", "verdict"]
-    rows = [[r.population, r.attr_dist, r.sample_type, r.n, r.mae, *r.mae_ci,
-             r.z_vs_real, *(r.z_ci or (None, None)), r.p_value, r.verdict]
-            for r in report.rows]
     written = [write_json(out / "report.json", report_to_dict(report, config)),
-               write_csv(out / "zscores.csv", header, rows)]
+               write_records(out / "zscores.csv", TrialRow, report.rows)]
     attribution = report.attribution
     if attribution is not None:
         rows = [[name] + [attribution.correlations[name][k]

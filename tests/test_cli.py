@@ -195,6 +195,54 @@ def _table_verdicts(stdout):
     return {(population, sample): verdict for population, sample, verdict in rows}
 
 
+# print_report's stdout for _PRINTED_REPORT at level 0.95, pinned byte for
+# byte: the column list must reproduce the table, not only a parsable one
+PRINTED_TABLE = """\
+task: fat_pct   train |r(body_volume, fat_pct)| = 0.612   ood classifier acc = 0.875
+counts: {'train': 6, 'id_test': 10, 'ood_test': 10, 'synthetic': 40}
+
+pop  attrs sample               n     mae          95% ci       z       p  verdict
+----------------------------------------------------------------------------------
+ID   ID    real                10   1.182    [1.02, 1.35]    0.00   1.000  acceptable
+OOD  ID    real_weighted       10   2.500    [1.12, 3.88]       -       -  indeterminate
+OOD  OOD   synthetic_rebias   126   3.250    [2.50, 4.00]   -1.23   0.217  degraded
+
+(attribution skipped: fewer than 30 subjects per sample type)
+"""
+
+_PRINTED_REPORT = trial.TrialReport(
+    task="fat_pct", boundary=trial.BiasBoundary(), achieved_pearson=-0.61234,
+    counts={"train": 6, "id_test": 10, "ood_test": 10, "synthetic": 40},
+    classifier_accuracy=0.875,
+    rows=[trial.TrialRow("ID", "ID", "real", 10, 1.1824, (1.016, 1.354), 0.0, None, 1.0,
+                         "acceptable"),
+          trial.TrialRow("OOD", "ID", "real_weighted", 10, 2.5, (1.125, 3.875), None, None,
+                         None, "indeterminate"),
+          trial.TrialRow("OOD", "OOD", "synthetic_rebias", 126, 3.25, (2.5, 4.0), -1.234,
+                         (-2.5, 0.125), 0.2171, "degraded")],
+    samples={}, attribution=None,
+    attribution_skipped="fewer than 30 subjects per sample type")
+
+
+def test_print_report_prints_the_table_byte_for_byte(capsys):
+    cli.print_report(_PRINTED_REPORT, 0.95)
+    assert capsys.readouterr().out == PRINTED_TABLE
+
+
+def test_ci_header_shows_the_configured_level_in_both_entry_points(tmp_path, capsys,
+                                                                   request):
+    cfg = tmp_path / "trial.json"
+    cfg.write_text(json.dumps(_trial_config(level=0.9)))
+    run_vct = _run_vct_script(request)
+    for entry, argv in ((main, ["trial", "run", "--config", str(cfg),
+                                "--out", str(tmp_path / "cli")]),
+                        (run_vct.main, ["--config", str(cfg), "--threads", "1",
+                                        "--out", str(tmp_path / "script")])):
+        assert entry(argv) == 0
+        table = capsys.readouterr().out
+        assert "          90% ci " in table and "95% ci" not in table
+
+
 def test_trial_run_shortcut(tmp_path, capsys):
     cfg = tmp_path / "trial.json"
     cfg.write_text(json.dumps(_trial_config()))

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from vctkit.codec import decode, encode, read_json, write_csv, write_json
+from vctkit.codec import decode, encode, read_json, write_csv, write_json, write_records
+from vctkit.trial import TrialRow
 
 
 @dataclass
@@ -33,6 +34,28 @@ def test_write_csv_writes_none_and_nan_empty_and_floats_as_repr(tmp_path):
     assert path.read_bytes() == (b"a,b,c,d,e\r\n"
                                  b",,0.1,7,x y\r\n"
                                  + f"{1 / 3!r},1e-20,-0.0,0,\r\n".encode())
+
+
+@dataclass
+class _WiderRow(TrialRow):
+    x: float
+    y: tuple[float, float] | None
+
+
+def test_a_new_record_field_adds_its_csv_columns_in_field_order(tmp_path):
+    row = dict(population="ID", attr_dist="ID", sample_type="real", n=3, mae=1.5,
+               mae_ci=(1.0, 2.0), z_vs_real=0.0, z_ci=None, p_value=1.0, verdict="acceptable")
+    path = write_records(tmp_path / "t.csv", _WiderRow, [_WiderRow(**row, x=0.25, y=(0.5, 0.75)),
+                                                         _WiderRow(**row, x=7.0, y=None)])
+    header = ("population,attr_dist,sample_type,n,mae,mae_ci_low,mae_ci_high,"
+              "z_vs_real,z_ci_low,z_ci_high,p_value,verdict,x,y_low,y_high")
+    # a pair is split into _low and _high, a None pair into two empty cells
+    assert path.read_text().splitlines() == [
+        header,
+        "ID,ID,real,3,1.5,1.0,2.0,0.0,,,1.0,acceptable,0.25,0.5,0.75",
+        "ID,ID,real,3,1.5,1.0,2.0,0.0,,,1.0,acceptable,7.0,,"]
+    # the header comes from the field annotations, not from the records
+    assert write_records(tmp_path / "e.csv", _WiderRow, []).read_text().splitlines() == [header]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
