@@ -38,7 +38,6 @@ from .volume import (
     TISSUE_CLASSES,
     TISSUE_IDS,
     Volume,
-    value_counts,
     voxel_volume_mm3,
 )
 
@@ -325,6 +324,7 @@ class _Canvas:
             self.hu = _pooled(pool, "hu", grid.dims, np.int16, HU_AIR)
             self.tissue = _pooled(pool, "tissue", grid.dims, np.uint8, 0)
             self.structure = None
+        self.painted = set()  # every HU value assign wrote; the rest is HU_AIR
         # float64 to bound slabs, float32 to paint them
         self.coords = tuple(grid.axis_coords(a) for a in range(3))
         self.coords32 = tuple(c.astype(np.float32) for c in self.coords)
@@ -346,6 +346,7 @@ class _Canvas:
 
     def assign(self, sl, mask, hu: int, tissue: str, structure: str | None = None):
         self.hu[sl][mask] = hu
+        self.painted.add(hu)
         self.tissue[sl][mask] = TISSUE_IDS[tissue]
         if structure is not None and self.structure is not None:
             self.structure[sl][mask] = STRUCTURE_IDS[structure]
@@ -516,34 +517,49 @@ def generate_phantom(spec: PhantomSpec, *, pool=None):
     return vol, tissue_map, structure_map, truth
 
 
+# voxels per chunk of truth counting: its int16 slice and bool match fit in L2
+_TRUTH_CHUNK = 1 << 17
+
+
 def _count_truth(canvas: _Canvas, grid: Grid, geom: _Geometry,
                  landmarks: dict) -> PhantomTruth:
     """Ground truth by exact voxel counting with the default density map.
 
     Every material has a distinct fixed HU and air only appears outside the
-    body, so one histogram over HU values yields all masses exactly (air
-    adjustment included: every in-body HU is above -900).  The histogram is
-    built chunk by chunk (``value_counts``), so counting allocates no
-    whole-grid temporary; its counts are exact integers, so every mass and
-    percentage is independent of the chunking.
+    body, so a voxel count per HU value yields all masses exactly (air
+    adjustment included: every in-body HU is above -900).  Each voxel holds
+    ``HU_AIR`` or a value the canvas painted, so only the painted values are
+    counted, one flat chunk of ``_TRUTH_CHUNK`` voxels at a time, and no
+    whole-grid temporary is made; air is the remainder and needs no count.
+    The counts are exact integers, so they are independent of the chunking.
+    Masses add Python floats, whose sum depends on its order, so the values
+    are summed ascending by their two's-complement uint16: the order of a
+    histogram indexed by ``hu.view(np.uint16)``, in which the recorded
+    truth digests were summed.
     """
     vox = voxel_volume_mm3(grid)
-    # indexed by each int16 HU value's two's-complement uint16
-    counts = value_counts(canvas.hu.view(np.uint16), minlength=65536)
+    flat = canvas.hu.ravel(order="K")  # a view of the C-ordered canvas
+    painted = sorted(canvas.painted - {HU_AIR}, key=lambda h: h & 0xFFFF)
+    counts = dict.fromkeys(painted, 0)
+    equal = np.empty(min(_TRUTH_CHUNK, flat.size), dtype=bool)
+    for start in range(0, flat.size, _TRUTH_CHUNK):
+        part = flat[start:start + _TRUTH_CHUNK]
+        hits = equal[:part.size]
+        for h in painted:
+            counts[h] += int(np.count_nonzero(np.equal(part, h, out=hits)))
 
     def count_of(h: int) -> int:
-        return int(counts[h & 0xFFFF])
+        return counts.get(h, 0)
 
     def mass_of(hu_values) -> float:
         return sum(count_of(h) * (h + 1000.0) / (REFERENCE_HU + 1000.0)
                    for h in hu_values) * vox / 1000.0
 
-    values = np.flatnonzero(counts).astype(np.uint16).view(np.int16)
-    present = [int(h) for h in values if h != HU_AIR]
-    m_body = mass_of(present)
+    # a value painted over everywhere adds 0.0, which moves no sum's bits
+    m_body = mass_of(painted)
     m_fat = mass_of([HU_FAT])
     m_muscle = mass_of([HU_MUSCLE])
-    n_body = sum(count_of(h) for h in present)
+    n_body = sum(counts.values())
     bone_hu = float(geom.bone_hu) if count_of(geom.bone_hu) > 0 else None
     breakdown = {
         "lower_body_mm": geom.z_pelvis,

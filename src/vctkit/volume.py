@@ -77,7 +77,7 @@ STRUCTURE_IDS = {name: label for label, name in STRUCTURE_TABLE.items()}
 
 # voxels per chunk of LabelMap validation's range tests
 _CHECK_CHUNK = 1 << 18
-# least voxels per chunk of value_counts: np.bincount casts its input to intp,
+# voxels per chunk of value_counts: np.bincount casts its input to intp,
 # so a chunk's copy is 128 kB
 _BINCOUNT_CHUNK = 1 << 14
 
@@ -92,18 +92,16 @@ def _missing_runs(class_table: dict, top: int) -> list[tuple[int, int]]:
     return runs
 
 
-def value_counts(data: np.ndarray, minlength: int = 0) -> np.ndarray:
-    """Voxel count per value of an unsigned integer array, at least ``minlength`` long.
+def value_counts(data: np.ndarray) -> np.ndarray:
+    """Voxel count per value of an unsigned integer label array.
 
-    Values are counted one flat chunk at a time, so no whole-grid copy is
-    made; a chunk of ``_BINCOUNT_CHUNK`` voxels, or ``minlength`` when more,
-    costs no less to count than its counts cost to add.
+    Labels are counted one flat chunk of ``_BINCOUNT_CHUNK`` voxels at a
+    time, so no whole-grid copy is made.
     """
     flat = data.ravel(order="K")  # a view of a C- or F-ordered array
-    counts = np.zeros(minlength, dtype=np.int64)
-    step = max(_BINCOUNT_CHUNK, minlength)
-    for start in range(0, flat.size, step):
-        part = np.bincount(flat[start:start + step])
+    counts = np.zeros(0, dtype=np.int64)
+    for start in range(0, flat.size, _BINCOUNT_CHUNK):
+        part = np.bincount(flat[start:start + _BINCOUNT_CHUNK])
         if part.size > counts.size:
             counts, part = part, counts  # the longer one accumulates
         counts[:part.size] += part

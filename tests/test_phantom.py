@@ -5,14 +5,20 @@ import json
 import math
 import threading
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from vctkit import phantom
 from vctkit.codec import decode, encode
+from vctkit.composition import REFERENCE_HU
 from vctkit.phantom import (
     BIN_WIDTH,
+    HU_AIR,
+    HU_FAT,
+    HU_MUSCLE,
     AttributeDistribution,
     Attributes,
     BinnedAttributes,
@@ -30,10 +36,10 @@ from vctkit.phantom import (
     sample_fractions,
     write_manifest,
 )
-from vctkit.phantom import _Canvas
+from vctkit.phantom import _TRUTH_CHUNK, _Canvas, _count_truth, _solve_geometry
 from vctkit.rng import Stream
 from vctkit.trial import encode_binned
-from vctkit.volume import Grid
+from vctkit.volume import Grid, voxel_volume_mm3
 
 
 def test_spec_validation():
@@ -134,7 +140,7 @@ TRUTH_DIGESTS = {
 def test_truth_encoding_pinned(spacing):
     [(_, _, spec)] = sample_cohort_specs(1, AttributeDistribution(), (spacing,) * 3, 3)
     vol, _, _, truth = generate_phantom(spec)
-    assert vol.grid.n_voxels > 65536  # the 65536-bin count spans more than one chunk
+    assert vol.grid.n_voxels > _TRUTH_CHUNK  # truth is counted over more than one chunk
     text = json.dumps(encode(truth), sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TRUTH_DIGESTS[spacing]
 
@@ -161,6 +167,87 @@ def test_painted_bytes_pinned(spacing):
     digests = tuple(hashlib.sha256(m.data.tobytes()).hexdigest()
                     for m in (vol, tissue, structure))
     assert digests == PHANTOM_DIGESTS[spacing]
+
+
+def _full_phantom(spec):
+    """``generate_phantom(spec)`` and the arguments it counted the truth from."""
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return _count_truth(*args)
+
+    with mock.patch.object(phantom, "_count_truth", record):
+        result = generate_phantom(spec)
+    [args] = calls
+    return result, args
+
+
+def _truth_oracle(vol, spec, truth):
+    """``truth`` with every counted field recomputed from ``np.unique`` of the image."""
+    values, counts = np.unique(vol.data, return_counts=True)
+    order = np.argsort(values.view(np.uint16))  # the order masses are summed in
+    body = [(int(h), int(n)) for h, n in zip(values[order], counts[order]) if h != HU_AIR]
+    by_hu = dict(body)
+    vox = voxel_volume_mm3(vol.grid)
+
+    def mass(pairs):
+        return sum(n * (h + 1000.0) / (REFERENCE_HU + 1000.0) for h, n in pairs) * vox / 1000.0
+
+    m_body = mass(body)
+    bone_hu = bone_hu_for_age(spec.age_years)
+    return replace(
+        truth, body_mass_g=m_body,
+        fat_pct=100.0 * mass([(HU_FAT, by_hu.get(HU_FAT, 0))]) / m_body,
+        muscle_pct=100.0 * mass([(HU_MUSCLE, by_hu.get(HU_MUSCLE, 0))]) / m_body,
+        bone_density_hu=float(bone_hu) if bone_hu in by_hu else None,
+        body_volume_mm3=sum(n for _, n in body) * vox)
+
+
+@given(sex=st.sampled_from("MF"), age=st.floats(18.0, 90.0), height=st.floats(145.0, 203.0),
+       weight=st.floats(45.0, 135.0), seed=st.integers(0, 2 ** 32 - 1),
+       spacing=st.sampled_from([8.0, 6.0, 5.0]))
+@example(sex="F", age=90.0, height=203.0, weight=45.0, seed=0, spacing=4.0)
+def test_truth_counts_match_unique_oracle(sex, age, height, weight, seed, spacing):
+    fat, muscle = sample_fractions(sex, age, weight, Stream(seed))
+    spec = PhantomSpec(sex=sex, age_years=age, height_cm=height, weight_kg=weight,
+                       fat_fraction=fat, muscle_fraction=muscle,
+                       spacing_mm=(spacing,) * 3, seed=seed)
+    (vol, _, _, truth), (canvas, *_) = _full_phantom(spec)
+    # every voxel holds air or a value the canvas recorded as painted
+    assert set(np.unique(vol.data).tolist()) <= canvas.painted | {HU_AIR}
+    assert encode(truth) == encode(_truth_oracle(vol, spec, truth))
+
+
+def test_truth_counts_only_what_the_canvas_holds():
+    grid = Grid((4, 4, 4), (2.0, 2.0, 2.0))
+    geom = _solve_geometry(PhantomSpec(spacing_mm=(2.0, 2.0, 2.0)))
+
+    def truth_of(*materials):
+        canvas = _Canvas(grid, None)
+        for hu, tissue in materials:
+            canvas.paint_sphere((3.0, 3.0, 3.0), 3.0, hu, tissue)
+        return canvas, _count_truth(canvas, grid, geom, {})
+
+    canvas, overwritten = truth_of((HU_FAT, "fat"), (HU_MUSCLE, "muscle"))
+    _, muscle_only = truth_of((HU_MUSCLE, "muscle"))
+    # fat was painted, then fully overwritten: it is recorded but adds no mass
+    assert HU_FAT in canvas.painted and not (canvas.hu == HU_FAT).any()
+    assert encode(overwritten) == encode(muscle_only)
+    assert overwritten.fat_pct == 0.0 and overwritten.muscle_pct == 100.0
+    # no voxel is bone, so there is no bone density; painting bone gives it
+    assert overwritten.bone_density_hu is None
+    _, boned = truth_of((HU_MUSCLE, "muscle"), (geom.bone_hu, "bone"))
+    assert boned.bone_density_hu == float(geom.bone_hu)
+
+
+def test_count_truth_traced_peak(traced_peak):
+    _, args = _full_phantom(PhantomSpec(spacing_mm=(4.0, 4.0, 4.0), seed=5))
+    truth, peak = traced_peak(_count_truth, *args)
+    assert truth.body_mass_g > 0.0
+    # one chunk's matches and the counts; a whole-grid ``hu == h`` is 1 B per voxel,
+    # and a histogram of 65536 int64 bins per chunk far more
+    assert peak <= 0.1 * args[0].hu.size
 
 
 def test_generate_phantom_traced_peak(traced_peak):
