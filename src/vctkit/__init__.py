@@ -19,7 +19,6 @@ from .phantom import (
     generate_cohort,
     generate_matched_spec,
     generate_phantom,
-    load_manifest,
     sample_cohort_specs,
 )
 from .rng import Stream, fnv1a64, subject_seed

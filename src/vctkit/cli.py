@@ -20,11 +20,11 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import metrics  # per_class_dice looked up at call time, where perfbench wraps it
-from .codec import decode, encode, read_json, write_csv, write_json
+from .codec import encode, read_record, write_csv, write_json
 from .composition import CompositionReport, measure_composition
 from .io import load_labelmap, load_volume
 from .metrics import cohort_consistency, collect_structure_measurements, write_consistency_csv
-from .phantom import (AttributeDistribution, check_spacing, generate_cohort, load_manifest,
+from .phantom import (AttributeDistribution, CohortManifest, check_spacing, generate_cohort,
                       map_ordered)
 from .skeleton import measure_height
 from .trial import MeasuredSubject, TrialConfig, TrialReport, run_full_vct, write_trial_outputs
@@ -80,7 +80,7 @@ class PhantomConfig:
 
 def cmd_phantom_gen(args) -> int:
     start = time.perf_counter()
-    cfg = decode(PhantomConfig, read_json(args.config)) if args.config else PhantomConfig()
+    cfg = read_record(PhantomConfig, args.config) if args.config else PhantomConfig()
     flags = {"n": args.n, "seed": args.seed, "spacing_mm": args.spacing}
     cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     if cfg.n is None or cfg.seed is None:
@@ -119,17 +119,10 @@ def _measure_one(base: Path, record):
     return rep
 
 
-def _load_subjects(manifest_path: Path):
-    manifest = load_manifest(manifest_path)
-    if not manifest.subjects:
-        raise ValueError(f"manifest {manifest_path} lists no subjects")
-    return manifest
-
-
 def cmd_measure(args) -> int:
     start = time.perf_counter()
     manifest_path = Path(args.manifest)
-    manifest = _load_subjects(manifest_path)
+    manifest = read_record(CohortManifest, manifest_path)
     base = manifest_path.parent
     out = Path(args.out)
     reports_dir = out / "measurements"
@@ -166,7 +159,7 @@ def cmd_measure(args) -> int:
 
 
 def _load_measured_cohort(cohort_dir: Path) -> list[MeasuredSubject]:
-    manifest = load_manifest(cohort_dir / "manifest.json")
+    manifest = read_record(CohortManifest, cohort_dir / "manifest.json")
     measurements = cohort_dir / "measurements"
     subjects = []
     for record in manifest.subjects:
@@ -174,20 +167,14 @@ def _load_measured_cohort(cohort_dir: Path) -> list[MeasuredSubject]:
         if not path.exists():
             raise FileNotFoundError(
                 f"no measurement for subject {record.id!r} under {measurements}")
-        try:
-            rep = decode(CompositionReport, read_json(path))
-        except ValueError as exc:
-            raise ValueError(f"subject {record.id!r}: {exc}") from exc
-        subjects.append(MeasuredSubject(record.id, record.attributes, rep))
+        subjects.append(MeasuredSubject(record.id, record.attributes,
+                                        read_record(CompositionReport, path)))
     return subjects
 
 
 def load_trial_config(path) -> TrialConfig:
     """The trial config JSON at ``path``, or the headline ``TrialConfig()`` for None."""
-    try:
-        return decode(TrialConfig, {} if path is None else read_json(path))
-    except ValueError as exc:
-        raise ValueError(f"bad trial config: {exc}") from exc
+    return TrialConfig() if path is None else read_record(TrialConfig, path)
 
 
 def trial_run(config: TrialConfig, out: Path, threads: int, cohort_dir=None):
@@ -269,7 +256,7 @@ def cmd_consistency(args) -> int:
     start = time.perf_counter()
     out = Path(args.out)
     path_a, path_b = Path(args.a), Path(args.b)
-    manifest_a, manifest_b = _load_subjects(path_a), _load_subjects(path_b)
+    manifest_a, manifest_b = (read_record(CohortManifest, p) for p in (path_a, path_b))
     n_a, n_b = len(manifest_a.subjects), len(manifest_b.subjects)
     by_id_a = {s.id: s for s in manifest_a.subjects}
     by_id_b = {s.id: s for s in manifest_b.subjects}

@@ -2,10 +2,12 @@
 
 A data JSON file holds one object, written with sorted keys, a 2-space
 indent, a final newline and no NaN or infinity (a missing value is None);
-``read_json`` raises ValueError naming the file for malformed JSON or any
-other top-level value.  A data CSV is a header row and then one row per
-record; a None or NaN cell is written empty, any other cell the way ``csv``
-writes it (``repr`` for a float).  ``write_records`` writes dataclass records
+``read_json`` raises ValueError for malformed JSON or any other top-level
+value.  ``read_record`` reads and decodes a record file; it is the one place
+that puts the path on such an error, once, as ``<path>: <what>``.  A data
+CSV is a header row and then one row per record; a None or NaN cell is
+written empty, any other cell the way ``csv`` writes it (``repr`` for a
+float).  ``write_records`` writes dataclass records
 as a data CSV with one column per field in declared order, except that a
 field annotated as a tuple (a ``(low, high)`` pair, ``None`` allowed) is the
 two columns ``<field>_low`` and ``<field>_high``, and a None pair is two
@@ -33,15 +35,23 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 
 def read_json(path) -> dict:
-    """The JSON object in the file at ``path``; anything else raises ValueError
-    naming the file."""
+    """The JSON object in the file at ``path``; anything else raises ValueError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # not JSON, or not UTF-8
-        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
+        raise ValueError(f"malformed JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise ValueError(f"{path} must hold a JSON object, got {type(payload).__name__}")
+        raise ValueError(f"must hold a JSON object, got {type(payload).__name__}")
     return payload
+
+
+def read_record(cls, path):
+    """Dataclass ``cls`` decoded from the JSON file at ``path``; any ValueError
+    is raised again as ``<path>: <what>``."""
+    try:
+        return decode(cls, read_json(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_json(path, payload: dict) -> Path:

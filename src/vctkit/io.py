@@ -17,8 +17,9 @@ header alone, checks the payload size on disk, and reads the payload one
 slab at a time into the C-ordered array it returns.  A loader names the
 kind of map it expects, and a CTV header must state that kind.
 
-Every malformed file raises ValueError; for a CTV header the message names
-the header file and the field.
+Every malformed file raises ValueError as ``<path>: <what>``, from the one
+map loader behind ``load_volume`` and ``load_labelmap``; a CTV pair is named
+by its header, and a bad header field by its key.
 """
 
 from __future__ import annotations
@@ -122,14 +123,9 @@ def save_labelmap(labels: LabelMap, path) -> Path:
     return _write_ctv(labels.grid, labels.data, labels.kind, labels.class_table, path)
 
 
-def _read_ctv(path, kind: str) -> tuple[CtvHeader, np.ndarray]:
-    header_path, _ = _ctv_paths(path)
-    payload = read_json(header_path)
-    try:
-        header = decode(CtvHeader, payload)
-        grid = header.grid
-    except ValueError as exc:
-        raise ValueError(f"{header_path}: {exc}") from exc
+def _read_ctv(header_path: Path, kind: str) -> tuple[Grid, np.ndarray, dict[int, str]]:
+    header = decode(CtvHeader, read_json(header_path))
+    grid = header.grid
     if header.kind != kind:
         raise ValueError(f"expected kind {kind!r}, got {header.kind!r}")
     dtype = np.dtype({**VOLUME_DTYPES, **LABEL_DTYPES}[header.dtype]).newbyteorder("<")
@@ -142,37 +138,41 @@ def _read_ctv(path, kind: str) -> tuple[CtvHeader, np.ndarray]:
             f"and dtype {header.dtype} (expected {expected})")
     # one writable buffer: the astype copies only on a big-endian host
     data = np.fromfile(raw_path, dtype=dtype).astype(dtype.newbyteorder("="), copy=False)
-    return header, data.reshape(grid.dims, order="F")
+    return grid, data.reshape(grid.dims, order="F"), header.class_table or {}
+
+
+def _load_map(path, cls, kind: str):
+    """The ``cls`` map (a clamped Volume, or a LabelMap of ``kind``) in the CTV
+    pair or NIfTI-1 file at ``path``; any ValueError is raised again as
+    ``<path>: <what>``, a CTV pair named by its header."""
+    path = Path(path)
+    try:
+        if path.name.endswith(".nii"):
+            grid, data = _read_nifti(path)
+            # NIfTI carries no class table: one is synthesized from the values
+            # present; a non-label dtype gets none, and LabelMap rejects it
+            table = ({v: f"class_{v}" for v in present_labels(data) if v != 0}
+                     if cls is LabelMap and data.dtype.name in LABEL_DTYPES else {})
+        else:
+            path = _ctv_paths(path)[0]
+            grid, data, table = _read_ctv(path, kind)
+        if cls is LabelMap:
+            return LabelMap(grid, data, kind, table)
+        vol = Volume(grid, data)
+        clamp_hu(vol.data)
+        return vol
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_volume(path) -> Volume:
     """Load an image volume from a CTV pair or a NIfTI-1 file."""
-    p = Path(path)
-    if p.name.endswith(".nii"):
-        grid, data = _read_nifti(p)
-    else:
-        header, data = _read_ctv(p, "image")
-        grid = header.grid
-    vol = Volume(grid, data)
-    clamp_hu(vol.data)
-    return vol
+    return _load_map(path, Volume, "image")
 
 
 def load_labelmap(path, kind: str) -> LabelMap:
-    """Load a label map of ``kind`` from a CTV pair or a NIfTI-1 file.
-
-    NIfTI files carry no class table; one is synthesized from the values
-    present.
-    """
-    p = Path(path)
-    if p.name.endswith(".nii"):
-        grid, data = _read_nifti(p)
-        # a payload of a non-label dtype gets no table: LabelMap rejects its dtype
-        table = ({v: f"class_{v}" for v in present_labels(data) if v != 0}
-                 if data.dtype.name in LABEL_DTYPES else {})
-        return LabelMap(grid, data, kind, table)
-    header, data = _read_ctv(p, kind)
-    return LabelMap(header.grid, data, kind, header.class_table or {})
+    """Load a label map of ``kind`` from a CTV pair or a NIfTI-1 file."""
+    return _load_map(path, LabelMap, kind)
 
 
 # --- NIfTI-1 -----------------------------------------------------------

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io  # savers looked up at call time, where perfbench wraps them
-from .codec import decode, encode, read_json, write_json
+from .codec import encode, write_json
 from .composition import REFERENCE_HU, density
 from .rng import Stream, subject_seed
 from .volume import (
@@ -810,25 +810,13 @@ class CohortManifest:
     subjects: list[SubjectRecord]
 
     def __post_init__(self):
+        if not self.subjects:
+            raise ValueError("manifest lists no subjects")
         seen = set()
         for s in self.subjects:
             if s.id in seen:
                 raise ValueError(f"subject id {s.id!r} is repeated")
             seen.add(s.id)
-
-
-def write_manifest(manifest: CohortManifest, path) -> Path:
-    return write_json(path, encode(manifest))
-
-
-def load_manifest(path) -> CohortManifest:
-    """Read a manifest.json; a bad entry raises ValueError naming the file
-    and the dotted key, e.g. ``subjects[3].attributes.age_years``."""
-    payload = read_json(path)
-    try:
-        return decode(CohortManifest, payload)
-    except ValueError as exc:
-        raise ValueError(f"manifest {path}: {exc}") from exc
 
 
 def generate_cohort(n: int, dist: AttributeDistribution, spacing, seed: int,
@@ -856,5 +844,5 @@ def generate_cohort(n: int, dist: AttributeDistribution, spacing, seed: int,
     specs = sample_cohort_specs(n, dist, spacing, seed)
     manifest = CohortManifest(seed=seed, spacing_mm=tuple(float(s) for s in spacing),
                               subjects=map_ordered(build, specs, threads))
-    write_manifest(manifest, out / "manifest.json")
+    write_json(out / "manifest.json", encode(manifest))
     return manifest

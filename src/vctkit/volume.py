@@ -77,7 +77,7 @@ STRUCTURE_IDS = {name: label for label, name in STRUCTURE_TABLE.items()}
 
 # voxels per chunk of LabelMap validation's range tests
 _CHECK_CHUNK = 1 << 18
-# voxels per chunk of value_counts: np.bincount casts its input to intp,
+# voxels per chunk of present_labels: np.bincount casts its input to intp,
 # so a chunk's copy is 128 kB
 _BINCOUNT_CHUNK = 1 << 14
 
@@ -92,11 +92,11 @@ def _missing_runs(class_table: dict, top: int) -> list[tuple[int, int]]:
     return runs
 
 
-def value_counts(data: np.ndarray) -> np.ndarray:
-    """Voxel count per value of an unsigned integer label array.
+def present_labels(data: np.ndarray) -> list[int]:
+    """The distinct values of an unsigned integer label array, ascending.
 
-    Labels are counted one flat chunk of ``_BINCOUNT_CHUNK`` voxels at a
-    time, so no whole-grid copy is made.
+    Values are counted by one chunked bincount, a flat chunk of
+    ``_BINCOUNT_CHUNK`` voxels at a time, so no whole-grid copy is made.
     """
     flat = data.ravel(order="K")  # a view of a C- or F-ordered array
     counts = np.zeros(0, dtype=np.int64)
@@ -105,12 +105,7 @@ def value_counts(data: np.ndarray) -> np.ndarray:
         if part.size > counts.size:
             counts, part = part, counts  # the longer one accumulates
         counts[:part.size] += part
-    return counts
-
-
-def present_labels(data: np.ndarray) -> list[int]:
-    """The distinct values of an unsigned integer label array, ascending."""
-    return np.flatnonzero(value_counts(data)).tolist()
+    return np.flatnonzero(counts).tolist()
 
 
 @dataclass(frozen=True)

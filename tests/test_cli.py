@@ -16,7 +16,8 @@ import pytest
 from vctkit import cli, trial
 from vctkit.cli import main
 from vctkit.io import load_labelmap, load_volume, save_labelmap, save_volume
-from vctkit.phantom import load_manifest
+from vctkit.codec import read_record
+from vctkit.phantom import CohortManifest
 from vctkit.volume import LabelIndex, Volume
 
 SPACING = "5,5,5"
@@ -37,8 +38,12 @@ def cohort_dir(tmp_path_factory):
     return root
 
 
+def _manifest(path) -> CohortManifest:
+    return read_record(CohortManifest, path)
+
+
 def test_gen_outputs_and_manifest(cohort_dir):
-    manifest = load_manifest(cohort_dir / "manifest.json")
+    manifest = _manifest(cohort_dir / "manifest.json")
     assert len(manifest.subjects) == 20
     assert (cohort_dir / "run.log").exists()
     rec = manifest.subjects[0]
@@ -79,7 +84,7 @@ def test_gen_bad_distribution_names_the_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 2, "seed": 1, "distribution": {"age_meen": 50.0}}))
     assert main(["phantom", "gen", "--config", str(cfg), "--out", str(tmp_path / "z")]) == 2
-    assert capsys.readouterr().err == "error: unknown distribution keys: ['age_meen']\n"
+    assert capsys.readouterr().err == f"error: {cfg}: unknown distribution keys: ['age_meen']\n"
     assert not (tmp_path / "z").exists()
 
 
@@ -89,10 +94,10 @@ def test_per_sex_prior_without_both_sexes_exits_2_naming_the_key(tmp_path, capsy
     message = "height_mean must have exactly the keys 'M' and 'F', got ['M']"
     cfg.write_text(json.dumps({"n": 2, "seed": 1, "distribution": distribution}))
     assert main(["phantom", "gen", "--config", str(cfg), "--out", str(tmp_path / "z")]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
     cfg.write_text(json.dumps(_trial_config(distribution=distribution)))
     assert main(["trial", "run", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
-    assert capsys.readouterr().err == f"error: bad trial config: {message}\n"
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
     assert not (tmp_path / "z").exists() and not (tmp_path / "t").exists()
 
 
@@ -119,12 +124,12 @@ def test_gen_flags_override_config_keys(tmp_path):
                                "distribution": {"missing_rate": 0.5}}))
     assert main(["phantom", "gen", "--config", str(cfg), "--n", "2", "--spacing", "6,6,6",
                  "--out", str(tmp_path / "z")]) == 0
-    manifest = load_manifest(tmp_path / "z" / "manifest.json")
+    manifest = _manifest(tmp_path / "z" / "manifest.json")
     assert (len(manifest.subjects), manifest.seed, manifest.spacing_mm) == (2, 2, (6.0, 6.0, 6.0))
 
 
 def test_measure_matches_manifest_truth(cohort_dir):
-    manifest = load_manifest(cohort_dir / "manifest.json")
+    manifest = _manifest(cohort_dir / "manifest.json")
     truth = {s.id: s.truth for s in manifest.subjects}
     with open(cohort_dir / "measurements.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -145,12 +150,13 @@ def test_measure_matches_manifest_truth(cohort_dir):
     assert per_subject["height"]["total_mm"] == float(rows[0]["height_mm"])
 
 
-def test_measure_empty_manifest(tmp_path):
+def test_measure_empty_manifest(tmp_path, capsys):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({"seed": 0, "spacing_mm": [2, 2, 2],
                                 "subjects": []}))
     assert main(["measure", "--manifest", str(path),
                  "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: manifest lists no subjects\n"
 
 
 def test_measure_partial_failure(tmp_path, capsys):
@@ -308,15 +314,15 @@ def test_trial_bad_configs(tmp_path, capsys):
     capsys.readouterr()
     for bad, message in (
             ({"predictor": {"kind": "external"}},
-             "bad trial config: predictor.path is required for kind 'external'"),
+             "predictor.path is required for kind 'external'"),
             ({"predictor": {"kind": "oracle_noise", "sigmaa": 3.0}},
-             "bad trial config: unknown predictor keys: ['sigmaa']"),
+             "unknown predictor keys: ['sigmaa']"),
             ({"predictor": {"kind": "oracle_noise", "sigma": float("inf")}},
-             "bad trial config: predictor.sigma must be a finite number, got inf")):
+             "predictor.sigma must be a finite number, got inf")):
         unknown.write_text(json.dumps(bad))
         assert main(["trial", "run", "--config", str(unknown),
                      "--out", str(tmp_path / "o4")]) == 2, bad
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {unknown}: {message}\n"
     assert not (tmp_path / "o4" / "report.json").exists()
 
 
@@ -333,13 +339,12 @@ def test_run_vct_script_bad_config(tmp_path, capsys, request):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n_subjectz": 1}))
     assert run_vct.main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "bad trial config" in err and "n_subjectz" in err
+    assert capsys.readouterr().err == f"error: {bad}: unknown trial config keys: ['n_subjectz']\n"
     assert not (tmp_path / "o").exists()
     bad.write_text(json.dumps({"predictor": {"kind": "mlp"}}))
     assert run_vct.main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: bad trial config: ") and "unknown predictor kind 'mlp'" in err
+    assert err.startswith(f"error: {bad}: ") and "unknown predictor kind 'mlp'" in err
     # decodes, but fails once the trial starts: still exit 2, not a traceback
     preds = tmp_path / "preds.csv"
     preds.write_text("id,pred\ns000,24.5\n")
@@ -375,7 +380,7 @@ def test_removed_trial_keys_exit_2_in_both_entry_points(tmp_path, capsys, reques
                                 "--out", str(tmp_path / "o")]),
                         (run_vct.main, ["--config", str(bad), "--out", str(tmp_path / "s")])):
         assert entry(argv) == 2
-        assert capsys.readouterr().err == f"error: bad trial config: {key}\n"
+        assert capsys.readouterr().err == f"error: {bad}: {key}\n"
     assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
 
 
@@ -592,33 +597,33 @@ def _corrupt_cohort(cohort_dir, dest, subject, field, value):
 
 @pytest.mark.parametrize("subject, field, value, message", [
     ("subj_0000", "truth.fat_pct", None,
-     "subjects[0].truth is missing keys: ['fat_pct']"),
+     "error: {manifest}: subjects[0].truth is missing keys: ['fat_pct']"),
     ("subj_0003", "attributes.age_years", "old",
-     "subjects[3].attributes.age_years must be float, got 'old'"),
+     "error: {manifest}: subjects[3].attributes.age_years must be float, got 'old'"),
     ("subj_0005", "truth.landmarks", {"c7": [1.0, 2.0]},
-     "subjects[5].truth.landmarks.c7 must be a list of 3 numbers"),
+     "error: {manifest}: subjects[5].truth.landmarks.c7 must be a list of 3 numbers"),
     ("subj_0003", "subject.id", None,
-     "error: manifest {manifest}: subjects[3] is missing keys: ['id']"),
+     "error: {manifest}: subjects[3] is missing keys: ['id']"),
     (None, "manifest.seed", None,
-     "error: manifest {manifest}: cohort manifest is missing keys: ['seed']"),
+     "error: {manifest}: cohort manifest is missing keys: ['seed']"),
     (None, "manifest.spacing_mm", [4.0, 4.0],
-     "error: manifest {manifest}: spacing_mm must be a list of 3 numbers"),
+     "error: {manifest}: spacing_mm must be a list of 3 numbers"),
     (None, "manifest.subjects", None,
-     "error: manifest {manifest}: cohort manifest is missing keys: ['subjects']"),
+     "error: {manifest}: cohort manifest is missing keys: ['subjects']"),
     (None, "manifest.subjects", {"subj_0000": {}},
-     "error: manifest {manifest}: subjects must be a list, got dict"),
+     "error: {manifest}: subjects must be a list, got dict"),
     (None, "manifest", '{"seed": ',
-     "error: malformed JSON in {manifest}: Expecting value: line 1 column 10"),
+     "error: {manifest}: malformed JSON: Expecting value: line 1 column 10"),
     ("subj_0003", "attributes.age_years", float("inf"),
-     "error: manifest {manifest}: subjects[3].attributes.age_years must be a finite number, "
+     "error: {manifest}: subjects[3].attributes.age_years must be a finite number, "
      "got inf"),
     ("subj_0001", "subject.colour", "red",
-     "error: manifest {manifest}: unknown subjects[1] keys: ['colour']"),
+     "error: {manifest}: unknown subjects[1] keys: ['colour']"),
     ("subj_0002", "subject.truth", {},
-     "error: manifest {manifest}: subjects[2].truth is missing keys: ['body_mass_g', "),
+     "error: {manifest}: subjects[2].truth is missing keys: ['body_mass_g', "),
     # json reads a 400-digit literal as an int, which no float can hold
     pytest.param("subj_0000", "attributes.age_years", 10 ** 400,
-                 "error: manifest {manifest}: subjects[0].attributes.age_years must be a "
+                 "error: {manifest}: subjects[0].attributes.age_years must be a "
                  f"finite number, got {10 ** 400}", id="age-beyond-float-range"),
 ])
 def test_bad_manifest_exits_2_naming_subject_and_key(cohort_dir, tmp_path, capsys,
@@ -639,18 +644,19 @@ def test_bad_manifest_exits_2_naming_subject_and_key(cohort_dir, tmp_path, capsy
     ("measurement.fat_pct", None, "composition report is missing keys: ['fat_pct']"),
     ("measurement.bone_density_hu", "dense", "bone_density_hu must be float"),
     ("measurement.height", {"per_leg": {}}, "height is missing keys: ['head_mm', "),
-    ("measurement", "{not json", "malformed JSON in {path}: Expecting property name"),
+    ("measurement", "{not json", "{path}: malformed JSON: Expecting property name"),
 ])
 def test_bad_measurement_exits_2_naming_subject_and_key(cohort_dir, tmp_path, capsys,
                                                         field, value, message):
     cohort = _corrupt_cohort(cohort_dir, tmp_path / "cohort", "subj_0002", field, value)
-    message = message.format(path=cohort / "measurements" / "subj_0002.json")
+    path = cohort / "measurements" / "subj_0002.json"
+    message = message.format(path=path)
     cfg = tmp_path / "trial.json"
     cfg.write_text(json.dumps(_trial_config()))
     assert main(["trial", "run", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--cohort", str(cohort)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: subject 'subj_0002': ") and message in err
+    assert err.startswith(f"error: {path}: ") and message in err
 
 
 def test_trial_missing_cohort_measurements(tmp_path):
@@ -723,7 +729,7 @@ def test_gen_and_measure_log_stage_lines(tmp_path):
     assert record == {"stage": "phantom gen", "wall_s": record["wall_s"],
                       "subjects": 2, "failed": 0}
     # a missing image fails its subject only; the line counts it
-    (cohort / load_manifest(cohort / "manifest.json").subjects[1].image).unlink()
+    (cohort / _manifest(cohort / "manifest.json").subjects[1].image).unlink()
     out = tmp_path / "m"
     assert main(["measure", "--manifest", str(cohort / "manifest.json"),
                  "--out", str(out)]) == 1
@@ -779,7 +785,7 @@ def test_consistency_paired_shifted_cohort_pins_bytes(tmp_path):
     assert main(["phantom", "gen", "--n", "4", "--seed", "5", "--out", str(a),
                  "--spacing", SPACING]) == 0
     shutil.copytree(a, b)
-    for record in load_manifest(a / "manifest.json").subjects:
+    for record in _manifest(a / "manifest.json").subjects:
         structures = load_labelmap(a / record.structure, "structure")
         shifted = np.zeros_like(structures.data)
         shifted[:, :, 1:] = structures.data[:, :, :-1]
@@ -817,14 +823,16 @@ def test_swapped_tissue_and_structure_maps_are_rejected(tmp_path, capsys):
     capsys.readouterr()
     assert main(["consistency", "--a", str(swapped), "--b", str(cohort / "manifest.json"),
                  "--out", str(tmp_path / "cons"), "--cohort"]) == 2
-    assert "expected kind 'tissue', got 'structure'" in capsys.readouterr().err
+    # the first subject's tissue path names its structure map
+    first = cohort / payload["subjects"][0]["tissue"]
+    assert capsys.readouterr().err == (
+        f"error: {first}: expected kind 'tissue', got 'structure'\n")
     assert not (tmp_path / "cons" / "consistency.csv").exists()
     assert main(["measure", "--manifest", str(swapped),
                  "--out", str(tmp_path / "measured")]) == 1
-    err = capsys.readouterr().err
-    for s in payload["subjects"]:
-        assert (f"measure failed for subject {s['id']}: "
-                "expected kind 'tissue', got 'structure'") in err
+    assert capsys.readouterr().err == "".join(
+        f"measure failed for subject {s['id']}: {cohort / s['tissue']}: "
+        "expected kind 'tissue', got 'structure'\n" for s in payload["subjects"])
 
 
 def _cohort_missing_map_paths(tmp_path, keys):
@@ -881,7 +889,7 @@ def test_consistency_malformed_map_header_exits_2_naming_file_and_field(
         one_subject_cohort, tmp_path, capsys, mode, edit, message):
     cohort = tmp_path / "cohort"
     shutil.copytree(one_subject_cohort, cohort)
-    header_path = cohort / load_manifest(cohort / "manifest.json").subjects[0].tissue
+    header_path = cohort / _manifest(cohort / "manifest.json").subjects[0].tissue
     header_path.write_text(json.dumps({**json.loads(header_path.read_text()), **edit}))
     capsys.readouterr()
     manifest = str(cohort / "manifest.json")
@@ -889,6 +897,68 @@ def test_consistency_malformed_map_header_exits_2_naming_file_and_field(
                  "--out", str(tmp_path / "cons"), mode]) == 2
     assert capsys.readouterr().err == f"error: {header_path}: {message}\n"
     assert not (tmp_path / "cons").exists()
+
+
+@pytest.mark.parametrize("case, code", [
+    ("gen config", 2), ("trial config", 2), ("script trial config", 2), ("manifest", 2),
+    ("measurement", 2), ("ctv header", 2), ("payload under consistency", 2),
+    ("payload under measure", 1), ("kind swap", 2), ("truncated nifti", 1)])
+def test_a_bad_input_file_is_named_once_after_the_lead(one_subject_cohort, tmp_path, capsys,
+                                                      request, case, code):
+    # each case breaks one file; its error starts with that file's path, once,
+    # right after "error: " or, for a subject that `vct measure` fails alone,
+    # after "measure failed for subject <id>: "
+    cohort = tmp_path / "cohort"
+    shutil.copytree(one_subject_cohort, cohort)
+    manifest = cohort / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    record = _manifest(manifest).subjects[0]
+    out = str(tmp_path / "o")
+    measure = ["measure", "--manifest", str(manifest), "--out", out]
+    consistency = ["consistency", "--a", str(manifest), "--b", str(manifest), "--out", out,
+                   "--paired"]
+    entry = main
+    if case == "gen config":
+        bad = tmp_path / "gen.json"
+        bad.write_text(json.dumps({"n": 2, "seed": 1, "distribution": {"p_femal": 0.5}}))
+        argv = ["phantom", "gen", "--config", str(bad), "--out", out]
+    elif case.endswith("trial config"):
+        bad = tmp_path / "trial.json"
+        bad.write_text(json.dumps({"n_subjectz": 10}))
+        argv = ["trial", "run", "--config", str(bad), "--out", out]
+        if case.startswith("script"):
+            entry, argv = _run_vct_script(request).main, argv[2:]
+    elif case == "manifest":
+        bad = manifest
+        bad.write_text(json.dumps({**payload, "seed": "7"}))
+        argv = measure
+    elif case == "measurement":
+        bad = cohort / "measurements" / f"{record.id}.json"
+        bad.parent.mkdir()
+        bad.write_text("{not json")
+        argv = ["trial", "run", "--cohort", str(cohort), "--out", out]
+    elif case == "ctv header":
+        bad = cohort / record.tissue
+        bad.write_text(json.dumps({**json.loads(bad.read_text()), "extra": 1}))
+        argv = consistency
+    elif case.startswith("payload"):
+        under_measure = case.endswith("measure")
+        bad = cohort / (record.image if under_measure else record.structure)
+        raw = bad.with_name(json.loads(bad.read_text())["data_file"])
+        raw.write_bytes(raw.read_bytes()[:100])
+        argv = measure if under_measure else consistency
+    else:  # the tissue path names the structure map, or a truncated NIfTI file
+        bad = cohort / (record.structure if case == "kind swap" else "tissue.nii")
+        if case != "kind swap":
+            bad.write_bytes(bytes(100))
+        payload["subjects"][0]["tissue"] = bad.name
+        manifest.write_text(json.dumps(payload))
+        argv = consistency if case == "kind swap" else measure
+    lead = "error: " if code == 2 else f"measure failed for subject {record.id}: "
+    capsys.readouterr()
+    assert entry(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{lead}{bad}: ") and err.count(str(bad)) == 1, err
 
 
 def test_measure_missing_map_path_fails_only_that_subject(tmp_path, capsys):
@@ -906,7 +976,7 @@ def test_measure_missing_map_path_fails_only_that_subject(tmp_path, capsys):
 def test_measure_nan_voxel_fails_that_subject(one_subject_cohort, tmp_path, capsys):
     cohort = tmp_path / "cohort"
     shutil.copytree(one_subject_cohort, cohort)
-    record = load_manifest(cohort / "manifest.json").subjects[0]
+    record = _manifest(cohort / "manifest.json").subjects[0]
     image = load_volume(cohort / record.image)
     tissue = load_labelmap(cohort / record.tissue, "tissue")
     data = image.data.astype(np.float32)
@@ -952,7 +1022,7 @@ def test_consistency_paired_and_cohort_agree_off_dice(tmp_path):
     assert main(["phantom", "gen", "--n", "4", "--seed", "6", "--out", str(a),
                  "--spacing", "8,8,8"]) == 0
     shutil.copytree(a, b)
-    for record in load_manifest(a / "manifest.json").subjects:
+    for record in _manifest(a / "manifest.json").subjects:
         structures = load_labelmap(a / record.structure, "structure")
         shifted = np.zeros_like(structures.data)
         shifted[:, :, 1:] = structures.data[:, :, :-1]

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from vctkit.codec import decode, encode, read_json, write_csv, write_json, write_records
+from vctkit.codec import (decode, encode, read_json, read_record, write_csv, write_json,
+                          write_records)
 from vctkit.trial import TrialRow
 
 
@@ -73,17 +74,31 @@ def test_write_json_sorts_keys_with_two_space_indent_and_final_newline(tmp_path)
     assert read_json(path) == {"a": {"c": 0.5, "d": None}, "b": [1, 2]}
 
 
-@pytest.mark.parametrize("content, message", [
-    (b"[1, 2]", "{path} must hold a JSON object, got list"),
-    (b'"subjects"', "{path} must hold a JSON object, got str"),
-    (b"{not json", "malformed JSON in {path}: Expecting property name"),
-    (b"\xff{}", "malformed JSON in {path}: 'utf-8' codec can't decode byte 0xff"),
-])
-def test_read_json_rejects_anything_but_an_object_naming_the_file(tmp_path, content, message):
+_NOT_AN_OBJECT = [
+    (b"[1, 2]", "must hold a JSON object, got list"),
+    (b'"subjects"', "must hold a JSON object, got str"),
+    (b"{not json", "malformed JSON: Expecting property name"),
+    (b"\xff{}", "malformed JSON: 'utf-8' codec can't decode byte 0xff"),
+]
+
+
+@pytest.mark.parametrize("content, message", _NOT_AN_OBJECT)
+def test_read_json_rejects_anything_but_an_object(tmp_path, content, message):
     path = tmp_path / "t.json"
     path.write_bytes(content)
-    with pytest.raises(ValueError, match=re.escape(message.format(path=path))):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
         read_json(path)
+
+
+@pytest.mark.parametrize("content, message", _NOT_AN_OBJECT + [
+    (b'{"points": [{"name": "a"}]}', "points[0] is missing keys: ['at']")])
+def test_read_record_names_the_file_once(tmp_path, content, message):
+    path = tmp_path / "t.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as info:
+        read_record(_Route, path)
+    assert str(info.value).startswith(f"{path}: {message}")
+    assert str(info.value).count(str(path)) == 1
 
 
 def test_list_of_records_round_trips_through_json(tmp_path):
@@ -91,7 +106,7 @@ def test_list_of_records_round_trips_through_json(tmp_path):
     payload = encode(route)
     assert payload == {"points": [{"name": "a", "at": [0.0, 1.5], "weight": None},
                                   {"name": "b", "at": [2.0, -1.0], "weight": 0.25}]}
-    assert decode(_Route, read_json(write_json(tmp_path / "p.json", payload))) == route
+    assert read_record(_Route, write_json(tmp_path / "p.json", payload)) == route
     assert decode(_Route, {"points": []}) == _Route([])
 
 

@@ -89,8 +89,9 @@ def test_payload_size_mismatch_raises(tmp_path):
     raw = (tmp_path / "img.raw").read_bytes()
     for payload in (raw[:-2], raw[:-1], raw + b"\0"):
         (tmp_path / "img.raw").write_bytes(payload)
-        with pytest.raises(ValueError, match=f"payload size {len(payload)} does not "
-                                             f"match dims .* \\(expected {len(raw)}\\)"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{tmp_path / 'img.ctv.json'}: payload size {len(payload)} does not match "
+                f"dims (3, 4, 5) and dtype int16 (expected {len(raw)})")):
             load_volume(tmp_path / "img")
 
 
@@ -125,18 +126,23 @@ def test_kind_mismatch_raises(tmp_path):
     g = Grid((2, 2, 2), (1.0, 1.0, 1.0))
     lm = LabelMap(g, np.zeros(g.dims, dtype=np.uint8), "tissue")
     save_labelmap(lm, tmp_path / "t")
-    with pytest.raises(ValueError, match="image"):
+    def refused(name, expected, got):
+        # an error names the pair by its header, even when called without the suffix
+        return pytest.raises(ValueError, match="^" + re.escape(
+            f"{tmp_path / name}.ctv.json: expected kind {expected!r}, got {got!r}") + "$")
+
+    with refused("t", "image", "tissue"):
         load_volume(tmp_path / "t")
     vol = _vol((2, 2, 2))
     save_volume(vol, tmp_path / "v")
-    with pytest.raises(ValueError, match="expected kind 'tissue', got 'image'"):
+    with refused("v", "tissue", "image"):
         load_labelmap(tmp_path / "v", "tissue")
     # the expected kind must match the header's
     assert load_labelmap(tmp_path / "t", kind="tissue").kind == "tissue"
-    with pytest.raises(ValueError, match="expected kind 'structure', got 'tissue'"):
+    with refused("t", "structure", "tissue"):
         load_labelmap(tmp_path / "t", kind="structure")
     save_labelmap(LabelMap(g, lm.data, "structure"), tmp_path / "s")
-    with pytest.raises(ValueError, match="expected kind 'tissue', got 'structure'"):
+    with refused("s", "tissue", "structure"):
         load_labelmap(tmp_path / "s", kind="tissue")
 
 
@@ -303,7 +309,7 @@ def test_malformed_json_raises(tmp_path):
     p = tmp_path / "bad.ctv.json"
     p.write_text("{not json")
     (tmp_path / "bad.raw").write_bytes(b"")
-    with pytest.raises(ValueError, match=f"^malformed JSON in {re.escape(str(p))}: "):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: malformed JSON: "):
         load_volume(p)
 
 
@@ -451,5 +457,5 @@ def test_nifti_truncated_payload(tmp_path):
     _write_nifti(p, data)
     blob = p.read_bytes()
     p.write_bytes(blob[:-10])
-    with pytest.raises(ValueError, match="truncated"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: NIfTI payload truncated$"):
         load_volume(p)

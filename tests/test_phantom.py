@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from vctkit import phantom
-from vctkit.codec import decode, encode
+from vctkit.codec import decode, encode, read_record, write_json
 from vctkit.composition import REFERENCE_HU
 from vctkit.phantom import (
     BIN_WIDTH,
@@ -31,10 +31,8 @@ from vctkit.phantom import (
     generate_cohort,
     generate_matched_spec,
     generate_phantom,
-    load_manifest,
     sample_cohort_specs,
     sample_fractions,
-    write_manifest,
 )
 from vctkit.phantom import _TRUTH_CHUNK, _Canvas, _count_truth, _solve_geometry
 from vctkit.rng import Stream
@@ -461,8 +459,7 @@ def test_manifest_round_trip(tmp_path, phantom_small):
         truth=truth,
     )
     manifest = CohortManifest(seed=9, spacing_mm=(3.0, 3.0, 3.0), subjects=[rec])
-    path = write_manifest(manifest, tmp_path / "manifest.json")
-    loaded = load_manifest(path)
+    loaded = read_record(CohortManifest, write_json(tmp_path / "manifest.json", encode(manifest)))
     assert loaded.seed == 9
     assert loaded.spacing_mm == (3.0, 3.0, 3.0)
     got = loaded.subjects[0]
