@@ -24,7 +24,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from vctkit.cli import load_trial_config, print_report, run_command, trial_run
+from vctkit.cli import load_trial_config, positive_int, print_report, run_command, trial_run
 from vctkit.trial import TrialConfig
 
 QUICK = dict(n_subjects=60, spacing_mm=(6.0, 6.0, 6.0), n_train=6, n_id=10,
@@ -46,7 +46,7 @@ def run(args) -> int:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="runs/vct_default", help="output directory")
-    ap.add_argument("--threads", type=int, default=4)
+    ap.add_argument("--threads", type=positive_int, default=4)
     config = ap.add_mutually_exclusive_group()
     config.add_argument("--config", help="JSON overriding the default trial config")
     config.add_argument("--quick", action="store_true",

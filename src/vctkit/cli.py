@@ -2,7 +2,8 @@
 
 Every command is deterministic given its config: data outputs are
 byte-identical across reruns and thread counts.  Timestamps go only to a
-``run.log`` in the output directory, never into data files.
+``run.log`` in the output directory, never into data files: one JSON line
+per finished command.
 
 Exit codes: 0 success, 1 partial per-subject failure, 2 config/usage error,
 3 I/O error.
@@ -12,11 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 import time
-from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, replace
+from datetime import datetime, timezone
 from pathlib import Path
 
 from . import metrics  # per_class_dice looked up at call time, where perfbench wraps it
@@ -39,25 +39,15 @@ MEASURE_CSV_HEADER = ["subject_id", "body_mass_kg", "fat_pct", "muscle_pct",
                       "bone_density_hu", "body_volume_l", "height_mm"]
 
 
-@contextmanager
-def _run_log(out_dir: Path):
-    """A logger that appends to ``out_dir``/run.log until the block exits; it is
-    not registered with ``logging``, so nothing of it outlives the block."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    handler = logging.FileHandler(out_dir / "run.log", encoding="utf-8")
-    handler.setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(message)s"))
-    log = logging.Logger("vct", logging.INFO)
-    log.addHandler(handler)
-    with closing(handler):
-        yield log
-
-
-def _log_stage(log: logging.Logger, stage: str, start: float, **counters) -> None:
-    """One run.log line for a finished stage; its message is one JSON object,
-    for tools that read run.log."""
-    log.info("%s", json.dumps({"stage": stage,
-                               "wall_s": round(time.perf_counter() - start, 6),
-                               **counters}, sort_keys=True))
+def _log_stage(out: Path, stage: str, start: float, **fields) -> None:
+    """Append to ``out``/run.log, creating ``out``, one JSON object for a
+    finished command: its stage, the UTC time, the wall seconds since
+    ``start`` and ``fields``, keys sorted."""
+    out.mkdir(parents=True, exist_ok=True)
+    record = {"stage": stage, "time": datetime.now(timezone.utc).isoformat(),
+              "wall_s": round(time.perf_counter() - start, 6), **fields}
+    with open(out / "run.log", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 # --- phantom gen ------------------------------------------------------------
@@ -86,14 +76,10 @@ def cmd_phantom_gen(args) -> int:
     if cfg.n is None or cfg.seed is None:
         raise ValueError("phantom gen needs --n and --seed (flag or config)")
     out = Path(args.out)
-    with _run_log(out) as log:
-        log.info("phantom gen n=%d seed=%d spacing=%s threads=%d",
-                 cfg.n, cfg.seed, cfg.spacing_mm, args.threads)
-        manifest = generate_cohort(cfg.n, cfg.distribution, cfg.spacing_mm, cfg.seed, out,
-                                   threads=args.threads)
-        log.info("wrote %d subjects to %s", len(manifest.subjects), out)
-        _log_stage(log, "phantom gen", start, subjects=len(manifest.subjects),
-                   failed=cfg.n - len(manifest.subjects))
+    manifest = generate_cohort(cfg.n, cfg.distribution, cfg.spacing_mm, cfg.seed, out,
+                               threads=args.threads)
+    _log_stage(out, "phantom gen", start, n=cfg.n, seed=cfg.seed, spacing_mm=cfg.spacing_mm,
+               threads=args.threads, subjects=len(manifest.subjects))
     print(f"generated {len(manifest.subjects)} phantoms -> {out / 'manifest.json'}")
     return EXIT_OK
 
@@ -135,24 +121,21 @@ def cmd_measure(args) -> int:
             return record.id, None, exc
 
     results = map_ordered(build, manifest.subjects, args.threads)
-    with _run_log(out) as log:
-        failed, rows = [], []
-        for sid, rep, exc in results:
-            if exc is not None:
-                failed.append(sid)
-                log.error("subject %s failed: %s", sid, exc)
-                print(f"measure failed for subject {sid}: {exc}", file=sys.stderr)
-                continue
-            write_json(reports_dir / f"{sid}.json", encode(rep))
-            rows.append([sid, rep.body_mass_kg, rep.fat_pct, rep.muscle_pct,
-                         rep.bone_density_hu, rep.body_volume_l,
-                         None if rep.height is None else rep.height.total_mm])
-        write_csv(out / "measurements.csv", MEASURE_CSV_HEADER, rows)
-        ok = len(results) - len(failed)
-        log.info("measured %d/%d subjects", ok, len(results))
-        _log_stage(log, "measure", start, subjects=len(results), failed=len(failed))
-    print(f"measured {ok}/{len(results)} subjects -> {out / 'measurements.csv'}")
-    return EXIT_PARTIAL if failed else EXIT_OK
+    errors, rows = {}, []
+    for sid, rep, exc in results:
+        if exc is not None:
+            errors[sid] = str(exc)
+            print(f"measure failed for subject {sid}: {exc}", file=sys.stderr)
+            continue
+        write_json(reports_dir / f"{sid}.json", encode(rep))
+        rows.append([sid, rep.body_mass_kg, rep.fat_pct, rep.muscle_pct,
+                     rep.bone_density_hu, rep.body_volume_l,
+                     None if rep.height is None else rep.height.total_mm])
+    write_csv(out / "measurements.csv", MEASURE_CSV_HEADER, rows)
+    _log_stage(out, "measure", start, subjects=len(results), failed=len(errors),
+               errors=errors)
+    print(f"measured {len(rows)}/{len(results)} subjects -> {out / 'measurements.csv'}")
+    return EXIT_PARTIAL if errors else EXIT_OK
 
 
 # --- trial ------------------------------------------------------------------
@@ -188,12 +171,9 @@ def trial_run(config: TrialConfig, out: Path, threads: int, cohort_dir=None):
     n_subjects = config.n_subjects if cohort is None else len(cohort)
     report = run_full_vct(config, threads=threads, cohort=cohort)
     written = write_trial_outputs(report, out, config)
-    with _run_log(out) as log:
-        if cohort is not None:
-            log.info("loaded %d measured subjects from %s", len(cohort), cohort_dir)
-        log.info("trial task=%s n=%d threads=%d", config.task, n_subjects, threads)
-        log.info("wrote %s", ", ".join(str(p) for p in written))
-        _log_stage(log, "trial run", start, subjects=n_subjects, rows=len(report.rows))
+    _log_stage(out, "trial run", start, task=config.task, threads=threads,
+               cohort=None if cohort_dir is None else str(cohort_dir),
+               subjects=n_subjects, rows=len(report.rows), written=[str(p) for p in written])
     return report, written
 
 
@@ -292,16 +272,23 @@ def cmd_consistency(args) -> int:
     # each indexed subject loads a tissue and a structure map and indexes the
     # latter; paired mode indexes A's subjects in both cohorts
     indexes_built = 2 * n_a if args.mode == "paired" else n_a + n_b
-    with _run_log(out) as log:
-        write_consistency_csv(out / "consistency.csv", rows)
-        log.info("wrote %s", out / "consistency.csv")
-        _log_stage(log, "consistency", start, mode=args.mode, subjects_a=n_a,
-                   subjects_b=n_b, maps_loaded=2 * indexes_built, indexes_built=indexes_built)
+    out.mkdir(parents=True, exist_ok=True)
+    write_consistency_csv(out / "consistency.csv", rows)
+    _log_stage(out, "consistency", start, mode=args.mode, subjects_a=n_a, subjects_b=n_b,
+               maps_loaded=2 * indexes_built, indexes_built=indexes_built)
     print(f"consistency table ({args.mode}) -> {out / 'consistency.csv'}")
     return EXIT_OK
 
 
 # --- entry ------------------------------------------------------------------
+
+
+def positive_int(text: str) -> int:
+    """An argparse type for counts such as ``--threads``: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _spacing(text: str):
@@ -324,13 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.add_argument("--config", default=None)
     gen.add_argument("--spacing", type=_spacing, default=None, metavar="X,Y,Z")
-    gen.add_argument("--threads", type=int, default=1)
+    gen.add_argument("--threads", type=positive_int, default=1)
     gen.set_defaults(func=cmd_phantom_gen)
 
     measure = sub.add_parser("measure", help="measure body composition for a cohort")
     measure.add_argument("--manifest", required=True)
     measure.add_argument("--out", required=True)
-    measure.add_argument("--threads", type=int, default=1)
+    measure.add_argument("--threads", type=positive_int, default=1)
     measure.set_defaults(func=cmd_measure)
 
     trial = sub.add_parser("trial", help="trial commands")
@@ -341,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cohort", default=None,
                      help="directory with manifest.json and measurements/ "
                           "(skips in-memory generation)")
-    run.add_argument("--threads", type=int, default=1)
+    run.add_argument("--threads", type=positive_int, default=1)
     run.set_defaults(func=cmd_trial_run)
 
     consistency = sub.add_parser("consistency",
@@ -352,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = consistency.add_mutually_exclusive_group(required=True)
     mode.add_argument("--paired", dest="mode", action="store_const", const="paired")
     mode.add_argument("--cohort", dest="mode", action="store_const", const="cohort")
-    consistency.add_argument("--threads", type=int, default=1)
+    consistency.add_argument("--threads", type=positive_int, default=1)
     consistency.set_defaults(func=cmd_consistency)
     return parser
 

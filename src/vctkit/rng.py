@@ -75,6 +75,11 @@ class Stream:
         with np.errstate(over="ignore"):
             return _mix64_array(self._base + idx * np.uint64(GOLDEN))
 
+    def skip(self, n: int) -> "Stream":
+        """Pass over the next ``n`` draws without making them; returns self."""
+        self._counter += n
+        return self
+
     def uniform(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1)."""
         return (self.u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53

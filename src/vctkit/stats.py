@@ -90,23 +90,26 @@ def percentile_ci(statistic, sizes, n_boot: int, level: float,
                   seed: int) -> tuple[float, float]:
     """Seeded percentile-bootstrap interval of ``statistic(*idx)``.
 
-    For each chunk of ``b`` resamples, ``idx`` holds one ``(b, n)`` index
-    matrix per ``n`` of ``sizes``, drawn in turn from ``Stream(seed)``; a
-    chunk draws at most ``_BOOT_INDEX_BUDGET`` indices.  The stream is
-    counter-based, so chunks change no draw for one size, nor for several
-    while ``n_boot * sum(sizes)`` fits in one chunk.
+    ``idx`` holds one ``(b, n)`` index matrix per ``n`` of ``sizes`` for a
+    chunk of ``b`` resamples; a chunk draws at most ``_BOOT_INDEX_BUDGET``
+    indices.  Over all chunks, size ``n``'s matrices are the ``n_boot * n``
+    draws of ``Stream(seed)`` that follow those of the sizes before it, so the
+    chunk size changes no draw.
     """
     if n_boot < 1:
         raise ValueError("n_boot must be positive")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    stream = Stream(seed)
+    streams, drawn = [], 0
+    for n in sizes:
+        streams.append(Stream(seed).skip(drawn))
+        drawn += n_boot * n
     stats = np.empty(n_boot, dtype=np.float64)
     chunk = max(1, min(n_boot, _BOOT_INDEX_BUDGET // max(sum(sizes), 1)))
     for done in range(0, n_boot, chunk):
         b = min(chunk, n_boot - done)
         stats[done:done + b] = statistic(
-            *(stream.integers(b * n, n).reshape(b, n) for n in sizes))
+            *(stream.integers(b * n, n).reshape(b, n) for stream, n in zip(streams, sizes)))
     alpha = (1.0 - level) / 2.0
     lo, hi = np.quantile(stats, [alpha, 1.0 - alpha])
     return float(lo), float(hi)

@@ -244,13 +244,11 @@ class ExternalPredictions:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             if next(reader, None) != ["subject_id", "prediction"]:
-                raise ValueError("external predictions CSV must have header "
-                                 f"subject_id,prediction: {path}")
+                raise ValueError(f"{path}: must have header subject_id,prediction")
             for row in reader:
                 if not row:
                     continue
-                where = (f"external predictions CSV {path} line {reader.line_num}: "
-                         f"subject {row[0]!r}")
+                where = f"{path}: line {reader.line_num}: subject {row[0]!r}"
                 if len(row) != 2:
                     raise ValueError(f"{where} has {len(row)} cells, expected 2")
                 try:

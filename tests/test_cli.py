@@ -4,16 +4,16 @@ import csv
 import hashlib
 import importlib.util
 import json
-import logging
 import os
 import re
 import shutil
 from dataclasses import replace
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
-from vctkit import cli, trial
+from vctkit import cli, phantom, trial
 from vctkit.cli import main
 from vctkit.io import load_labelmap, load_volume, save_labelmap, save_volume
 from vctkit.codec import read_record
@@ -45,7 +45,7 @@ def _manifest(path) -> CohortManifest:
 def test_gen_outputs_and_manifest(cohort_dir):
     manifest = _manifest(cohort_dir / "manifest.json")
     assert len(manifest.subjects) == 20
-    assert (cohort_dir / "run.log").exists()
+    assert [r["stage"] for r in _run_log_records(cohort_dir)] == ["phantom gen", "measure"]
     rec = manifest.subjects[0]
     assert rec.id == "subj_0000"
     for name in (rec.image, rec.tissue, rec.structure):
@@ -265,9 +265,10 @@ def test_trial_run_shortcut(tmp_path, capsys):
                                 "synthetic": 40}
     assert abs(report["achieved_pearson"]) > 0.5  # the shortcut is real
     assert (out / "zscores.csv").exists()
-    record = _stage_record(out, "trial run")
-    assert record["wall_s"] > 0
-    assert record == {"stage": "trial run", "wall_s": record["wall_s"],
+    [record] = _run_log_records(out)
+    assert sorted(record.pop("written")) == sorted(
+        str(p) for p in out.iterdir() if p.name != "run.log")
+    assert record == {"stage": "trial run", "task": "fat_pct", "threads": 1, "cohort": None,
                       "subjects": 60, "rows": len(report["rows"])}
 
 
@@ -288,9 +289,9 @@ def test_trial_run_from_measured_cohort(cohort_dir, tmp_path, capsys):
     assert report["counts"]["train"] == 2
     assert report["verdicts"] == {"ID": "acceptable", "OOD": "acceptable"}
     # subjects counts the measured cohort, not the config's n_subjects
-    record = _stage_record(out, "trial run")
-    assert record == {"stage": "trial run", "wall_s": record["wall_s"],
-                      "subjects": 20, "rows": len(report["rows"])}
+    [record] = _run_log_records(out)
+    assert record["cohort"] == str(cohort_dir)
+    assert (record["subjects"], record["rows"]) == (20, len(report["rows"]))
     # measured records read back from the files audit as the in-memory ones
     in_memory = tmp_path / "in_memory"
     assert main(["trial", "run", "--config", str(cfg), "--out", str(in_memory)]) == 0
@@ -351,7 +352,7 @@ def test_run_vct_script_bad_config(tmp_path, capsys, request):
     bad.write_text(json.dumps({"predictor": {"kind": "external", "path": str(preds)}}))
     assert run_vct.main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: external predictions CSV must have header")
+    assert err == f"error: {preds}: must have header subject_id,prediction\n"
     assert not (tmp_path / "o").exists()
     # a boundary side too small for the split names the knobs and the boundary
     bad.write_text(json.dumps({"n_subjects": 8, "spacing_mm": [8.0, 8.0, 8.0],
@@ -457,18 +458,16 @@ def test_main_closes_run_log_when_it_returns(tmp_path):
     for _ in range(3):
         assert main(["phantom", "gen", "--n", "1", "--seed", "3", "--out", str(cohort),
                      "--spacing", SPACING]) == 0
-    # a command that fails after its log is set up closes it too
+        assert os.path.realpath(cohort / "run.log") not in _open_paths()
+    assert [r["stage"] for r in _run_log_records(cohort)] == ["phantom gen"] * 3
+    # no measurements/ under the cohort: exit 3 once the trial starts loading
+    # it, and the failed trial leaves no directory, not even a run.log
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n_subjects": 2}))
     failed = tmp_path / "t"
     assert main(["trial", "run", "--config", str(config), "--out", str(failed),
                  "--cohort", str(cohort)]) == 3
-    for out in (cohort, failed):
-        assert f"vct.{out}" not in logging.root.manager.loggerDict
-        assert os.path.realpath(out / "run.log") not in _open_paths()
-    stage_lines = [line for line in (cohort / "run.log").read_text().splitlines()
-                   if '"stage": "phantom gen"' in line]
-    assert len(stage_lines) == 3
+    assert not failed.exists()
 
 
 def test_run_vct_quick_records_why_attribution_is_skipped(tmp_path, capsys, request):
@@ -480,33 +479,13 @@ def test_run_vct_quick_records_why_attribution_is_skipped(tmp_path, capsys, requ
     report = json.loads((out / "report.json").read_text())
     assert report["attribution"] is None
     assert report["attribution_skipped"] == reason
-    assert f"vct.{out}" not in logging.root.manager.loggerDict
     assert not (out / "bias_corr.csv").exists()
     assert f"(attribution skipped: {reason})" in capsys.readouterr().out
-    record = _stage_record(out, "trial run")
-    assert record == {"stage": "trial run", "wall_s": record["wall_s"],
+    assert os.path.realpath(out / "run.log") not in _open_paths()
+    [record] = _run_log_records(out)
+    assert record.pop("written") == [str(out / "report.json"), str(out / "zscores.csv")]
+    assert record == {"stage": "trial run", "task": "fat_pct", "threads": 1, "cohort": None,
                       "subjects": 60, "rows": len(report["rows"])}
-
-
-def test_commands_register_no_logger_and_close_run_log(tmp_path, request):
-    cohort, failed, quick = tmp_path / "c", tmp_path / "t", tmp_path / "q"
-    assert main(["phantom", "gen", "--n", "1", "--seed", "3", "--out", str(cohort),
-                 "--spacing", SPACING]) == 0
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"n_subjects": 2}))
-    # no measurements/ under the cohort: exit 3 once the trial starts loading it
-    assert main(["trial", "run", "--config", str(config), "--out", str(failed),
-                 "--cohort", str(cohort)]) == 3
-    run_vct = _run_vct_script(request)
-    with pytest.warns(UserWarning, match="attribution skipped"):
-        assert run_vct.main(["--quick", "--threads", "1", "--out", str(quick)]) == 0
-    registered = set(logging.root.manager.loggerDict)
-    assert not {f"vct.{out}" for out in (cohort, failed, quick)} & registered
-    assert not failed.exists()  # a failed trial leaves no directory, not even a run.log
-    open_paths = _open_paths()
-    for out in (cohort, quick):
-        assert (out / "run.log").exists()
-        assert os.path.realpath(out / "run.log") not in open_paths
 
 
 def test_trial_run_without_config_runs_the_headline_config(tmp_path, capsys, monkeypatch):
@@ -712,31 +691,85 @@ def test_consistency_b_in_reversed_order_is_byte_identical(cohort_dir, tmp_path)
         reversed_b.unlink()
 
 
-def _stage_record(out, stage: str) -> dict:
-    """The JSON message of a stage's one line in run.log."""
-    lines = [line for line in (out / "run.log").read_text().splitlines()
-             if f'"stage": "{stage}"' in line]
-    assert len(lines) == 1
-    return json.loads(lines[0][lines[0].index("{"):])
+def _run_log_records(out) -> list[dict]:
+    """run.log's records, one a line.  Each must be a JSON object with sorted
+    keys, a stage, a UTC ISO-8601 time and a positive wall_s; it is returned
+    without the time and wall_s."""
+    records = []
+    for line in (out / "run.log").read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        assert list(record) == sorted(record)
+        assert isinstance(record["stage"], str)
+        assert datetime.fromisoformat(record.pop("time")).utcoffset() == timedelta(0)
+        assert record.pop("wall_s") > 0
+        records.append(record)
+    return records
 
 
-def test_gen_and_measure_log_stage_lines(tmp_path):
+def test_gen_and_measure_log_stage_lines(tmp_path, capsys):
     cohort = tmp_path / "c"
     assert main(["phantom", "gen", "--n", "2", "--seed", "3", "--out", str(cohort),
-                 "--spacing", SPACING]) == 0
-    record = _stage_record(cohort, "phantom gen")
-    assert record["wall_s"] > 0
-    assert record == {"stage": "phantom gen", "wall_s": record["wall_s"],
-                      "subjects": 2, "failed": 0}
-    # a missing image fails its subject only; the line counts it
-    (cohort / _manifest(cohort / "manifest.json").subjects[1].image).unlink()
+                 "--spacing", SPACING, "--threads", "2"]) == 0
+    assert _run_log_records(cohort) == [{"stage": "phantom gen", "n": 2, "seed": 3,
+                                         "spacing_mm": [5.0, 5.0, 5.0], "threads": 2,
+                                         "subjects": 2}]
+    # a missing image fails its subject only; the record names it and its
+    # error, which stderr shows too
+    missing = _manifest(cohort / "manifest.json").subjects[1]
+    (cohort / missing.image).unlink()
+    capsys.readouterr()
     out = tmp_path / "m"
     assert main(["measure", "--manifest", str(cohort / "manifest.json"),
                  "--out", str(out)]) == 1
-    record = _stage_record(out, "measure")
-    assert record["wall_s"] > 0
-    assert record == {"stage": "measure", "wall_s": record["wall_s"],
-                      "subjects": 2, "failed": 1}
+    [record] = _run_log_records(out)
+    message = record["errors"][missing.id]
+    assert str(cohort / missing.image) in message
+    assert record == {"stage": "measure", "subjects": 2, "failed": 1,
+                      "errors": {missing.id: message}}
+    assert f"measure failed for subject {missing.id}: {message}\n" in capsys.readouterr().err
+    # a command that fails as a whole appends nothing
+    assert main(["measure", "--manifest", str(tmp_path / "none.json"),
+                 "--out", str(out)]) == 3
+    assert len(_run_log_records(out)) == 1
+
+
+def test_gen_failing_part_way_appends_nothing(tmp_path, monkeypatch):
+    cohort = tmp_path / "c"
+    argv = ["phantom", "gen", "--n", "3", "--seed", "3", "--out", str(cohort),
+            "--spacing", SPACING]
+    assert main(argv) == 0
+    real = phantom.generate_phantom
+    built = []
+
+    def fail_second(spec):
+        built.append(spec)
+        if len(built) == 2:
+            raise OSError("disk full")
+        return real(spec)
+
+    monkeypatch.setattr(phantom, "generate_phantom", fail_second)
+    assert main(argv) == 3
+    assert len(built) == 2
+    assert len(_run_log_records(cohort)) == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_threads_below_one_exits_2_naming_the_flag(tmp_path, capsys, request, value):
+    manifest = str(tmp_path / "manifest.json")
+    out = str(tmp_path / "o")
+    run_vct = _run_vct_script(request)
+    for entry, argv in (
+            (main, ["phantom", "gen", "--n", "1", "--seed", "1", "--out", out]),
+            (main, ["measure", "--manifest", manifest, "--out", out]),
+            (main, ["trial", "run", "--out", out]),
+            (main, ["consistency", "--a", manifest, "--b", manifest, "--out", out,
+                    "--paired"]),
+            (run_vct.main, ["--quick", "--out", out])):
+        with pytest.raises(SystemExit) as info:
+            entry([*argv, "--threads", value])
+        assert info.value.code == 2
+        assert f"argument --threads: must be at least 1, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_consistency_paired_loads_each_map_once(tmp_path, monkeypatch):
@@ -760,11 +793,13 @@ def test_consistency_paired_loads_each_map_once(tmp_path, monkeypatch):
     assert sorted(loaded) == ["structure"] * 4 + ["tissue"] * 4
     # one index per structure map, shared by the measurements and Dice
     assert indexed == ["structure"] * 4
-    record = _stage_record(out, "consistency")
-    assert record["wall_s"] > 0
-    assert {k: v for k, v in record.items() if k != "wall_s"} == {
+    assert _run_log_records(out) == [{
         "stage": "consistency", "mode": "paired", "subjects_a": 2, "subjects_b": 2,
-        "maps_loaded": len(loaded), "indexes_built": len(indexed)}
+        "maps_loaded": len(loaded), "indexes_built": len(indexed)}]
+    # a run that fails appends nothing
+    assert main(["consistency", "--a", manifest, "--b", str(tmp_path / "none.json"),
+                 "--out", str(out), "--paired"]) == 3
+    assert len(_run_log_records(out)) == 1
     # cohort mode indexes each cohort's subjects once too, and logs as much
     loaded.clear()
     indexed.clear()
@@ -773,7 +808,7 @@ def test_consistency_paired_loads_each_map_once(tmp_path, monkeypatch):
         assert main(["consistency", "--a", manifest, "--b", manifest,
                      "--out", str(out), "--cohort"]) == 0
     assert indexed == ["structure"] * 4
-    record = _stage_record(out, "consistency")
+    [record] = _run_log_records(out)
     assert (record["mode"], record["maps_loaded"], record["indexes_built"]) == (
         "cohort", len(loaded), len(indexed))
 

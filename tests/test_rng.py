@@ -22,6 +22,8 @@ def test_streams_restartable_and_stateful():
     b = Stream(42)
     assert np.array_equal(b.u64(10), np.concatenate([first, second]))
 
+    assert np.array_equal(Stream(42).skip(3).u64(7), np.concatenate([first, second])[3:])
+
 
 def test_distinct_seeds_disagree():
     assert not np.array_equal(Stream(1).u64(8), Stream(2).u64(8))

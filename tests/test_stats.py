@@ -128,6 +128,19 @@ def test_percentile_ci_chunks_leave_one_size_interval_identical(monkeypatch):
     monkeypatch.setattr(stats, "_BOOT_INDEX_BUDGET", 37 * 100)
     assert bootstrap_ci(x, n_boot=1001, seed=11) == whole
     assert calls == [37 * 100] * 10 + [37]
+    # two sizes: each size's draws sit where the one-chunk call makes them
+    x, y = np.linspace(0, 3, 150), np.linspace(0.5, 2, 75)
+
+    def mean_diff(ix, iy):
+        return x[ix].mean(axis=1) - y[iy].mean(axis=1)
+
+    monkeypatch.setattr(stats, "_BOOT_INDEX_BUDGET", 4_000_000)
+    whole = percentile_ci(mean_diff, (150, 75), 2000, 0.95, 3)
+    assert whole == pytest.approx((0.07967, 0.42597), abs=5e-6)
+    calls.clear()
+    monkeypatch.setattr(stats, "_BOOT_INDEX_BUDGET", 10_000)
+    assert percentile_ci(mean_diff, (150, 75), 2000, 0.95, 3) == whole
+    assert calls == [44 * 150, 44 * 75] * 45 + [20 * 150, 20 * 75]
 
 
 @pytest.mark.parametrize("n_boot, level", [(0, 0.95), (-3, 0.95), (10, 0.0), (10, 1.0)])

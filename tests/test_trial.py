@@ -247,8 +247,9 @@ def test_external_predictions_csv(tmp_path):
         p.predict(_subject("s999", 50.0), "fat_pct")
     bad = tmp_path / "bad.csv"
     bad.write_text("id,pred\ns000,24.5\n")
-    with pytest.raises(ValueError, match="header"):
+    with pytest.raises(ValueError) as info:
         make_predictor(PredictorSpec("external", path=str(bad)))
+    assert str(info.value) == f"{bad}: must have header subject_id,prediction"
 
 
 @pytest.mark.parametrize("rows, line, message", [
@@ -271,7 +272,7 @@ def test_bad_external_predictions_row_names_file_line_and_subject(
     config = TrialConfig(predictor=PredictorSpec("external", path=str(path)))
     with pytest.raises(ValueError) as info:
         run_full_vct(config)
-    assert str(info.value) == f"external predictions CSV {path} line {line}: {message}"
+    assert str(info.value) == f"{path}: line {line}: {message}"
 
 
 def test_unknown_predictor_kind():
