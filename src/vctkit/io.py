@@ -3,19 +3,21 @@
 A CTV pair is ``name.ctv.json`` plus ``name.raw``.  The header is one
 ``CtvHeader`` record, written by ``codec.encode`` in field order (not sorted,
 unlike a data JSON file; an image header has no ``class_table`` key) and
-read by ``codec.decode``.  The payload is the raw array little-endian in
-x-fastest order (linear index ``x + dims[0] * (y + dims[1] * z)``).
+read by ``codec.decode``.  The payload is the raw array little-endian in the
+array's own C order, z-fastest (linear index ``z + dims[2] * (y + dims[1] *
+x)``); the header states that order as ``payload_order: "z_fastest"``, so a
+file written in another order is refused, not read transposed.
 NIfTI-1 support covers uncompressed single-file images with dtype
 int16/uint8/uint16/float32 whose affine is an axis permutation/flip; oblique
 orientations are rejected.  HU volumes are clamped to [-1024, 3071] on load.
 
-A CTV save copies the grid at most once (the x-fastest ravel of a C-ordered
-array) and writes that buffer straight to disk.  A load checks the payload
-size on disk, then reads the payload into the array it returns (F-ordered,
-so no reordering copy) and clamps HU in place.  A NIfTI load reads the
-header alone, checks the payload size on disk, and reads the payload one
-slab at a time into the C-ordered array it returns.  A loader names the
-kind of map it expects, and a CTV header must state that kind.
+A CTV save writes the map's own buffer to disk (a copy is made only of a map
+that is not C-contiguous, or on a big-endian host).  A load checks the payload
+size on disk, then reads the payload into the C-ordered array it returns and
+clamps HU in place.  A NIfTI load reads the header alone, checks the payload
+size on disk, and reads the x-fastest payload one slab at a time into the
+C-ordered array it returns.  A loader names the kind of map it expects, and a
+CTV header must state that kind.
 
 Every malformed file raises ValueError as ``<path>: <what>``, from the one
 map loader behind ``load_volume`` and ``load_labelmap``; a CTV pair is named
@@ -65,6 +67,7 @@ class CtvHeader:
     orientation: str
     dtype: str
     byte_order: str
+    payload_order: str
     kind: str
     unit: str
     class_table: dict[int, str] | None = None
@@ -77,6 +80,9 @@ class CtvHeader:
             raise ValueError(f"unsupported dtype {self.dtype!r}")
         if self.byte_order != "little":
             raise ValueError(f"byte_order must be 'little', got {self.byte_order!r}")
+        if self.payload_order != "z_fastest":
+            raise ValueError(
+                f"payload_order must be 'z_fastest', got {self.payload_order!r}")
         if self.kind not in CTV_UNITS:
             raise ValueError(f"kind must be one of {list(CTV_UNITS)}, got {self.kind!r}")
         if self.unit != CTV_UNITS[self.kind]:
@@ -100,16 +106,16 @@ def _write_ctv(grid: Grid, data: np.ndarray, kind: str,
     header_path, raw_path = _ctv_paths(path)
     header = CtvHeader(
         dims=grid.dims, spacing_mm=grid.spacing_mm, origin_mm=grid.origin_mm,
-        orientation="RAS", dtype=str(data.dtype), byte_order="little", kind=kind,
-        unit=CTV_UNITS[kind],
+        orientation="RAS", dtype=str(data.dtype), byte_order="little",
+        payload_order="z_fastest", kind=kind, unit=CTV_UNITS[kind],
         class_table=None if class_table is None else dict(sorted(class_table.items())),
         data_file=raw_path.name)
     # only class_table can be None: an image header has no such key
     payload = {k: v for k, v in encode(header).items() if v is not None}
     header_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    # ravel copies a C-ordered grid once (a view of an F-ordered one); the
-    # asarray converts only big-endian data, and tofile writes the buffer
-    np.asarray(data.ravel(order="F"), dtype=data.dtype.newbyteorder("<")).tofile(raw_path)
+    # tofile writes C order; the ascontiguousarray copies only a map that is
+    # not C-contiguous, or on a big-endian host
+    np.ascontiguousarray(data, dtype=data.dtype.newbyteorder("<")).tofile(raw_path)
     return header_path
 
 
@@ -138,7 +144,7 @@ def _read_ctv(header_path: Path, kind: str) -> tuple[Grid, np.ndarray, dict[int,
             f"and dtype {header.dtype} (expected {expected})")
     # one writable buffer: the astype copies only on a big-endian host
     data = np.fromfile(raw_path, dtype=dtype).astype(dtype.newbyteorder("="), copy=False)
-    return grid, data.reshape(grid.dims, order="F"), header.class_table or {}
+    return grid, data.reshape(grid.dims), header.class_table or {}
 
 
 def _load_map(path, cls, kind: str):

@@ -2,13 +2,13 @@
 
 World convention is RAS: axis 0 grows toward patient Right, axis 1 toward
 Anterior, axis 2 toward Superior.  A voxel's world position is
-``origin + index * spacing`` (mm).  Arrays are indexed ``[x, y, z]``; the
-serialized linear order is x-fastest::
+``origin + index * spacing`` (mm).  Arrays are indexed ``[x, y, z]`` and
+held in C order, in memory and in a CTV payload alike, so the linear index
+is z-fastest::
 
-    linear = x + dims[0] * (y + dims[1] * z)
+    linear = z + dims[2] * (y + dims[1] * x)
 
-which corresponds to Fortran raveling of the ``[x, y, z]`` array.  Every
-grid is in this frame and every volume in HU, so neither is a field.
+Every grid is in this frame and every volume in HU, so neither is a field.
 """
 
 from __future__ import annotations
@@ -98,7 +98,9 @@ def present_labels(data: np.ndarray) -> list[int]:
     Values are counted by one chunked bincount, a flat chunk of
     ``_BINCOUNT_CHUNK`` voxels at a time, so no whole-grid copy is made.
     """
-    flat = data.ravel(order="K")  # a view of a C- or F-ordered array
+    # order="K": the counts do not depend on the order, so a contiguous
+    # map a caller built in F order is read through a view too
+    flat = data.ravel(order="K")
     counts = np.zeros(0, dtype=np.int64)
     for start in range(0, flat.size, _BINCOUNT_CHUNK):
         part = np.bincount(flat[start:start + _BINCOUNT_CHUNK])
@@ -191,7 +193,7 @@ class LabelMap:
         # its unknown values.
         kind = self.data.dtype.type
         runs = _missing_runs(self.class_table, int(self.data.max()))
-        flat = self.data.ravel(order="K")  # a view of a C- or F-ordered map
+        flat = self.data.ravel(order="K")  # order-free, as in present_labels
         chunks = (flat[i:i + _CHECK_CHUNK] for i in range(0, flat.size, _CHECK_CHUNK))
         if not any((np.subtract(chunk, kind(lo), dtype=chunk.dtype) <= kind(hi - lo)).any()
                    for chunk in chunks for lo, hi in runs):
@@ -206,9 +208,8 @@ class LabelMap:
 class LabelIndex:
     """Every label's voxels of a label map, compacted in one pass over the grid.
 
-    The flat positions of the nonzero voxels, in the map's memory order, are
-    sorted stably by label, so each label owns one run of ascending
-    positions. One reduction per run gives the label's index box, voxel
+    The flat C-order positions of the nonzero voxels are sorted stably by
+    label, so each label owns one run of ascending positions. One reduction per run gives the label's index box, voxel
     count and exact int64 per-axis index sum. Per-label work then reads the
     run (counts, centroids, Dice overlaps) or the box (landmark moments)
     instead of the whole grid.
@@ -218,9 +219,7 @@ class LabelIndex:
         data = labelmap.data
         self.grid = labelmap.grid
         self.data = data
-        # the flat view is free for C- and F-ordered maps alike
-        self._order = "F" if data.flags.f_contiguous and not data.flags.c_contiguous else "C"
-        flat = data.ravel(order=self._order)
+        flat = data.ravel()  # a view of a C-ordered map
         # nonzero() of a bool mask is several times faster than of the labels
         positions = np.flatnonzero(flat != 0)
         values = flat[positions]
@@ -235,7 +234,7 @@ class LabelIndex:
         self._boxes, self._sums = {}, {}
         if not self.labels:
             return
-        coords = np.unravel_index(self._positions, data.shape, order=self._order)
+        coords = np.unravel_index(self._positions, data.shape)
         lo = [np.minimum.reduceat(c, self._starts) for c in coords]
         hi = [np.maximum.reduceat(c, self._starts) for c in coords]
         sums = [np.add.reduceat(c, self._starts, dtype=np.int64) for c in coords]
@@ -264,8 +263,6 @@ class LabelIndex:
         """Per label of this map, how many of its voxels hold the same label in ``other``."""
         if not self.labels:
             return {}
-        # a view, unless the two maps differ in memory order
-        theirs = other.data.ravel(order=self._order)
-        same = theirs[self._positions] == self._values
+        same = other.data.ravel()[self._positions] == self._values
         hits = np.add.reduceat(same, self._starts, dtype=np.int64)
         return dict(zip(self.labels, (int(n) for n in hits)))

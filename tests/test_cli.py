@@ -934,6 +934,36 @@ def test_consistency_malformed_map_header_exits_2_naming_file_and_field(
     assert not (tmp_path / "cons").exists()
 
 
+@pytest.mark.parametrize("value, message", [
+    (None, "ctv header is missing keys: ['payload_order']"),
+    ("x_fastest", "payload_order must be 'z_fastest', got 'x_fastest'"),
+], ids=["missing", "x_fastest"])
+def test_map_header_without_the_z_fastest_payload_order_is_refused(
+        one_subject_cohort, tmp_path, capsys, value, message):
+    # a header written before the payload order was stated is refused, not
+    # read transposed: `consistency` exits 2 and `measure` fails the subject
+    cohort = tmp_path / "cohort"
+    shutil.copytree(one_subject_cohort, cohort)
+    manifest = str(cohort / "manifest.json")
+    record = _manifest(manifest).subjects[0]
+    header_path = cohort / record.structure
+    header = json.loads(header_path.read_text())
+    if value is None:
+        del header["payload_order"]
+    else:
+        header["payload_order"] = value
+    header_path.write_text(json.dumps(header))
+    capsys.readouterr()
+    assert main(["consistency", "--a", manifest, "--b", manifest,
+                 "--out", str(tmp_path / "cons"), "--paired"]) == 2
+    assert capsys.readouterr().err == f"error: {header_path}: {message}\n"
+    assert not (tmp_path / "cons").exists()
+    assert main(["measure", "--manifest", manifest, "--out", str(tmp_path / "m")]) == 1
+    assert capsys.readouterr().err == (
+        f"measure failed for subject {record.id}: {header_path}: {message}\n")
+    assert not list((tmp_path / "m" / "measurements").iterdir())
+
+
 @pytest.mark.parametrize("case, code", [
     ("gen config", 2), ("trial config", 2), ("script trial config", 2), ("manifest", 2),
     ("measurement", 2), ("ctv header", 2), ("payload under consistency", 2),

@@ -52,12 +52,14 @@ def test_labelmap_round_trip(tmp_path):
     np.testing.assert_array_equal(back.data, lm.data)
 
 
-def test_payload_is_little_endian_x_fastest(tmp_path):
-    g = Grid((2, 2, 1), (1.0, 1.0, 1.0))
-    data = np.array([[[1], [3]], [[2], [4]]], dtype=np.int16)  # [x][y][z]
-    save_volume(Volume(g, data), tmp_path / "lin")
-    raw = (tmp_path / "lin.raw").read_bytes()
-    assert np.frombuffer(raw, dtype="<i2").tolist() == [1, 2, 3, 4]
+def test_payload_is_little_endian_z_fastest(tmp_path):
+    g = Grid((2, 1, 2), (1.0, 1.0, 1.0))
+    data = np.array([[[1, 2]], [[3, 4]]], dtype=np.int16)  # [x][y][z]
+    # a map a caller built in F order is written in the same order
+    for i, held in enumerate((data, np.asfortranarray(data))):
+        save_volume(Volume(g, held), tmp_path / f"lin{i}")
+        raw = (tmp_path / f"lin{i}.raw").read_bytes()
+        assert raw == b"\x01\x00\x02\x00\x03\x00\x04\x00"
 
 
 def test_hu_clamped_on_load(tmp_path):
@@ -69,8 +71,9 @@ def test_hu_clamped_on_load(tmp_path):
     payload[1] = 5000
     raw_path.write_bytes(payload.tobytes())
     back = load_volume(tmp_path / "img")
-    assert back.data.ravel(order="F")[0] == -1024
-    assert back.data.ravel(order="F")[1] == 3071
+    # payload positions 0 and 1 are voxels (0, 0, 0) and (0, 0, 1)
+    assert back.data[0, 0, 0] == -1024
+    assert back.data[0, 0, 1] == 3071
 
 
 def test_missing_header_field_raises(tmp_path):
@@ -96,7 +99,7 @@ def test_payload_size_mismatch_raises(tmp_path):
 
 
 def test_resaving_loaded_maps_keeps_payload_bytes(tmp_path):
-    # loaded arrays are F-ordered, so the second save writes through a view
+    # loaded arrays are C-ordered, so the second save writes the loaded buffer
     [(_, _, spec)] = sample_cohort_specs(1, AttributeDistribution(), (8.0,) * 3, 3)
     vol, tissue, structure, _ = generate_phantom(spec)
     for name, save, load, obj in (
@@ -105,7 +108,7 @@ def test_resaving_loaded_maps_keeps_payload_bytes(tmp_path):
             ("str", save_labelmap, partial(load_labelmap, kind="structure"), structure)):
         save(obj, tmp_path / name)
         back = load(tmp_path / name)
-        assert back.data.flags.f_contiguous and back.data.flags.writeable
+        assert back.data.flags.c_contiguous and back.data.flags.writeable
         save(back, tmp_path / f"{name}2")
         assert (tmp_path / f"{name}2.raw").read_bytes() == (tmp_path / f"{name}.raw").read_bytes()
         assert ((tmp_path / f"{name}2.ctv.json").read_text()
@@ -120,6 +123,59 @@ def test_load_volume_holds_one_buffer(tmp_path, traced_peak):
     # the int16 payload itself is 2 B per voxel; a read_bytes + astype + clip
     # chain would hold 4
     assert peak <= 3 * vol.grid.n_voxels
+
+
+def test_load_labelmap_holds_one_buffer(tmp_path, traced_peak):
+    data = np.random.default_rng(3).integers(0, 6, size=(96, 80, 64)).astype(np.uint8)
+    lm = LabelMap(Grid(data.shape, (1.0, 1.0, 1.0)), data, "tissue",
+                  {v: f"class_{v}" for v in range(1, 6)})
+    save_labelmap(lm, tmp_path / "t")
+    back, peak = traced_peak(load_labelmap, tmp_path / "t", "tissue")
+    np.testing.assert_array_equal(back.data, data)
+    assert back.data.flags.c_contiguous and back.data.flags.writeable
+    # the uint8 payload itself is 1 B per voxel; a reordering copy on load
+    # would hold 2
+    assert peak <= 1.5 * data.size
+
+
+def test_save_writes_the_map_buffer_without_a_copy(tmp_path, traced_peak):
+    rng = np.random.default_rng(4)
+    g = Grid((96, 80, 64), (1.0, 1.0, 1.0))
+    vol = Volume(g, rng.integers(-1000, 2000, size=g.dims).astype(np.int16))
+    labels = LabelMap(g, rng.integers(0, 6, size=g.dims).astype(np.uint8), "tissue",
+                      {v: f"class_{v}" for v in range(1, 6)})
+    for save, obj, name in ((save_volume, vol, "img"), (save_labelmap, labels, "tis")):
+        _, peak = traced_peak(save, obj, tmp_path / name)
+        # a C-ordered map is written from its own buffer: a reordering copy
+        # would hold 2 B per voxel for int16, 1 B for uint8
+        assert peak < 0.1 * g.n_voxels, (name, peak)
+    np.testing.assert_array_equal(load_volume(tmp_path / "img").data, vol.data)
+    np.testing.assert_array_equal(load_labelmap(tmp_path / "tis", "tissue").data, labels.data)
+
+
+@pytest.mark.parametrize("loader", ["volume", "labelmap"])
+@pytest.mark.parametrize("edit, message", [
+    # a header written before the payload order was stated, x-fastest
+    (None, "ctv header is missing keys: ['payload_order']"),
+    ("x_fastest", "payload_order must be 'z_fastest', got 'x_fastest'"),
+], ids=["missing", "x_fastest"])
+def test_header_must_state_the_z_fastest_payload_order(tmp_path, loader, edit, message):
+    g = Grid((3, 4, 5), (1.0, 1.0, 1.0))
+    if loader == "volume":
+        header_path, load = save_volume(_vol(g.dims), tmp_path / "m"), load_volume
+    else:
+        header_path = save_labelmap(LabelMap(g, np.zeros(g.dims, np.uint8), "structure"),
+                                    tmp_path / "m")
+        load = partial(load_labelmap, kind="structure")
+    header = json.loads(header_path.read_text())
+    assert header["payload_order"] == "z_fastest"
+    if edit is None:
+        del header["payload_order"]
+    else:
+        header["payload_order"] = edit
+    header_path.write_text(json.dumps(header))
+    with pytest.raises(ValueError, match="^" + re.escape(f"{header_path}: {message}") + "$"):
+        load(header_path)
 
 
 def test_kind_mismatch_raises(tmp_path):
@@ -215,6 +271,7 @@ def test_header_text_pins_key_order(tmp_path):
   "orientation": "RAS",
   "dtype": "int16",
   "byte_order": "little",
+  "payload_order": "z_fastest",
   "kind": "image",
   "unit": "HU",
   "data_file": "img.raw"
@@ -244,6 +301,7 @@ def test_header_text_pins_key_order(tmp_path):
   "orientation": "RAS",
   "dtype": "uint8",
   "byte_order": "little",
+  "payload_order": "z_fastest",
   "kind": "tissue",
   "unit": "label",
   "class_table": {
@@ -267,7 +325,7 @@ _JSON_TYPES = {
 _FIELD_TYPES = {
     "dims": {"array"}, "spacing_mm": {"array"}, "origin_mm": {"array"},
     "orientation": {"string"}, "dtype": {"string"}, "byte_order": {"string"},
-    "kind": {"string"}, "unit": {"string"}, "class_table": {"object", "null"},
+    "payload_order": {"string"}, "kind": {"string"}, "unit": {"string"}, "class_table": {"object", "null"},
     "data_file": {"string"},
 }
 

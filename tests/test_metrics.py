@@ -150,7 +150,8 @@ def _label_maps(draw):
     """Two structure maps and a tissue map on one grid, each painted with up
     to five solid or gappy boxes (none gives an empty map), with gaps in the
     structure labels, on an anisotropic grid with any origin; each map is
-    C- or F-ordered (a file loads F-ordered, a generated map is C-ordered)."""
+    C- or F-ordered (a file loads and a generated map is C-ordered, but a
+    caller may build an F-ordered one)."""
     dims = tuple(draw(st.integers(1, 16)) for _ in range(3))
     spacing = tuple(draw(st.floats(0.3, 7.0)) for _ in range(3))
     origin = tuple(draw(st.floats(-400.0, 400.0)) for _ in range(3))

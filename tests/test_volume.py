@@ -1,5 +1,5 @@
-"""Grid geometry, HU clamping, x-fastest voxel indexing, and volume and
-label-map validation."""
+"""Grid geometry, HU clamping, z-fastest (C-order) voxel indexing, and volume
+and label-map validation."""
 
 import tempfile
 from pathlib import Path
@@ -56,7 +56,7 @@ def _save_and_reload(labels: LabelMap, directory: Path):
 @given(st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
        st.data())
 def test_linear_index_round_trip(dims, data):
-    # voxel (x, y, z) is stored at x + nx * (y + ny * z) and read back in place
+    # voxel (x, y, z) is stored at z + nz * (y + ny * x) and read back in place
     x = data.draw(st.integers(0, dims[0] - 1))
     y = data.draw(st.integers(0, dims[1] - 1))
     z = data.draw(st.integers(0, dims[2] - 1))
@@ -65,20 +65,20 @@ def test_linear_index_round_trip(dims, data):
     lm = LabelMap(Grid(dims, (1.0, 1.0, 1.0)), labels, "tissue", {1: "body"})
     with tempfile.TemporaryDirectory() as d:
         payload, back = _save_and_reload(lm, Path(d))
-    li = x + dims[0] * (y + dims[1] * z)
+    li = z + dims[2] * (y + dims[1] * x)
     assert 0 <= li < dims[0] * dims[1] * dims[2]
     assert np.flatnonzero(payload).tolist() == [li]
     assert np.argwhere(back.data).tolist() == [[x, y, z]]
 
 
-def test_linear_index_is_x_fastest(tmp_path):
+def test_linear_index_is_z_fastest(tmp_path):
     labels = np.zeros((4, 5, 6), dtype=np.uint8)
     labels[1, 0, 0], labels[0, 1, 0], labels[0, 0, 1] = 1, 2, 3
     lm = LabelMap(Grid((4, 5, 6), (1.0, 1.0, 1.0)), labels, "tissue",
                   {1: "x", 2: "y", 3: "z"})
     payload, _ = _save_and_reload(lm, tmp_path)
-    assert np.flatnonzero(payload).tolist() == [1, 4, 20]
-    assert payload[[1, 4, 20]].tolist() == [1, 2, 3]
+    assert np.flatnonzero(payload).tolist() == [1, 6, 30]
+    assert payload[[1, 6, 30]].tolist() == [3, 2, 1]
 
 
 def test_clamp_hu_bounds():
