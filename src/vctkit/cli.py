@@ -126,6 +126,8 @@ def cmd_measure(args) -> int:
         if exc is not None:
             errors[sid] = str(exc)
             print(f"measure failed for subject {sid}: {exc}", file=sys.stderr)
+            # an earlier run's measurement would read as current under --cohort
+            (reports_dir / f"{sid}.json").unlink(missing_ok=True)
             continue
         write_json(reports_dir / f"{sid}.json", encode(rep))
         rows.append([sid, rep.body_mass_kg, rep.fat_pct, rep.muscle_pct,

@@ -93,7 +93,8 @@ def _validate_xy(X, y, kind: str):
     return X, y
 
 
-def _gini(c1: float, n: float) -> float:
+def _gini(c1, n):
+    """Gini impurity of ``n`` samples of which ``c1`` are 1, elementwise on arrays."""
     p1 = c1 / n
     return 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1)
 
@@ -120,13 +121,9 @@ def _best_split(x, y, n, min_leaf, kind):
         if kind == "classifier":
             cum1 = np.cumsum(yo, axis=-1)
             c1 = cum1[rows, :, last]  # a count: the same in every row
-            parent = np.array([_gini(c, s) for c, s in zip(c1[:, 0].tolist(), n.tolist())])
+            parent = _gini(c1[:, 0], n)
             c1l = cum1[..., :-1]
-            c1r = c1[..., None] - c1l
-            p1l = c1l / nl
-            p1r = c1r / nr
-            gini_l = 1.0 - p1l * p1l - (1.0 - p1l) * (1.0 - p1l)
-            gini_r = 1.0 - p1r * p1r - (1.0 - p1r) * (1.0 - p1r)
+            gini_l, gini_r = _gini(c1l, nl), _gini(c1[..., None] - c1l, nr)
             gains = parent[:, None, None] - (nl * gini_l + nr * gini_r) / nn
         else:
             cy = np.cumsum(yo, axis=-1)

@@ -17,8 +17,9 @@ Height is the exact sum of four segments:
 * head: from the C1 centroid along the reversed C1->C2 direction to the
   last body voxel (the crown), marched at half the smallest spacing.
 
-Landmark work runs inside each label's index box from ``volume.LabelIndex``
-(one pass over the structure map); only the body moments and the ray
+Landmark work reads each landmark's run in ``volume.LabelIndex`` (one pass
+over the structure map): a femur's voxel indices, or the index box that the
+moments and the knee cut work inside.  Only the body moments and the ray
 marches see the whole grid.  Landmarks are looked up by name through
 ``volume.STRUCTURE_IDS``.
 """
@@ -93,11 +94,8 @@ def _centroid(index: LabelIndex, label: int):
 
 
 def _world_coords(index: LabelIndex, label: int) -> np.ndarray:
-    """World coordinates of a present label's voxels, one row each."""
-    sub, sl = index.mask(label)
-    idx = np.nonzero(sub)
-    lo = np.array([sl[a].start for a in range(3)], dtype=np.float64)
-    coords = (np.stack(idx, axis=1) + lo) * np.asarray(index.grid.spacing_mm)
+    """World coordinates of a present label's voxels, one row each, in C order."""
+    coords = np.stack(index.coords(label), axis=1) * np.asarray(index.grid.spacing_mm)
     return coords + np.asarray(index.grid.origin_mm)
 
 

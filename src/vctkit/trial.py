@@ -750,13 +750,17 @@ def report_to_dict(report: TrialReport, config: TrialConfig) -> dict:
 
 
 def write_trial_outputs(report: TrialReport, out_dir, config: TrialConfig) -> list[Path]:
-    """report.json plus the three audit CSVs; returns written paths."""
+    """report.json plus the three audit CSVs; returns written paths. Without
+    attribution, an earlier run's attribution CSVs in ``out_dir`` are removed."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = [write_json(out / "report.json", report_to_dict(report, config)),
                write_records(out / "zscores.csv", TrialRow, report.rows)]
     attribution = report.attribution
-    if attribution is not None:
+    if attribution is None:
+        for name in ("bias_corr.csv", "feat_import.csv"):
+            (out / name).unlink(missing_ok=True)
+    else:
         rows = [[name] + [attribution.correlations[name][k]
                           for k in ("real", "synthetic", "p_value")]
                 for name in FEATURE_NAMES]

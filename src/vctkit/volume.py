@@ -208,11 +208,10 @@ class LabelMap:
 class LabelIndex:
     """Every label's voxels of a label map, compacted in one pass over the grid.
 
-    The flat C-order positions of the nonzero voxels are sorted stably by
-    label, so each label owns one run of ascending positions. One reduction per run gives the label's index box, voxel
-    count and exact int64 per-axis index sum. Per-label work then reads the
-    run (counts, centroids, Dice overlaps) or the box (landmark moments)
-    instead of the whole grid.
+    It stores the flat C-order positions of the nonzero voxels, sorted stably
+    by label, and one run (a slice) of them per label, whose positions ascend.
+    A label's count, voxel indices, exact index sums, box and Dice overlap
+    are computed when asked, from that label's run alone.
     """
 
     def __init__(self, labelmap: LabelMap):
@@ -223,28 +222,22 @@ class LabelIndex:
         # nonzero() of a bool mask is several times faster than of the labels
         positions = np.flatnonzero(flat != 0)
         values = flat[positions]
-        by_label = np.argsort(values, kind="stable")
-        self._positions, self._values = positions[by_label], values[by_label]
-        counts = np.bincount(self._values)
-        labels = np.flatnonzero(counts)
-        counts = counts[labels]
-        self.labels = tuple(int(c) for c in labels)
-        self._counts = dict(zip(self.labels, (int(n) for n in counts)))
-        self._starts = np.cumsum(counts) - counts
-        self._boxes, self._sums = {}, {}
-        if not self.labels:
-            return
-        coords = np.unravel_index(self._positions, data.shape)
-        lo = [np.minimum.reduceat(c, self._starts) for c in coords]
-        hi = [np.maximum.reduceat(c, self._starts) for c in coords]
-        sums = [np.add.reduceat(c, self._starts, dtype=np.int64) for c in coords]
-        for i, c in enumerate(self.labels):
-            self._boxes[c] = tuple(slice(int(lo[a][i]), int(hi[a][i]) + 1) for a in range(3))
-            self._sums[c] = tuple(int(sums[a][i]) for a in range(3))
+        self._positions = positions[np.argsort(values, kind="stable")]
+        counts = np.bincount(values)
+        labels = np.flatnonzero(counts).tolist()
+        ends = np.cumsum(counts[labels]).tolist()
+        self._runs = {c: slice(end - int(counts[c]), end) for c, end in zip(labels, ends)}
+        self.labels = tuple(self._runs)
+
+    def coords(self, label: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-axis voxel indices of a present label, in C order."""
+        return np.unravel_index(self._positions[self._runs[label]], self.data.shape)
 
     def box(self, label: int) -> tuple[slice, slice, slice] | None:
         """Index box of a label, or None if the label is absent."""
-        return self._boxes.get(label)
+        if label not in self._runs:
+            return None
+        return tuple(slice(int(c.min()), int(c.max()) + 1) for c in self.coords(label))
 
     def mask(self, label: int):
         """(submask, box) of a label, or None if the label is absent."""
@@ -253,16 +246,15 @@ class LabelIndex:
 
     def count(self, label: int) -> int:
         """Voxel count of a label; 0 if it is absent."""
-        return self._counts.get(label, 0)
+        run = self._runs.get(label)
+        return 0 if run is None else run.stop - run.start
 
     def index_sum(self, label: int) -> tuple[int, int, int]:
         """Exact per-axis sum of a present label's voxel indices."""
-        return self._sums[label]
+        return tuple(int(c.sum(dtype=np.int64)) for c in self.coords(label))
 
     def overlaps(self, other: LabelIndex) -> dict[int, int]:
         """Per label of this map, how many of its voxels hold the same label in ``other``."""
-        if not self.labels:
-            return {}
-        same = other.data.ravel()[self._positions] == self._values
-        hits = np.add.reduceat(same, self._starts, dtype=np.int64)
-        return dict(zip(self.labels, (int(n) for n in hits)))
+        flat = other.data.ravel()
+        return {c: int(np.count_nonzero(flat[self._positions[run]] == c))
+                for c, run in self._runs.items()}

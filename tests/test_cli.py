@@ -24,6 +24,19 @@ SPACING = "5,5,5"
 # consistency.csv of test_consistency_paired_shifted_cohort_pins_bytes, as
 # written when each label's counts came from ndimage.find_objects boxes
 SHIFTED_PAIRED_SHA256 = "688954308202f62b08b2597a4595fb6dce617685a35a0e2cc3d207f427412ad8"
+# `vct measure`'s files on A of that test, recorded when LabelIndex still
+# precomputed every label's index box
+MEASURED_SHA256 = {
+    "measurements.csv": "5a88a5f08b31f2ef5e993c9bad1c2a2837a271c0934475781f7fd580e84f703c",
+    "measurements/subj_0000.json":
+        "a8cd8905a4f45f98829478e2450658b98b2a04b4c67d110d7e3362f1f0488c36",
+    "measurements/subj_0001.json":
+        "3d1612b372cc0d3523d9340c23bdf701f5f9b6732628d6862021ae894ef50e0a",
+    "measurements/subj_0002.json":
+        "6d4c3cf2bcd0cdb16d1ba249ee8c00bfb0283d9250b75eb894038e8be1347740",
+    "measurements/subj_0003.json":
+        "c9ff805a734e0bdb22e36a568d5dd70484e58e5ac774092fe721e6a0a05a13cc",
+}
 
 
 @pytest.fixture(scope="session")
@@ -650,6 +663,28 @@ def test_trial_missing_cohort_measurements(tmp_path):
                  "--cohort", str(cohort)]) == 3
 
 
+def test_failed_remeasure_removes_the_subjects_earlier_measurement(tmp_path, capsys):
+    cohort = tmp_path / "cohort"
+    assert main(["phantom", "gen", "--n", "3", "--seed", "3",
+                 "--out", str(cohort), "--spacing", "8,8,8"]) == 0
+    measure = ["measure", "--manifest", str(cohort / "manifest.json"), "--out", str(cohort)]
+    assert main(measure) == 0
+    raw = cohort / "subj_0001_tissue.raw"
+    raw.write_bytes(raw.read_bytes()[:100])
+    assert main(measure) == 1
+    with open(cohort / "measurements.csv", newline="") as fh:
+        assert [row["subject_id"] for row in csv.DictReader(fh)] == ["subj_0000", "subj_0002"]
+    # the measurement of the old map is gone, so a trial on the cohort
+    # refuses the subject instead of reading it as current
+    assert not (cohort / "measurements" / "subj_0001.json").exists()
+    cfg = tmp_path / "trial.json"
+    cfg.write_text(json.dumps(_trial_config()))
+    capsys.readouterr()
+    assert main(["trial", "run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--cohort", str(cohort)]) == 3
+    assert "no measurement for subject 'subj_0001'" in capsys.readouterr().err
+
+
 # --- consistency ------------------------------------------------------------
 
 
@@ -813,12 +848,29 @@ def test_consistency_paired_loads_each_map_once(tmp_path, monkeypatch):
         "cohort", len(loaded), len(indexed))
 
 
-def test_consistency_paired_shifted_cohort_pins_bytes(tmp_path):
+@pytest.fixture(scope="module")
+def seed5_cohort(tmp_path_factory):
+    """The 4-subject seed-5 cohort whose output bytes are pinned; read-only."""
+    root = tmp_path_factory.mktemp("seed5")
+    assert main(["phantom", "gen", "--n", "4", "--seed", "5", "--out", str(root),
+                 "--spacing", SPACING]) == 0
+    return root
+
+
+def test_measure_pins_bytes(seed5_cohort, tmp_path):
+    # heights go through every LabelIndex answer (boxes, masks, femur voxel
+    # indices), and elsewhere are checked only approximately
+    assert main(["measure", "--manifest", str(seed5_cohort / "manifest.json"),
+                 "--out", str(tmp_path)]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in MEASURED_SHA256} == MEASURED_SHA256
+    assert len(list((tmp_path / "measurements").iterdir())) == len(MEASURED_SHA256) - 1
+
+
+def test_consistency_paired_shifted_cohort_pins_bytes(seed5_cohort, tmp_path):
     # B holds A's structure maps moved one voxel superior, so every Dice is
     # below 1 and every overlap count matters to the pinned bytes
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["phantom", "gen", "--n", "4", "--seed", "5", "--out", str(a),
-                 "--spacing", SPACING]) == 0
+    a, b = seed5_cohort, tmp_path / "b"
     shutil.copytree(a, b)
     for record in _manifest(a / "manifest.json").subjects:
         structures = load_labelmap(a / record.structure, "structure")

@@ -519,9 +519,13 @@ def test_run_trial_appends_rows_in_report_order():
 
 def test_write_trial_outputs(tmp_path):
     report = _small_trial()[0]
+    # an earlier run's attribution CSVs do not outlive a run without one
+    for name in ("bias_corr.csv", "feat_import.csv"):
+        (tmp_path / name).write_text("stale\n")
     paths = write_trial_outputs(report, tmp_path, TrialConfig())
     names = {p.name for p in paths}
     assert names == {"report.json", "zscores.csv"}  # no attribution block
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "zscores.csv"]
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["config"]["n_subjects"] == 350
     lines = (tmp_path / "zscores.csv").read_text().strip().split("\n")

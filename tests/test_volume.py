@@ -299,7 +299,9 @@ def test_label_index_matches_full_grid_oracles(maps):
         sub, box = index.mask(c)
         assert box == boxes[c - 1] and np.array_equal(sub, a[box] == c)
         assert index.count(c) == counts[c]
-        assert index.index_sum(c) == tuple(int(i.sum()) for i in np.nonzero(a == c))
+        where = np.nonzero(a == c)
+        assert all(np.array_equal(i, j) for i, j in zip(index.coords(c), where, strict=True))
+        assert index.index_sum(c) == tuple(int(i.sum()) for i in where)
     absent = max(labels, default=0) + 1
     assert index.box(absent) is None and index.mask(absent) is None
     assert index.count(absent) == 0
