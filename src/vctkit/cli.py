@@ -126,13 +126,17 @@ def cmd_measure(args) -> int:
         if exc is not None:
             errors[sid] = str(exc)
             print(f"measure failed for subject {sid}: {exc}", file=sys.stderr)
-            # an earlier run's measurement would read as current under --cohort
-            (reports_dir / f"{sid}.json").unlink(missing_ok=True)
             continue
         write_json(reports_dir / f"{sid}.json", encode(rep))
         rows.append([sid, rep.body_mass_kg, rep.fat_pct, rep.muscle_pct,
                      rep.bone_density_hu, rep.body_volume_l,
                      None if rep.height is None else rep.height.total_mm])
+    # an earlier run's measurement of a failed or dropped subject would read
+    # as current under --cohort
+    written = {f"{row[0]}.json" for row in rows}
+    for path in reports_dir.glob("*.json"):
+        if path.name not in written:
+            path.unlink()
     write_csv(out / "measurements.csv", MEASURE_CSV_HEADER, rows)
     _log_stage(out, "measure", start, subjects=len(results), failed=len(errors),
                errors=errors)

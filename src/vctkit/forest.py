@@ -19,15 +19,13 @@ Determinism contract:
   ``var() > 0`` (the widest deviation squares to a normal number), so only
   narrower nodes call ``var()``, which is not 0 on every all-equal array.
 
-All trees grow in lockstep.  Each step takes every ready node of every tree
-and scores them in one batched split search: with "all" every pending node
-is ready, with "sqrt" only the next node of each tree in preorder, because
-a draw moves its tree's stream.  The batch pads nodes of similar size into
-one m x k x w block (one sort, one cumulative sum and one gain array), with
-the per-feature arithmetic of a one-feature scan, so the trees equal a
-feature-by-feature, node-by-node scan's bit for bit.  A node's importance
-contribution is kept with its preorder path and summed per tree in
-preorder, so the sums do not depend on the order the batches ran in.
+All trees grow in lockstep.  Each step takes the next node of each tree in
+preorder (a "sqrt" draw must follow its tree's earlier draws) and scores
+them in batched split searches.  A batch pads nodes of similar size
+into one m x k x w block (one sort, one cumulative sum and one gain array),
+with the per-feature arithmetic of a one-feature scan, so the trees equal a
+feature-by-feature, node-by-node scan's bit for bit.  Each tree's splits
+thus come in preorder, and its importance sums in that order.
 
 ``predict_proba`` is the fraction of trees whose leaf majority is class 1
 (ties vote 1).  Feature importance is mean decrease in impurity, averaged
@@ -182,7 +180,6 @@ class _Node(NamedTuple):
 
     slot: list | dict
     key: int | str
-    path: tuple  # 0 = left, 1 = right from the root: sorted paths are preorder
     rows: np.ndarray
 
 
@@ -218,9 +215,9 @@ def fit_forest(X, y, kind: str = "classifier",
         k, every = max(1, math.isqrt(n_features)), None
     streams = [Stream(params.seed + t) for t in range(params.n_trees)]
     trees: list = [None] * params.n_trees
-    gains = [[] for _ in streams]  # per tree: (path, feature, weighted gain)
+    gains = np.zeros((params.n_trees, n_features), dtype=np.float64)
     # per tree, the nodes still to grow; popping takes left before right
-    stacks = [[_Node(trees, t, (), np.asarray(s.integers(n, n)))]
+    stacks = [[_Node(trees, t, np.asarray(s.integers(n, n)))]
               for t, s in enumerate(streams)]
     while True:
         ready = []  # (tree, node, candidate features, node targets)
@@ -230,11 +227,10 @@ def fit_forest(X, y, kind: str = "classifier",
                 ys = y[node.rows]
                 if _stops(ys, params, kind):
                     node.slot[node.key] = _leaf(ys, kind)
-                elif every is not None:
-                    ready.append((t, node, every, ys))
-                else:
-                    ready.append((t, node, np.sort(streams[t].choice(n_features, k)), ys))
-                    break  # the tree's next draw waits for this node's children
+                    continue
+                drawn = every if every is not None else np.sort(streams[t].choice(n_features, k))
+                ready.append((t, node, drawn, ys))
+                break  # the tree's next node waits for this node's children
         if not ready:
             break
         ready.sort(key=lambda r: len(r[1].rows))
@@ -255,16 +251,12 @@ def fit_forest(X, y, kind: str = "classifier",
                 left = xb[i, j, :len(ys)] <= thr
                 split = {"feature": f, "threshold": thr, "left": None, "right": None}
                 node.slot[node.key] = split
-                gains[t].append((node.path, f, (len(ys) / n) * gain))
-                stacks[t].append(_Node(split, "right", node.path + (1,), node.rows[~left]))
-                stacks[t].append(_Node(split, "left", node.path + (0,), node.rows[left]))
-    imp = np.zeros(n_features, dtype=np.float64)
-    for tree_gains in gains:
-        tree_imp = np.zeros(n_features, dtype=np.float64)
-        for _, f, g in sorted(tree_gains, key=lambda c: c[0]):  # preorder
-            tree_imp[f] += g
-        imp += tree_imp
-    imp /= params.n_trees
+                gains[t, f] += (len(ys) / n) * gain
+                stacks[t].append(_Node(split, "right", node.rows[~left]))
+                stacks[t].append(_Node(split, "left", node.rows[left]))
+    # adds the trees in order; with one feature numpy sums pairwise, but
+    # the importance normalizes to 1 either way
+    imp = gains.sum(axis=0) / params.n_trees
     total = imp.sum()
     importances = np.full(n_features, 1.0 / n_features) if total == 0.0 else imp / total
     return Forest(kind=kind, params=params, n_features=n_features,

@@ -42,6 +42,7 @@ from .phantom import (
     Attributes,
     BinnedAttributes,
     bin_attributes,
+    check_spacing,
     generate_matched_spec,
     generate_phantom,
     map_ordered,
@@ -628,6 +629,7 @@ class TrialConfig:
             raise ValueError(f"task must be one of {TASKS}")
         if self.n_subjects < 1:
             raise ValueError("n_subjects must be positive")
+        check_spacing(self.spacing_mm)
         if min(self.n_train, self.n_id, self.n_ood) < 2:
             raise ValueError("train/id/ood splits need at least 2 subjects each")
         if self.oversample_factor < 1:

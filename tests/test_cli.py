@@ -340,6 +340,16 @@ def test_trial_bad_configs(tmp_path, capsys):
     assert not (tmp_path / "o4" / "report.json").exists()
 
 
+def test_trial_bad_spacing_exits_2_naming_the_config_before_any_output(tmp_path, capsys):
+    # refused as the config is read, not by the first phantom it would build
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(_trial_config(spacing_mm=[10, 10, 10])))
+    assert main(["trial", "run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: spacing_mm components must lie in [0.4, 8], got (10.0, 10.0, 10.0)\n")
+    assert not (tmp_path / "o").exists()
+
+
 def _run_vct_script(request):
     script = request.config.rootpath / "scripts" / "run_vct.py"
     spec = importlib.util.spec_from_file_location("run_vct", script)
@@ -683,6 +693,21 @@ def test_failed_remeasure_removes_the_subjects_earlier_measurement(tmp_path, cap
     assert main(["trial", "run", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--cohort", str(cohort)]) == 3
     assert "no measurement for subject 'subj_0001'" in capsys.readouterr().err
+
+
+def test_remeasure_without_a_subject_removes_its_earlier_measurement(tmp_path):
+    cohort = tmp_path / "cohort"
+    assert main(["phantom", "gen", "--n", "3", "--seed", "3",
+                 "--out", str(cohort), "--spacing", "8,8,8"]) == 0
+    assert main(["measure", "--manifest", str(cohort / "manifest.json"),
+                 "--out", str(cohort)]) == 0
+    payload = json.loads((cohort / "manifest.json").read_text())
+    payload["subjects"] = payload["subjects"][:2]
+    (cohort / "first_two.json").write_text(json.dumps(payload))
+    assert main(["measure", "--manifest", str(cohort / "first_two.json"),
+                 "--out", str(cohort)]) == 0
+    assert sorted(p.name for p in (cohort / "measurements").iterdir()) == [
+        "subj_0000.json", "subj_0001.json"]
 
 
 # --- consistency ------------------------------------------------------------

@@ -310,3 +310,15 @@ def test_golden_forest_digest(kind, n, data_seed, params, runs, digest):
     X, y = _golden_xy(data_seed, n, kind, runs)
     forest = fit_forest(X, y, kind, params)
     assert hashlib.sha256(forest_to_json(forest).encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 24], ids=["node-per-batch", "no-cell-limit"])
+@pytest.mark.parametrize("case", [GOLDEN[0], GOLDEN[3]],
+                         ids=lambda c: f"{c[0]}-{c[3].max_features}-{c[1]}")
+def test_batch_budget_does_not_change_a_forest(monkeypatch, case, cells):
+    # the batch a node is scored in moves no bit of the forest
+    kind, n, data_seed, params, runs, digest = case
+    X, y = _golden_xy(data_seed, n, kind, runs)
+    monkeypatch.setattr("vctkit.forest._BATCH_CELLS", cells)
+    forest = fit_forest(X, y, kind, params)
+    assert hashlib.sha256(forest_to_json(forest).encode("utf-8")).hexdigest() == digest
