@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import mmap
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -167,26 +168,45 @@ def _torso_volume(R: float, ry: float, rz: float) -> float:
     return (12.0 / 7.0) * math.pi * R * ry * rz
 
 
-def _organ_volumes(qm: float, R: float, ry: float, rz: float) -> dict:
-    """Analytic organ volumes (mm^3) keyed by density class."""
-    rx_i = 0.82 * math.sqrt(max(qm, 0.0)) * R
-    ry_i = 0.82 * math.sqrt(max(qm, 0.0)) * ry
-    vols = {"lung": 0.0, "organ": 0.0, "muscle": 0.0}
+def _blob_terms() -> tuple:
+    """The lung, organ and muscle classes' volume terms, each in ``_ORGANS`` order.
+
+    A term (k, ax, ay, au) adds k * (ax * rx_i) * (ay * ry_i) * (au * rz) to its
+    class's volume, rx_i and ry_i being the interior semi-axes. A mirrored
+    pair's k is doubled: doubling commutes with rounding, so this equals
+    doubling its volume. The aorta, a cylinder of length 2 * au * rz, closes
+    the organ class.
+    """
+    terms = {"lung": [], "organ": [], "muscle": []}
     for _name, hu, tissue, _c, (ax, ay, au), mirrored in _ORGANS:
-        v = (4.0 / 3.0) * math.pi * (ax * rx_i) * (ay * ry_i) * (au * rz)
-        v *= 2.0 if mirrored else 1.0
-        if hu == HU_LUNG:
-            vols["lung"] += v
-        elif tissue == "muscle":
-            vols["muscle"] += v
-        else:
-            vols["organ"] += v
+        cls = "lung" if hu == HU_LUNG else "muscle" if tissue == "muscle" else "organ"
+        k = (4.0 / 3.0) * math.pi
+        terms[cls].append((2.0 * k if mirrored else k, ax, ay, au))
     _name, _hu, _t, _c, (ax, ay, au) = _AORTA
-    vols["organ"] += math.pi * (ax * rx_i) * (ay * ry_i) * (2.0 * au * rz)
-    return vols
+    terms["organ"].append((math.pi, ax, ay, 2.0 * au))
+    return tuple(tuple(terms[cls]) for cls in ("lung", "organ", "muscle"))
+
+
+_LUNG_TERMS, _ORGAN_TERMS, _MUSCLE_TERMS = _blob_terms()
+
+
+def _class_volume(terms: tuple, rx_i: float, ry_i: float, rz: float) -> float:
+    """Summed volume (mm^3) of one density class's ``terms``, in table order."""
+    v = 0.0
+    for k, ax, ay, au in terms:
+        v += k * (ax * rx_i) * (ay * ry_i) * (au * rz)
+    return v
 
 
 def _solve_geometry(spec: PhantomSpec) -> _Geometry:
+    """Solve the torso radius R whose model mass meets ``spec.weight_kg``.
+
+    The model mass rises with R, so R is bisected on [40, 450] mm. What does
+    not depend on R is computed once: the density constants, the spine and
+    the leading mass terms, summed left to right as in the full sum. The
+    bisection stops once an iteration moves neither ``lo`` nor ``hi``: every
+    later one would repeat it, so R is the same as after all 60.
+    """
     H = spec.height_cm * 10.0
     s = H / 1750.0
     z_pelvis = 0.47 * H
@@ -225,32 +245,37 @@ def _solve_geometry(spec: PhantomSpec) -> _Geometry:
     v_brain = (4.0 / 3.0) * math.pi * (0.60 * r_head) ** 3
     v_neck = math.pi * r_neck**2 * (neck_top - z_c7)
 
+    v_spine = math.pi * r_spine**2 * ((z_c7 - 0.03 * L_T) - (z_pelvis + 0.08 * L_T))
+    d_body, d_organ, d_lung = density(HU_BODY), density(HU_ORGAN), density(HU_LUNG)
+    mass_fixed = (
+        density(HU_FAT) * v_fat
+        + density(HU_MUSCLE) * v_muscle
+        + density(bone_hu) * (v_legbones + v_spine + v_markers)
+        + d_body * (v_head - v_brain)
+        + d_organ * v_brain
+    )
+
     def model(R: float):
         ry = 0.62 * R
         r_leg = 0.34 * R
         v_torso = _torso_volume(R, ry, rz)
         v_legs = 2.0 * math.pi * r_leg**2 * z_pelvis
-        v_spine = math.pi * r_spine**2 * ((z_c7 - 0.03 * L_T) - (z_pelvis + 0.08 * L_T))
         q_fat = 1.0 - v_fat / (v_torso + v_legs)
         # muscle balance: torso wall + leg cores - embedded bones + neck +
-        # muscle organs (fraction of the interior) = target muscle volume
-        organ_unit = _organ_volumes(1.0, R, ry, rz)  # at qm = 1 for scaling
-        kappa_mu = organ_unit["muscle"] / v_torso
+        # muscle organs (fraction of the interior) = target muscle volume;
+        # the muscle organs at qm = 1 give the scaling
+        kappa_mu = _class_volume(_MUSCLE_TERMS, 0.82 * R, 0.82 * ry, rz) / v_torso
         q_muscle = (q_fat * (v_torso + v_legs) - v_muscle - v_legbones + v_neck) / (
             v_torso * (1.0 - kappa_mu))
-        organs = _organ_volumes(q_muscle, R, ry, rz)
+        shrink = 0.82 * math.sqrt(max(q_muscle, 0.0))
+        rx_i, ry_i = shrink * R, shrink * ry
+        v_lung = _class_volume(_LUNG_TERMS, rx_i, ry_i, rz)
+        v_organ = _class_volume(_ORGAN_TERMS, rx_i, ry_i, rz)
         v_interior = q_muscle * v_torso
-        v_int_body = v_interior - organs["lung"] - organs["organ"] - organs["muscle"] - v_spine
-        mass_g = (
-            density(HU_FAT) * v_fat
-            + density(HU_MUSCLE) * v_muscle
-            + density(bone_hu) * (v_legbones + v_spine + v_markers)
-            + density(HU_BODY) * (v_head - v_brain)
-            + density(HU_ORGAN) * v_brain
-            + density(HU_BODY) * v_int_body
-            + density(HU_ORGAN) * organs["organ"]
-            + density(HU_LUNG) * organs["lung"]
-        ) / 1000.0
+        v_int_body = (v_interior - v_lung - v_organ
+                      - _class_volume(_MUSCLE_TERMS, rx_i, ry_i, rz) - v_spine)
+        mass_g = (mass_fixed + d_body * v_int_body + d_organ * v_organ
+                  + d_lung * v_lung) / 1000.0
         return mass_g, q_fat, q_muscle, r_leg, ry
 
     lo, hi = 40.0, 450.0
@@ -262,8 +287,12 @@ def _solve_geometry(spec: PhantomSpec) -> _Geometry:
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if model(mid)[0] < total_g:
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     R = 0.5 * (lo + hi)
     _, q_fat, q_muscle, r_leg, ry = model(R)
@@ -325,24 +354,28 @@ class _Canvas:
             self.tissue = _pooled(pool, "tissue", grid.dims, np.uint8, 0)
             self.structure = None
         self.painted = set()  # every HU value assign wrote; the rest is HU_AIR
-        # float64 to bound slabs, float32 to paint them
-        self.coords = tuple(grid.axis_coords(a) for a in range(3))
-        self.coords32 = tuple(c.astype(np.float32) for c in self.coords)
+        # float64 voxel centres as Python floats to bound slabs, float32 to paint them
+        axes = tuple(grid.axis_coords(a) for a in range(3))
+        self.coords = tuple(c.tolist() for c in axes)
+        self.coords32 = tuple(c.astype(np.float32) for c in axes)
 
     def slab_arrays(self, lo, hi):
         """(slices, X, Y, Z) of the voxel centres in the box [lo, hi], bounded in
         float64; a box between voxel centres gives empty slices, which paint
-        nothing. X, Y and Z are broadcastable float32 world coords (the raster
-        is the phantom's definition, so only self-consistency matters).
-        Cylinders, legs and torso mix them with Python floats and so compute
-        in float32; ellipsoids and spheres promote them to float64 through
-        their float64 ``c`` and ``r``.
+        nothing. Each axis is bounded by ``bisect_left`` and ``bisect_right``
+        on its sorted centres, the indices ``np.searchsorted`` gives with
+        side "left" and "right", with no numpy call per bound. X, Y and Z
+        are broadcastable float32 world coords (the raster is the phantom's
+        definition, so only self-consistency matters). Cylinders, legs and
+        torso mix them with Python floats and so compute in float32;
+        ellipsoids and spheres promote them to float64 through their
+        ``np.float64`` centre and radii.
         """
-        sl = tuple(slice(int(np.searchsorted(c, lo[a], side="left")),
-                         int(np.searchsorted(c, hi[a], side="right")))
-                   for a, c in enumerate(self.coords))
-        x, y, z = (c[s] for c, s in zip(self.coords32, sl))
-        return sl, x[:, None, None], y[None, :, None], z[None, None, :]
+        (cx, cy, cz), (x, y, z) = self.coords, self.coords32
+        sx = slice(bisect_left(cx, lo[0]), bisect_right(cx, hi[0]))
+        sy = slice(bisect_left(cy, lo[1]), bisect_right(cy, hi[1]))
+        sz = slice(bisect_left(cz, lo[2]), bisect_right(cz, hi[2]))
+        return (sx, sy, sz), x[sx, None, None], y[None, sy, None], z[None, None, sz]
 
     def assign(self, sl, mask, hu: int, tissue: str, structure: str | None = None):
         self.hu[sl][mask] = hu
@@ -352,11 +385,14 @@ class _Canvas:
             self.structure[sl][mask] = STRUCTURE_IDS[structure]
 
     def paint_ellipsoid(self, center, radii, hu, tissue, structure=None):
-        c = np.asarray(center, dtype=float)
-        r = np.asarray(radii, dtype=float)
-        sl, X, Y, Z = self.slab_arrays(c - r, c + r)
-        mask = (((X - c[0]) / r[0]) ** 2 + ((Y - c[1]) / r[1]) ** 2
-                + ((Z - c[2]) / r[2]) ** 2 <= 1.0)
+        """The box is bounded in Python floats; the mask is computed in
+        float64, as ``np.float64`` scalars promote the float32 coords."""
+        cx, cy, cz = (float(v) for v in center)
+        rx, ry, rz = (float(v) for v in radii)
+        sl, X, Y, Z = self.slab_arrays((cx - rx, cy - ry, cz - rz), (cx + rx, cy + ry, cz + rz))
+        f = np.float64
+        mask = (((X - f(cx)) / f(rx)) ** 2 + ((Y - f(cy)) / f(ry)) ** 2
+                + ((Z - f(cz)) / f(rz)) ** 2 <= 1.0)
         self.assign(sl, mask, hu, tissue, structure)
 
     def paint_sphere(self, center, radius, hu, tissue, structure=None):

@@ -4,7 +4,7 @@ import hashlib
 import json
 import math
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -13,12 +13,15 @@ from hypothesis import example, given, strategies as st
 
 from vctkit import phantom
 from vctkit.codec import decode, encode, read_record, write_json
-from vctkit.composition import REFERENCE_HU
+from vctkit.composition import REFERENCE_HU, density
 from vctkit.phantom import (
     BIN_WIDTH,
     HU_AIR,
+    HU_BODY,
     HU_FAT,
+    HU_LUNG,
     HU_MUSCLE,
+    HU_ORGAN,
     AttributeDistribution,
     Attributes,
     BinnedAttributes,
@@ -34,7 +37,16 @@ from vctkit.phantom import (
     sample_cohort_specs,
     sample_fractions,
 )
-from vctkit.phantom import _TRUTH_CHUNK, _Canvas, _count_truth, _solve_geometry
+from vctkit.phantom import (
+    _AORTA,
+    _ORGANS,
+    _TRUTH_CHUNK,
+    _Canvas,
+    _count_truth,
+    _Geometry,
+    _solve_geometry,
+    _torso_volume,
+)
 from vctkit.rng import Stream
 from vctkit.trial import encode_binned
 from vctkit.volume import Grid, voxel_volume_mm3
@@ -125,18 +137,188 @@ def test_box_between_voxel_centres_paints_nothing(pool):
     assert (canvas.hu[:, :, 1] == 50).all() and (canvas.hu[:, :, [0, 2, 3]] == -1000).all()
 
 
+_AXIS = st.tuples(st.integers(1, 12), st.floats(0.4, 8.0), st.floats(-500.0, 500.0))
+
+
+@st.composite
+def _face(draw, centres):
+    """A box face on one axis: on a voxel centre, between two, or off the grid."""
+    i = draw(st.integers(0, len(centres) - 1))
+    return draw(st.sampled_from([
+        float(centres[i]),
+        float(centres[i]) + 0.5 * (float(centres[1] - centres[0]) if len(centres) > 1 else 1.0),
+        float(centres[0]) - draw(st.floats(0.01, 100.0)),
+        float(centres[-1]) + draw(st.floats(0.01, 100.0)),
+        draw(st.floats(float(centres[0]) - 10.0, float(centres[-1]) + 10.0)),
+    ]))
+
+
+@given(axes=st.tuples(_AXIS, _AXIS, _AXIS), data=st.data())
+def test_slab_arrays_match_searchsorted(axes, data):
+    dims, spacing, origin = zip(*axes)
+    grid = Grid(dims, spacing, origin)
+    canvas = _Canvas(grid, None)
+    centres = [grid.axis_coords(a) for a in range(3)]
+    # faces are drawn independently, so some boxes are inverted (lo above hi)
+    lo = tuple(data.draw(_face(c)) for c in centres)
+    hi = tuple(data.draw(_face(c)) for c in centres)
+    sl, *xyz = canvas.slab_arrays(lo, hi)
+    for a, (c, s) in enumerate(zip(centres, sl)):
+        assert (s.start, s.stop) == (int(np.searchsorted(c, lo[a], side="left")),
+                                     int(np.searchsorted(c, hi[a], side="right")))
+        assert xyz[a].dtype == np.float32
+        assert xyz[a].tobytes() == c.astype(np.float32)[s].tobytes()
+        assert xyz[a].shape == tuple(max(s.stop - s.start, 0) if b == a else 1 for b in range(3))
+
+
+def _reference_organ_volumes(qm, R, ry, rz):
+    """The solver's organ volumes as first written: one dict per call."""
+    rx_i = 0.82 * math.sqrt(max(qm, 0.0)) * R
+    ry_i = 0.82 * math.sqrt(max(qm, 0.0)) * ry
+    vols = {"lung": 0.0, "organ": 0.0, "muscle": 0.0}
+    for _name, hu, tissue, _c, (ax, ay, au), mirrored in _ORGANS:
+        v = (4.0 / 3.0) * math.pi * (ax * rx_i) * (ay * ry_i) * (au * rz)
+        v *= 2.0 if mirrored else 1.0
+        if hu == HU_LUNG:
+            vols["lung"] += v
+        elif tissue == "muscle":
+            vols["muscle"] += v
+        else:
+            vols["organ"] += v
+    _name, _hu, _t, _c, (ax, ay, au) = _AORTA
+    vols["organ"] += math.pi * (ax * rx_i) * (ay * ry_i) * (2.0 * au * rz)
+    return vols
+
+
+def _reference_solve_geometry(spec):
+    """The solver as first written: every term recomputed in every model call,
+    both organ dicts built in full, and all 60 bisection steps taken."""
+    H = spec.height_cm * 10.0
+    s = H / 1750.0
+    z_pelvis, z_knee, z_ankle, z_c7, z_c1 = 0.47 * H, 0.26 * H, 0.03 * H, 0.79 * H, 0.865 * H
+    z_c2 = z_c1 - max(20.0, 0.018 * H)
+    r_head = (H - z_c1) / 1.95
+    head_center_z = H - r_head
+    head_bottom = H - 2.0 * r_head
+    r_neck = 42.0 * s
+    neck_top = head_bottom + 5.0
+    r_femur, r_tibia, r_spine, r_stub = 14.0 * s, 12.0 * s, 17.0 * s, 9.0 * s
+    r_marker = max(7.0 * s, max(spec.spacing_mm))
+    bone_hu = bone_hu_for_age(spec.age_years)
+    L_T = z_c7 - z_pelvis
+    rz = L_T / 2.0
+    zc = (z_pelvis + z_c7) / 2.0
+    total_g = spec.weight_kg * 1000.0
+    v_fat = 1000.0 * spec.fat_fraction * total_g / density(HU_FAT)
+    v_muscle = 1000.0 * spec.muscle_fraction * total_g / density(HU_MUSCLE)
+    v_femur = 2.0 * math.pi * r_femur**2 * (z_pelvis - z_knee)
+    v_tibia = 2.0 * math.pi * r_tibia**2 * ((z_knee - 3.0) - z_ankle)
+    v_stub = 2.0 * math.pi * r_stub**2 * (z_ankle - 10.0)
+    v_legbones = v_femur + v_tibia + v_stub
+    v_markers = 13.0 * (4.0 / 3.0) * math.pi * r_marker**3
+    v_head = (4.0 / 3.0) * math.pi * r_head**3
+    v_brain = (4.0 / 3.0) * math.pi * (0.60 * r_head) ** 3
+    v_neck = math.pi * r_neck**2 * (neck_top - z_c7)
+
+    def model(R):
+        ry = 0.62 * R
+        r_leg = 0.34 * R
+        v_torso = _torso_volume(R, ry, rz)
+        v_legs = 2.0 * math.pi * r_leg**2 * z_pelvis
+        v_spine = math.pi * r_spine**2 * ((z_c7 - 0.03 * L_T) - (z_pelvis + 0.08 * L_T))
+        q_fat = 1.0 - v_fat / (v_torso + v_legs)
+        kappa_mu = _reference_organ_volumes(1.0, R, ry, rz)["muscle"] / v_torso
+        q_muscle = (q_fat * (v_torso + v_legs) - v_muscle - v_legbones + v_neck) / (
+            v_torso * (1.0 - kappa_mu))
+        organs = _reference_organ_volumes(q_muscle, R, ry, rz)
+        v_int_body = (q_muscle * v_torso - organs["lung"] - organs["organ"]
+                      - organs["muscle"] - v_spine)
+        mass_g = (
+            density(HU_FAT) * v_fat
+            + density(HU_MUSCLE) * v_muscle
+            + density(bone_hu) * (v_legbones + v_spine + v_markers)
+            + density(HU_BODY) * (v_head - v_brain)
+            + density(HU_ORGAN) * v_brain
+            + density(HU_BODY) * v_int_body
+            + density(HU_ORGAN) * organs["organ"]
+            + density(HU_LUNG) * organs["lung"]
+        ) / 1000.0
+        return mass_g, q_fat, q_muscle, r_leg, ry
+
+    lo, hi = 40.0, 450.0
+    if not model(lo)[0] < total_g < model(hi)[0]:
+        raise ValueError(f"no torso radius in [{lo}, {hi}] mm realizes {spec.weight_kg} kg")
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if model(mid)[0] < total_g:
+            lo = mid
+        else:
+            hi = mid
+    R = 0.5 * (lo + hi)
+    _, q_fat, q_muscle, r_leg, ry = model(R)
+    if q_fat <= 0.0:
+        raise ValueError("fat_fraction exceeds the available soft volume")
+    if q_muscle <= 0.05:
+        raise ValueError("fat + muscle leave no room for the torso interior")
+    if q_muscle >= q_fat:
+        raise ValueError("muscle_fraction exceeds the available shell volume")
+    if r_leg * math.sqrt(q_fat) < r_femur + 1.5 * max(spec.spacing_mm):
+        raise ValueError("leg muscle core too thin to hold the femur")
+    return _Geometry(
+        H=H, z_pelvis=z_pelvis, z_knee=z_knee, z_ankle=z_ankle,
+        z_c7=z_c7, z_c1=z_c1, z_c2=z_c2, r_head=r_head,
+        head_center_z=head_center_z, r_neck=r_neck, neck_top=neck_top,
+        R=R, ry=ry, rz=rz, zc=zc, hip_x=0.40 * R, r_leg=r_leg,
+        q_fat=q_fat, q_muscle=q_muscle, r_femur=r_femur, r_tibia=r_tibia,
+        r_spine=r_spine, r_stub=r_stub, r_marker=r_marker, bone_hu=bone_hu,
+    )
+
+
+@given(sex=st.sampled_from("MF"), age=st.floats(0.0, 120.0), height=st.floats(80.0, 220.0),
+       weight=st.floats(20.0, 200.0), fat=st.floats(0.05, 0.6), share=st.floats(0.001, 1.0),
+       spacing=st.sampled_from([2.0, 4.0, 8.0]))
+@example(sex="M", age=55.0, height=176.0, weight=84.0, fat=0.25, share=0.6, spacing=4.0)
+@example(sex="M", age=55.0, height=81.2, weight=178.2, fat=0.14, share=0.57, spacing=2.0)
+@example(sex="F", age=55.0, height=194.4, weight=23.7, fat=0.33, share=0.21, spacing=2.0)
+@example(sex="M", age=55.0, height=93.1, weight=25.1, fat=0.31, share=0.38, spacing=4.0)
+@example(sex="M", age=55.0, height=195.9, weight=22.2, fat=0.54, share=0.11, spacing=8.0)
+@example(sex="M", age=55.0, height=214.3, weight=45.0, fat=0.40, share=0.27, spacing=8.0)
+def test_solve_geometry_matches_reference(sex, age, height, weight, fat, share, spacing):
+    # muscle takes a share of what the 0.9 cap leaves; the examples reach
+    # a solution and each of the five infeasible messages
+    spec = PhantomSpec(sex=sex, age_years=age, height_cm=height, weight_kg=weight,
+                       fat_fraction=fat, muscle_fraction=share * (0.9 - fat),
+                       spacing_mm=(spacing,) * 3)
+    try:
+        expected = _reference_solve_geometry(spec)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            _solve_geometry(spec)
+        assert str(raised.value) == str(exc)
+        return
+    got = _solve_geometry(spec)
+    for f in fields(_Geometry):
+        assert getattr(got, f.name) == getattr(expected, f.name), f.name
+
+
 # sha256 of json.dumps(encode(truth), sort_keys=True) for the seed-3 subject,
-# recorded with one whole-grid np.bincount
+# recorded with one whole-grid np.bincount; a float key is a cubic spacing, and
+# the non-cubic (3, 4, 5) mm grid catches a bound taken on the wrong axis
 TRUTH_DIGESTS = {
     2.0: "3d5050c607f39b6a460f4e2b603b09e46ad2b8c067a4b4f7b76cbd9268fc3597",
     4.0: "edcbaa28752d195cdd4a8017b7035627993f64a312017cabff1b2d4545279e32",
     8.0: "faa47e0845addd2eddd1b5a27213e998528fae5b5959de7e4024ad957a54a75b",
+    (3.0, 4.0, 5.0): "bde1740c45fc3479b022bce146918556f5d317aca3d5279a37a9e0476ddc066d",
 }
 
 
-@pytest.mark.parametrize("spacing", sorted(TRUTH_DIGESTS))
+def _spacing_mm(key):
+    return key if isinstance(key, tuple) else (key,) * 3
+
+
+@pytest.mark.parametrize("spacing", list(TRUTH_DIGESTS), ids=str)
 def test_truth_encoding_pinned(spacing):
-    [(_, _, spec)] = sample_cohort_specs(1, AttributeDistribution(), (spacing,) * 3, 3)
+    [(_, _, spec)] = sample_cohort_specs(1, AttributeDistribution(), _spacing_mm(spacing), 3)
     vol, _, _, truth = generate_phantom(spec)
     assert vol.grid.n_voxels > _TRUTH_CHUNK  # truth is counted over more than one chunk
     text = json.dumps(encode(truth), sort_keys=True)
@@ -155,12 +337,16 @@ PHANTOM_DIGESTS = {
     8.0: ("7ef0354483fbd97c443705f292c54d8d4726cae4f433dc171cd884ffd3c976b9",
           "3929c9c863315fef79bd3f42c157f48ce78caf1b7044ee89bd72eab0a7e0f3aa",
           "26f0d770098a9fc08b04666709b3fc428836bce89760dccbbbdef5b8f075dd95"),
+    (3.0, 4.0, 5.0): (
+        "7827454f58302798564dd0e659ea611518ba4ada778d3451e42706364dfe4ad6",
+        "78882a93a4359a1f2d529404e2c28eb990079b6e0b1fa58dac3fa8443dee4ed6",
+        "33a8cabdc77fac9b37a457b928f7101d9a327a78daa74a1e8c19682db87c4b1c"),
 }
 
 
-@pytest.mark.parametrize("spacing", sorted(PHANTOM_DIGESTS))
+@pytest.mark.parametrize("spacing", list(PHANTOM_DIGESTS), ids=str)
 def test_painted_bytes_pinned(spacing):
-    [(_, _, spec)] = sample_cohort_specs(1, AttributeDistribution(), (spacing,) * 3, 3)
+    [(_, _, spec)] = sample_cohort_specs(1, AttributeDistribution(), _spacing_mm(spacing), 3)
     vol, tissue, structure, _ = generate_phantom(spec)
     digests = tuple(hashlib.sha256(m.data.tobytes()).hexdigest()
                     for m in (vol, tissue, structure))
