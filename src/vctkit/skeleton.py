@@ -57,12 +57,15 @@ def _mask_moments(mask: np.ndarray, coords):
     """Voxel count, world-space mean, and covariance of a boolean mask.
 
     Cross moments come from 2-D projections of the mask, so no voxel
-    coordinate list is materialized.
+    coordinate list is materialized.  A projected count is at most its axis
+    length, so the projections add the mask's bytes in uint16, exact while
+    every axis is shorter than 65,536 voxels, and in int64 otherwise.
     """
     cx, cy, cz = coords
-    p_xy = mask.sum(axis=2, dtype=np.int64).astype(np.float64)
-    p_xz = mask.sum(axis=1, dtype=np.int64).astype(np.float64)
-    p_yz = mask.sum(axis=0, dtype=np.int64).astype(np.float64)
+    counts = mask.view(np.uint8)
+    acc = np.uint16 if max(mask.shape) < 1 << 16 else np.int64
+    p_xy, p_xz, p_yz = (np.add.reduce(counts, axis=axis, dtype=acc).astype(np.float64)
+                        for axis in (2, 1, 0))
     nx = p_xy.sum(axis=1)
     n = int(nx.sum())
     if n == 0:

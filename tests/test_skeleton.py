@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from vctkit import skeleton
 from vctkit.codec import decode, encode
@@ -168,6 +168,46 @@ def test_ray_march_never_entered_raises():
     body[4:30] = body[30]  # now the body begins 4 voxels ahead
     exit_point = skeleton._ray_exit(body, grid, start, direction)
     assert exit_point.tolist() == [35.0, 1.5, 1.5]  # x = 35.5 rounds to voxel 36, outside
+
+
+def _mask_moments_int64(mask, coords):
+    """Reference moments: each projection counted in int64."""
+    cx, cy, cz = coords
+    p_xy, p_xz, p_yz = (mask.sum(axis=axis, dtype=np.int64).astype(np.float64)
+                        for axis in (2, 1, 0))
+    nx = p_xy.sum(axis=1)
+    n = int(nx.sum())
+    if n == 0:
+        return 0, None, None
+    ny, nz = p_xy.sum(axis=0), p_xz.sum(axis=0)
+    sx, sy, sz = nx @ cx, ny @ cy, nz @ cz
+    sxx, syy, szz = nx @ (cx * cx), ny @ (cy * cy), nz @ (cz * cz)
+    sxy, sxz, syz = cx @ p_xy @ cy, cx @ p_xz @ cz, cy @ p_yz @ cz
+    mean = np.array([sx, sy, sz]) / n
+    cov = np.array([
+        [sxx / n - mean[0] ** 2, sxy / n - mean[0] * mean[1], sxz / n - mean[0] * mean[2]],
+        [sxy / n - mean[0] * mean[1], syy / n - mean[1] ** 2, syz / n - mean[1] * mean[2]],
+        [sxz / n - mean[0] * mean[2], syz / n - mean[1] * mean[2], szz / n - mean[2] ** 2],
+    ])
+    return n, mean, cov
+
+
+# an axis of 70,000 voxels: a uint16 count would wrap to 70,000 - 65,536 = 4,464
+@example(dims=(1, 1, 70_000), fill=1.0, order=(0, 1, 2), seed=0)
+@given(st.tuples(*[st.integers(1, 12)] * 3), st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       st.permutations((0, 1, 2)), st.integers(0, 2**32 - 1))
+def test_mask_moments_match_int64_projections(dims, fill, order, seed):
+    rng = np.random.default_rng(seed)
+    mask = (rng.random(dims) < fill).transpose(order)  # a strided view unless order is (0, 1, 2)
+    coords = tuple(rng.uniform(-300, 300) + rng.uniform(0.5, 4) * np.arange(d)
+                   for d in mask.shape)
+    n, mean, cov = skeleton._mask_moments(mask, coords)
+    n_ref, mean_ref, cov_ref = _mask_moments_int64(mask, coords)
+    assert n == n_ref == np.count_nonzero(mask)
+    if n:
+        assert mean.tobytes() == mean_ref.tobytes() and cov.tobytes() == cov_ref.tobytes()
+    else:
+        assert mean is cov is None
 
 
 def test_trial_and_cli_do_not_load_scipy():

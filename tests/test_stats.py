@@ -1,12 +1,13 @@
 """Z-score, p-values, bootstrap, Pearson, and weighting identities."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from vctkit import stats
+from vctkit import stats, trial
 from vctkit.rng import Stream
 from vctkit.stats import (
     bootstrap_ci,
@@ -141,6 +142,50 @@ def test_percentile_ci_chunks_leave_one_size_interval_identical(monkeypatch):
     monkeypatch.setattr(stats, "_BOOT_INDEX_BUDGET", 10_000)
     assert percentile_ci(mean_diff, (150, 75), 2000, 0.95, 3) == whole
     assert calls == [44 * 150, 44 * 75] * 45 + [20 * 150, 20 * 75]
+
+
+def _production_intervals(sizes, n_boot, level, seed):
+    """The bootstrap mean and importance-weighted MAE intervals for one size,
+    the Z interval for two, each through the function the trial calls."""
+    data = np.random.default_rng(seed)
+    xs = [data.normal(size=n) for n in sizes]
+    if len(sizes) == 2:
+        return [trial._z_ci(*xs, n_boot, level, seed)]
+    p_ood = data.uniform(0.0, 1.0, size=sizes[0])
+    with mock.patch.object(trial, "encode_attributes", lambda attrs: attrs), \
+            mock.patch.object(trial, "predict_proba", lambda forest, X: p_ood):
+        weighted = trial.weighted_degradation_estimate(xs[0], None, None, (0.7, 0.3),
+                                                       n_boot, level, seed)[1]
+    return [bootstrap_ci(xs[0], n_boot, level, seed), weighted]
+
+
+@settings(max_examples=200)  # each example takes about 10 ms
+@given(st.data(), st.integers(1, 2), st.integers(3, 150),
+       st.sampled_from([0.5, 0.9, 0.95]), st.integers(0, 2**32))
+def test_percentile_ci_intervals_are_equal_under_any_two_budgets(data, n_sizes, n_boot,
+                                                                 level, seed):
+    # the trial's z_score, which runs before each Z interval, needs two samples per list
+    sizes = data.draw(st.lists(st.integers(2 if n_sizes == 2 else 1, 400),
+                               min_size=n_sizes, max_size=n_sizes))
+    total = sum(sizes)
+    # the first budget's chunk leaves a short last chunk; the second is any
+    # budget, often one under sum(sizes), whose chunks hold one resample
+    chunk = data.draw(st.integers(2, n_boot - 1).filter(lambda c: n_boot % c))
+    budgets = (chunk * total + data.draw(st.integers(0, total - 1)),
+               data.draw(st.integers(1, total) | st.integers(1, 2 * n_boot * total)))
+    intervals = []
+    for budget in budgets:
+        with mock.patch.object(stats, "_BOOT_INDEX_BUDGET", budget):
+            intervals.append(_production_intervals(sizes, n_boot, level, seed))
+    assert intervals[0] == intervals[1]
+
+
+def test_bootstrap_traced_peak(traced_peak):
+    _, peak = traced_peak(bootstrap_ci, np.linspace(0, 1, 300), n_boot=10_000)
+    assert peak <= 4 << 20
+    x, y = np.linspace(0, 3, 300), np.linspace(0.5, 2, 75)
+    _, peak = traced_peak(trial._z_ci, x, y, 2000, 0.95, 3)
+    assert peak <= 4 << 20
 
 
 @pytest.mark.parametrize("n_boot, level", [(0, 0.95), (-3, 0.95), (10, 0.0), (10, 1.0)])
