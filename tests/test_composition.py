@@ -1,12 +1,16 @@
 """Densitometry: air rule, HU->density mapping, masses, and truth closure."""
 
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from vctkit import composition
 from vctkit.codec import decode, encode
 from vctkit.composition import (
     AIR_FILL_HU,
@@ -16,7 +20,7 @@ from vctkit.composition import (
     measure_composition,
 )
 from vctkit.io import load_volume, save_volume
-from vctkit.phantom import AttributeDistribution
+from vctkit.phantom import AttributeDistribution, PhantomSpec, generate_phantom
 from vctkit.skeleton import measure_height
 from vctkit.trial import generate_measured_cohort
 from vctkit.volume import TISSUE_CLASSES, Grid, LabelMap, Volume, voxel_volume_mm3
@@ -209,6 +213,21 @@ def _chain_oracle(vol, tissue):
     )
 
 
+def _matches_chain_oracle(vol, tissue):
+    """The measured report, after checking that it encodes as the oracle's,
+    or None after checking that both raise the same message."""
+    try:
+        expected = _chain_oracle(vol, tissue)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            measure_composition(vol, tissue)
+        assert str(raised.value) == str(exc)
+        return None
+    rep = measure_composition(vol, tissue)
+    assert encode(rep) == encode(expected)
+    return rep
+
+
 # the air threshold and its neighbours, the HU range's ends, and (float32
 # only) the half-HU values either side of the threshold
 _EDGE_HU = (-1024, -1000, -901, -900, -899, 0, 3071)
@@ -253,16 +272,111 @@ def _subjects(draw):
 @example(_subject([[[-1024, -900, 3071]]], [[[2, 4, 0]]]))              # all-air body
 def test_in_place_map_matches_chain_oracle(subject):
     vol, tissue = subject
-    try:
-        expected = _chain_oracle(vol, tissue)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as raised:
-            measure_composition(vol, tissue)
-        assert str(raised.value) == str(exc)
+    rep = _matches_chain_oracle(vol, tissue)
+    if rep is None:
         return
-    rep = measure_composition(vol, tissue)
-    assert encode(rep) == encode(expected)
     present = set(np.unique(tissue.data).tolist())
     assert (rep.bone_density_hu is None) == (4 not in present)
     if 2 not in present:
         assert rep.fat_pct == 0.0 and rep.per_tissue_mass_g["fat"] == 0.0
+
+
+# --- sums leaf by leaf ----------------------------------------------------
+
+
+@st.composite
+def _large_subjects(draw):
+    """An int16 or float32 volume of up to 13^3 voxels, each map in C or
+    Fortran order, drawn from a seed: edge HU values mixed with any in range
+    (and, in float32, fractional ones) over labels from a random class set."""
+    dtype = draw(st.sampled_from([np.int16, np.float32]))
+    dims = tuple(draw(st.integers(1, 13)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    edges = _EDGE_HU + (_EDGE_HU_FLOAT if dtype is np.float32 else ())
+    hu = np.where(rng.random(dims) < 0.3, rng.choice(edges, dims),
+                  rng.integers(-1024, 3072, dims))
+    if dtype is np.float32:
+        hu = hu + np.where(rng.random(dims) < 0.5, rng.random(dims), 0.0)
+    classes = sorted(draw(st.sets(st.integers(1, 4), min_size=1)))
+    vol, tissue = _subject(hu, rng.choice([0] + classes, dims), dtype)
+    hu_order, label_order = draw(st.sampled_from(["CC", "CF", "FC", "FF"]))
+    return (Volume(vol.grid, np.asarray(vol.data, order=hu_order)),
+            LabelMap(tissue.grid, np.asarray(tissue.data, order=label_order), "tissue",
+                     TISSUE_CLASSES))
+
+
+@pytest.mark.parametrize("leaf", [128, 136])
+@settings(max_examples=60)
+@given(subject=_large_subjects())
+def test_leaf_sums_match_chain_oracle(leaf, subject):
+    # leaves of 128 or 136 values and grid chunks of 64 voxels, so that up
+    # to 2,197 voxels cross many leaves and chunks, a leaf many pieces and a
+    # piece several leaves
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(composition, "_CHUNK", leaf)
+        patch.setattr(composition, "_GRID_CHUNK", 64)
+        _matches_chain_oracle(*subject)
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, composition._CHUNK - 1,
+                               composition._CHUNK + 1, 2 * composition._CHUNK + 8,
+                               1_000_003])
+def test_leaf_sum_is_numpys_pairwise_sum(n):
+    # values over 16 decades, so that a sum in any other order moves bits
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    expected = float(np.add.reduce(x))
+    if n > 1000:
+        assert float(np.cumsum(x)[-1]) != expected
+    buf = np.empty(composition._CHUNK)
+    assert composition._sum([x], buf, np.copyto) == expected
+    cuts = np.unique(rng.integers(1, n, 5)) if n > 1 else []
+    assert composition._sum(np.split(x, cuts), buf, np.copyto) == expected
+
+
+def test_fortran_ordered_maps_measure_as_c_ordered(phantom_default):
+    _, vol, tissue, _, _ = phantom_default
+    expected = encode(measure_composition(vol, tissue))
+    f_vol = Volume(vol.grid, np.asfortranarray(vol.data))
+    f_tissue = LabelMap(tissue.grid, np.asfortranarray(tissue.data), "tissue",
+                        tissue.class_table)
+    for pair in ((f_vol, f_tissue), (f_vol, tissue), (vol, f_tissue)):
+        assert encode(measure_composition(*pair)) == expected
+
+
+def test_measure_composition_traced_peak(phantom_default, traced_peak):
+    # one group's HU (2 B per int16 voxel) at a time, and chunk-sized
+    # buffers; whole-body float64 densities alone would hold 8 B a voxel
+    _, vol, tissue, _, _ = phantom_default
+    rep, peak = traced_peak(measure_composition, vol, tissue)
+    n_body = int(np.count_nonzero(tissue.data))
+    assert rep.body_volume_l == n_body * voxel_volume_mm3(vol.grid) / 1.0e6
+    assert peak <= 4 * n_body + (1 << 20)
+
+
+def test_threads_measuring_at_once_match_serial():
+    # four threads (more than the cores) measure four phantoms, int16 and
+    # float32, released together each round and switched often: a buffer
+    # shared between calls would mix their sums
+    subjects = []
+    for seed in range(4):
+        vol, tissue, _, _ = generate_phantom(PhantomSpec(sex="MF"[seed % 2], seed=seed,
+                                                         spacing_mm=(6.0, 6.0, 6.0)))
+        if seed % 2:
+            vol = Volume(vol.grid, vol.data + np.float32(0.25))
+        subjects.append((vol, tissue))
+    serial = [encode(measure_composition(*s)) for s in subjects]
+    start = threading.Barrier(len(subjects), timeout=60)
+
+    def measure(subject):
+        start.wait()
+        return encode(measure_composition(*subject))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(subjects)) as pool:
+            for _ in range(5):
+                assert list(pool.map(measure, subjects, timeout=60)) == serial
+    finally:
+        sys.setswitchinterval(interval)

@@ -87,13 +87,16 @@ def test_bootstrap_constant_samples():
     assert lo == hi == pytest.approx(4.2)
 
 
-def test_bootstrap_deterministic_and_chunk_invariant():
+def test_bootstrap_deterministic_and_chunk_invariant(monkeypatch):
     x = np.linspace(-2, 5, 37)
     a = bootstrap_ci(x, n_boot=5000, seed=11)
     b = bootstrap_ci(x, n_boot=5000, seed=11)
     assert a == b
     c = bootstrap_ci(x, n_boot=5000, seed=12)
     assert a != c
+    # a budget of 7 resamples and a bit: 714 chunks of 7 and one of 2
+    monkeypatch.setattr(stats, "_BOOT_INDEX_BUDGET", 37 * 7 + 3)
+    assert bootstrap_ci(x, n_boot=5000, seed=11) == a
 
 
 def test_bootstrap_rejects_bad_args():

@@ -398,17 +398,24 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 def test_trial_cohort_minor_faults_are_bounded():
     # A fresh interpreter: a multi-MB temporary freed by an earlier test
     # raises glibc's mmap threshold for the rest of the process, which hides
-    # the faults of a canvas allocated per phantom. Over fresh runs of this
-    # probe, the unpooled path faulted 816-883 times per phantom and the
-    # pooled one 42-272 (median about 100); what the pool leaves comes from
-    # measure_composition's temporaries, whose pages glibc trims and faults
-    # back in from run to run.
+    # the faults of a canvas allocated per phantom. Even so the count pins
+    # one allocation history, not a phantom's own faults: glibc's dynamic
+    # mmap threshold moves with the sizes freed before, and a 300-phantom
+    # cohort took 56 or 5 faults a phantom depending only on a timing
+    # wrapper around measure_composition. Measured on one 2-core x86-64
+    # machine (glibc 2.36, numpy 2.4.6) and nowhere else: the unpooled path
+    # faulted 816-883 times per phantom, the pooled one 42-272 while
+    # measure_composition built body-sized temporaries (126 in 6 runs of
+    # this probe), and 1,205 times over the 50 phantoms (24 per phantom) in
+    # each of 24 fresh runs since it holds only HU pieces and chunk-sized
+    # buffers. The bound fails a return of those temporaries and leaves
+    # room for another history; a failure elsewhere may be the allocator's.
     src = str(Path(trial.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     faults = int(subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, check=True,
                                 capture_output=True, text=True, timeout=300).stdout)
-    assert faults <= 400 * 50, f"{faults} minor faults over 50 phantoms"
+    assert faults <= 100 * 50, f"{faults} minor faults over 50 phantoms"
 
 
 # --- OOD classifier -----------------------------------------------------------
