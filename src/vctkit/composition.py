@@ -9,18 +9,16 @@ mapping, voxels at or below the air threshold (-900 HU inclusive) are set to
 the mean *raw* HU over bone-tissue voxels, without the air adjustment.
 
 No body-sized float array is built.  The HU of the body, and then of each
-tissue class, is gathered one grid chunk at a time into pieces, and each sum
-walks numpy's own pairwise tree over those values (``np.add.reduce`` of a
-contiguous float64 array) one cache-sized leaf at a time, so every mass keeps
-the bits of summing a whole density array.  A leaf of int16 HU takes its
-densities from a table of all 65,536 values, built by the same arithmetic
-that float32 HU goes through directly.
+tissue class, is gathered one grid chunk at a time into the front of one HU
+array, and each sum walks numpy's own pairwise tree over that group's slice
+(``np.add.reduce`` of a contiguous float64 array) one cache-sized leaf at a
+time, so every mass keeps the bits of summing a whole density array.  A leaf
+of int16 HU takes its densities from a table of all 65,536 values, built by
+the same arithmetic that float32 HU goes through directly.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,46 +63,34 @@ def _table_densities(out, hu):
     _INT16_DENSITY.take(hu.view(np.uint16), out=out, mode="clip")
 
 
-def _pieces(labels, image, test, value, mask):
-    """``image[test(labels, value)]`` of flat ``labels`` and ``image`` as a
-    list of nonempty pieces, one per grid chunk; the chunk-sized ``mask``
-    serves every chunk."""
-    pieces = []
+def _gather(hu, labels, image, test, value, mask):
+    """Copy ``image[test(labels, value)]`` of flat ``labels`` and ``image``
+    to the front of ``hu`` and return how many values it holds; the
+    chunk-sized ``mask`` serves every grid chunk."""
+    n = 0
     for start in range(0, labels.size, _GRID_CHUNK):
         part = labels[start:start + _GRID_CHUNK]
         got = image[start:start + _GRID_CHUNK][test(part, value, out=mask[:part.size])]
-        if got.size:
-            pieces.append(got)
-    return pieces
+        hu[n:n + got.size] = got
+        n += got.size
+    return n
 
 
-def _tree(pieces, starts, lo, hi, buf, fill):
-    """``np.add.reduce`` of what ``fill`` writes of elements ``lo:hi`` of
-    the concatenated ``pieces`` (``starts`` holds their offsets and the total).
+def _tree(values, buf, fill):
+    """``np.add.reduce`` of what ``fill`` writes of ``values``, to the bit.
 
     numpy sums a contiguous float64 array pairwise, splitting a block of more
     than 128 elements at half its size rounded down to a multiple of 8.  Split
     the same way down to ``_CHUNK`` elements, each leaf is a block of numpy's
     own tree, which ``fill`` writes into ``buf`` for numpy to reduce.
     """
-    n = hi - lo
+    n = values.size
     if n > _CHUNK:
         n2 = n // 2
         n2 -= n2 % 8
-        return (_tree(pieces, starts, lo, lo + n2, buf, fill)
-                + _tree(pieces, starts, lo + n2, hi, buf, fill))
-    at, i = lo, bisect.bisect_right(starts, lo) - 1
-    while at < hi:
-        stop = min(hi, starts[i + 1])
-        fill(buf[at - lo:stop - lo], pieces[i][at - starts[i]:stop - starts[i]])
-        at, i = stop, i + 1
+        return _tree(values[:n2], buf, fill) + _tree(values[n2:], buf, fill)
+    fill(buf[:n], values)
     return np.add.reduce(buf[:n])
-
-
-def _sum(pieces, buf, fill):
-    """``np.add.reduce`` of ``fill`` over the concatenated ``pieces``, to the bit."""
-    starts = [0, *itertools.accumulate(piece.size for piece in pieces)]
-    return float(_tree(pieces, starts, 0, starts[-1], buf, fill))
 
 
 @dataclass(frozen=True)
@@ -135,18 +121,19 @@ def measure_composition(vol: Volume, tissue: LabelMap) -> CompositionReport:
     # C order, as boolean indexing takes it: a view of a C-ordered map, a
     # copy of any other (not order="K", whose order would move the sums' bits)
     labels, image = np.ravel(tissue.data), np.ravel(vol.data)
-    # one group's HU pieces at a time, so they are the only body-sized data
-    # alive; the mask and leaf buffer are the call's own, so threads share
-    # nothing
+    n_body = np.count_nonzero(labels)
+    if n_body == 0:
+        raise ValueError("degenerate input: body mask is empty")
+    # one group's HU at a time at the front of ``hu``, so it is the only
+    # body-sized data; past the group's count it holds stale HU of earlier
+    # groups.  The array, mask and leaf buffer are the call's own, so
+    # threads share nothing
+    hu = np.empty(n_body, image.dtype)
     mask, buf = np.empty(_GRID_CHUNK, dtype=bool), np.empty(_CHUNK)
     fill = _table_densities if image.dtype == np.int16 else _air_densities
     vox_cm3 = voxel_volume_mm3(vol.grid) / 1000.0
-    body = _pieces(labels, image, np.not_equal, 0, mask)
-    n_body = sum(piece.size for piece in body)
-    if n_body == 0:
-        raise ValueError("degenerate input: body mask is empty")
-    m_body = _sum(body, buf, fill) * vox_cm3
-    del body
+    _gather(hu, labels, image, np.not_equal, 0, mask)
+    m_body = float(_tree(hu, buf, fill)) * vox_cm3
     if not np.isfinite(m_body):
         raise ValueError(f"body mass is {m_body}: the image holds a non-finite HU value")
     if m_body <= 0.0:
@@ -154,11 +141,10 @@ def measure_composition(vol: Volume, tissue: LabelMap) -> CompositionReport:
 
     masses = {}
     for name in ("fat", "muscle", "bone"):
-        pieces = _pieces(labels, image, np.equal, TISSUE_IDS[name], mask)
-        masses[name] = _sum(pieces, buf, fill) * vox_cm3
-    # the bone pieces are the last left: their mean raw HU, summed in float64
-    n_bone = sum(piece.size for piece in pieces)
-    bone_hu = _sum(pieces, buf, np.copyto) / n_bone if n_bone else None
+        n = _gather(hu, labels, image, np.equal, TISSUE_IDS[name], mask)
+        masses[name] = float(_tree(hu[:n], buf, fill)) * vox_cm3
+    # bone is the last group gathered: its mean raw HU, summed in float64
+    bone_hu = float(_tree(hu[:n], buf, np.copyto)) / n if n else None
     return CompositionReport(
         body_mass_kg=m_body / 1000.0,
         fat_pct=100.0 * masses["fat"] / m_body,

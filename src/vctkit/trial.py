@@ -711,14 +711,12 @@ def run_full_vct(config: TrialConfig = TrialConfig(), threads: int = 1,
     predictor.fit([real[sid] for sid in split.train], config.task)
 
     synth = {
-        "ID": synthesize_matched_cohort(
-            [real[sid] for sid in split.id_test], config.oversample_factor,
-            config.distribution, config.spacing_mm, config.synth_seed,
-            id_prefix="syn_id", threads=threads),
-        "OOD": synthesize_matched_cohort(
-            [real[sid] for sid in split.ood_test], config.oversample_factor,
-            config.distribution, config.spacing_mm, config.synth_seed + 1,
-            id_prefix="syn_ood", threads=threads),
+        population: synthesize_matched_cohort(
+            [real[sid] for sid in test], config.oversample_factor, config.distribution,
+            config.spacing_mm, config.synth_seed + k,
+            id_prefix=f"syn_{population.lower()}", threads=threads)
+        for k, (population, test) in enumerate((("ID", split.id_test),
+                                                ("OOD", split.ood_test)))
     }
     options = TrialOptions(n_boot=config.n_boot, z_boot=config.z_boot,
                            level=config.level, seed=config.trial_seed)

@@ -270,6 +270,7 @@ def _subjects(draw):
 @example(_subject([[[40]]], [[[3]]]))                                   # one-voxel grid
 @example(_subject([[[0, -899, 7]]], [[[0, 4, 0]]], np.float32))         # one body voxel
 @example(_subject([[[-1024, -900, 3071]]], [[[2, 4, 0]]]))              # all-air body
+@example(_subject([[[3071, 40, -100, 3071]]], [[[1, 2, 4, 1]]]))       # stale body HU past bone
 def test_in_place_map_matches_chain_oracle(subject):
     vol, tissue = subject
     rep = _matches_chain_oracle(vol, tissue)
@@ -310,8 +311,8 @@ def _large_subjects(draw):
 @given(subject=_large_subjects())
 def test_leaf_sums_match_chain_oracle(leaf, subject):
     # leaves of 128 or 136 values and grid chunks of 64 voxels, so that up
-    # to 2,197 voxels cross many leaves and chunks, a leaf many pieces and a
-    # piece several leaves
+    # to 2,197 voxels cross many leaves and chunks, and a leaf gathers its
+    # values from several grid chunks
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(composition, "_CHUNK", leaf)
         patch.setattr(composition, "_GRID_CHUNK", 64)
@@ -328,10 +329,7 @@ def test_leaf_sum_is_numpys_pairwise_sum(n):
     expected = float(np.add.reduce(x))
     if n > 1000:
         assert float(np.cumsum(x)[-1]) != expected
-    buf = np.empty(composition._CHUNK)
-    assert composition._sum([x], buf, np.copyto) == expected
-    cuts = np.unique(rng.integers(1, n, 5)) if n > 1 else []
-    assert composition._sum(np.split(x, cuts), buf, np.copyto) == expected
+    assert composition._tree(x, np.empty(composition._CHUNK), np.copyto) == expected
 
 
 def test_fortran_ordered_maps_measure_as_c_ordered(phantom_default):

@@ -403,13 +403,16 @@ def test_trial_cohort_minor_faults_are_bounded():
     # mmap threshold moves with the sizes freed before, and a 300-phantom
     # cohort took 56 or 5 faults a phantom depending only on a timing
     # wrapper around measure_composition. Measured on one 2-core x86-64
-    # machine (glibc 2.36, numpy 2.4.6) and nowhere else: the unpooled path
-    # faulted 816-883 times per phantom, the pooled one 42-272 while
-    # measure_composition built body-sized temporaries (126 in 6 runs of
-    # this probe), and 1,205 times over the 50 phantoms (24 per phantom) in
-    # each of 24 fresh runs since it holds only HU pieces and chunk-sized
-    # buffers. The bound fails a return of those temporaries and leaves
-    # room for another history; a failure elsewhere may be the allocator's.
+    # machine (glibc 2.36, numpy 2.4.6) and nowhere else: while
+    # measure_composition built body-sized float temporaries the pooled
+    # path faulted 42-272 times per phantom (126 in 6 runs of this probe);
+    # with one body-sized HU array per call, this probe run from a shell
+    # faulted 1,448 times over the 50 phantoms (29 per phantom) in 3 of 3
+    # runs, and 7,839 times when run by this test under pytest, whose
+    # environment variables alone change the history (HU gathered into
+    # per-chunk pieces instead read 921 and 5,323). The bound fails a return of the
+    # float temporaries; a failure short of their count may be the
+    # allocator's.
     src = str(Path(trial.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
