@@ -32,9 +32,11 @@ AIR_FILL_HU = -1000.0
 
 # voxels per grid chunk of a gather, and the most elements a leaf of a sum
 # holds; a leaf must not be smaller than numpy's 128-element pairwise block,
-# which numpy never splits
+# which numpy never splits.  A 128 KB leaf buffer, not 256 KB, keeps the
+# call's heap churn small enough that glibc does not trim its pages and
+# fault them in again on the next call
 _GRID_CHUNK = 1 << 17
-_CHUNK = 1 << 15
+_CHUNK = 1 << 14
 
 
 def density(hu):

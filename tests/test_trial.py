@@ -405,14 +405,13 @@ def test_trial_cohort_minor_faults_are_bounded():
     # wrapper around measure_composition. Measured on one 2-core x86-64
     # machine (glibc 2.36, numpy 2.4.6) and nowhere else: while
     # measure_composition built body-sized float temporaries the pooled
-    # path faulted 42-272 times per phantom (126 in 6 runs of this probe);
-    # with one body-sized HU array per call, this probe run from a shell
-    # faulted 1,448 times over the 50 phantoms (29 per phantom) in 3 of 3
-    # runs, and 7,839 times when run by this test under pytest, whose
-    # environment variables alone change the history (HU gathered into
-    # per-chunk pieces instead read 921 and 5,323). The bound fails a return of the
-    # float temporaries; a failure short of their count may be the
-    # allocator's.
+    # path faulted 42-272 times per phantom (126 in 6 runs of this probe).
+    # With one body-sized HU array per call and a 256 KB leaf buffer, the
+    # count hung on the checkout's path: 1,091-8,132 over the 50 phantoms
+    # in six directories of one tree; with the 128 KB leaf buffer it read
+    # 986-1,126 (20-23 per phantom) in the same six. The bound fails a
+    # return of the float temporaries; a failure short of their count may
+    # be the allocator's.
     src = str(Path(trial.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
