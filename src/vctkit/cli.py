@@ -99,6 +99,7 @@ def _measure_one(base: Path, record):
     vol = load_volume(_map_path(base, record, "image"))
     tissue = load_labelmap(_map_path(base, record, "tissue"), kind="tissue")
     rep = measure_composition(vol, tissue)
+    del vol  # measured: freed before the structure map is loaded beside the tissue map
     if record.structure:
         structures = load_labelmap(base / record.structure, kind="structure")
         rep = replace(rep, height=measure_height(tissue, structures))

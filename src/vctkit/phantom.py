@@ -29,7 +29,7 @@ import numpy as np
 
 from . import io  # savers looked up at call time, where perfbench wraps them
 from .codec import encode, write_json
-from .composition import REFERENCE_HU, density
+from .composition import AIR_THRESHOLD_HU, REFERENCE_HU, density
 from .rng import Stream, subject_seed
 from .volume import (
     Grid,
@@ -317,31 +317,30 @@ def _solve_geometry(spec: PhantomSpec) -> _Geometry:
     )
 
 
-def _pooled(pool, name: str, dims, dtype, fill: int) -> np.ndarray:
-    """A ``dims`` view of the calling thread's ``name`` buffer in ``pool``, set to ``fill``.
+def _pooled_hu(pool, dims) -> np.ndarray:
+    """A ``dims`` view of the calling thread's int16 HU buffer in ``pool``, set to air.
 
     The buffer lives in an anonymous memory map, outside malloc's heap, so
     its pages stay mapped from one phantom to the next instead of being
     trimmed back to the kernel and faulted in again. It grows by doubling
     and is unmapped once nothing refers to it.
     """
-    dtype = np.dtype(dtype)
     n = dims[0] * dims[1] * dims[2]
-    buf = getattr(pool, name, None)
+    buf = getattr(pool, "hu", None)
     if buf is None or buf.size < n:
         size = n if buf is None else max(n, 2 * buf.size)
-        buf = np.frombuffer(mmap.mmap(-1, size * dtype.itemsize), dtype)
-        setattr(pool, name, buf)
+        buf = pool.hu = np.frombuffer(mmap.mmap(-1, 2 * size), np.int16)  # 2 B a voxel
     view = buf[:n].reshape(dims)
-    view.fill(fill)
+    view.fill(HU_AIR)
     return view
 
 
 class _Canvas:
     """Paint target: HU, tissue and structure arrays plus world coords; tissues
     and structures are painted by name. With a ``pool`` (a ``threading.local``)
-    HU and tissue are the calling thread's buffers in it, which its next
-    canvas overwrites, and there is no structure array to paint."""
+    HU is the calling thread's buffer in it, which its next canvas overwrites,
+    and there is no tissue or structure array to paint: each HU value is
+    painted as one tissue, so ``painted`` holds the tissue map's content."""
 
     def __init__(self, grid: Grid, pool):
         self.grid = grid
@@ -350,10 +349,10 @@ class _Canvas:
             self.tissue = np.zeros(grid.dims, dtype=np.uint8)
             self.structure = np.zeros(grid.dims, dtype=np.uint8)
         else:
-            self.hu = _pooled(pool, "hu", grid.dims, np.int16, HU_AIR)
-            self.tissue = _pooled(pool, "tissue", grid.dims, np.uint8, 0)
-            self.structure = None
-        self.painted = set()  # every HU value assign wrote; the rest is HU_AIR
+            self.hu = _pooled_hu(pool, grid.dims)
+            self.tissue = self.structure = None
+        # every HU value assign wrote, with its tissue id; the rest is HU_AIR
+        self.painted: dict[int, int] = {}
         # float64 voxel centres as Python floats to bound slabs, float32 to paint them
         axes = tuple(grid.axis_coords(a) for a in range(3))
         self.coords = tuple(c.tolist() for c in axes)
@@ -378,9 +377,22 @@ class _Canvas:
         return (sx, sy, sz), x[sx, None, None], y[None, sy, None], z[None, None, sz]
 
     def assign(self, sl, mask, hu: int, tissue: str, structure: str | None = None):
+        """Paint ``hu`` and ``tissue`` where ``mask`` holds in the box ``sl``.
+
+        Raises on a voxel that would read as air, or on a HU value painted as
+        another tissue before: a painted voxel is body, and its tissue is a
+        function of its HU, which truth counting and ``measure_painted`` read.
+        """
+        label = TISSUE_IDS[tissue]
+        if hu <= AIR_THRESHOLD_HU or label == TISSUE_IDS["background"]:
+            raise ValueError(f"cannot paint {hu} HU as {tissue}: a painted voxel is body, "
+                             f"above {AIR_THRESHOLD_HU} HU")
+        if self.painted.setdefault(hu, label) != label:
+            raise ValueError(f"cannot paint {hu} HU as {tissue}: it is painted as "
+                             f"{TISSUE_CLASSES[self.painted[hu]]}")
         self.hu[sl][mask] = hu
-        self.painted.add(hu)
-        self.tissue[sl][mask] = TISSUE_IDS[tissue]
+        if self.tissue is not None:
+            self.tissue[sl][mask] = label
         if structure is not None and self.structure is not None:
             self.structure[sl][mask] = STRUCTURE_IDS[structure]
 
@@ -440,11 +452,13 @@ def generate_phantom(spec: PhantomSpec, *, pool=None):
     perturbs organ positions and sizes slightly so cohorts carry anatomical
     variation beyond pure scaling.
 
-    With a ``pool`` (a ``threading.local``) only the volume and tissue map
-    are built, on the calling thread's canvas buffers in it, and
-    ``(volume, tissue_map, None, None)`` is returned.  They hold the bytes
-    of the full call, but only until the next phantom generated with that
-    pool on that thread: a pooled phantom is for measuring and dropping.
+    With a ``pool`` (a ``threading.local``) only the volume is painted, on
+    the calling thread's canvas buffer in it, and ``(volume, painted)`` is
+    returned: ``painted`` maps each HU value painted to its tissue id, which
+    is all the tissue map holds, as ``composition.measure_painted`` reads it.
+    The volume holds the bytes of the full call, but only until the next
+    phantom generated with that pool on that thread: a pooled phantom is for
+    measuring and dropping.
     """
     geom = _solve_geometry(spec)
     grid, offset = _grid_for(geom, spec.spacing_mm)
@@ -545,9 +559,9 @@ def generate_phantom(spec: PhantomSpec, *, pool=None):
     landmarks["tibia_right"] = (xc + geom.hip_x, yc, z0 + (geom.z_ankle + geom.z_knee) / 2)
 
     vol = Volume(grid, canvas.hu)
-    tissue_map = LabelMap(grid, canvas.tissue, "tissue", dict(TISSUE_CLASSES))
     if pool is not None:
-        return vol, tissue_map, None, None
+        return vol, canvas.painted
+    tissue_map = LabelMap(grid, canvas.tissue, "tissue", dict(TISSUE_CLASSES))
     structure_map = LabelMap(grid, canvas.structure, "structure", dict(STRUCTURE_TABLE))
     truth = _count_truth(canvas, grid, geom, landmarks)
     return vol, tissue_map, structure_map, truth
@@ -575,7 +589,7 @@ def _count_truth(canvas: _Canvas, grid: Grid, geom: _Geometry,
     """
     vox = voxel_volume_mm3(grid)
     flat = canvas.hu.ravel(order="K")  # a view of the C-ordered canvas
-    painted = sorted(canvas.painted - {HU_AIR}, key=lambda h: h & 0xFFFF)
+    painted = sorted(canvas.painted, key=lambda h: h & 0xFFFF)
     counts = dict.fromkeys(painted, 0)
     equal = np.empty(min(_TRUTH_CHUNK, flat.size), dtype=bool)
     for start in range(0, flat.size, _TRUTH_CHUNK):

@@ -34,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from .codec import encode, write_csv, write_json, write_records
-from .composition import CompositionReport, measure_composition
+# measure_composition is not called here; perfbench wraps this module's name
+from .composition import CompositionReport, measure_composition, measure_painted  # noqa: F401
 from .forest import Forest, ForestParams, REGRESSOR_PARAMS, fit_forest, predict, predict_proba
 from .phantom import (
     BIN_WIDTH,
@@ -642,10 +643,10 @@ class TrialConfig:
 
 
 def _measured(subject_id: str, attrs: Attributes, spec, pool) -> MeasuredSubject:
-    """One subject's phantom, built without its structure map on a pooled
-    canvas, and measured; only the measurements leave this function."""
-    vol, tissue, _, _ = generate_phantom(spec, pool=pool)
-    return MeasuredSubject(subject_id, attrs, measure_composition(vol, tissue))
+    """One subject's phantom, painted in HU alone on a pooled canvas, and
+    measured from it; only the measurements leave this function."""
+    vol, painted = generate_phantom(spec, pool=pool)
+    return MeasuredSubject(subject_id, attrs, measure_painted(vol, painted))
 
 
 def _measure_each(task, items, threads: int) -> list[MeasuredSubject]:

@@ -18,12 +18,13 @@ from vctkit.composition import (
     REFERENCE_HU,
     CompositionReport,
     measure_composition,
+    measure_painted,
 )
 from vctkit.io import load_volume, save_volume
 from vctkit.phantom import AttributeDistribution, PhantomSpec, generate_phantom
 from vctkit.skeleton import measure_height
 from vctkit.trial import generate_measured_cohort
-from vctkit.volume import TISSUE_CLASSES, Grid, LabelMap, Volume, voxel_volume_mm3
+from vctkit.volume import TISSUE_CLASSES, TISSUE_IDS, Grid, LabelMap, Volume, voxel_volume_mm3
 
 
 def _hu_volume(values, spacing=(1.0, 1.0, 1.0)):
@@ -330,6 +331,74 @@ def test_leaf_sum_is_numpys_pairwise_sum(n):
     if n > 1000:
         assert float(np.cumsum(x)[-1]) != expected
     assert composition._tree(x, np.empty(composition._CHUNK), np.copyto) == expected
+
+
+@pytest.mark.parametrize("n", [0, 1, 129, composition._CHUNK - 8, composition._CHUNK - 1,
+                               composition._CHUNK, composition._CHUNK + 1,
+                               composition._CHUNK + 8, 2 * composition._CHUNK + 8,
+                               3 * composition._CHUNK + 5, 1_000_003])
+@pytest.mark.parametrize("value", [0.9, 1.05, 1.764, 816.0])
+def test_constant_sum_is_numpys_pairwise_sum(n, value):
+    # the fat, muscle and bone densities of a phantom, and a bone HU
+    expected = float(np.add.reduce(np.full(n, value)))
+    sums = {}
+    assert composition._constant_tree(n, value, np.empty(composition._CHUNK), sums) == expected
+    # each subtree size was summed once, a few per level of the tree
+    assert len(sums) <= 3 * max(1, n // composition._CHUNK).bit_length() + 1
+
+
+@st.composite
+def _painted_subjects(draw):
+    """An int16 image of up to 13^3 voxels, each air or one of a drawn table
+    of painted HU values, each of one tissue, and that table."""
+    dims = tuple(draw(st.integers(1, 13)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    table = {-700: TISSUE_IDS["body"], 30: TISSUE_IDS["body"], 40: TISSUE_IDS["body"]}
+    for hu, name in ((-100, "fat"), (50, "muscle"), (draw(st.integers(400, 1200)), "bone")):
+        if draw(st.booleans()):
+            table[hu] = TISSUE_IDS[name]
+    values = np.array([-1000] + sorted(table), dtype=np.int16)
+    weights = rng.random(values.size) ** 3  # some values rare, some absent
+    hu = rng.choice(values, dims, p=weights / weights.sum())
+    return Volume(Grid(dims, (4.0, 4.0, 4.0)), hu), table
+
+
+def _tissue_of(vol, table):
+    labels = np.zeros(vol.grid.dims, dtype=np.uint8)
+    for hu, label in table.items():
+        labels[vol.data == hu] = label
+    return LabelMap(vol.grid, labels, "tissue", TISSUE_CLASSES)
+
+
+@pytest.mark.parametrize("leaf", [128, 136, composition._CHUNK])
+@settings(max_examples=60)
+@given(subject=_painted_subjects())
+def test_painted_measure_matches_measure_of_its_maps(leaf, subject):
+    # small leaves and grid chunks, so that a body of up to 2,197 voxels
+    # crosses many of them and each group's tree has several levels
+    vol, table = subject
+    tissue = _tissue_of(vol, table)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(composition, "_CHUNK", leaf)
+        patch.setattr(composition, "_GRID_CHUNK", 64)
+        try:
+            expected = encode(measure_composition(vol, tissue))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                measure_painted(vol, table)
+            assert str(raised.value) == str(exc)
+            return
+        assert encode(measure_painted(vol, table)) == expected
+
+
+def test_painted_measure_checks_its_table():
+    vol = _hu_volume(np.array([-1000, -100, -90, 50], dtype=np.int16).reshape(4, 1, 1))
+    fat, muscle = TISSUE_IDS["fat"], TISSUE_IDS["muscle"]
+    with pytest.raises(ValueError, match="fat is painted at 2 HU values, not one"):
+        measure_painted(vol, {-100: fat, -90: fat, 50: muscle})
+    air = _hu_volume(np.full((2, 2, 2), -1000, dtype=np.int16))
+    with pytest.raises(ValueError, match="body mask is empty"):
+        measure_painted(air, {})
 
 
 def test_fortran_ordered_maps_measure_as_c_ordered(phantom_default):

@@ -13,7 +13,7 @@ from hypothesis import example, given, strategies as st
 
 from vctkit import phantom
 from vctkit.codec import decode, encode, read_record, write_json
-from vctkit.composition import REFERENCE_HU, density
+from vctkit.composition import REFERENCE_HU, density, measure_composition, measure_painted
 from vctkit.phantom import (
     BIN_WIDTH,
     HU_AIR,
@@ -34,6 +34,7 @@ from vctkit.phantom import (
     generate_cohort,
     generate_matched_spec,
     generate_phantom,
+    map_ordered,
     sample_cohort_specs,
     sample_fractions,
 )
@@ -110,16 +111,26 @@ def test_generation_deterministic():
 
 
 @pytest.mark.parametrize("spacing", [2.0, 4.0, 8.0])
-@pytest.mark.parametrize("seed", [3, 11])
-def test_image_and_tissue_only_match_full_call(spacing, seed):
-    [(_, _, spec)] = sample_cohort_specs(1, AttributeDistribution(), (spacing,) * 3, seed)
-    vol, tissue, structure, truth = generate_phantom(spec)
-    assert structure is not None and truth is not None
-    vol2, tissue2, structure2, truth2 = generate_phantom(spec, pool=threading.local())
-    assert structure2 is None and truth2 is None
-    assert vol2.grid == vol.grid and tissue2.grid == tissue.grid
-    assert vol2.data.tobytes() == vol.data.tobytes()
-    assert tissue2.data.tobytes() == tissue.data.tobytes()
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pooled_image_and_report_match_full_call(spacing, threads):
+    # two subjects of different sizes, forward then back, on one pool
+    specs = [spec for seed in (3, 11)
+             for _, _, spec in sample_cohort_specs(1, AttributeDistribution(),
+                                                   (spacing,) * 3, seed)]
+    specs += specs[::-1]
+    full = []
+    for spec in specs:
+        vol, tissue, structure, truth = generate_phantom(spec)
+        assert structure is not None and truth is not None
+        full.append((vol.grid, vol.data.tobytes(), encode(measure_composition(vol, tissue))))
+    pool = threading.local()
+
+    def pooled(spec):
+        vol, painted = generate_phantom(spec, pool=pool)
+        assert set(np.unique(vol.data).tolist()) <= set(painted) | {HU_AIR}
+        return vol.grid, vol.data.tobytes(), encode(measure_painted(vol, painted))
+
+    assert map_ordered(pooled, specs, threads) == full
 
 
 @pytest.mark.parametrize("pool", [None, threading.local()], ids=["owned", "pooled"])
@@ -399,7 +410,7 @@ def test_truth_counts_match_unique_oracle(sex, age, height, weight, seed, spacin
                        spacing_mm=(spacing,) * 3, seed=seed)
     (vol, _, _, truth), (canvas, *_) = _full_phantom(spec)
     # every voxel holds air or a value the canvas recorded as painted
-    assert set(np.unique(vol.data).tolist()) <= canvas.painted | {HU_AIR}
+    assert set(np.unique(vol.data).tolist()) <= set(canvas.painted) | {HU_AIR}
     assert encode(truth) == encode(_truth_oracle(vol, spec, truth))
 
 
@@ -423,6 +434,24 @@ def test_truth_counts_only_what_the_canvas_holds():
     assert overwritten.bone_density_hu is None
     _, boned = truth_of((HU_MUSCLE, "muscle"), (geom.bone_hu, "bone"))
     assert boned.bone_density_hu == float(geom.bone_hu)
+
+
+@pytest.mark.parametrize("pool", [None, threading.local()], ids=["owned", "pooled"])
+def test_canvas_paints_each_hu_as_one_body_tissue(pool):
+    canvas = _Canvas(Grid((4, 4, 4), (2.0, 2.0, 2.0)), pool)
+    canvas.paint_sphere((3.0, 3.0, 3.0), 3.0, HU_FAT, "fat")
+    canvas.paint_sphere((3.0, 3.0, 3.0), 2.0, HU_FAT, "fat")  # the same pair again
+    before = canvas.hu.tobytes()
+    # air, anything that reads as air, and background would not be body
+    for hu, tissue in ((HU_AIR, "body"), (-900, "fat"), (HU_AIR, "background"),
+                       (HU_BODY, "background")):
+        with pytest.raises(ValueError, match="a painted voxel is body"):
+            canvas.paint_sphere((3.0, 3.0, 3.0), 3.0, hu, tissue)
+    # a HU value keeps the tissue it was first painted as
+    with pytest.raises(ValueError, match="-100 HU as muscle: it is painted as fat"):
+        canvas.paint_sphere((3.0, 3.0, 3.0), 3.0, HU_FAT, "muscle")
+    assert canvas.hu.tobytes() == before
+    assert canvas.painted == {HU_FAT: 2}
 
 
 def test_count_truth_traced_peak(traced_peak):

@@ -293,8 +293,11 @@ def test_run_full_vct_checks_predictor_before_generation(monkeypatch, tmp_path):
         run_full_vct(TrialConfig(predictor=PredictorSpec("external", path=str(bad))))
 
 
-def test_trial_path_builds_image_and_tissue_only(monkeypatch, tmp_path):
-    calls = []
+def test_trial_path_builds_image_only_and_no_labelmap(monkeypatch, tmp_path):
+    calls, labelmaps = [], []
+    check = phantom.LabelMap.__post_init__
+    monkeypatch.setattr(phantom.LabelMap, "__post_init__",
+                        lambda self: labelmaps.append(self.kind) or check(self))
 
     def spy(owner):
         real = owner.generate_phantom
@@ -311,12 +314,16 @@ def test_trial_path_builds_image_and_tissue_only(monkeypatch, tmp_path):
     trial.synthesize_matched_cohort(cohort, 1, dist, spacing, seed=5)
     pools = [kwargs.pop("pool") for _, kwargs in calls]
     assert calls == [("vctkit.trial", {})] * 4
-    # each cohort call paints on one canvas pool of its own
+    # each cohort call paints on one canvas pool of its own, HU alone: no
+    # tissue or structure map is built, so no label map is checked
     assert all(isinstance(pool, threading.local) for pool in pools)
     assert pools[0] is pools[1] and pools[2] is pools[3] and pools[0] is not pools[2]
+    assert all(vars(pool).keys() == {"hu"} for pool in (pools[0], pools[2]))
+    assert labelmaps == []
     calls.clear()
     phantom.generate_cohort(1, dist, spacing, 6, tmp_path)
     assert calls == [("vctkit.phantom", {})]
+    assert labelmaps == ["tissue", "structure"]
 
 
 def _arrays(obj):
@@ -348,19 +355,17 @@ def test_pooled_canvas_matches_fresh(seeds):
     fresh = []
     for _, _, spec in subjects:
         vol, tissue, _, _ = phantom.generate_phantom(spec)
-        fresh.append((vol.data.tobytes(), tissue.data.tobytes(),
-                      measure_composition(vol, tissue)))
+        fresh.append((vol.data.tobytes(), encode(measure_composition(vol, tissue))))
     for threads in (1, 2):
         pool = threading.local()
 
         def pooled(item):
-            vol, tissue, _, _ = phantom.generate_phantom(item[2], pool=pool)
-            canvas = (vol.data.tobytes(), tissue.data.tobytes())
+            vol, _ = phantom.generate_phantom(item[2], pool=pool)
+            image = vol.data.tobytes()
             subject = trial._measured(*item, pool)
             for array in _arrays(subject):
                 assert not np.may_share_memory(array, pool.hu)
-                assert not np.may_share_memory(array, pool.tissue)
-            return canvas + (subject.report,)
+            return image, encode(subject.report)
 
         assert phantom.map_ordered(pooled, subjects, threads) == fresh
 
@@ -409,9 +414,12 @@ def test_trial_cohort_minor_faults_are_bounded():
     # With one body-sized HU array per call and a 256 KB leaf buffer, the
     # count hung on the checkout's path: 1,091-8,132 over the 50 phantoms
     # in six directories of one tree; with the 128 KB leaf buffer it read
-    # 986-1,126 (20-23 per phantom) in the same six. The bound fails a
-    # return of the float temporaries; a failure short of their count may
-    # be the allocator's.
+    # 986-1,126 (20-23 per phantom) in the same six. Painting HU alone and
+    # measuring from it (no tissue canvas, no tissue gathers), it read
+    # 640-810 (13-16 per phantom) in five directories, against 936-1,142
+    # for the tissue canvas in the same five. The bound fails a return of
+    # the float temporaries; a failure short of their count may be the
+    # allocator's.
     src = str(Path(trial.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
